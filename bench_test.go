@@ -107,6 +107,31 @@ func BenchmarkFig4(b *testing.B) {
 	})
 }
 
+// BenchmarkNullMoments measures the fused draw→score loop the Fig 4
+// controls run at N = 100,000: each iteration accumulates the moments
+// of 10,000 randomized Italian recipes under one model, on a sampler
+// built once.
+func BenchmarkNullMoments(b *testing.B) {
+	const draws = 10000
+	c := benchEnv.Store.BuildCuisine(recipedb.Italy)
+	for _, m := range pairing.AllModels() {
+		b.Run(m.String(), func(b *testing.B) {
+			sampler, err := pairing.NewNullSampler(benchEnv.Analyzer, benchEnv.Store, c, m, rng.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, n := sampler.NullMoments(draws); n == 0 {
+					b.Fatal("no scorable draw")
+				}
+			}
+			b.ReportMetric(float64(b.N)*draws/b.Elapsed().Seconds(), "recipes/s")
+		})
+	}
+}
+
 // BenchmarkFig5 measures the leave-one-out ingredient-contribution sweep
 // for one cuisine (every ingredient, cached pair sums).
 func BenchmarkFig5(b *testing.B) {

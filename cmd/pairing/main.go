@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"culinary/internal/experiments"
@@ -33,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 
-	model, err := parseModel(*modelName)
+	model, err := pairing.ParseModel(*modelName)
 	if err != nil {
 		fatal(err)
 	}
@@ -59,7 +58,8 @@ func main() {
 	t := report.NewTable(
 		fmt.Sprintf("Food pairing vs %s model (%d random recipes)", model, *null),
 		"Region", "N̄s", "NullMean", "NullStd", "Z")
-	for _, r := range regions {
+	zs := make([]float64, len(regions))
+	for i, r := range regions {
 		c := env.Store.BuildCuisine(r)
 		var res pairing.Result
 		src := rng.New(*seed).Split(0x9000 + uint64(r))
@@ -71,6 +71,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		zs[i] = res.Z
 		t.AddRow(r.Code(), res.Observed, res.NullMean, res.NullStd,
 			fmt.Sprintf("%+.1f", res.Z))
 	}
@@ -79,13 +80,10 @@ func main() {
 	}
 
 	if *top > 0 {
-		for _, r := range regions {
+		for i, r := range regions {
 			c := env.Store.BuildCuisine(r)
 			contribs := env.Analyzer.ContributionsParallel(env.Store, c, 0)
-			sign := r.PairingSign()
-			if sign == 0 {
-				sign = 1
-			}
+			sign := contributorSign(zs[i], r)
 			tc := report.NewTable(
 				fmt.Sprintf("Top %d contributors for %s", *top, r.Code()),
 				"Ingredient", "Freq", "ΔN̄s% on removal")
@@ -100,13 +98,21 @@ func main() {
 	}
 }
 
-func parseModel(name string) (pairing.Model, error) {
-	for _, m := range pairing.AllModels() {
-		if strings.EqualFold(m.String(), name) {
-			return m, nil
-		}
+// contributorSign is the pairing direction the contributor table ranks
+// for: the sign of the Z just printed, as experiments.Fig5 uses, so the
+// two tables agree even where the measurement departs from the paper.
+// The paper's sign decides only at Z = 0, and a region it reports no
+// sign for ranks as positive.
+func contributorSign(z float64, r recipedb.Region) int {
+	switch {
+	case z > 0:
+		return 1
+	case z < 0:
+		return -1
+	case r.PairingSign() != 0:
+		return r.PairingSign()
 	}
-	return 0, fmt.Errorf("unknown model %q", name)
+	return 1
 }
 
 func fatal(err error) {

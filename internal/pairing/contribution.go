@@ -34,7 +34,7 @@ type recipeState struct {
 // moments, and the inverted ingredient→recipes index shared by the
 // serial and parallel contribution sweeps. The base mean is accumulated
 // in recipe order so serial and parallel runs are bit-identical.
-func (a *Analyzer) contributionBase(store *recipedb.Store, c *recipedb.Cuisine, workers int) (states []recipeState, recipesOf map[int][]int, baseSum float64, baseN int) {
+func (a *Analyzer) contributionBase(store *recipedb.Store, c *recipedb.Cuisine, workers int) (states []recipeState, recipesOf [][]int, baseSum float64, baseN int) {
 	states = make([]recipeState, len(c.RecipeIDs))
 	lists := store.IngredientLists(c.RecipeIDs)
 	if workers > 1 {
@@ -50,7 +50,7 @@ func (a *Analyzer) contributionBase(store *recipedb.Store, c *recipedb.Cuisine, 
 	}
 	// recipesOf[i] lists indices into states for recipes containing
 	// profiled ingredient i.
-	recipesOf = make(map[int][]int, len(c.UniqueIngredients))
+	recipesOf = make([][]int, a.n)
 	for k := range states {
 		st := &states[k]
 		if len(st.prof) >= 2 {
@@ -67,7 +67,7 @@ func (a *Analyzer) contributionBase(store *recipedb.Store, c *recipedb.Cuisine, 
 // contributionOf computes one ingredient's leave-one-out delta against
 // the precomputed base.
 func (a *Analyzer) contributionOf(c *recipedb.Cuisine, id flavor.ID,
-	states []recipeState, recipesOf map[int][]int, baseSum float64, baseN int, baseMean float64) Contribution {
+	states []recipeState, recipesOf [][]int, baseSum float64, baseN int, baseMean float64) Contribution {
 	ing := int(id)
 	affected := recipesOf[ing]
 	if len(affected) == 0 {
@@ -154,10 +154,6 @@ func (a *Analyzer) contributions(store *recipedb.Store, c *recipedb.Cuisine, wor
 		}
 	}
 	return out
-}
-
-func score(sum int64, n int) float64 {
-	return 2 * float64(sum) / (float64(n) * float64(n-1))
 }
 
 // TopContributors returns the k ingredients contributing most to the

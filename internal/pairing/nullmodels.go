@@ -2,6 +2,7 @@ package pairing
 
 import (
 	"fmt"
+	"math"
 
 	"culinary/internal/flavor"
 	"culinary/internal/recipedb"
@@ -59,29 +60,61 @@ func AllModels() []Model {
 const DefaultNullRecipes = 100000
 
 // NullSampler draws randomized recipes for one cuisine under one model.
-// Construction precomputes the per-model sampling structures; Draw is
-// then allocation-light. A sampler is not safe for concurrent use (it
-// owns an rng.Source); build one per goroutine.
+//
+// A sampler works in pool-local index space: construction renumbers the
+// cuisine's ingredients 0..L-1 and copies their pairwise shared-compound
+// counts into a dense symmetric L×L table, so a draw and its score touch
+// only sampler-owned arrays — no map, no allocation, no ordering branch
+// (README.md, "Null-model sampling kernel", has the invariants and the
+// variate-consumption contract). A sampler is not safe for concurrent
+// use (it owns an rng.Source); build one per goroutine.
 type NullSampler struct {
-	model    Model
-	analyzer *Analyzer
-	cuisine  *recipedb.Cuisine
-	src      *rng.Source
+	model Model
+	src   *rng.Source
 
-	// ingredient pool of the cuisine
-	pool []flavor.ID
-	// frequency-weighted sampler over pool (FrequencyModel)
+	// ids[l] is the ingredient with local index l. ids[:npool] is the
+	// cuisine's pool in UniqueIngredients order; an ingredient that only
+	// a template names (the corpus changed after the cuisine snapshot)
+	// follows, where the category models can keep it but never draw it.
+	ids   []flavor.ID
+	npool int
+	// profiled[l] is 1 when ids[l] has a flavor profile; category[l] is
+	// its flavor.Category.
+	profiled []uint8
+	category []uint8
+	// shared[x*len(ids)+y] is |F(ids[x]) ∩ F(ids[y])|; the diagonal and
+	// the rows and columns of profile-less ingredients are zero.
+	shared []uint16
+
+	// frequency-weighted sampler over the pool (FrequencyModel)
 	freq *rng.Weighted
-	// per-category pools and frequency samplers (category models)
-	catPool [][]flavor.ID
+	// per-category pools, and their frequency samplers for
+	// FrequencyCategoryModel (nil entries otherwise)
+	catPool [][]int32
 	catFreq []*rng.Weighted
-	// templates holds the cuisine recipes' ingredient lists, snapshot
-	// at construction (one store lock, not one per draw): they provide
-	// sizes (all models) and category compositions (category models)
-	templates [][]flavor.ID
-	buf       []flavor.ID
-	seen      map[flavor.ID]struct{}
+
+	// Template t is tmpl[tmplOff[t]:tmplOff[t+1]]: the cuisine recipes'
+	// ingredient lists, snapshot at construction (one store lock, not one
+	// per draw). They provide sizes (all models) and category
+	// compositions (category models).
+	tmpl    []int32
+	tmplOff []int32
+
+	// loc is the current draw. stamp[l] == gen marks l as a member of
+	// it, so bumping gen empties the set.
+	loc   []int32
+	stamp []uint32
+	gen   uint32
+	// perm is the identity permutation of the pool between draws; undo
+	// logs a partial Fisher–Yates' swap targets so they can be reverted.
+	perm []int32
+	undo []int32
+	buf  []flavor.ID
 }
+
+// Local category tables hold a flavor.Category in a byte; this fails to
+// compile if the category set ever outgrows one.
+const _ = uint8(flavor.NumCategories - 1)
 
 // NewNullSampler builds a sampler for the cuisine under the model. It
 // returns an error for degenerate cuisines (no recipes or fewer than two
@@ -97,44 +130,43 @@ func NewNullSampler(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m M
 		return nil, fmt.Errorf("pairing: cuisine %s has %d unique ingredients, need >= 2",
 			c.Region.Code(), len(c.UniqueIngredients))
 	}
-	s := &NullSampler{
-		model:     m,
-		analyzer:  a,
-		cuisine:   c,
-		src:       src,
-		pool:      c.UniqueIngredients,
-		templates: store.IngredientLists(c.RecipeIDs),
-		seen:      make(map[flavor.ID]struct{}, 32),
+	s := &NullSampler{model: m, src: src, npool: len(c.UniqueIngredients)}
+	s.localize(a, c.UniqueIngredients, store.IngredientLists(c.RecipeIDs))
+	if err := s.fillShared(a); err != nil {
+		return nil, fmt.Errorf("pairing: cuisine %s: %w", c.Region.Code(), err)
+	}
+	// Weights follow the members' order, so the alias tables — and with
+	// them the variates each Sample consumes — are those of a sampler
+	// over the ingredient ids themselves.
+	weighted := func(members []int32) (*rng.Weighted, error) {
+		weights := make([]float64, len(members))
+		for i, l := range members {
+			weights[i] = float64(c.IngredientFreq[s.ids[l]])
+		}
+		return rng.NewWeighted(weights)
 	}
 	switch m {
+	case RandomModel:
+		s.undo = make([]int32, 0, cap(s.loc))
 	case FrequencyModel:
-		weights := make([]float64, len(s.pool))
-		for i, id := range s.pool {
-			weights[i] = float64(c.IngredientFreq[id])
-		}
-		w, err := rng.NewWeighted(weights)
+		w, err := weighted(s.perm)
 		if err != nil {
 			return nil, fmt.Errorf("pairing: frequency weights for %s: %w", c.Region.Code(), err)
 		}
 		s.freq = w
 	case CategoryModel, FrequencyCategoryModel:
-		catalog := a.Catalog()
-		s.catPool = make([][]flavor.ID, flavor.NumCategories)
-		for _, id := range s.pool {
-			cat := catalog.Ingredient(id).Category
-			s.catPool[cat] = append(s.catPool[cat], id)
+		s.catPool = make([][]int32, flavor.NumCategories)
+		for _, l := range s.perm {
+			cat := s.category[l]
+			s.catPool[cat] = append(s.catPool[cat], l)
 		}
+		s.catFreq = make([]*rng.Weighted, flavor.NumCategories)
 		if m == FrequencyCategoryModel {
-			s.catFreq = make([]*rng.Weighted, flavor.NumCategories)
-			for cat, ids := range s.catPool {
-				if len(ids) == 0 {
+			for cat, members := range s.catPool {
+				if len(members) == 0 {
 					continue
 				}
-				weights := make([]float64, len(ids))
-				for i, id := range ids {
-					weights[i] = float64(c.IngredientFreq[id])
-				}
-				w, err := rng.NewWeighted(weights)
+				w, err := weighted(members)
 				if err != nil {
 					return nil, fmt.Errorf("pairing: category %d weights for %s: %w",
 						cat, c.Region.Code(), err)
@@ -146,6 +178,81 @@ func NewNullSampler(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m M
 	return s, nil
 }
 
+// localize assigns local indices — the pool first, in order, then any
+// ingredient only a template names — and rewrites the templates, the
+// profile flags and the categories in them. Scratch is sized for the
+// largest draw here, so steady-state draws never grow it.
+func (s *NullSampler) localize(a *Analyzer, pool []flavor.ID, templates [][]flavor.ID) {
+	localOf := make([]int32, a.n)
+	for i := range localOf {
+		localOf[i] = -1
+	}
+	s.ids = append(make([]flavor.ID, 0, len(pool)), pool...)
+	s.perm = make([]int32, len(pool))
+	for l, id := range pool {
+		localOf[id] = int32(l)
+		s.perm[l] = int32(l)
+	}
+	slots, largest := 0, 0
+	for _, t := range templates {
+		slots += len(t)
+		if len(t) > largest {
+			largest = len(t)
+		}
+	}
+	s.tmpl = make([]int32, 0, slots)
+	s.tmplOff = make([]int32, 1, len(templates)+1)
+	for _, t := range templates {
+		for _, id := range t {
+			if localOf[id] < 0 {
+				localOf[id] = int32(len(s.ids))
+				s.ids = append(s.ids, id)
+			}
+			s.tmpl = append(s.tmpl, localOf[id])
+		}
+		s.tmplOff = append(s.tmplOff, int32(len(s.tmpl)))
+	}
+	s.profiled = make([]uint8, len(s.ids))
+	s.category = make([]uint8, len(s.ids))
+	for l, id := range s.ids {
+		if a.hasProfile[id] {
+			s.profiled[l] = 1
+		}
+		s.category[l] = uint8(a.catalog.Ingredient(id).Category)
+	}
+	s.stamp = make([]uint32, len(s.ids))
+	s.loc = make([]int32, 0, largest)
+	s.buf = make([]flavor.ID, 0, largest)
+}
+
+// fillShared copies the local ingredients' pair counts out of the
+// analyzer's triangle. A count is at most the smaller profile's size,
+// itself at most the catalog's molecule count, so 16 bits hold every
+// catalog this library builds; one that does not fit is refused rather
+// than truncated.
+func (s *NullSampler) fillShared(a *Analyzer) error {
+	n := len(s.ids)
+	s.shared = make([]uint16, n*n)
+	for x := 0; x < n; x++ {
+		if s.profiled[x] == 0 {
+			continue
+		}
+		for y := x + 1; y < n; y++ {
+			if s.profiled[y] == 0 {
+				continue
+			}
+			v := a.sharedSym(int(s.ids[x]), int(s.ids[y]))
+			if v > math.MaxUint16 {
+				return fmt.Errorf("ingredients %d and %d share %d flavor compounds, more than the null sampler's 16-bit pair table holds (%d)",
+					s.ids[x], s.ids[y], v, math.MaxUint16)
+			}
+			s.shared[x*n+y] = uint16(v)
+			s.shared[y*n+x] = uint16(v)
+		}
+	}
+	return nil
+}
+
 // Model returns the sampler's model.
 func (s *NullSampler) Model() Model { return s.model }
 
@@ -153,85 +260,161 @@ func (s *NullSampler) Model() Model { return s.model }
 // IDs). The returned slice is reused across calls; callers must not
 // retain it.
 func (s *NullSampler) Draw() []flavor.ID {
-	tmpl := s.templates[s.src.Intn(len(s.templates))]
-	size := len(tmpl)
+	s.draw()
 	s.buf = s.buf[:0]
-	for k := range s.seen {
-		delete(s.seen, k)
-	}
-	switch s.model {
-	case RandomModel:
-		if size >= len(s.pool) {
-			// Degenerate: use the whole pool.
-			s.buf = append(s.buf, s.pool...)
-			return s.buf
-		}
-		for _, idx := range s.src.SampleWithoutReplacement(len(s.pool), size) {
-			s.buf = append(s.buf, s.pool[idx])
-		}
-	case FrequencyModel:
-		if size >= len(s.pool) {
-			s.buf = append(s.buf, s.pool...)
-			return s.buf
-		}
-		for len(s.buf) < size {
-			id := s.pool[s.freq.Sample(s.src)]
-			if _, dup := s.seen[id]; dup {
-				continue
-			}
-			s.seen[id] = struct{}{}
-			s.buf = append(s.buf, id)
-		}
-	case CategoryModel, FrequencyCategoryModel:
-		// Preserve the template's category multiset; draw within each
-		// slot's category. Duplicate draws retry a bounded number of
-		// times, then fall back to a linear scan for an unused member;
-		// if the whole category is exhausted the slot keeps the
-		// template's original ingredient.
-		catalog := s.analyzer.Catalog()
-		for _, orig := range tmpl {
-			cat := catalog.Ingredient(orig).Category
-			id := s.drawFromCategory(cat, orig)
-			s.seen[id] = struct{}{}
-			s.buf = append(s.buf, id)
-		}
+	for _, l := range s.loc {
+		s.buf = append(s.buf, s.ids[l])
 	}
 	return s.buf
 }
 
-func (s *NullSampler) drawFromCategory(cat flavor.Category, orig flavor.ID) flavor.ID {
+// draw leaves one randomized recipe in s.loc. It consumes src exactly
+// as the sampler always has: the template index first, then each
+// model's variates in slot order.
+func (s *NullSampler) draw() {
+	t := s.src.Intn(len(s.tmplOff) - 1)
+	tmpl := s.tmpl[s.tmplOff[t]:s.tmplOff[t+1]]
+	size := len(tmpl)
+	s.loc = s.loc[:0]
+	s.gen++
+	if s.gen == 0 {
+		// The generation counter wrapped: stale stamps could collide
+		// with it, so start over.
+		clear(s.stamp)
+		s.gen = 1
+	}
+	switch s.model {
+	case RandomModel:
+		if size >= s.npool {
+			// Degenerate: use the whole pool.
+			s.loc = append(s.loc, s.perm...)
+			return
+		}
+		s.sampleUniform(size)
+	case FrequencyModel:
+		if size >= s.npool {
+			s.loc = append(s.loc, s.perm...)
+			return
+		}
+		for len(s.loc) < size {
+			l := int32(s.freq.Sample(s.src))
+			if s.stamp[l] == s.gen {
+				continue
+			}
+			s.stamp[l] = s.gen
+			s.loc = append(s.loc, l)
+		}
+	case CategoryModel, FrequencyCategoryModel:
+		// Preserve the template's category multiset; draw within each
+		// slot's category.
+		for _, orig := range tmpl {
+			l := s.drawFromCategory(s.category[orig], orig)
+			s.stamp[l] = s.gen
+			s.loc = append(s.loc, l)
+		}
+	}
+}
+
+// sampleUniform appends k < npool distinct uniform pool members to
+// s.loc, consuming the variates rng.SampleWithoutReplacement(npool, k)
+// consumes and choosing what it chooses: rejection from a set while
+// k*4 < npool, a partial Fisher–Yates otherwise.
+func (s *NullSampler) sampleUniform(k int) {
+	n := s.npool
+	if k*4 < n {
+		for len(s.loc) < k {
+			l := int32(s.src.Intn(n))
+			if s.stamp[l] == s.gen {
+				continue
+			}
+			s.stamp[l] = s.gen
+			s.loc = append(s.loc, l)
+		}
+		return
+	}
+	p := s.perm
+	s.undo = s.undo[:0]
+	for i := 0; i < k; i++ {
+		j := i + s.src.Intn(n-i)
+		p[i], p[j] = p[j], p[i]
+		s.undo = append(s.undo, int32(j))
+	}
+	s.loc = append(s.loc, p[:k]...)
+	// Reverting the swaps last-first restores the identity in O(k),
+	// where refilling it would cost O(npool) per draw.
+	for i := k - 1; i >= 0; i-- {
+		j := s.undo[i]
+		p[i], p[j] = p[j], p[i]
+	}
+}
+
+// drawFromCategory picks an unused member of the category. Duplicate
+// draws retry a bounded number of times, then fall back to a linear
+// scan for an unused member; if the whole category is exhausted — or
+// the pool has none of it — the slot keeps the template's original
+// ingredient.
+func (s *NullSampler) drawFromCategory(cat uint8, orig int32) int32 {
 	pool := s.catPool[cat]
 	if len(pool) == 0 {
-		return orig // template ingredient category not in cuisine pool: keep original
+		return orig
 	}
+	freq := s.catFreq[cat]
 	for attempt := 0; attempt < 16; attempt++ {
-		var id flavor.ID
-		if s.model == FrequencyCategoryModel && s.catFreq[cat] != nil {
-			id = pool[s.catFreq[cat].Sample(s.src)]
+		var l int32
+		if freq != nil {
+			l = pool[freq.Sample(s.src)]
 		} else {
-			id = pool[s.src.Intn(len(pool))]
+			l = pool[s.src.Intn(len(pool))]
 		}
-		if _, dup := s.seen[id]; !dup {
-			return id
+		if s.stamp[l] != s.gen {
+			return l
 		}
 	}
-	for _, id := range pool {
-		if _, dup := s.seen[id]; !dup {
-			return id
+	for _, l := range pool {
+		if s.stamp[l] != s.gen {
+			return l
 		}
 	}
 	return orig
+}
+
+// scoreDraw returns Ns of the recipe in s.loc, as RecipeScore would for
+// the same ingredients: zero table entries stand in for its profile
+// filter and duplicate skip, and the pair sum is an integer, so its
+// order is free.
+func (s *NullSampler) scoreDraw() (float64, bool) {
+	stride := len(s.ids)
+	n := 0
+	var sum int64
+	for i, x := range s.loc {
+		n += int(s.profiled[x])
+		row := s.shared[int(x)*stride:][:stride]
+		for _, y := range s.loc[i+1:] {
+			sum += int64(row[y])
+		}
+	}
+	if n < 2 {
+		return 0, false
+	}
+	return score(sum, n), true
+}
+
+// accumulate draws n randomized recipes and adds the score of each
+// scorable one to acc, in draw order: the package's one draw→score loop.
+func (s *NullSampler) accumulate(n int, acc *stats.Accumulator) {
+	for i := 0; i < n; i++ {
+		s.draw()
+		if v, ok := s.scoreDraw(); ok {
+			acc.Add(v)
+		}
+	}
 }
 
 // NullMoments draws nRecipes randomized recipes and accumulates the mean
 // and standard deviation of their pairing scores.
 func (s *NullSampler) NullMoments(nRecipes int) (mean, std float64, scored int) {
 	var acc stats.Accumulator
-	for i := 0; i < nRecipes; i++ {
-		if v, ok := s.analyzer.RecipeScore(s.Draw()); ok {
-			acc.Add(v)
-		}
-	}
+	s.accumulate(nRecipes, &acc)
 	return acc.Mean(), acc.PopStdDev(), acc.N()
 }
 

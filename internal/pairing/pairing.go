@@ -139,55 +139,70 @@ func (a *Analyzer) sharedSym(i, j int) int32 {
 	return a.sharedOrdered(j, i)
 }
 
+// scoreStackIDs is the recipe length RecipeScore handles without
+// touching the heap; the corpus's longest recipes are well inside it,
+// and a longer list only costs the allocation it always did.
+const scoreStackIDs = 64
+
+// gatherProfiled appends the profiled members of ids to dst in
+// ascending id order (insertion sort: recipes are short), duplicates
+// kept. Sorted members let orderedPairSum read the triangle without the
+// symmetry branch.
+func (a *Analyzer) gatherProfiled(dst []int, ids []flavor.ID) []int {
+	for _, id := range ids {
+		if !a.hasProfile[id] {
+			continue
+		}
+		x := int(id)
+		dst = append(dst, x)
+		j := len(dst) - 1
+		for ; j > 0 && dst[j-1] > x; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = x
+	}
+	return dst
+}
+
+// orderedPairSum returns the raw Σ|F(i)∩F(j)| over the pairs of an
+// ascending member list.
+func (a *Analyzer) orderedPairSum(prof []int) int64 {
+	var sum int64
+	for i, x := range prof {
+		for _, y := range prof[i+1:] {
+			if x == y {
+				continue // duplicate member: an ingredient forms no pair with itself
+			}
+			sum += int64(a.sharedOrdered(x, y))
+		}
+	}
+	return sum
+}
+
 // RecipeScore computes Ns(R) for a list of ingredient IDs. The boolean
 // result is false when fewer than two profiled ingredients are present,
 // in which case the score is undefined (returned as 0).
 func (a *Analyzer) RecipeScore(ids []flavor.ID) (float64, bool) {
-	// Gather profiled ingredients only.
-	prof := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if a.hasProfile[id] {
-			prof = append(prof, int(id))
-		}
-	}
+	var stack [scoreStackIDs]int
+	prof := a.gatherProfiled(stack[:0], ids)
 	n := len(prof)
 	if n < 2 {
 		return 0, false
 	}
-	var sum int64
-	for i := 0; i < n; i++ {
-		x := prof[i]
-		for j := i + 1; j < n; j++ {
-			y := prof[j]
-			if x == y {
-				continue // duplicate member: the dense diagonal was 0
-			}
-			sum += int64(a.sharedSym(x, y))
-		}
-	}
-	return 2 * float64(sum) / (float64(n) * float64(n-1)), true
+	return score(a.orderedPairSum(prof), n), true
 }
 
-// pairSum returns the raw Σ|F(i)∩F(j)| and profiled count for a recipe,
-// used by the leave-one-out contribution computation.
+// score is Ns for a raw pair sum over n profiled ingredients.
+func score(sum int64, n int) float64 {
+	return 2 * float64(sum) / (float64(n) * float64(n-1))
+}
+
+// pairSum returns the raw Σ|F(i)∩F(j)| and the (ascending) profiled
+// members of a recipe, kept per recipe by the leave-one-out
+// contribution computation.
 func (a *Analyzer) pairSum(ids []flavor.ID) (sum int64, profiled []int) {
-	prof := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if a.hasProfile[id] {
-			prof = append(prof, int(id))
-		}
-	}
-	for i := 0; i < len(prof); i++ {
-		x := prof[i]
-		for j := i + 1; j < len(prof); j++ {
-			y := prof[j]
-			if x == y {
-				continue
-			}
-			sum += int64(a.sharedSym(x, y))
-		}
-	}
-	return sum, prof
+	prof := a.gatherProfiled(make([]int, 0, len(ids)), ids)
+	return a.orderedPairSum(prof), prof
 }
 
 // CuisineScore computes the mean flavor sharing N̄s of the cuisine,

@@ -115,15 +115,7 @@ func NullMomentsParallel(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine
 		shards = runtime.GOMAXPROCS(0)
 	}
 	if shards > nRecipes {
-		shards = nRecipes
-	}
-	if shards <= 1 {
-		s, err := NewNullSampler(a, store, c, m, src.Split(0))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		mean, std, scored = s.NullMoments(nRecipes)
-		return mean, std, scored, nil
+		shards = max(nRecipes, 1)
 	}
 	accs := make([]stats.Accumulator, shards)
 	errs := make([]error, shards)
@@ -143,11 +135,7 @@ func NullMomentsParallel(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine
 				errs[w] = err
 				return
 			}
-			for i := 0; i < count; i++ {
-				if v, ok := a.RecipeScore(s.Draw()); ok {
-					accs[w].Add(v)
-				}
-			}
+			s.accumulate(count, &accs[w])
 		}(w, count, src.Split(uint64(w)))
 	}
 	wg.Wait()
