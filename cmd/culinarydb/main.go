@@ -6,8 +6,7 @@
 //	culinarydb -out corpus.csv [-format csv|json] [-scale f] [-seed s]
 //	culinarydb -stats [-region CODE]
 //	culinarydb -query "SELECT ..." [-query-result-cache-bytes n]   # run CQL against the corpus
-//	culinarydb -savedb DIR [-db-shards n] [-db-sync]   # persist a storage-engine snapshot
-//	           [-db-mmap] [-db-read-cache-bytes n]
+//	culinarydb -savedb DIR [-db-sync]                  # persist a storage-engine snapshot
 //	           [-db-compact-interval d] [-db-compact-garbage-ratio f]
 //	culinarydb -dbinfo DIR                             # inspect a snapshot directory
 package main
@@ -41,10 +40,7 @@ func main() {
 			"result cache byte budget for -query (0 disables)")
 		savedb    = flag.String("savedb", "", "persist the corpus into a storage snapshot directory")
 		dbinfo    = flag.String("dbinfo", "", "print statistics of a snapshot directory and exit")
-		dbShards  = flag.Int("db-shards", 64, "keydir shard count for the storage engine (rounded up to a power of two)")
 		dbSync    = flag.Bool("db-sync", false, "fsync every write while saving (group-committed)")
-		dbMmap    = flag.Bool("db-mmap", true, "mmap sealed segments for zero-syscall point reads")
-		dbCache   = flag.Int64("db-read-cache-bytes", 0, "hot-key value cache byte budget (0 disables; saving is write-mostly)")
 		dbCompact = flag.Duration("db-compact-interval", 0, "background incremental compaction period while saving (0 = compact once at the end)")
 		dbGarbage = flag.Float64("db-compact-garbage-ratio", 0.5, "dead-byte fraction at which a sealed segment is compacted")
 	)
@@ -79,10 +75,7 @@ func main() {
 
 	if *savedb != "" {
 		db, err := storage.Open(*savedb, storage.Options{
-			Shards:              *dbShards,
 			SyncEveryPut:        *dbSync,
-			Mmap:                *dbMmap,
-			ReadCacheBytes:      *dbCache,
 			CompactInterval:     *dbCompact,
 			CompactGarbageRatio: *dbGarbage,
 		})

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	server [-addr :8080] [-scale f] [-seed s] [-null n] [-db DIR]
-//	       [-db-shards n] [-db-sync] [-db-mmap] [-db-read-cache-bytes n]
-//	       [-db-compact-interval d] [-db-compact-garbage-ratio f]
+//	       [-db-sync] [-db-compact-interval d] [-db-compact-garbage-ratio f]
+//	       [-db-scrub-interval d] [-db-write-probe-interval d]
 //	       [-query-result-cache-bytes n]
 //	       [-classifier-rebuild-interval d] [-recommender-rebuild-interval d]
 //	       [-max-body-bytes n] [-rate-limit-rps f] [-rate-limit-mutation-rps f]
@@ -47,18 +47,16 @@
 // saved into) a storage snapshot directory, so restarts skip corpus
 // generation; the engine stays open behind /api/health's storage
 // statistics, and recipe mutations (POST/DELETE /api/recipes) write
-// through to it, so they survive restarts. -db-shards partitions the
-// store's key directory (power of two); -db-sync turns on the
-// per-write durability contract, served by the engine's group-commit
-// writer. -db-mmap (on by default) maps sealed segments read-only so
-// point reads skip the pread syscall, and -db-read-cache-bytes sizes a
-// hot-key value cache in front of the log (0 disables it); /api/health
-// reports both. -db-compact-interval runs the background incremental
-// compactor at that period (0 disables it), rewriting segments whose
-// garbage fraction reached -db-compact-garbage-ratio without blocking
-// reads or writes. -query-result-cache-bytes bounds the CQL engine's
-// result cache, keyed by (normalized statement, corpus version) so a
-// mutation fences every older cached result (0 disables it).
+// through to it, so they survive restarts. Requests are answered from
+// the in-memory corpus; the engine is read only at boot. -db-sync turns
+// on the per-write durability contract, served by the engine's
+// group-commit writer. -db-compact-interval runs the background
+// incremental compactor at that period (0 disables it), rewriting
+// segments whose garbage fraction reached -db-compact-garbage-ratio
+// without blocking reads or writes. -query-result-cache-bytes bounds
+// the CQL engine's result cache, keyed by (normalized statement, corpus
+// version) so a mutation fences every older cached result (0 disables
+// it).
 //
 // Every derived read model is version-aware. The full-text search
 // index is maintained synchronously inside the mutation path, so an
@@ -117,10 +115,7 @@ func main() {
 		seed      = flag.Uint64("seed", 20180416, "master seed")
 		null      = flag.Int("null", 2000, "default null-model sample size for the pairing endpoint")
 		dbDir     = flag.String("db", "", "storage snapshot directory (load if present, else generate and save)")
-		dbShards  = flag.Int("db-shards", 64, "keydir shard count for the storage engine (rounded up to a power of two)")
 		dbSync    = flag.Bool("db-sync", false, "fsync every write (group-committed; durable but slower)")
-		dbMmap    = flag.Bool("db-mmap", true, "mmap sealed segments for zero-syscall point reads")
-		dbCache   = flag.Int64("db-read-cache-bytes", 32<<20, "hot-key value cache byte budget (0 disables)")
 		dbCompact = flag.Duration("db-compact-interval", time.Minute, "background incremental compaction period (0 disables)")
 		dbGarbage = flag.Float64("db-compact-garbage-ratio", 0.5, "dead-byte fraction at which a sealed segment is compacted")
 		dbScrub   = flag.Duration("db-scrub-interval", 30*time.Second, "background segment scrub pacing, one sealed segment per tick (0 disables)")
@@ -148,10 +143,7 @@ func main() {
 	)
 	flag.Parse()
 	dbOpts := storage.Options{
-		Shards:              *dbShards,
 		SyncEveryPut:        *dbSync,
-		Mmap:                *dbMmap,
-		ReadCacheBytes:      *dbCache,
 		CompactInterval:     *dbCompact,
 		CompactGarbageRatio: *dbGarbage,
 		ScrubInterval:       *dbScrub,

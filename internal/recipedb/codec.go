@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"culinary/internal/flavor"
@@ -23,6 +24,21 @@ const RecipePrefix = "recipe/"
 // keeps lexicographic key order equal to ID order, so sorted key scans
 // reload recipes in ID order.
 func RecipeKey(id int) string { return fmt.Sprintf("%s%08d", RecipePrefix, id) }
+
+// ParseRecipeKey is the inverse of RecipeKey: it reports false for any
+// key RecipeKey would not have rendered (another namespace, trailing
+// bytes, a sign, a missing or surplus zero pad).
+func ParseRecipeKey(key string) (int, bool) {
+	digits, ok := strings.CutPrefix(key, RecipePrefix)
+	if !ok {
+		return 0, false
+	}
+	id, err := strconv.Atoi(digits)
+	if err != nil || id < 0 || RecipeKey(id) != key {
+		return 0, false
+	}
+	return id, true
+}
 
 // EncodeRecipe serializes one recipe for a persistence backend:
 //

@@ -374,3 +374,29 @@ func TestSourceCounts(t *testing.T) {
 		t.Fatalf("SourceCounts = %v", counts)
 	}
 }
+
+func TestParseRecipeKey(t *testing.T) {
+	for _, id := range []int{0, 12, 45771, 99999999, 100000000, 1<<31 - 1} {
+		if got, ok := ParseRecipeKey(RecipeKey(id)); !ok || got != id {
+			t.Errorf("ParseRecipeKey(RecipeKey(%d)) = %d, %v", id, got, ok)
+		}
+	}
+	for _, key := range []string{
+		"",
+		RecipePrefix,
+		"meta/format",
+		"recipe/00000012x", // trailing junk
+		"recipe/00000012 ",
+		"recipe/-0000012",
+		"recipe/+0000012",
+		"recipe/12",        // missing zero pad
+		"recipe/000000012", // surplus zero pad
+		"recipe/0000001２",  // non-ASCII digit
+		"recipe/99999999999999999999",
+		"xrecipe/00000012",
+	} {
+		if id, ok := ParseRecipeKey(key); ok {
+			t.Errorf("ParseRecipeKey(%q) = %d, want reject", key, id)
+		}
+	}
+}

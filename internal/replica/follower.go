@@ -529,7 +529,7 @@ func (f *Follower) tailChain(st *State) (applied, complete bool, err error) {
 func (f *Follower) applyRecords(recs []storage.ReplicaRecord) error {
 	items := make([]recipedb.BatchItem, 0, len(recs))
 	for _, rec := range recs {
-		id, ok := parseRecipeKey(rec.Key)
+		id, ok := recipedb.ParseRecipeKey(rec.Key)
 		if !ok {
 			continue // snapshot metadata under meta/, mirrored not applied
 		}

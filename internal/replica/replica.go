@@ -33,10 +33,7 @@ package replica
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 
-	"culinary/internal/recipedb"
 	"culinary/internal/storage"
 )
 
@@ -94,20 +91,6 @@ func sortSegments(segs []storage.SegmentInfo) {
 			segs[j], segs[j-1] = segs[j-1], segs[j]
 		}
 	}
-}
-
-// parseRecipeKey extracts the slot ID from a corpus record key,
-// reporting false for non-recipe keys (the snapshot metadata under
-// "meta/", which the follower mirrors but does not apply).
-func parseRecipeKey(key string) (int, bool) {
-	if !strings.HasPrefix(key, recipedb.RecipePrefix) {
-		return 0, false
-	}
-	id, err := strconv.Atoi(strings.TrimPrefix(key, recipedb.RecipePrefix))
-	if err != nil || id < 0 {
-		return 0, false
-	}
-	return id, true
 }
 
 // manifestDoc mirrors the storage MANIFEST wire format for the fields

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"culinary/internal/flavor"
@@ -99,8 +100,8 @@ func (s *Server) handleSubstitute(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := recommend.SubstituteOptions{K: 5, RequireSameCategory: true}
 	if raw := r.URL.Query().Get("limit"); raw != "" {
-		var v int
-		if _, err := fmt.Sscanf(raw, "%d", &v); err != nil || v < 1 || v > 50 {
+		v, err := strconv.Atoi(raw)
+		if err != nil || v < 1 || v > 50 {
 			writeError(w, http.StatusBadRequest, "limit must be in [1,50]")
 			return
 		}

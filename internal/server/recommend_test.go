@@ -107,8 +107,10 @@ func TestSubstituteEndpoint(t *testing.T) {
 	if code, _ := do(t, h, "GET", "/api/ingredients/unobtainium/substitutes", nil); code != http.StatusNotFound {
 		t.Errorf("unknown ingredient status = %d", code)
 	}
-	if code, _ := do(t, h, "GET", "/api/ingredients/basil/substitutes?limit=0", nil); code != http.StatusBadRequest {
-		t.Errorf("bad limit status = %d", code)
+	for _, limit := range []string{"0", "5abc", "abc"} {
+		if code, _ := do(t, h, "GET", "/api/ingredients/basil/substitutes?limit="+limit, nil); code != http.StatusBadRequest {
+			t.Errorf("limit=%s status = %d, want 400", limit, code)
+		}
 	}
 	code, _ = do(t, h, "GET", "/api/ingredients/cooking%20spray/substitutes", nil)
 	if code != http.StatusUnprocessableEntity {

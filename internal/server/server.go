@@ -451,25 +451,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.DB != nil {
 		st := s.cfg.DB.Stats()
 		comp := s.cfg.DB.CompactionStats()
-		rs := s.cfg.DB.ReadStats()
 		hs := s.cfg.DB.HealthStats()
 		body["storage"] = map[string]interface{}{
 			"keys":      st.Keys,
 			"segments":  st.Segments,
 			"liveBytes": st.LiveBytes,
 			"deadBytes": st.DeadBytes,
-			"readPath": map[string]interface{}{
-				"mmapSegments": rs.MmapSegments,
-				"mmapReads":    rs.MmapReads,
-				"preadReads":   rs.PreadReads,
-			},
-			"readCache": map[string]interface{}{
-				"hits":     rs.CacheHits,
-				"misses":   rs.CacheMisses,
-				"entries":  rs.CacheEntries,
-				"bytes":    rs.CacheBytes,
-				"capacity": rs.CacheCapacity,
-			},
 			"compaction": map[string]interface{}{
 				"running":           comp.Running,
 				"runs":              comp.Runs,

@@ -362,12 +362,6 @@ func (s *Store) applyGroup(g *commitGroup) {
 				valLen: len(req.rec.value),
 			}
 		}
-		if s.cache != nil {
-			// Inside the shard critical section, so cacheFill's
-			// verify-then-insert cannot interleave between this update
-			// and the invalidation (see cacheFill).
-			s.cache.invalidate(req.key)
-		}
 		sh.mu.Unlock()
 	}
 }
@@ -471,14 +465,12 @@ func (s *Store) syncDirActive() error {
 }
 
 // sealActive finalizes the active segment on rotation: the
-// preallocated tail is trimmed (so neither replay nor a mapping ever
-// sees the zero region — the sealed invariant is file size == data
-// size), the data is fsynced, and the now-immutable file is mapped for
-// the zero-syscall read path. Ordering matters for crash safety: the
-// trim and sync land before the successor segment is created, so a
-// sealed segment on disk never carries a preallocated tail — only the
-// newest segment can, and tail repair at Open truncates it instead of
-// replaying it.
+// preallocated tail is trimmed (so replay never sees the zero region —
+// the sealed invariant is file size == data size) and the data is
+// fsynced. Ordering matters for crash safety: the trim and sync land
+// before the successor segment is created, so a sealed segment on disk
+// never carries a preallocated tail — only the newest segment can, and
+// tail repair at Open truncates it instead of replaying it.
 func (s *Store) sealActive() error {
 	old := s.active
 	if f := osFile(old.f); f != nil {
@@ -494,6 +486,5 @@ func (s *Store) sealActive() error {
 		return fmt.Errorf("storage: syncing sealed segment: %w", err)
 	}
 	old.syncedSize.Store(old.size)
-	s.mapSegment(old)
 	return nil
 }

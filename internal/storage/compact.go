@@ -191,19 +191,14 @@ func (s *Store) rewritePlan(victims []*segment, victimIDs map[uint64]bool, plan 
 	// Phase 5: publish the outputs, then flip the key directory one
 	// shard at a time. A per-key CAS keeps flips correct against
 	// concurrent writers: an entry that moved on is left alone and the
-	// copy is charged to the output as garbage. Outputs are mapped
-	// before registration — they are sealed by construction, so the
-	// first reader to resolve one already gets the zero-syscall path.
-	for _, o := range outputs {
-		s.mapSegment(o)
-	}
+	// copy is charged to the output as garbage.
 	s.segMu.Lock()
 	if s.closed.Load() {
 		s.segMu.Unlock()
 		s.compactor.wedged.Store(true)
 		// The outputs are durable and committed — the next Open rolls
 		// them in — but they will never be registered in this process,
-		// so release their descriptors and mappings instead of leaking
+		// so release their descriptors instead of leaking
 		// them until exit. No reader can hold a pin: they were never
 		// published.
 		for _, o := range outputs {
@@ -218,10 +213,7 @@ func (s *Store) rewritePlan(victims []*segment, victimIDs map[uint64]bool, plan 
 	s.flipKeydir(plan)
 
 	// Phase 6: retire the victims; each unlinks once pinned readers
-	// drain. reclaimed is the net on-disk shrink. Cached values read
-	// from a victim are dropped with it — they are still byte-correct
-	// (compaction copies records verbatim), but evicting them bounds
-	// how long a retired segment's bytes stay resident.
+	// drain. reclaimed is the net on-disk shrink.
 	var reclaimed int64
 	s.segMu.Lock()
 	for _, v := range victims {
@@ -231,9 +223,6 @@ func (s *Store) rewritePlan(victims []*segment, victimIDs map[uint64]bool, plan 
 		v.retire(true)
 	}
 	s.segMu.Unlock()
-	if s.cache != nil {
-		s.cache.invalidateSegments(victimIDs)
-	}
 	for _, o := range outputs {
 		reclaimed -= o.size
 	}

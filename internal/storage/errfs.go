@@ -24,8 +24,8 @@ import (
 // An injector is handed to Open via Options.FaultInjection; the store
 // then routes the active-segment file operations and the compaction/
 // manifest fsOps through it. Wrapped files expose their underlying
-// *os.File (see osFile), so preallocation, fdatasync, truncation and
-// mmap keep working while the injector is idle.
+// *os.File (see osFile), so preallocation, fdatasync and truncation
+// keep working while the injector is idle.
 
 // FaultOp names one injectable filesystem operation class.
 type FaultOp uint8
@@ -179,7 +179,7 @@ func (e *errFile) Sync() error {
 func (e *errFile) Close() error { return e.f.Close() }
 
 // underlyingFile exposes the wrapped descriptor so preallocation,
-// fdatasync, truncation and mmap still reach the real file.
+// fdatasync and truncation still reach the real file.
 func (e *errFile) underlyingFile() *os.File { return e.f }
 
 // fileUnwrapper is implemented by seam wrappers that are still backed

@@ -224,7 +224,6 @@ func (s *Store) recoverWritesLocked() error {
 			s.degradeWrites(fmt.Errorf("storage: sealing poisoned segment: %w", err))
 			return err
 		}
-		s.mapSegment(old)
 	}
 	old.poisoned.Store(false)
 	s.whealth.state.Store(uint32(HealthHealthy))
@@ -285,9 +284,6 @@ func (s *Store) salvageTail(old *segment) error {
 				offset: base + off,
 				length: length,
 				valLen: len(rec.value),
-			}
-			if s.cache != nil {
-				s.cache.invalidate(key)
 			}
 			salvaged++
 		} else {

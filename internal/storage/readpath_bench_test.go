@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// Read-path benchmarks: the same hot-key point-read workload served
-// three ways — pread (the pre-mmap engine), the mmap path, and mmap
-// plus the hot-key cache. CI exports these as BENCH_readpath.json and
+// Read-path benchmarks: point reads over several sealed segments, hot
+// set and uniform sweep. The "Pread" sub-benchmark name is the row name
+// in BENCH_baseline.json. CI exports these as BENCH_readpath.json and
 // the regression gate watches BenchmarkReadPathHotGet.
 
 // readBenchKeys/readBenchHot size the working set: enough records to
@@ -23,7 +23,7 @@ const (
 
 // fillReadBench populates a store and returns the hot key set, drawn
 // from the first half of the insertion order so every hot key lives in
-// a sealed (mappable) segment.
+// a sealed segment.
 func fillReadBench(b *testing.B, s *Store) []string {
 	b.Helper()
 	val := bytes.Repeat([]byte("v"), readBenchValSize)
@@ -41,76 +41,36 @@ func fillReadBench(b *testing.B, s *Store) []string {
 	return hot
 }
 
-// BenchmarkReadPathHotGet measures repeat point reads of a small hot
-// set at 8 goroutines. ReportMetric exports the cache hit ratio so the
-// JSON artifact records how the fastest variant wins.
-func BenchmarkReadPathHotGet(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		opts Options
-	}{
-		{"Pread", Options{MaxSegmentBytes: 128 << 10}},
-		{"Mmap", Options{MaxSegmentBytes: 128 << 10, Mmap: true}},
-		{"MmapCache", Options{MaxSegmentBytes: 128 << 10, Mmap: true, ReadCacheBytes: 8 << 20}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			s, err := Open(b.TempDir(), v.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			hot := fillReadBench(b, s)
-			var next atomic.Int64
-			b.SetParallelism(benchParallelism)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					k := hot[int(next.Add(1))%len(hot)]
-					if _, err := s.Get(k); err != nil {
-						b.Error(err)
-						return
-					}
+// benchReadPath runs nextKey-driven point reads at 8 goroutines.
+func benchReadPath(b *testing.B, nextKey func(hot []string, i int) string) {
+	b.Run("Pread", func(b *testing.B) {
+		s, err := Open(b.TempDir(), Options{MaxSegmentBytes: 128 << 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		hot := fillReadBench(b, s)
+		var next atomic.Int64
+		b.SetParallelism(benchParallelism)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := s.Get(nextKey(hot, int(next.Add(1)))); err != nil {
+					b.Error(err)
+					return
 				}
-			})
-			b.StopTimer()
-			rs := s.ReadStats()
-			if total := rs.CacheHits + rs.CacheMisses; total > 0 {
-				b.ReportMetric(float64(rs.CacheHits)/float64(total), "hit-ratio")
 			}
 		})
-	}
+	})
 }
 
-// BenchmarkReadPathUniformGet sweeps the whole key space uniformly —
-// the cache-hostile shape — isolating what the mmap path alone buys
-// when every read misses.
+// BenchmarkReadPathHotGet measures repeat point reads of a small hot
+// set.
+func BenchmarkReadPathHotGet(b *testing.B) {
+	benchReadPath(b, func(hot []string, i int) string { return hot[i%len(hot)] })
+}
+
+// BenchmarkReadPathUniformGet sweeps the whole key space uniformly.
 func BenchmarkReadPathUniformGet(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		opts Options
-	}{
-		{"Pread", Options{MaxSegmentBytes: 128 << 10}},
-		{"Mmap", Options{MaxSegmentBytes: 128 << 10, Mmap: true}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			s, err := Open(b.TempDir(), v.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			fillReadBench(b, s)
-			var next atomic.Int64
-			b.SetParallelism(benchParallelism)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					k := fmt.Sprintf("key%06d", int(next.Add(1))%readBenchKeys)
-					if _, err := s.Get(k); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	benchReadPath(b, func(_ []string, i int) string { return fmt.Sprintf("key%06d", i%readBenchKeys) })
 }

@@ -13,139 +13,6 @@ import (
 	"time"
 )
 
-// TestMmapReadPathServesSealedSegments: with Mmap on, reads of keys in
-// sealed segments come from the mapping (zero syscalls) and reads of
-// the active segment fall back to pread — both byte-correct.
-func TestMmapReadPathServesSealedSegments(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("platform has no mmap; the pread fallback is what Options.Mmap degrades to here")
-	}
-	s := openTemp(t, Options{MaxSegmentBytes: 512, Mmap: true})
-	const n = 40
-	want := make(map[string][]byte, n)
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key%03d", i)
-		v := bytes.Repeat([]byte{byte('a' + i%26)}, 20+i%30)
-		want[k] = v
-		if err := s.Put(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rs := s.ReadStats()
-	if rs.MmapSegments == 0 {
-		t.Fatal("no sealed segment was mapped")
-	}
-	for k, v := range want {
-		got, err := s.Get(k)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", k, err)
-		}
-		if !bytes.Equal(got, v) {
-			t.Fatalf("Get(%q) = %q, want %q", k, got, v)
-		}
-	}
-	rs = s.ReadStats()
-	if rs.MmapReads == 0 {
-		t.Error("no read was served via mmap")
-	}
-	if rs.PreadReads == 0 {
-		t.Error("no read was served via pread (active segment should be unmapped)")
-	}
-
-	// Reopen: sealed segments map again at Open; contents identical.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(s.dir, Options{MaxSegmentBytes: 512, Mmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if rs := s2.ReadStats(); rs.MmapSegments == 0 {
-		t.Error("no segment mapped after reopen")
-	}
-	for k, v := range want {
-		got, err := s2.Get(k)
-		if err != nil {
-			t.Fatalf("reopened Get(%q): %v", k, err)
-		}
-		if !bytes.Equal(got, v) {
-			t.Fatalf("reopened Get(%q) = %q, want %q", k, got, v)
-		}
-	}
-}
-
-// TestReadCacheCoherence: hits serve the latest value; Put and Delete
-// invalidate; the returned slice is the caller's to mutate.
-func TestReadCacheCoherence(t *testing.T) {
-	s := openTemp(t, Options{ReadCacheBytes: 1 << 20})
-	if err := s.Put("k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := s.Get("k")
-		if err != nil || string(got) != "v1" {
-			t.Fatalf("Get #%d = %q, %v", i, got, err)
-		}
-		got[0] = 'X' // caller-owned: must not poison the cache
-	}
-	rs := s.ReadStats()
-	if rs.CacheHits == 0 {
-		t.Fatalf("repeat reads produced no cache hits: %+v", rs)
-	}
-	if err := s.Put("k", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.Get("k"); err != nil || string(got) != "v2" {
-		t.Fatalf("Get after overwrite = %q, %v, want v2", got, err)
-	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("k"); err == nil {
-		t.Fatal("Get after Delete served a cached value")
-	}
-}
-
-// TestReadCacheInvalidatedOnSegmentRetire: when compaction retires a
-// segment, cached values read from it are dropped, and subsequent
-// reads repopulate from the rewritten copies.
-func TestReadCacheInvalidatedOnSegmentRetire(t *testing.T) {
-	s := openTemp(t, Options{MaxSegmentBytes: 256, Mmap: true, ReadCacheBytes: 1 << 20})
-	const n = 16
-	for i := 0; i < n; i++ {
-		if err := s.Put(fmt.Sprintf("key%03d", i), []byte(strings.Repeat("v", 40))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if _, err := s.Get(fmt.Sprintf("key%03d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rs := s.ReadStats(); rs.CacheEntries == 0 {
-		t.Fatalf("no entries cached before compaction: %+v", rs)
-	}
-	// Compact rewrites every sealed segment (it rotates the active one
-	// first), so every cached entry's source segment retires.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if rs := s.ReadStats(); rs.CacheEntries != 0 {
-		t.Fatalf("cache kept %d entries tagged to retired segments", rs.CacheEntries)
-	}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key%03d", i)
-		got, err := s.Get(k)
-		if err != nil || len(got) != 40 {
-			t.Fatalf("Get(%q) after compaction = %d bytes, %v", k, len(got), err)
-		}
-	}
-	if rs := s.ReadStats(); rs.CacheEntries == 0 {
-		t.Error("cache did not repopulate after compaction")
-	}
-}
-
 // TestPreallocatedTailNotReplayed: a crash leaves the active segment
 // with its preallocated zero tail (and possibly torn garbage at the
 // logical end); reopening must recover exactly the committed records —
@@ -215,21 +82,19 @@ func TestPreallocatedTailNotReplayed(t *testing.T) {
 	}
 }
 
-// TestMmapReadPathStress is the -race proof for the tentpole: reads
-// through the mapping and the cache stay correct while segments
-// rotate and the background compactor retires them. Readers assert
-// per-key monotonicity (a read never returns a value older than one
-// the same goroutine already observed committed) and well-formedness
-// (a garbage read — e.g. use-after-unmap — cannot produce a value
-// carrying the right key prefix and a valid counter).
-func TestMmapReadPathStress(t *testing.T) {
+// TestReadPathStress is the -race proof for the point-read path: reads
+// stay correct while segments rotate and the background compactor
+// retires them. Readers assert per-key monotonicity (a read never
+// returns a value older than one the same goroutine already observed
+// committed) and well-formedness (a garbage read — e.g. from a retired
+// segment's descriptor — cannot produce a value carrying the right key
+// prefix and a valid counter).
+func TestReadPathStress(t *testing.T) {
 	s := openTemp(t, Options{
 		MaxSegmentBytes:      4096,
 		CompactionFloorBytes: 1,
 		CompactInterval:      time.Millisecond,
 		CompactGarbageRatio:  0.2,
-		Mmap:                 true,
-		ReadCacheBytes:       32 << 10,
 	})
 	const stableKeys = 24
 	key := func(i int) string { return fmt.Sprintf("stable/%03d", i) }
@@ -280,8 +145,7 @@ func TestMmapReadPathStress(t *testing.T) {
 	}
 
 	// Churn: put+delete throwaway keys so sealed segments accumulate
-	// garbage and the compactor keeps retiring them (and their
-	// mappings and cache entries).
+	// garbage and the compactor keeps retiring them.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -342,18 +206,14 @@ func TestMmapReadPathStress(t *testing.T) {
 		}(r)
 	}
 
-	// Run at least minRun, then keep going until the machinery the
-	// test claims to exercise has demonstrably engaged — mapped reads,
-	// cache hits, a completed compaction pass — or the hard deadline
-	// expires (a 1-vCPU box running the whole suite can starve any of
-	// the goroutines for a while; a fixed window flakes).
+	// Run at least minRun, then keep going until a compaction pass has
+	// completed under the readers, or the hard deadline expires (a
+	// 1-vCPU box running the whole suite can starve any of the
+	// goroutines for a while; a fixed window flakes).
 	const minRun = 300 * time.Millisecond
 	const maxRun = 15 * time.Second
 	start := time.Now()
-	engaged := func() bool {
-		rs := s.ReadStats()
-		return (!mmapSupported || rs.MmapReads > 0) && rs.CacheHits > 0 && s.CompactionStats().Runs > 0
-	}
+	engaged := func() bool { return s.CompactionStats().Runs > 0 }
 	for {
 		select {
 		case err := <-fail:
@@ -374,13 +234,6 @@ func TestMmapReadPathStress(t *testing.T) {
 	default:
 	}
 
-	rs := s.ReadStats()
-	if mmapSupported && rs.MmapReads == 0 {
-		t.Error("stress run served no reads via mmap")
-	}
-	if rs.CacheHits == 0 {
-		t.Error("stress run had no cache hits")
-	}
 	if s.CompactionStats().Runs == 0 {
 		t.Error("background compactor never completed a pass during the stress run")
 	}

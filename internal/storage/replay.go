@@ -85,7 +85,7 @@ func (s *Store) loadSegments(ids []uint64) error {
 		var sf segfile = f
 		if i == len(ids)-1 && s.opts.FaultInjection != nil {
 			// Only the recovered active segment is ever written again;
-			// sealed segments stay unwrapped (read-only, mappable).
+			// sealed segments stay unwrapped (read-only).
 			sf = s.opts.FaultInjection.wrapFile(f)
 		}
 		// Replayed bytes are as durable as this disk gets: they were
@@ -95,10 +95,6 @@ func (s *Store) loadSegments(ids []uint64) error {
 		s.segments[id] = seg
 		if i == len(ids)-1 {
 			s.active = seg
-		} else {
-			// Sealed segments are immutable from here on; map them so
-			// point reads skip the pread syscall.
-			s.mapSegment(seg)
 		}
 		// Records superseded within this file never reached the
 		// per-segment map; they are this file's intra-segment garbage.

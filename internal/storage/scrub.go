@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -245,17 +244,10 @@ func (s *Store) quarantinedSegments() []*segment {
 }
 
 // verifySegment CRC-walks one sealed segment end to end, returning the
-// bytes covered. The walk prefers the segment's read-only mapping —
-// zero syscalls, pure page-cache streaming — and falls back to pread
-// for unmapped segments. The caller holds a pin, so neither the
-// descriptor nor the mapping can retire mid-walk.
+// bytes covered. The caller holds a pin, so the descriptor cannot
+// retire mid-walk.
 func (s *Store) verifySegment(seg *segment) (int64, error) {
-	var rr *recordReader
-	if m := seg.mapped(); m != nil && int64(len(m)) >= seg.size {
-		rr = newRecordReader(bytes.NewReader(m[:seg.size]))
-	} else {
-		rr = newRecordReader(io.NewSectionReader(seg.f, 0, seg.size))
-	}
+	rr := newRecordReader(io.NewSectionReader(seg.f, 0, seg.size))
 	for {
 		_, err := rr.next()
 		if err == io.EOF {
@@ -342,9 +334,6 @@ func (s *Store) salvageSegment(seg *segment) error {
 			sh.mu.Lock()
 			if cur, ok := sh.m[lr.key]; ok && cur.segID == seg.id && cur.offset == lr.loc.offset {
 				delete(sh.m, lr.key)
-				if s.cache != nil {
-					s.cache.invalidate(lr.key)
-				}
 				lost++
 			}
 			sh.mu.Unlock()
@@ -404,14 +393,10 @@ type rescuedTombstone struct {
 // unrecoverable — without a trustworthy length there is no safe way to
 // find the next frame boundary). Later duplicates win, as in replay.
 func (s *Store) rescueTombstones(seg *segment, liveOffsets []int64) []rescuedTombstone {
-	var rd io.ReaderAt = seg.f
-	if m := seg.mapped(); m != nil && int64(len(m)) >= seg.size {
-		rd = bytes.NewReader(m[:seg.size])
-	}
 	lastByKey := make(map[string]rescuedTombstone)
 	base := int64(0)
 	for base < seg.size {
-		rr := newRecordReader(io.NewSectionReader(rd, base, seg.size-base))
+		rr := newRecordReader(io.NewSectionReader(seg.f, base, seg.size-base))
 		for {
 			off := base + rr.offset()
 			rec, err := rr.next()

@@ -64,15 +64,6 @@ type segment struct {
 	// scrubs counts completed CRC walks over this segment.
 	scrubs atomic.Uint64
 
-	// mapping, when set, is the segment's read-only memory mapping.
-	// It is installed exactly once, after the segment seals (rotation,
-	// Open, compaction publish) — never while appends can still extend
-	// the file — and torn down by closeFile under the same refcount
-	// discipline that protects the descriptor: readers pin the segment
-	// across their copy out of the mapping, so munmap cannot pull pages
-	// out from under an in-flight read.
-	mapping atomic.Pointer[mmapRegion]
-
 	refs atomic.Int32
 	// removeOnClose is written before the retired store and read only
 	// after observing retired, so the atomic orders it.
@@ -82,21 +73,6 @@ type segment struct {
 	// removeFn unlinks the file at close when removeOnClose is set; it
 	// is the store's fs.remove hook so the crash harness can fail it.
 	removeFn func(path string) error
-}
-
-// mmapRegion wraps a mapping so it can sit behind an atomic.Pointer.
-type mmapRegion struct {
-	data []byte
-}
-
-// mapped returns the segment's read-only mapping, or nil when the
-// segment is unmapped (still active, mmap disabled, or platform
-// without support). Safe to call concurrently with sealing.
-func (g *segment) mapped() []byte {
-	if m := g.mapping.Load(); m != nil {
-		return m.data
-	}
-	return nil
 }
 
 // acquire pins the segment. Callers must hold segMu (either mode) so a
@@ -132,9 +108,6 @@ func (g *segment) retire(removeFile bool) error {
 func (g *segment) closeFile() error {
 	var err error
 	g.closeOnce.Do(func() {
-		if m := g.mapping.Swap(nil); m != nil {
-			munmapFile(m.data) // refs drained: no reader can touch the pages
-		}
 		err = g.f.Close()
 		if g.removeOnClose {
 			remove := g.removeFn

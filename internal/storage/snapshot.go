@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"culinary/internal/flavor"
 	"culinary/internal/recipedb"
@@ -24,12 +25,6 @@ const (
 // ErrSnapshot wraps snapshot encoding/decoding failures.
 var ErrSnapshot = errors.New("storage: bad snapshot")
 
-// recipeKey renders the key for one recipe ID.
-func recipeKey(id int) string { return recipedb.RecipeKey(id) }
-
-// encodeRecipe serializes one recipe (see recipedb.EncodeRecipe).
-func encodeRecipe(r *recipedb.Recipe) []byte { return recipedb.EncodeRecipe(r) }
-
 // decodeRecipe parses an encoded recipe body, wrapping failures in
 // ErrSnapshot.
 func decodeRecipe(data []byte) (name string, region recipedb.Region, source recipedb.Source, ids []flavor.ID, err error) {
@@ -41,13 +36,18 @@ func decodeRecipe(data []byte) (name string, region recipedb.Region, source reci
 }
 
 // SaveCorpus writes the full recipe corpus and the catalog configuration
-// into db, replacing any prior snapshot.
+// into db, replacing any prior snapshot. The format marker is the
+// commit record: it is deleted before anything else changes and written
+// back last. The log is append-only and recovery trims only its tail,
+// so a marker that survives a crash has every record of the save in
+// front of it; an interrupted save reloads as "no snapshot", never as a
+// short corpus.
 func SaveCorpus(db *Store, corpus *recipedb.Store) error {
 	cfg, err := json.Marshal(corpus.Catalog().Config())
 	if err != nil {
 		return fmt.Errorf("storage: marshaling flavor config: %w", err)
 	}
-	if err := db.Put(formatKey, []byte(formatVersion)); err != nil {
+	if err := db.Delete(formatKey); err != nil {
 		return err
 	}
 	if err := db.Put(flavorCfgKey, cfg); err != nil {
@@ -56,8 +56,7 @@ func SaveCorpus(db *Store, corpus *recipedb.Store) error {
 	// Drop recipes from any previous, larger snapshot, plus keys whose
 	// slot the corpus has since tombstoned.
 	for _, key := range db.KeysWithPrefix(recipePrefix) {
-		var id int
-		if _, err := fmt.Sscanf(key, recipePrefix+"%d", &id); err == nil &&
+		if id, ok := recipedb.ParseRecipeKey(key); ok &&
 			id < corpus.Slots() && !corpus.Recipe(id).Deleted {
 			continue
 		}
@@ -70,9 +69,12 @@ func SaveCorpus(db *Store, corpus *recipedb.Store) error {
 		if r.Deleted {
 			continue
 		}
-		if err := db.Put(recipeKey(i), encodeRecipe(&r)); err != nil {
+		if err := db.Put(recipedb.RecipeKey(i), recipedb.EncodeRecipe(&r)); err != nil {
 			return fmt.Errorf("storage: saving recipe %d: %w", i, err)
 		}
+	}
+	if err := db.Put(formatKey, []byte(formatVersion)); err != nil {
+		return err
 	}
 	return db.Sync()
 }
@@ -111,25 +113,28 @@ func LoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 		return nil, fmt.Errorf("%w: snapshot catalog config differs from supplied catalog", ErrSnapshot)
 	}
 	corpus := recipedb.NewStore(catalog)
-	keys := db.KeysWithPrefix(recipePrefix)
-	for _, key := range keys { // sorted, so IDs load in ascending order
-		var id int
-		if _, err := fmt.Sscanf(key, recipePrefix+"%d", &id); err != nil {
-			return nil, fmt.Errorf("%w: recipe key %q", ErrSnapshot, key)
+	// Fold delivers keys sorted, so IDs load in ascending order.
+	err = db.Fold(func(key string, raw []byte) error {
+		if !strings.HasPrefix(key, recipePrefix) {
+			return nil
 		}
-		raw, err := db.Get(key)
-		if err != nil {
-			return nil, err
+		id, ok := recipedb.ParseRecipeKey(key)
+		if !ok {
+			return fmt.Errorf("%w: recipe key %q", ErrSnapshot, key)
 		}
 		name, region, source, ids, err := decodeRecipe(raw)
 		if err != nil {
-			return nil, fmt.Errorf("storage: recipe %s: %w", key, err)
+			return fmt.Errorf("storage: recipe %s: %w", key, err)
 		}
 		// Upsert with the explicit ID tombstones any gap left by
 		// deleted recipes, so reloaded IDs match the saved corpus.
 		if _, _, _, err := corpus.Upsert(id, name, region, source, ids); err != nil {
-			return nil, fmt.Errorf("storage: recipe %s: %w", key, err)
+			return fmt.Errorf("storage: recipe %s: %w", key, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return corpus, nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"culinary/internal/flavor"
@@ -45,12 +46,26 @@ func testCorpus(t *testing.T, catalog *flavor.Catalog) *recipedb.Store {
 	return corpus
 }
 
+// largeTestCorpus is testCorpus plus 40 filler recipes: enough records
+// to span several small segments and to leave gaps when thinned.
+func largeTestCorpus(t *testing.T, catalog *flavor.Catalog) *recipedb.Store {
+	t.Helper()
+	corpus := testCorpus(t, catalog)
+	r0 := corpus.Recipe(0)
+	for i := 0; i < 40; i++ {
+		if _, err := corpus.Add(fmt.Sprintf("filler dish %02d", i), recipedb.Greece, recipedb.AllRecipes, r0.Ingredients); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return corpus
+}
+
 func TestRecipeEncodeDecodeRoundTrip(t *testing.T) {
 	catalog := testCatalog(t)
 	corpus := testCorpus(t, catalog)
 	for i := 0; i < corpus.Len(); i++ {
 		r := corpus.Recipe(i)
-		name, region, source, ids, err := decodeRecipe(encodeRecipe(&r))
+		name, region, source, ids, err := decodeRecipe(recipedb.EncodeRecipe(&r))
 		if err != nil {
 			t.Fatalf("decode recipe %d: %v", i, err)
 		}
@@ -84,7 +99,7 @@ func TestDecodeRecipeRejectsGarbage(t *testing.T) {
 	catalog := testCatalog(t)
 	corpus := testCorpus(t, catalog)
 	first := corpus.Recipe(0)
-	good := encodeRecipe(&first)
+	good := recipedb.EncodeRecipe(&first)
 	if _, _, _, _, err := decodeRecipe(append(good, 0)); !errors.Is(err, ErrSnapshot) {
 		t.Errorf("trailing byte: err = %v, want ErrSnapshot", err)
 	}
@@ -206,16 +221,52 @@ func TestSnapshotSurvivesReopenAndCompact(t *testing.T) {
 	}
 }
 
+// replayLive rebuilds corpus the way a reload must: every live slot
+// upserted under its own ID in ascending order. It is the reference the
+// reload tests compare LoadCorpus against by CanonicalDump.
+func replayLive(t *testing.T, corpus *recipedb.Store) *recipedb.Store {
+	t.Helper()
+	out := recipedb.NewStore(corpus.Catalog())
+	for i := 0; i < corpus.Slots(); i++ {
+		r := corpus.Recipe(i)
+		if r.Deleted {
+			continue
+		}
+		if _, _, _, err := out.Upsert(i, r.Name, r.Region, r.Source, r.Ingredients); err != nil {
+			t.Fatalf("replaying slot %d: %v", i, err)
+		}
+	}
+	return out
+}
+
 // TestMutatedCorpusRoundTrip is the restart story for the mutable
 // corpus: save a snapshot, bind the store to the engine, mutate
 // through the write-through path (upsert, delete, insert), reopen and
 // reload — the reloaded corpus must match slot for slot, including the
-// tombstoned gap.
+// tombstoned gaps. The cases vary what the reload's Fold reads through:
+// one segment, many segments with a Compact between the mutations, and
+// a ReadOnly reopen (the mode replica followers reload in).
 func TestMutatedCorpusRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		open    Options
+		compact bool
+		reopen  Options
+	}{
+		{name: "oneSegment"},
+		{name: "multiSegmentCompacted", open: Options{MaxSegmentBytes: 256}, compact: true},
+		{name: "readOnlyReopen", open: Options{MaxSegmentBytes: 256}, reopen: Options{ReadOnly: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testMutatedCorpusRoundTrip(t, tc.open, tc.compact, tc.reopen) })
+	}
+}
+
+func testMutatedCorpusRoundTrip(t *testing.T, open Options, compact bool, reopen Options) {
 	catalog := testCatalog(t)
-	corpus := testCorpus(t, catalog)
+	corpus := largeTestCorpus(t, catalog)
+	r0 := corpus.Recipe(0)
 	dir := t.TempDir()
-	db, err := Open(dir, Options{})
+	db, err := Open(dir, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,23 +275,33 @@ func TestMutatedCorpusRoundTrip(t *testing.T) {
 	}
 	corpus.SetBackend(db)
 
-	// Mutate: replace slot 1, delete slot 2, append a new recipe.
-	r0 := corpus.Recipe(0)
+	// Mutate: replace slot 1, delete slot 2 and a spread of fillers,
+	// append a new recipe.
 	if _, _, _, err := corpus.Upsert(1, "replaced dish", recipedb.France, recipedb.Epicurious, r0.Ingredients); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := corpus.Remove(2); err != nil {
-		t.Fatal(err)
+	for id := 2; id < corpus.Slots(); id += 3 {
+		if _, err := corpus.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if compact {
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	newID, _, _, err := corpus.Upsert(-1, "appended dish", recipedb.Korea, recipedb.TarlaDalal, r0.Ingredients)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if open.MaxSegmentBytes > 0 && db.Stats().Segments < 3 {
+		t.Fatalf("snapshot spans %d segments, want a multi-segment log", db.Stats().Segments)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir, Options{})
+	db2, err := Open(dir, reopen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +309,9 @@ func TestMutatedCorpusRoundTrip(t *testing.T) {
 	loaded, err := LoadCorpus(db2, catalog)
 	if err != nil {
 		t.Fatalf("LoadCorpus after mutations: %v", err)
+	}
+	if got, want := loaded.CanonicalDump(), replayLive(t, corpus).CanonicalDump(); got != want {
+		t.Errorf("reloaded corpus differs from a replay of the live slots:\n got %s\nwant %s", got, want)
 	}
 	if loaded.Len() != corpus.Len() || loaded.Slots() != corpus.Slots() {
 		t.Fatalf("reload Len/Slots = %d/%d, want %d/%d",
@@ -275,5 +339,74 @@ func TestMutatedCorpusRoundTrip(t *testing.T) {
 	// Region indexes must be rebuilt consistently with the slots.
 	if got := loaded.RegionRecipes(recipedb.France); len(got) == 0 {
 		t.Error("replaced recipe missing from France index")
+	}
+}
+
+// TestInterruptedSaveNeverLoadsShort fails each filesystem operation of
+// a SaveCorpus in turn (plain EIO on even points, a torn write on odd
+// ones), reopens the directory the way a restarted process would, and
+// requires LoadCorpus to report "no usable snapshot" or return one of
+// the complete corpora — never a prefix of the interrupted save. Both a
+// first save and a save over a larger prior snapshot are swept.
+func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
+	catalog := testCatalog(t)
+	small := testCorpus(t, catalog)
+	large := largeTestCorpus(t, catalog)
+	smallDump, largeDump := replayLive(t, small).CanonicalDump(), replayLive(t, large).CanonicalDump()
+
+	for _, tc := range []struct {
+		name  string
+		prior *recipedb.Store // saved cleanly before the interrupted save
+		save  *recipedb.Store
+	}{
+		{"firstSave", nil, large},
+		{"overLargerSnapshot", large, small},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// run performs the save with operation failAt failing and
+			// returns how many operations the save attempted.
+			run := func(failAt int) (dir string, ops int) {
+				dir = t.TempDir()
+				inj := NewErrInjector()
+				db, err := Open(dir, Options{MaxSegmentBytes: 512, FaultInjection: inj})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				if tc.prior != nil {
+					if err := SaveCorpus(db, tc.prior); err != nil {
+						t.Fatal(err)
+					}
+				}
+				inj.FailOp(failAt, errInjectedIO, failAt%2 == 1)
+				serr := SaveCorpus(db, tc.save)
+				if inj.Injected() > 0 && serr == nil {
+					t.Fatalf("op %d failed but SaveCorpus reported success", failAt)
+				}
+				return dir, inj.Ops()
+			}
+			_, total := run(1 << 30) // unreachable: count only
+			if total < 20 {
+				t.Fatalf("save took only %d fs operations; too few for a meaningful sweep", total)
+			}
+			for k := 0; k < total; k++ {
+				dir, _ := run(k)
+				db, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatalf("op %d: reopen: %v", k, err)
+				}
+				loaded, err := LoadCorpus(db, catalog)
+				switch {
+				case errors.Is(err, ErrNotFound) || errors.Is(err, ErrSnapshot):
+				case err != nil:
+					t.Errorf("op %d: LoadCorpus: %v", k, err)
+				default:
+					if d := loaded.CanonicalDump(); d != smallDump && d != largeDump {
+						t.Errorf("op %d: interrupted save reloaded as a partial corpus (%d recipes)", k, loaded.Len())
+					}
+				}
+				db.Close()
+			}
+		})
 	}
 }

@@ -53,22 +53,6 @@ type Options struct {
 	// CompactGarbageRatio is the dead-byte fraction at which a sealed
 	// segment becomes a compaction victim. Defaults to 0.5.
 	CompactGarbageRatio float64
-	// Mmap maps sealed segments read-only — at Open, at rotation and
-	// when compaction publishes its outputs — so point reads on sealed
-	// data resolve from the page cache with zero syscalls. Mappings
-	// retire under the same refcount discipline as descriptors, so
-	// reads stay safe across compaction. Platforms without mmap (and
-	// the fault-injected files of the crash harness) silently keep the
-	// pread path. Defaults to false.
-	Mmap bool
-	// ReadCacheBytes bounds an in-memory hot-key value cache (sharded
-	// LRU) that serves repeat point reads — including reads of the
-	// still-unmapped active segment — without touching the log. Writers
-	// invalidate entries as part of the commit, so the cache is always
-	// coherent. 0 (the default) disables it; nonzero values are raised
-	// to a 64 KiB floor so every shard can admit at least typical
-	// entries (a sub-floor budget would probe and miss forever).
-	ReadCacheBytes int64
 	// WriteProbeInterval starts a background probe that, while the
 	// write path is degraded by a runtime I/O fault (see health.go),
 	// periodically attempts TryRecoverWrites so mutations resume
@@ -97,10 +81,6 @@ type Options struct {
 	ReadOnly bool
 }
 
-// readCacheMinBytes is the floor a nonzero ReadCacheBytes is raised
-// to: 4 KiB per cache shard, enough to admit multi-KiB values.
-const readCacheMinBytes = readCacheShards * (4 << 10)
-
 func (o *Options) applyDefaults() {
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = 8 << 20
@@ -117,9 +97,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CompactGarbageRatio <= 0 || o.CompactGarbageRatio > 1 {
 		o.CompactGarbageRatio = 0.5
-	}
-	if o.ReadCacheBytes > 0 && o.ReadCacheBytes < readCacheMinBytes {
-		o.ReadCacheBytes = readCacheMinBytes
 	}
 }
 
@@ -171,13 +148,6 @@ type Store struct {
 	shards []shard
 	mask   uint32
 
-	// cache is the optional hot-key value cache (nil when
-	// Options.ReadCacheBytes is 0); mmapReads/preadReads count how
-	// point reads were served, for ReadStats.
-	cache      *readCache
-	mmapReads  atomic.Uint64
-	preadReads atomic.Uint64
-
 	closed atomic.Bool
 	// nextSegID is the last segment ID handed out; rotation and
 	// compaction both allocate from it so IDs are never reused even
@@ -222,9 +192,18 @@ func (s *Store) shardFor(key string) *shard {
 	return &s.shards[s.shardIndex(key)]
 }
 
-// shardIndex returns the shard slot for key (FNV-1a over the bytes).
+// shardIndex returns the shard slot for key.
 func (s *Store) shardIndex(key string) int {
 	return int(fnv32a(key) & s.mask)
+}
+
+// fnv32a hashes key (FNV-1a).
+func fnv32a(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return h
 }
 
 // rlockAll takes every shard read lock in index order, giving callers a
@@ -274,9 +253,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]keyLoc)
-	}
-	if opts.ReadCacheBytes > 0 {
-		s.cache = newReadCache(opts.ReadCacheBytes)
 	}
 	ids, err := s.recoverDir()
 	if err != nil {
@@ -411,17 +387,11 @@ func (s *Store) Delete(key string) error {
 	return s.logRecord(key, record{key: []byte(key), tombstone: true})
 }
 
-// Get returns the value stored under key. Resolution order: the
-// hot-key cache (no log access at all), then the segment's read-only
-// mapping (no syscall), then pread.
+// Get returns the value stored under key, read from its segment with
+// one pread.
 func (s *Store) Get(key string) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
-	}
-	if s.cache != nil {
-		if val, ok := s.cache.get(key); ok {
-			return val, nil
-		}
 	}
 	sh := s.shardFor(key)
 	for {
@@ -445,32 +415,15 @@ func (s *Store) Get(key string) ([]byte, error) {
 			}
 			continue
 		}
-		val, err := s.readValue(seg, loc, key)
+		val, err := readValue(seg, loc, key)
 		seg.release()
-		if err != nil {
-			return nil, err
-		}
-		if s.cache != nil {
-			s.cacheFill(sh, key, loc, val)
-		}
-		return val, nil
+		return val, err
 	}
 }
 
 // readValue fetches and decodes one record while the caller holds a
-// pin on seg. On the mmap path the value bytes are copied out before
-// the caller releases the pin — once the pin drains, a retiring
-// segment's mapping may be unmapped, and a value aliasing it would be
-// a use-after-unmap.
-func (s *Store) readValue(seg *segment, loc keyLoc, key string) ([]byte, error) {
-	if m := seg.mapped(); m != nil && loc.offset+loc.length <= int64(len(m)) {
-		v, err := decodeFramedValue(m[loc.offset:loc.offset+loc.length:loc.offset+loc.length], key)
-		if err != nil {
-			return nil, fmt.Errorf("storage: decoding %q: %w", key, err)
-		}
-		s.mmapReads.Add(1)
-		return append(make([]byte, 0, len(v)), v...), nil
-	}
+// pin on seg.
+func readValue(seg *segment, loc keyLoc, key string) ([]byte, error) {
 	buf := make([]byte, loc.length)
 	if _, err := seg.f.ReadAt(buf, loc.offset); err != nil {
 		return nil, fmt.Errorf("storage: reading %q: %w", key, err)
@@ -479,52 +432,7 @@ func (s *Store) readValue(seg *segment, loc keyLoc, key string) ([]byte, error) 
 	if err != nil {
 		return nil, fmt.Errorf("storage: decoding %q: %w", key, err)
 	}
-	s.preadReads.Add(1)
 	return val, nil
-}
-
-// cacheFill inserts a freshly read value, but only while the keydir
-// still points at the location it was read from. Check and insert
-// happen under the shard read lock; writers update the directory and
-// invalidate the cache under the same shard's write lock (applyGroup),
-// so a racing overwrite either forces this verification to fail or its
-// invalidation runs after the insert and removes it. Without the
-// lock-coupled check, an insert delayed past a concurrent Put's
-// invalidation would pin a stale value for as long as the key stays
-// hot.
-func (s *Store) cacheFill(sh *shard, key string, loc keyLoc, val []byte) {
-	sh.mu.RLock()
-	if cur, ok := sh.m[key]; ok && cur.segID == loc.segID && cur.offset == loc.offset {
-		s.cache.add(key, val, loc.segID)
-	}
-	sh.mu.RUnlock()
-}
-
-// mapSegment installs a read-only mapping for a sealed segment so
-// point reads on it skip the pread syscall. Best effort: when mmap is
-// disabled, the platform lacks it, the file is a fault-injected test
-// seam, or the segment is empty, readers keep using pread. Callers
-// must pass only sealed segments — a mapping never grows, so bytes
-// appended after it was taken would be invisible to readers.
-func (s *Store) mapSegment(seg *segment) {
-	if !s.opts.Mmap || seg == nil || seg.size <= 0 {
-		return
-	}
-	f := osFile(seg.f)
-	if f == nil {
-		return
-	}
-	if b, err := mmapFile(f, seg.size); err == nil {
-		if !seg.mapping.CompareAndSwap(nil, &mmapRegion{data: b}) {
-			// Already mapped: a failed rotate can re-seal the same
-			// segment. Keep the first mapping — a concurrent reader
-			// may hold its pointer, so replacing it would munmap under
-			// that reader — and discard the fresh one. Records past
-			// the older mapping's end fall back to pread via the
-			// bounds check in readValue.
-			munmapFile(b)
-		}
-	}
 }
 
 // Has reports whether key is present.
@@ -797,47 +705,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// ReadStats reports how point reads are being served and how the
-// hot-key cache is doing. Zero-valued cache fields mean the cache is
-// disabled.
-type ReadStats struct {
-	// MmapSegments is the number of sealed segments currently
-	// memory-mapped.
-	MmapSegments int
-	// MmapReads counts point reads resolved from a mapping (zero
-	// syscalls); PreadReads counts those that fell back to pread.
-	MmapReads  uint64
-	PreadReads uint64
-	// CacheHits/CacheMisses count hot-key cache lookups; CacheEntries,
-	// CacheBytes and CacheCapacity describe current residency.
-	CacheHits     uint64
-	CacheMisses   uint64
-	CacheEntries  int
-	CacheBytes    int64
-	CacheCapacity int64
-}
-
-// ReadStats returns a snapshot of read-path statistics.
-func (s *Store) ReadStats() ReadStats {
-	rs := ReadStats{
-		MmapReads:  s.mmapReads.Load(),
-		PreadReads: s.preadReads.Load(),
-	}
-	s.segMu.RLock()
-	for _, seg := range s.segments {
-		if seg.mapped() != nil {
-			rs.MmapSegments++
-		}
-	}
-	s.segMu.RUnlock()
-	if s.cache != nil {
-		rs.CacheHits = s.cache.hits.Load()
-		rs.CacheMisses = s.cache.misses.Load()
-		rs.CacheEntries, rs.CacheBytes, rs.CacheCapacity = s.cache.stats()
-	}
-	return rs
-}
-
 // deadBytesTotal sums per-segment garbage counters (test helper and
 // compaction-floor check).
 func (s *Store) deadBytesTotal() int64 {
@@ -883,8 +750,8 @@ func (s *Store) Close() error {
 	if s.active != nil && !s.opts.ReadOnly {
 		// Trim the preallocated tail so the file's size is its logical
 		// size again — the next Open then replays it without tail
-		// repair, and sealed-segment invariants (file size == data
-		// size) hold for mappings too.
+		// repair, and the sealed-segment invariant (file size == data
+		// size) holds.
 		if f := osFile(s.active.f); f != nil {
 			if err := f.Truncate(s.active.size); err != nil && firstErr == nil {
 				firstErr = err
