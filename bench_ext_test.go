@@ -62,19 +62,29 @@ func BenchmarkStorageGet(b *testing.B) {
 
 // BenchmarkStorageSnapshot measures persisting and reloading the corpus
 // through the storage engine — the server's -db startup path.
+// SaveDurable is the first boot under -db-sync: every WriteBatch of the
+// save pays its fsync.
 func BenchmarkStorageSnapshot(b *testing.B) {
-	b.Run("Save", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			db, err := storage.Open(b.TempDir(), storage.Options{})
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		opts storage.Options
+	}{
+		{"Save", storage.Options{}},
+		{"SaveDurable", storage.Options{SyncEveryPut: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				db, err := storage.Open(b.TempDir(), c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := storage.SaveCorpus(db, benchEnv.Store); err != nil {
+					b.Fatal(err)
+				}
+				db.Close()
 			}
-			if err := storage.SaveCorpus(db, benchEnv.Store); err != nil {
-				b.Fatal(err)
-			}
-			db.Close()
-		}
-	})
+		})
+	}
 	b.Run("Load", func(b *testing.B) {
 		db, err := storage.Open(b.TempDir(), storage.Options{})
 		if err != nil {

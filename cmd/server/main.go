@@ -8,7 +8,8 @@
 //	       [-db-scrub-interval d] [-db-write-probe-interval d]
 //	       [-query-result-cache-bytes n]
 //	       [-classifier-rebuild-interval d] [-recommender-rebuild-interval d]
-//	       [-max-body-bytes n] [-rate-limit-rps f] [-rate-limit-mutation-rps f]
+//	       [-max-body-bytes n] [-max-batch-items n]
+//	       [-rate-limit-rps f] [-rate-limit-mutation-rps f]
 //	       [-max-inflight n] [-request-timeout d] [-shutdown-grace d]
 //	       [-trusted-proxies cidrs] [-replication-listen addr]
 //	       [-replica-of url] [-primary-url url] [-replica-poll-interval d]
@@ -76,12 +77,16 @@
 //	GET  /api/recipes?region=ITA&limit=20&offset=0
 //	GET  /api/recipes/{id}
 //	POST /api/recipes    {"name": ..., "region": "ITA", "source": ..., "ingredients": [...], "id"?: N}
+//	POST /api/recipes/batch  {"recipes": [{...as POST /api/recipes...}, ...]}  (at most -max-batch-items)
 //	DELETE /api/recipes/{id}
 //	GET  /api/ingredients/{name}
 //	GET  /api/ingredients/{name}/pairings?limit=10
+//	GET  /api/ingredients/{name}/substitutes?limit=10
 //	GET  /api/search?q=tomato+garlic&mode=all&fuzzy=1&region=ITA
 //	POST /api/query      {"q": "SELECT region, count(*) FROM recipes GROUP BY region"}
 //	POST /api/classify   {"ingredients": ["soy sauce", "tofu"]}
+//	POST /api/complete   {"region": "ITA", "ingredients": ["tomato", "basil"], "k"?: N}
+//	POST /api/taste      {"ingredients": ["soy sauce", "tofu"], "k"?: N}
 package main
 
 import (
@@ -199,8 +204,8 @@ func main() {
 		if db != nil {
 			defer db.Close()
 			// Recipe mutations write through to the open engine, so they
-			// survive restarts. Writes serialize behind the corpus lock;
-			// batching them is a ROADMAP follow-up.
+			// survive restarts; concurrent writers share one storage
+			// group commit (internal/recipedb/README.md).
 			store.SetBackend(db)
 		}
 	}

@@ -2,7 +2,6 @@ package recipedb
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -10,17 +9,16 @@ import (
 	"culinary/internal/flavor"
 )
 
-// Writer fan-in. Mutations no longer run their whole lifecycle under
-// the corpus write lock: a writer packages its operations into writeOps
-// and races for the write token. Whoever wins becomes the leader for
-// every op queued at that moment — it validates, assigns slots and
-// encodes records against a read snapshot (no exclusive lock), persists
-// the whole group through one backend batch (one storage group commit
-// when the backend supports it), then takes the write lock once to
-// apply all slot and posting-list updates, publish one version bump,
-// and deliver one subscriber notification batch. Writers that arrive
-// while a group is in flight pile into the next group, so the exclusive
-// lock and the backend fsync amortize across concurrent callers.
+// Writer fan-in. A writer packages its mutations as writeOps and hands
+// them to the write queue (internal/fanin, which owns the
+// leader/follower protocol). applyGroup below is the queue's run
+// function: for every op queued at that moment it validates, assigns
+// slots and encodes records against a read snapshot (no exclusive lock),
+// persists the whole group through one backend batch (one storage group
+// commit), then takes the write lock once to apply all slot and
+// posting-list updates, publish one version bump, and deliver one
+// subscriber notification batch. The exclusive lock and the backend
+// fsync amortize across concurrent callers.
 //
 // Coherence argument: only the token holder mutates corpus state, so
 // the read snapshot the leader plans against is exactly the state its
@@ -31,13 +29,13 @@ import (
 // ops sequentially: same slot assignment, same version sequence, same
 // posting lists, same persisted keys.
 
-// BatchBackend is an optional Backend extension: a backend that can
-// persist several mutations through one group-commit round. The
-// returned slice aligns with the inputs; a mid-batch storage fault
-// yields per-record errors (the durable prefix nil, the rest failed).
-// *storage.Store satisfies it via WriteBatch.
+// BatchBackend persists the mutations of one write group through one
+// group-commit round. The returned slice aligns with the inputs; a
+// mid-batch storage fault yields per-record errors (the durable prefix
+// nil, the rest failed). *storage.Store satisfies it via WriteBatch; the
+// interface lives here so recipedb does not import the storage engine
+// (which imports recipedb for the snapshot codec).
 type BatchBackend interface {
-	Backend
 	WriteBatch(keys []string, values [][]byte, tombstones []bool) []error
 }
 
@@ -127,7 +125,7 @@ func (s *Store) ApplyBatch(items []BatchItem) []BatchResult {
 			dedupe:      true,
 		}
 	}
-	s.submitOps(ops)
+	s.writes.Do(ops, s.applyGroup)
 	out := make([]BatchResult, len(items))
 	for i, op := range ops {
 		out[i] = BatchResult{ID: op.outID, Version: op.version, Outcome: op.outcome, Err: op.err}
@@ -162,91 +160,20 @@ type writeOp struct {
 	err     error
 }
 
-// writeGroup is a batch of ops applied by one leader.
-type writeGroup struct {
-	ops  []*writeOp
-	done chan struct{}
-}
-
-// submitOps drives ops through the fan-in and returns once some leader
-// (possibly this goroutine) has applied the group containing them. The
-// protocol mirrors the storage engine's group commit (storage/commit.go
-// submit): leader fast path with an adaptive yield so writers made
-// runnable by the previous apply can join this group, follower path
-// that queues and races for the token in case the current leader's
-// group detached before these ops joined.
-func (s *Store) submitOps(ops []*writeOp) {
-	select {
-	case s.wtok <- struct{}{}:
-		if s.wgrouping {
-			runtime.Gosched()
-		}
-		s.wpendMu.Lock()
-		g := s.wpending
-		s.wpending = nil
-		if g == nil {
-			g = &writeGroup{} // solo group: nobody to signal
-		}
-		g.ops = append(g.ops, ops...)
-		s.wpendMu.Unlock()
-		s.wgrouping = len(g.ops) > len(ops)
-		s.applyGroup(g)
-		if g.done != nil {
-			close(g.done)
-		}
-		<-s.wtok
-		return
-	default:
-	}
-
-	s.wpendMu.Lock()
-	g := s.wpending
-	if g == nil {
-		g = &writeGroup{done: make(chan struct{})}
-		s.wpending = g
-	}
-	g.ops = append(g.ops, ops...)
-	s.wpendMu.Unlock()
-
-	select {
-	case s.wtok <- struct{}{}:
-		s.applyNext()
-		<-s.wtok
-	case <-g.done:
-	}
-	<-g.done
-}
-
-// applyNext detaches the pending group and applies it. Caller holds
-// the write token; reaching this path means the token was contended,
-// so future leaders should pause for company.
-func (s *Store) applyNext() {
-	s.wgrouping = true
-	s.wpendMu.Lock()
-	g := s.wpending
-	s.wpending = nil
-	s.wpendMu.Unlock()
-	if g == nil {
-		return
-	}
-	s.applyGroup(g)
-	close(g.done)
-}
-
 // applyGroup runs one group through plan → persist → commit. Caller
 // holds the write token, so this is the only goroutine mutating corpus
 // state — the invariant the three-phase split relies on.
-func (s *Store) applyGroup(g *writeGroup) {
-	keys, values, tombs := s.planGroup(g)
-	s.persistGroup(g, keys, values, tombs)
-	s.commitGroup(g)
-	s.bstats.note(len(g.ops))
+func (s *Store) applyGroup(ops []*writeOp) {
+	keys, values, tombs := s.planGroup(ops)
+	s.persistGroup(ops, keys, values, tombs)
+	s.commitGroup(ops)
+	s.bstats.note(len(ops))
 }
 
 // planGroup validates every op, assigns slots, detects kept items and
 // encodes the backend records, all against a read snapshot layered with
 // the effects of earlier in-group ops. Returns the backend write set.
-func (s *Store) planGroup(g *writeGroup) (keys []string, values [][]byte, tombs []bool) {
+func (s *Store) planGroup(ops []*writeOp) (keys []string, values [][]byte, tombs []bool) {
 	s.mu.RLock()
 	slots := len(s.recipes)
 	// overlay maps slots touched by earlier in-group ops to their
@@ -263,7 +190,7 @@ func (s *Store) planGroup(g *writeGroup) (keys []string, values [][]byte, tombs 
 		}
 		return nil
 	}
-	for _, op := range g.ops {
+	for _, op := range ops {
 		op.persistIdx = -1
 		if op.remove {
 			if op.id < 0 || op.id >= slots || curLive(op.id) == nil {
@@ -325,39 +252,21 @@ func (s *Store) planGroup(g *writeGroup) (keys []string, values [][]byte, tombs 
 
 // persistGroup writes the group's records through the backend before
 // any in-memory state changes (write-through: a failed write leaves the
-// corpus untouched for exactly the ops it failed). One BatchBackend
-// round when available, else per-op writes.
-func (s *Store) persistGroup(g *writeGroup, keys []string, values [][]byte, tombs []bool) {
+// corpus untouched for exactly the ops it failed).
+func (s *Store) persistGroup(ops []*writeOp, keys []string, values [][]byte, tombs []bool) {
 	if s.persist == nil || len(keys) == 0 {
 		return
 	}
-	if bb, ok := s.persist.(BatchBackend); ok {
-		errs := bb.WriteBatch(keys, values, tombs)
-		for _, op := range g.ops {
-			if op.persistIdx >= 0 && errs[op.persistIdx] != nil {
-				op.err = wrapPersistError(op, errs[op.persistIdx])
-			}
-		}
-	} else {
-		for _, op := range g.ops {
-			if op.persistIdx < 0 {
-				continue
-			}
-			var err error
-			if tombs[op.persistIdx] {
-				err = s.persist.Delete(keys[op.persistIdx])
-			} else {
-				err = s.persist.Put(keys[op.persistIdx], values[op.persistIdx])
-			}
-			if err != nil {
-				op.err = wrapPersistError(op, err)
-			}
+	errs := s.persist.WriteBatch(keys, values, tombs)
+	for _, op := range ops {
+		if op.persistIdx >= 0 && errs[op.persistIdx] != nil {
+			op.err = wrapPersistError(op, errs[op.persistIdx])
 		}
 	}
 	// A kept op deduplicated against an in-group write that failed: its
 	// premise ("the slot already holds these bytes") is gone, so it
 	// fails with the same cause rather than acking silently.
-	for _, op := range g.ops {
+	for _, op := range ops {
 		if op.err == nil && op.outcome == OutcomeKept && op.keptAfter != nil && op.keptAfter.err != nil {
 			op.err = op.keptAfter.err
 			op.outcome = OutcomeRejected
@@ -381,12 +290,12 @@ func wrapPersistError(op *writeOp, err error) error {
 // live corpus is authoritative here — an op whose in-group predecessor
 // failed to persist re-fails its precondition check instead of applying
 // against state that never materialized.
-func (s *Store) commitGroup(g *writeGroup) {
+func (s *Store) commitGroup(ops []*writeOp) {
 	s.mu.Lock()
 	base := s.version.Load()
 	v := base
 	var muts []Mutation
-	for _, op := range g.ops {
+	for _, op := range ops {
 		if op.err != nil {
 			op.outcome = OutcomeRejected
 			continue

@@ -12,73 +12,21 @@ import (
 	"culinary/internal/flavor"
 )
 
-// tombMark is how the test backends record a tombstone in their
-// key-state map, so two stores' durable states can be compared as maps.
+// tombMark is how stateBackend records a tombstone in its key-state
+// map, so two stores' durable states can be compared as maps.
 const tombMark = "\x00tombstone"
 
-// stateBackend is a thread-safe map Backend (per-op Put/Delete path).
+// stateBackend is the package's one BatchBackend double: a thread-safe
+// key-state map with per-key fault arming.
 type stateBackend struct {
 	mu    sync.Mutex
 	state map[string]string
 	puts  int
-	fail  map[string]error
-	delay time.Duration // simulated commit latency, to provoke coalescing
+	fail  map[string]error // armed keys fail with their error
+	delay time.Duration    // simulated commit latency, to provoke coalescing
 }
 
-func (b *stateBackend) Put(key string, val []byte) error {
-	if b.delay > 0 {
-		time.Sleep(b.delay)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.fail[key]; err != nil {
-		return err
-	}
-	if b.state == nil {
-		b.state = make(map[string]string)
-	}
-	b.state[key] = string(val)
-	b.puts++
-	return nil
-}
-
-func (b *stateBackend) Delete(key string) error {
-	if b.delay > 0 {
-		time.Sleep(b.delay)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.fail[key]; err != nil {
-		return err
-	}
-	if b.state == nil {
-		b.state = make(map[string]string)
-	}
-	b.state[key] = tombMark
-	return nil
-}
-
-func (b *stateBackend) snapshot() map[string]string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]string, len(b.state))
-	for k, v := range b.state {
-		out[k] = v
-	}
-	return out
-}
-
-func (b *stateBackend) putCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.puts
-}
-
-// batchStateBackend adds the WriteBatch extension, exercising the
-// group-commit persist path of persistGroup.
-type batchStateBackend struct{ *stateBackend }
-
-func (b batchStateBackend) WriteBatch(keys []string, values [][]byte, tombstones []bool) []error {
+func (b *stateBackend) WriteBatch(keys []string, values [][]byte, tombstones []bool) []error {
 	if b.delay > 0 {
 		time.Sleep(b.delay)
 	}
@@ -101,6 +49,32 @@ func (b batchStateBackend) WriteBatch(keys []string, values [][]byte, tombstones
 		}
 	}
 	return errs
+}
+
+// arm makes every later write of key fail with err.
+func (b *stateBackend) arm(key string, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.fail == nil {
+		b.fail = make(map[string]error)
+	}
+	b.fail[key] = err
+}
+
+func (b *stateBackend) snapshot() map[string]string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[string]string, len(b.state))
+	for k, v := range b.state {
+		out[k] = v
+	}
+	return out
+}
+
+func (b *stateBackend) putCount() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.puts
 }
 
 // genMutationScript produces a deterministic randomized op sequence —
@@ -213,8 +187,8 @@ func sameResult(a, b BatchResult) bool {
 // TestApplyBatchEquivalenceRandomized is the core correctness claim of
 // the writer fan-in: chopping a mutation script into arbitrary batches
 // leaves the corpus — dump, version, per-item results, and the durable
-// backend state through BOTH persist paths (per-op and group commit) —
-// byte-identical to applying the same script one item at a time.
+// backend state — byte-identical to applying the same script one item
+// at a time.
 func TestApplyBatchEquivalenceRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -222,7 +196,7 @@ func TestApplyBatchEquivalenceRandomized(t *testing.T) {
 
 		seq := NewStore(testCatalog)
 		seqBE := &stateBackend{}
-		seq.SetBackend(seqBE) // plain Backend: per-op persist path
+		seq.SetBackend(seqBE)
 		var seqResults []BatchResult
 		for _, op := range script {
 			seqResults = append(seqResults, seq.ApplyBatch([]BatchItem{op})...)
@@ -230,7 +204,7 @@ func TestApplyBatchEquivalenceRandomized(t *testing.T) {
 
 		bat := NewStore(testCatalog)
 		batBE := &stateBackend{}
-		bat.SetBackend(batchStateBackend{batBE}) // group-commit persist path
+		bat.SetBackend(batBE)
 		var batResults []BatchResult
 		for i := 0; i < len(script); {
 			n := 1 + rng.Intn(8)
@@ -333,7 +307,7 @@ func TestApplyBatchMidBatchRejects(t *testing.T) {
 func TestApplyBatchKeptSemantics(t *testing.T) {
 	s := NewStore(testCatalog)
 	be := &stateBackend{}
-	s.SetBackend(batchStateBackend{be})
+	s.SetBackend(be)
 
 	item := BatchItem{ID: -1, Name: "a", Region: Italy, Source: AllRecipes, Ingredients: ids(t, "tomato", "basil")}
 	r1 := s.ApplyBatch([]BatchItem{item})[0]
@@ -380,16 +354,14 @@ func TestApplyBatchKeptSemantics(t *testing.T) {
 // predecessor's error instead of acking a write that never happened.
 func TestApplyBatchKeptAfterFailedPersist(t *testing.T) {
 	s := NewStore(testCatalog)
-	be := &stateBackend{fail: map[string]error{}}
-	s.SetBackend(batchStateBackend{be})
+	be := &stateBackend{}
+	s.SetBackend(be)
 	if r := s.ApplyBatch([]BatchItem{{ID: -1, Name: "seed", Region: Italy, Source: AllRecipes, Ingredients: ids(t, "tomato", "basil")}})[0]; r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	v := s.Version()
 	boom := errors.New("boom")
-	be.mu.Lock()
-	be.fail[RecipeKey(1)] = boom
-	be.mu.Unlock()
+	be.arm(RecipeKey(1), boom)
 
 	item := BatchItem{ID: 1, Name: "x", Region: France, Source: AllRecipes, Ingredients: ids(t, "butter", "cream")}
 	res := s.ApplyBatch([]BatchItem{item, item})
@@ -412,7 +384,7 @@ func TestApplyBatchKeptAfterFailedPersist(t *testing.T) {
 func TestBatchFanInStressRace(t *testing.T) {
 	s := NewStore(testCatalog)
 	be := &stateBackend{delay: 200 * time.Microsecond}
-	s.SetBackend(batchStateBackend{be})
+	s.SetBackend(be)
 
 	type acked struct {
 		remove  bool

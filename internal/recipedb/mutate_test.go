@@ -2,7 +2,6 @@ package recipedb
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -128,60 +127,34 @@ func TestUpsertBeyondSlotsTombstonesGaps(t *testing.T) {
 	}
 }
 
-// recordingBackend captures write-through operations and can be armed
-// to fail.
-type recordingBackend struct {
-	puts    map[string][]byte
-	deletes []string
-	fail    error
-}
-
-func (b *recordingBackend) Put(key string, val []byte) error {
-	if b.fail != nil {
-		return b.fail
-	}
-	if b.puts == nil {
-		b.puts = make(map[string][]byte)
-	}
-	b.puts[key] = append([]byte(nil), val...)
-	return nil
-}
-
-func (b *recordingBackend) Delete(key string) error {
-	if b.fail != nil {
-		return b.fail
-	}
-	b.deletes = append(b.deletes, key)
-	return nil
-}
-
 func TestBackendWriteThrough(t *testing.T) {
 	s := NewStore(testCatalog)
-	backend := &recordingBackend{}
+	backend := &stateBackend{}
 	s.SetBackend(backend)
 
 	id := addRecipe(t, s, "a", Italy, "tomato", "basil")
-	raw, ok := backend.puts[RecipeKey(id)]
+	raw, ok := backend.snapshot()[RecipeKey(id)]
 	if !ok {
-		t.Fatalf("Add did not write through; puts = %v", backend.puts)
+		t.Fatalf("Add did not write through; state = %v", backend.snapshot())
 	}
-	name, region, source, ingr, err := DecodeRecipe(raw)
+	name, region, source, ingr, err := DecodeRecipe([]byte(raw))
 	if err != nil || name != "a" || region != Italy || source != AllRecipes || len(ingr) != 2 {
 		t.Fatalf("persisted bytes decode to %q/%v/%v/%v (err %v)", name, region, source, ingr, err)
 	}
 	if _, err := s.Remove(id); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if len(backend.deletes) != 1 || backend.deletes[0] != RecipeKey(id) {
-		t.Fatalf("deletes = %v", backend.deletes)
+	if got := backend.snapshot(); len(got) != 1 || got[RecipeKey(id)] != tombMark {
+		t.Fatalf("Remove did not write a tombstone through; state = %v", got)
 	}
 
 	// A failing backend must leave the in-memory corpus and version
 	// untouched.
 	v := s.Version()
-	backend.fail = fmt.Errorf("disk full")
-	if _, _, _, err := s.Upsert(-1, "b", France, AllRecipes, ids(t, "butter", "cream")); err == nil {
-		t.Fatal("Upsert succeeded with failing backend")
+	full := errors.New("disk full")
+	backend.arm(RecipeKey(id+1), full) // the slot the next insert takes
+	if _, _, _, err := s.Upsert(-1, "b", France, AllRecipes, ids(t, "butter", "cream")); !errors.Is(err, full) {
+		t.Fatalf("Upsert with failing backend = %v, want the backend's error", err)
 	}
 	if s.Version() != v || s.Len() != 0 {
 		t.Errorf("failed write mutated corpus: version %d->%d, len %d", v, s.Version(), s.Len())

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"culinary/internal/fanin"
 	"culinary/internal/flavor"
 	"culinary/internal/stats"
 )
@@ -50,14 +51,6 @@ var (
 	// ErrNoRecipe is returned by mutations addressing an absent slot.
 	ErrNoRecipe = errors.New("recipedb: no such recipe")
 )
-
-// Backend persists individual recipe mutations. *storage.Store
-// satisfies it; the interface lives here so recipedb does not import
-// the storage engine (which imports recipedb for the snapshot codec).
-type Backend interface {
-	Put(key string, value []byte) error
-	Delete(key string) error
-}
 
 // Mutation describes one applied corpus change, delivered to
 // subscribers synchronously under the write lock. Old is the live
@@ -142,7 +135,7 @@ type Store struct {
 	// persist, when set, receives every mutation before the in-memory
 	// state changes (write-through): a failed write leaves the corpus
 	// untouched.
-	persist Backend
+	persist BatchBackend
 
 	// subs are mutation subscribers, notified synchronously under the
 	// write lock so derived state observes mutations in version order
@@ -150,15 +143,12 @@ type Store struct {
 	// one call per coalesced write batch.
 	subs []func([]Mutation)
 
-	// Writer fan-in (batch.go): writers queue ops into wpending and
-	// race for wtok; the winner plans, persists and applies the whole
-	// group. wgrouping is leader-private state (serialized by the
-	// token), bstats is the coalescing telemetry for /api/health.
-	wtok      chan struct{}
-	wpendMu   sync.Mutex
-	wpending  *writeGroup
-	wgrouping bool
-	bstats    batchStats
+	// writes groups concurrent Upsert/Remove/ApplyBatch calls; its token
+	// holder runs applyGroup (batch.go) and is the only goroutine
+	// mutating corpus state. bstats is the coalescing telemetry for
+	// /api/health.
+	writes *fanin.Queue[*writeOp]
+	bstats batchStats
 }
 
 // NewStore creates an empty store bound to an ingredient catalog.
@@ -167,16 +157,15 @@ func NewStore(catalog *flavor.Catalog) *Store {
 		catalog:      catalog,
 		byRegion:     make(map[Region][]int),
 		byIngredient: make(map[flavor.ID][]int),
-		wtok:         make(chan struct{}, 1),
+		writes:       fanin.New[*writeOp](),
 	}
 }
 
 // SetBackend attaches a persistence backend. Subsequent mutations
 // write through to it before updating the in-memory corpus. Writers
-// that arrive concurrently coalesce into one backend batch (see
-// batch.go); a Backend that also implements BatchBackend persists the
-// whole group through one storage group commit.
-func (s *Store) SetBackend(b Backend) {
+// that arrive concurrently coalesce into one WriteBatch call (see
+// batch.go).
+func (s *Store) SetBackend(b BatchBackend) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.persist = b
@@ -354,7 +343,7 @@ func (s *Store) Upsert(id int, name string, region Region, source Source, ingred
 		id: id, name: name, region: region, source: source,
 		ingredients: append([]flavor.ID(nil), ingredients...),
 	}
-	s.submitOps([]*writeOp{op})
+	s.writes.Do([]*writeOp{op}, s.applyGroup)
 	if op.err != nil {
 		return 0, 0, false, op.err
 	}
@@ -367,7 +356,7 @@ func (s *Store) Upsert(id int, name string, region Region, source Source, ingred
 // concurrent Removes coalesce through the writer fan-in.
 func (s *Store) Remove(id int) (uint64, error) {
 	op := &writeOp{remove: true, id: id}
-	s.submitOps([]*writeOp{op})
+	s.writes.Do([]*writeOp{op}, s.applyGroup)
 	if op.err != nil {
 		return 0, op.err
 	}

@@ -1,17 +1,15 @@
 package storage
 
-import "runtime"
-
-// WriteBatch persists a mixed put/tombstone record set through one
-// group-commit round: the whole set joins a single commit group, so it
-// costs one WriteAt and — under SyncEveryPut — one fsync, shared with
-// any concurrent writers that piled into the same group. The returned
-// slice aligns with the inputs: nil exactly when that record reached
-// the configured durability level (or resolved as a redundant-tombstone
-// no-op). A mid-batch I/O fault splits the set exactly like a fault
-// splits a concurrent group — the durable prefix is applied and
-// acknowledged, every other record carries the fault and is never
-// visible.
+// WriteBatch is the engine's write entry point (Put and Delete are
+// one-record batches). The whole record set joins a single commit group,
+// so it costs one WriteAt and — under SyncEveryPut — one fsync, shared
+// with any concurrent writers that piled into the same group. The
+// returned slice aligns with the inputs: nil exactly when that record
+// reached the configured durability level (or resolved as a
+// redundant-tombstone no-op). A mid-batch I/O fault splits the set
+// exactly like a fault splits a concurrent group — the durable prefix is
+// applied and acknowledged, every other record carries the fault and is
+// never visible.
 //
 // The signature uses parallel slices rather than a request struct so
 // callers behind an interface boundary (recipedb.BatchBackend) can
@@ -37,9 +35,6 @@ func (s *Store) WriteBatch(keys []string, values [][]byte, tombstones []bool) []
 		if !rec.tombstone {
 			rec.value = values[i]
 		}
-		// Frame into private buffers (no framePool): all frames stay
-		// alive until the whole group commits, so pooling would only
-		// churn.
 		framed, err := appendRecord(nil, rec)
 		if err != nil {
 			// Unframeable records (oversized key/value) poison the
@@ -54,73 +49,9 @@ func (s *Store) WriteBatch(keys []string, values [][]byte, tombstones []bool) []
 		}
 		reqs[i] = &commitReq{key: keys[i], rec: rec, framed: framed}
 	}
-	s.submitMany(reqs)
+	s.commits.Do(reqs, s.commit)
 	for i, req := range reqs {
-		errs[i] = req.result()
+		errs[i] = req.err
 	}
 	return errs
-}
-
-// submitMany drives a set of requests through group commit as one
-// joined unit and returns once some leader (possibly this goroutine)
-// has committed the group containing them. It mirrors submit
-// (commit.go) — leader fast path with the adaptive grouping yield,
-// follower path that queues and races for the token — except that the
-// whole request set joins one group together, preserving its internal
-// order.
-func (s *Store) submitMany(reqs []*commitReq) {
-	// Fast-fail while the write path is degraded; the commit leader
-	// re-checks under the token, so this is advisory only.
-	if err := s.writeGate(); err != nil {
-		for _, req := range reqs {
-			req.err = err
-		}
-		return
-	}
-	select {
-	case s.commitTok <- struct{}{}:
-		if s.grouping {
-			runtime.Gosched()
-		}
-		s.pendMu.Lock()
-		g := s.pending
-		s.pending = nil
-		if g == nil {
-			g = &commitGroup{} // solo commit: nobody to signal
-		}
-		g.reqs = append(g.reqs, reqs...)
-		s.pendMu.Unlock()
-		s.grouping = len(g.reqs) > len(reqs)
-		g.err = s.commit(g)
-		if g.done != nil {
-			close(g.done)
-		}
-		<-s.commitTok
-		return
-	default:
-	}
-
-	s.pendMu.Lock()
-	if s.closed.Load() {
-		s.pendMu.Unlock()
-		for _, req := range reqs {
-			req.err = ErrClosed
-		}
-		return
-	}
-	g := s.pending
-	if g == nil {
-		g = &commitGroup{done: make(chan struct{})}
-		s.pending = g
-	}
-	g.reqs = append(g.reqs, reqs...)
-	s.pendMu.Unlock()
-
-	select {
-	case s.commitTok <- struct{}{}:
-		s.commitNext()
-		<-s.commitTok
-	case <-g.done:
-	}
-	<-g.done
 }

@@ -4,21 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 )
 
-// Group commit. Writers frame their record (CRC and all) outside any
-// lock, join the pending commit group, and race for the commit token.
-// Whoever wins becomes the leader: it snapshots the pending group,
-// concatenates every framed record, appends them with one WriteAt and —
-// when SyncEveryPut is set — one Sync, then applies the key-directory
-// updates and wakes the whole group. Writers that arrive while a commit
-// is in flight pile into the next group, so fsync and syscall costs
+// Group commit. Writers frame their records (CRC and all) outside any
+// lock and hand them to the commit queue (internal/fanin, which owns the
+// leader/follower protocol). commit below is the queue's run function:
+// the leader concatenates every framed record of the group, appends them
+// with one WriteAt per segment chunk and — when SyncEveryPut is set — one
+// Sync, then applies the key-directory updates. fsync and syscall costs
 // amortize across concurrent callers while each call still returns only
 // after its record is durable to the configured level.
 
-// commitReq is one writer's record inside a commit group.
+// commitReq is one record inside a commit group.
 type commitReq struct {
 	key    string
 	rec    record
@@ -46,127 +43,9 @@ type commitReq struct {
 	length int64
 }
 
-// result is what submit returns to this request's caller.
-func (r *commitReq) result() error {
-	if r.skip {
-		return nil
-	}
-	return r.err
-}
-
 // applied reports whether the record reached the key directory.
 func (r *commitReq) applied(syncEvery bool) bool {
 	return !r.skip && r.written && (r.synced || !syncEvery)
-}
-
-// commitGroup is a batch of requests committed by one leader.
-type commitGroup struct {
-	reqs []*commitReq
-	done chan struct{}
-	err  error
-}
-
-// framePool recycles record-framing buffers across writers.
-var framePool = sync.Pool{New: func() interface{} { return new([]byte) }}
-
-// logRecord frames rec and drives it through the group-commit protocol.
-func (s *Store) logRecord(key string, rec record) error {
-	bufp := framePool.Get().(*[]byte)
-	framed, err := appendRecord((*bufp)[:0], rec)
-	if err != nil {
-		framePool.Put(bufp)
-		return err
-	}
-	req := &commitReq{key: key, rec: rec, framed: framed}
-	err = s.submit(req)
-	*bufp = framed[:0]
-	framePool.Put(bufp)
-	return err
-}
-
-// submit drives req through group commit and waits until some leader
-// (possibly this goroutine) has committed the group containing it.
-func (s *Store) submit(req *commitReq) error {
-	// Fast-fail while the write path is degraded; the commit leader
-	// re-checks under the token, so this is advisory only.
-	if err := s.writeGate(); err != nil {
-		return err
-	}
-	select {
-	case s.commitTok <- struct{}{}:
-		// Leader fast path. When the previous commit saw concurrent
-		// writers, yield once so writers made runnable by that commit
-		// can join this batch — without this, small-GOMAXPROCS
-		// schedulers let one goroutine monopolize the token and every
-		// batch degenerates to a single record (a blocking fsync does
-		// not reliably hand the P to parked writers). The yield is
-		// adaptive because it is wasted latency when this writer is
-		// alone: a Gosched behind CPU-bound readers can stall for their
-		// whole scheduler quantum.
-		if s.grouping {
-			runtime.Gosched()
-		}
-		s.pendMu.Lock()
-		g := s.pending
-		s.pending = nil
-		if g == nil {
-			g = &commitGroup{} // solo commit: nobody to signal
-		}
-		g.reqs = append(g.reqs, req)
-		s.pendMu.Unlock()
-		s.grouping = len(g.reqs) > 1
-		g.err = s.commit(g)
-		if g.done != nil {
-			close(g.done)
-		}
-		<-s.commitTok
-		return req.result()
-	default:
-	}
-
-	// A commit is in flight: queue into the pending group, then wait —
-	// racing for the token in case the current leader's batch detached
-	// before our request joined.
-	s.pendMu.Lock()
-	if s.closed.Load() {
-		s.pendMu.Unlock()
-		return ErrClosed
-	}
-	g := s.pending
-	if g == nil {
-		g = &commitGroup{done: make(chan struct{})}
-		s.pending = g
-	}
-	g.reqs = append(g.reqs, req)
-	s.pendMu.Unlock()
-
-	select {
-	case s.commitTok <- struct{}{}:
-		// Leader: commit whatever group is pending now. That is usually
-		// our own; if another leader already took it, we help by
-		// committing the successor batch.
-		s.commitNext()
-		<-s.commitTok
-	case <-g.done:
-	}
-	<-g.done
-	return req.result()
-}
-
-// commitNext detaches the pending group and commits it. Caller holds
-// the commit token. Reaching this path at all means the token was
-// contended, so future leaders should pause for company.
-func (s *Store) commitNext() {
-	s.grouping = true
-	s.pendMu.Lock()
-	g := s.pending
-	s.pending = nil
-	s.pendMu.Unlock()
-	if g == nil {
-		return
-	}
-	g.err = s.commit(g)
-	close(g.done)
 }
 
 // commit appends one group to the log and applies it to the key
@@ -184,28 +63,27 @@ func (s *Store) commitNext() {
 // durability at the next successful sync. Any I/O failure also
 // poisons the active segment and degrades the store to read-only
 // until recovery rotates a fresh segment (degradeWrites).
-func (s *Store) commit(g *commitGroup) error {
+func (s *Store) commit(reqs []*commitReq) {
 	err := s.writeGate()
 	if err == nil {
-		err = s.appendGroup(g)
+		err = s.appendGroup(reqs)
 		if err != nil && !errors.Is(err, ErrClosed) {
 			s.degradeWrites(err)
 		}
 	}
-	s.applyGroup(g)
+	s.applyGroup(reqs)
 	if err != nil {
-		for _, req := range g.reqs {
-			if !req.applied(s.opts.SyncEveryPut) {
+		for _, req := range reqs {
+			if !req.skip && !req.applied(s.opts.SyncEveryPut) {
 				req.err = err
 			}
 		}
 	}
-	return err
 }
 
 // appendGroup resolves redundant tombstones and appends the group's
 // records to the log, marking each request whose bytes were written.
-func (s *Store) appendGroup(g *commitGroup) error {
+func (s *Store) appendGroup(reqs []*commitReq) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -213,7 +91,7 @@ func (s *Store) appendGroup(g *commitGroup) error {
 	// Pass 1: resolve redundant tombstones against the serialized view:
 	// shard state plus the effect of earlier requests in this batch.
 	var effects map[string]bool // key -> present after the processed prefix
-	for i, req := range g.reqs {
+	for i, req := range reqs {
 		if !req.rec.tombstone {
 			if effects != nil {
 				effects[req.key] = true
@@ -221,8 +99,8 @@ func (s *Store) appendGroup(g *commitGroup) error {
 			continue
 		}
 		if effects == nil {
-			effects = make(map[string]bool, len(g.reqs))
-			for _, p := range g.reqs[:i] {
+			effects = make(map[string]bool, len(reqs))
+			for _, p := range reqs[:i] {
 				effects[p.key] = true // only puts precede the first tombstone
 			}
 		}
@@ -241,8 +119,8 @@ func (s *Store) appendGroup(g *commitGroup) error {
 	// chunk ends when the active segment fills (same rotate-after-write
 	// semantics as a serial append: a record never splits, the segment
 	// may overshoot by the final record).
-	order := make([]*commitReq, 0, len(g.reqs))
-	for _, req := range g.reqs {
+	order := make([]*commitReq, 0, len(reqs))
+	for _, req := range reqs {
 		if !req.skip {
 			order = append(order, req)
 		}
@@ -339,9 +217,9 @@ func (s *Store) syncActive() error {
 // written records whose covering fsync failed under SyncEveryPut —
 // their callers are told the write failed, so showing the record to
 // readers would acknowledge it through the back door.
-func (s *Store) applyGroup(g *commitGroup) {
+func (s *Store) applyGroup(reqs []*commitReq) {
 	syncEvery := s.opts.SyncEveryPut
-	for _, req := range g.reqs {
+	for _, req := range reqs {
 		if !req.applied(syncEvery) {
 			continue
 		}

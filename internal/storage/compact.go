@@ -438,9 +438,9 @@ func (s *Store) Compact() error {
 
 	// Seal the active segment (if it holds anything) so its garbage is
 	// collectable too.
-	s.commitTok <- struct{}{}
+	s.commits.Lock()
 	if s.closed.Load() {
-		<-s.commitTok
+		s.commits.Unlock()
 		return ErrClosed
 	}
 	var rerr error
@@ -453,7 +453,7 @@ func (s *Store) Compact() error {
 			s.degradeWrites(rerr)
 		}
 	}
-	<-s.commitTok
+	s.commits.Unlock()
 	if rerr != nil {
 		return rerr
 	}

@@ -150,8 +150,8 @@ func (s *Store) TryRecoverWrites() error {
 	// scan or truncate segments this recovery is reshaping.
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	s.commitTok <- struct{}{}
-	defer func() { <-s.commitTok }()
+	s.commits.Lock()
+	defer s.commits.Unlock()
 	return s.recoverWritesLocked()
 }
 

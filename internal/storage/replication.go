@@ -119,9 +119,11 @@ func (s *Store) ReadSegmentAt(id uint64, off, limit int64) ([]byte, error) {
 		s.segMu.RUnlock()
 		return nil, fmt.Errorf("%w: segment %d", ErrSegmentGone, id)
 	}
-	watermark := seg.size
-	if seg == s.active {
-		watermark = seg.syncedSize.Load()
+	// The active segment's size moves under the commit token; only its
+	// atomic watermark may be read here.
+	watermark := seg.syncedSize.Load()
+	if seg != s.active {
+		watermark = seg.size
 	}
 	seg.acquire()
 	s.segMu.RUnlock()

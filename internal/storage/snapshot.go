@@ -35,14 +35,25 @@ func decodeRecipe(data []byte) (name string, region recipedb.Region, source reci
 	return name, region, source, ids, nil
 }
 
+// saveChunkRecords bounds one WriteBatch of a save, whose frames stay in
+// memory until its single fsync: a full-scale corpus (45 772 recipes)
+// costs a dozen fsyncs under SyncEveryPut instead of one per recipe.
+const saveChunkRecords = 4096
+
 // SaveCorpus writes the full recipe corpus and the catalog configuration
 // into db, replacing any prior snapshot. The format marker is the
-// commit record: it is deleted before anything else changes and written
-// back last. The log is append-only and recovery trims only its tail,
-// so a marker that survives a crash has every record of the save in
-// front of it; an interrupted save reloads as "no snapshot", never as a
-// short corpus.
+// commit record: it is deleted, in a commit of its own, before anything
+// else changes and written back last, again on its own. The log is
+// append-only and recovery trims only its tail, so a marker that
+// survives a crash has every record of the save in front of it; an
+// interrupted save reloads as "no snapshot", never as a short corpus.
 func SaveCorpus(db *Store, corpus *recipedb.Store) error {
+	return saveCorpus(db, corpus, saveChunkRecords)
+}
+
+// saveCorpus is SaveCorpus with the chunk size as a parameter, so the
+// interrupted-save sweep can put chunk boundaries inside a small corpus.
+func saveCorpus(db *Store, corpus *recipedb.Store, chunk int) error {
 	cfg, err := json.Marshal(corpus.Catalog().Config())
 	if err != nil {
 		return fmt.Errorf("storage: marshaling flavor config: %w", err)
@@ -50,7 +61,26 @@ func SaveCorpus(db *Store, corpus *recipedb.Store) error {
 	if err := db.Delete(formatKey); err != nil {
 		return err
 	}
-	if err := db.Put(flavorCfgKey, cfg); err != nil {
+	var keys []string
+	var vals [][]byte
+	var tombs []bool
+	flush := func() error {
+		for _, err := range db.WriteBatch(keys, vals, tombs) {
+			if err != nil {
+				return fmt.Errorf("storage: saving corpus: %w", err)
+			}
+		}
+		keys, vals, tombs = keys[:0], vals[:0], tombs[:0]
+		return nil
+	}
+	add := func(key string, val []byte) error { // nil val deletes key
+		keys, vals, tombs = append(keys, key), append(vals, val), append(tombs, val == nil)
+		if len(keys) < chunk {
+			return nil
+		}
+		return flush()
+	}
+	if err := add(flavorCfgKey, cfg); err != nil {
 		return err
 	}
 	// Drop recipes from any previous, larger snapshot, plus keys whose
@@ -60,7 +90,7 @@ func SaveCorpus(db *Store, corpus *recipedb.Store) error {
 			id < corpus.Slots() && !corpus.Recipe(id).Deleted {
 			continue
 		}
-		if err := db.Delete(key); err != nil {
+		if err := add(key, nil); err != nil {
 			return err
 		}
 	}
@@ -69,9 +99,12 @@ func SaveCorpus(db *Store, corpus *recipedb.Store) error {
 		if r.Deleted {
 			continue
 		}
-		if err := db.Put(recipedb.RecipeKey(i), recipedb.EncodeRecipe(&r)); err != nil {
-			return fmt.Errorf("storage: saving recipe %d: %w", i, err)
+		if err := add(recipedb.RecipeKey(i), recipedb.EncodeRecipe(&r)); err != nil {
+			return err
 		}
+	}
+	if err := flush(); err != nil {
+		return err
 	}
 	if err := db.Put(formatKey, []byte(formatVersion)); err != nil {
 		return err

@@ -347,7 +347,9 @@ func testMutatedCorpusRoundTrip(t *testing.T, open Options, compact bool, reopen
 // ones), reopens the directory the way a restarted process would, and
 // requires LoadCorpus to report "no usable snapshot" or return one of
 // the complete corpora — never a prefix of the interrupted save. Both a
-// first save and a save over a larger prior snapshot are swept.
+// first save and a save over a larger prior snapshot are swept, in
+// chunks of 8 records so the faults land on both sides of the
+// boundaries between the save's WriteBatch calls.
 func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
 	catalog := testCatalog(t)
 	small := testCorpus(t, catalog)
@@ -379,7 +381,7 @@ func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
 					}
 				}
 				inj.FailOp(failAt, errInjectedIO, failAt%2 == 1)
-				serr := SaveCorpus(db, tc.save)
+				serr := saveCorpus(db, tc.save, 8)
 				if inj.Injected() > 0 && serr == nil {
 					t.Fatalf("op %d failed but SaveCorpus reported success", failAt)
 				}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"culinary/internal/fanin"
 )
 
 // Store errors.
@@ -174,17 +176,12 @@ type Store struct {
 	whealth writeHealth
 	scrub   scrubState
 
-	// Group-commit state: commitTok is a one-slot token channel whose
-	// holder is the only goroutine appending to the log; pending is the
-	// batch the next leader will commit.
-	commitTok chan struct{}
-	pendMu    sync.Mutex
-	pending   *commitGroup
+	// commits groups concurrent WriteBatch calls into one commit
+	// (commit.go) each. "Holding the commit token" in this package means
+	// holding its token, inside a run or via Lock: the holder is the only
+	// goroutine appending to, mutating or rotating the active segment.
+	commits   *fanin.Queue[*commitReq]
 	commitBuf []byte // leader-owned concatenation buffer
-	// grouping records whether the last commit observed concurrent
-	// writers; leaders then yield once before detaching the batch so
-	// co-writers can join. Leader-only state (guarded by the token).
-	grouping bool
 }
 
 // shardFor hashes key onto its directory partition.
@@ -237,13 +234,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("storage: creating dir: %w", err)
 	}
 	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		fs:        osFS(),
-		shards:    make([]shard, opts.Shards),
-		mask:      uint32(opts.Shards - 1),
-		segments:  make(map[uint64]*segment),
-		commitTok: make(chan struct{}, 1),
+		dir:      dir,
+		opts:     opts,
+		fs:       osFS(),
+		shards:   make([]shard, opts.Shards),
+		mask:     uint32(opts.Shards - 1),
+		segments: make(map[uint64]*segment),
+		commits:  fanin.New[*commitReq](),
 	}
 	if opts.FaultInjection != nil {
 		// The injector wraps the compaction/manifest seam here and the
@@ -362,10 +359,7 @@ func (s *Store) recoverDir() ([]uint64, error) {
 
 // Put stores value under key, overwriting any previous value.
 func (s *Store) Put(key string, value []byte) error {
-	if s.opts.ReadOnly {
-		return ErrReadOnly
-	}
-	return s.logRecord(key, record{key: []byte(key), value: value})
+	return s.WriteBatch([]string{key}, [][]byte{value}, []bool{false})[0]
 }
 
 // Delete removes key. Deleting an absent key is a no-op. The
@@ -384,7 +378,7 @@ func (s *Store) Delete(key string) error {
 		// re-checks under its serialized view before logging.
 		return nil
 	}
-	return s.logRecord(key, record{key: []byte(key), tombstone: true})
+	return s.WriteBatch([]string{key}, [][]byte{nil}, []bool{true})[0]
 }
 
 // Get returns the value stored under key, read from its segment with
@@ -644,8 +638,8 @@ func (s *Store) Sync() error {
 	if s.opts.ReadOnly {
 		return ErrReadOnly
 	}
-	s.commitTok <- struct{}{}
-	defer func() { <-s.commitTok }()
+	s.commits.Lock()
+	defer s.commits.Unlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -717,34 +711,20 @@ func (s *Store) deadBytesTotal() int64 {
 	return dead
 }
 
-// Close stops the background compactor, syncs and closes every
-// segment. The store is unusable afterward; in-flight writes that
-// could not be committed fail with ErrClosed. Segments still pinned by
+// Close stops the background goroutines, syncs and closes every segment.
+// The store is unusable afterward: a writer queued behind Close fails
+// with ErrClosed when its commit runs. Segments still pinned by
 // in-flight reads close once those reads release them.
 func (s *Store) Close() error {
 	s.stopCompactor()
 	s.stopWriteProbe()
 	s.stopScrubber()
-	s.commitTok <- struct{}{}
-	defer func() { <-s.commitTok }()
+	s.commits.Lock()
+	defer s.commits.Unlock()
 	if s.closed.Load() {
 		return nil
 	}
 	s.closed.Store(true)
-
-	// Fail the batch writers queued behind us; submit rejects newcomers
-	// once the closed flag is up.
-	s.pendMu.Lock()
-	g := s.pending
-	s.pending = nil
-	s.pendMu.Unlock()
-	if g != nil {
-		g.err = ErrClosed
-		for _, req := range g.reqs {
-			req.err = ErrClosed
-		}
-		close(g.done)
-	}
 
 	var firstErr error
 	if s.active != nil && !s.opts.ReadOnly {

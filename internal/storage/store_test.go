@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"culinary/internal/rng"
 )
@@ -350,6 +353,91 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double Close = %v", err)
+	}
+}
+
+// waitBlocked polls the goroutine dump until n goroutines are blocked in
+// the given state ("chan send", "select") with fn on their stack. It is
+// how the test below orders goroutines behind the commit token without a
+// hook in the engine: blocked senders on a channel are served first come,
+// first served.
+func waitBlocked(t *testing.T, n int, state, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		got := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "["+state) && strings.Contains(g, fn) {
+				got++
+			}
+		}
+		if got == n {
+			return
+		}
+	}
+	t.Fatalf("never saw %d goroutines blocked in %s under %s", n, state, fn)
+}
+
+// TestCloseFailsWritersParkedBehindToken: writers queued in the commit
+// queue when Close takes the token are not drained by Close; the first of
+// them to get the token afterwards runs the group, finds the store
+// closed, and fails every one with ErrClosed. None hangs and none of
+// their records reaches the log.
+func TestCloseFailsWritersParkedBehindToken(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{SyncEveryPut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("before", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	s.commits.Lock()
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- s.Close() }()
+	waitBlocked(t, 1, "chan send", "storage.(*Store).Close") // Close is first in line
+
+	const puts, batches = 3, 2
+	errs := make(chan error, puts+2*batches)
+	for i := 0; i < puts; i++ {
+		key := fmt.Sprintf("parked-put-%d", i)
+		go func() { errs <- s.Put(key, []byte("x")) }()
+	}
+	for i := 0; i < batches; i++ {
+		pair := []string{fmt.Sprintf("parked-batch-%d-a", i), fmt.Sprintf("parked-batch-%d-b", i)}
+		go func() {
+			for _, err := range s.WriteBatch(pair, [][]byte{[]byte("x"), []byte("y")}, []bool{false, false}) {
+				errs <- err
+			}
+		}()
+	}
+	waitBlocked(t, puts+batches, "select", "fanin.(*Queue")
+	s.commits.Unlock()
+
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < cap(errs); i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("parked write = %v, want ErrClosed", err)
+			}
+		case <-timeout:
+			t.Fatal("a writer parked behind Close never returned")
+		}
+	}
+	if err := <-closeErr; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Keys(); len(got) != 1 || got[0] != "before" {
+		t.Errorf("reopened keys = %v, want only the write acknowledged before Close", got)
 	}
 }
 
