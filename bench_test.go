@@ -107,6 +107,29 @@ func BenchmarkFig4(b *testing.B) {
 	})
 }
 
+// BenchmarkFig4Region measures one region's whole Fig 4 row — cuisine,
+// observed score, one null pool and the four controls at 10,000 draws
+// each — as experiments schedules it: four tasks on GOMAXPROCS workers.
+// The sub-benchmarks pin the worker count themselves rather than leave
+// it to -cpu, whose name suffix benchjson strips: both rows reach
+// BENCH_paper.json under their own names, and CI fails when the cpu2 row
+// is not faster than the cpu1 row.
+func BenchmarkFig4Region(b *testing.B) {
+	env := *benchEnv
+	env.NullRecipes = 10000
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("cpu%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := env.Fig4Region(recipedb.Italy); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNullMoments measures the fused draw→score loop the Fig 4
 // controls run at N = 100,000: each iteration accumulates the moments
 // of 10,000 randomized Italian recipes under one model, on a sampler

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -54,48 +55,61 @@ func main() {
 		}
 		regions = []recipedb.Region{r}
 	}
+	if err := analyze(os.Stdout, env, regions, model, *shards, *top); err != nil {
+		fatal(err)
+	}
+}
 
-	t := report.NewTable(
-		fmt.Sprintf("Food pairing vs %s model (%d random recipes)", model, *null),
-		"Region", "N̄s", "NullMean", "NullStd", "Z")
-	zs := make([]float64, len(regions))
-	for i, r := range regions {
-		c := env.Store.BuildCuisine(r)
-		var res pairing.Result
-		src := rng.New(*seed).Split(0x9000 + uint64(r))
-		if *shards > 0 {
-			res, err = pairing.CompareParallel(env.Analyzer, env.Store, c, model, *null, *shards, src)
+// analyze writes the regions' Z table and, for top > 0, each region's
+// contributor table. The comparisons run one task per region on a
+// bounded worker set; every region draws from its own stream, split off
+// the seed by region, so the output is the same for any worker count.
+func analyze(w io.Writer, env *experiments.Env, regions []recipedb.Region, model pairing.Model, shards, top int) error {
+	cuisines := make([]*recipedb.Cuisine, len(regions))
+	results := make([]pairing.Result, len(regions))
+	errs := make([]error, len(regions))
+	pairing.ForEachTask(len(regions), func(i int) {
+		c := env.Store.BuildCuisine(regions[i])
+		cuisines[i] = c
+		src := rng.New(env.Seed).Split(0x9000 + uint64(regions[i]))
+		if shards > 0 {
+			results[i], errs[i] = pairing.CompareParallel(env.Analyzer, env.Store, c, model, env.NullRecipes, shards, src)
 		} else {
-			res, err = pairing.Compare(env.Analyzer, env.Store, c, model, *null, src)
+			results[i], errs[i] = pairing.Compare(env.Analyzer, env.Store, c, model, env.NullRecipes, src)
 		}
-		if err != nil {
-			fatal(err)
+	})
+	t := report.NewTable(
+		fmt.Sprintf("Food pairing vs %s model (%d random recipes)", model, env.NullRecipes),
+		"Region", "N̄s", "NullMean", "NullStd", "Z")
+	for i, r := range regions {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		zs[i] = res.Z
+		res := results[i]
 		t.AddRow(r.Code(), res.Observed, res.NullMean, res.NullStd,
 			fmt.Sprintf("%+.1f", res.Z))
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		fatal(err)
+	if err := t.Render(w); err != nil {
+		return err
 	}
-
-	if *top > 0 {
-		for i, r := range regions {
-			c := env.Store.BuildCuisine(r)
-			contribs := env.Analyzer.ContributionsParallel(env.Store, c, 0)
-			sign := contributorSign(zs[i], r)
-			tc := report.NewTable(
-				fmt.Sprintf("Top %d contributors for %s", *top, r.Code()),
-				"Ingredient", "Freq", "ΔN̄s% on removal")
-			for _, ct := range pairing.TopContributors(contribs, *top, sign) {
-				tc.AddRow(ct.Name, ct.Freq, fmt.Sprintf("%+.2f", ct.DeltaPct))
-			}
-			fmt.Println()
-			if err := tc.Render(os.Stdout); err != nil {
-				fatal(err)
-			}
+	if top <= 0 {
+		return nil
+	}
+	for i, r := range regions {
+		contribs := env.Analyzer.ContributionsParallel(env.Store, cuisines[i], 0)
+		sign := contributorSign(results[i].Z, r)
+		tc := report.NewTable(
+			fmt.Sprintf("Top %d contributors for %s", top, r.Code()),
+			"Ingredient", "Freq", "ΔN̄s% on removal")
+		for _, ct := range pairing.TopContributors(contribs, top, sign) {
+			tc.AddRow(ct.Name, ct.Freq, fmt.Sprintf("%+.2f", ct.DeltaPct))
+		}
+		fmt.Fprintln(w)
+		if err := tc.Render(w); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // contributorSign is the pairing direction the contributor table ranks

@@ -59,18 +59,20 @@ func AllModels() []Model {
 // generated for the random control and models."
 const DefaultNullRecipes = 100000
 
-// NullSampler draws randomized recipes for one cuisine under one model.
+// NullPool is everything the four controls of one cuisine share: the
+// pool-local numbering of its ingredients, their dense pair table and
+// the flattened templates. Construction renumbers the cuisine's
+// ingredients 0..L-1 and copies their pairwise shared-compound counts
+// into a symmetric L×L table, so a draw and its score touch only arrays
+// — no map, no allocation, no ordering branch (README.md, "Null-model
+// sampling kernel", has the invariants and the variate-consumption
+// contract).
 //
-// A sampler works in pool-local index space: construction renumbers the
-// cuisine's ingredients 0..L-1 and copies their pairwise shared-compound
-// counts into a dense symmetric L×L table, so a draw and its score touch
-// only sampler-owned arrays — no map, no allocation, no ordering branch
-// (README.md, "Null-model sampling kernel", has the invariants and the
-// variate-consumption contract). A sampler is not safe for concurrent
-// use (it owns an rng.Source); build one per goroutine.
-type NullSampler struct {
-	model Model
-	src   *rng.Source
+// A pool is immutable once NewNullPool returns and safe for concurrent
+// use: any number of samplers, each on its own goroutine, read it and
+// nothing writes it. Everything a draw writes lives in the NullSampler.
+type NullPool struct {
+	region recipedb.Region
 
 	// ids[l] is the ingredient with local index l. ids[:npool] is the
 	// cuisine's pool in UniqueIngredients order; an ingredient that only
@@ -78,27 +80,43 @@ type NullSampler struct {
 	// follows, where the category models can keep it but never draw it.
 	ids   []flavor.ID
 	npool int
+	// weight[l] is the cuisine's use count of pool member l, as the
+	// frequency models' alias tables take it.
+	weight []float64
 	// profiled[l] is 1 when ids[l] has a flavor profile; category[l] is
-	// its flavor.Category.
+	// its flavor.Category; catPool[cat] lists the pool members of cat in
+	// pool order.
 	profiled []uint8
 	category []uint8
+	catPool  [][]int32
 	// shared[x*len(ids)+y] is |F(ids[x]) ∩ F(ids[y])|; the diagonal and
 	// the rows and columns of profile-less ingredients are zero.
 	shared []uint16
 
-	// frequency-weighted sampler over the pool (FrequencyModel)
-	freq *rng.Weighted
-	// per-category pools, and their frequency samplers for
-	// FrequencyCategoryModel (nil entries otherwise)
-	catPool [][]int32
-	catFreq []*rng.Weighted
-
 	// Template t is tmpl[tmplOff[t]:tmplOff[t+1]]: the cuisine recipes'
 	// ingredient lists, snapshot at construction (one store lock, not one
 	// per draw). They provide sizes (all models) and category
-	// compositions (category models).
+	// compositions (category models). largest is the longest one's length.
 	tmpl    []int32
 	tmplOff []int32
+	largest int
+}
+
+// NullSampler draws randomized recipes for one cuisine under one model:
+// a random stream, the model's alias tables and the scratch of the draw
+// in progress, over a NullPool it only reads. A sampler is not safe for
+// concurrent use (it owns an rng.Source); build one per goroutine, from
+// one shared pool when they sample the same cuisine.
+type NullSampler struct {
+	pool  *NullPool
+	model Model
+	src   *rng.Source
+
+	// frequency-weighted sampler over the pool (FrequencyModel)
+	freq *rng.Weighted
+	// per-category frequency samplers over catPool for
+	// FrequencyCategoryModel (nil entries otherwise)
+	catFreq []*rng.Weighted
 
 	// loc is the current draw. stamp[l] == gen marks l as a member of
 	// it, so bumping gen empties the set.
@@ -116,13 +134,22 @@ type NullSampler struct {
 // compile if the category set ever outgrows one.
 const _ = uint8(flavor.NumCategories - 1)
 
-// NewNullSampler builds a sampler for the cuisine under the model. It
-// returns an error for degenerate cuisines (no recipes or fewer than two
-// ingredients), which cannot support any control.
+// NewNullSampler builds a sampler for the cuisine under the model, over
+// a pool of its own. It returns an error for degenerate cuisines (no
+// recipes or fewer than two ingredients), which cannot support any
+// control.
 func NewNullSampler(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m Model, src *rng.Source) (*NullSampler, error) {
-	if m < 0 || m >= numModels {
-		return nil, fmt.Errorf("pairing: invalid model %d", int(m))
+	p, err := NewNullPool(a, store, c)
+	if err != nil {
+		return nil, err
 	}
+	return p.Sampler(m, src)
+}
+
+// NewNullPool builds the cuisine's shared sampling state. It returns an
+// error for degenerate cuisines (no recipes or fewer than two
+// ingredients), which cannot support any control.
+func NewNullPool(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine) (*NullPool, error) {
 	if len(c.RecipeIDs) == 0 {
 		return nil, fmt.Errorf("pairing: cuisine %s has no recipes", c.Region.Code())
 	}
@@ -130,99 +157,114 @@ func NewNullSampler(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m M
 		return nil, fmt.Errorf("pairing: cuisine %s has %d unique ingredients, need >= 2",
 			c.Region.Code(), len(c.UniqueIngredients))
 	}
-	s := &NullSampler{model: m, src: src, npool: len(c.UniqueIngredients)}
-	s.localize(a, c.UniqueIngredients, store.IngredientLists(c.RecipeIDs))
-	if err := s.fillShared(a); err != nil {
+	p := &NullPool{region: c.Region, npool: len(c.UniqueIngredients)}
+	p.localize(a, c.UniqueIngredients, store.IngredientLists(c.RecipeIDs))
+	if err := p.fillShared(a); err != nil {
 		return nil, fmt.Errorf("pairing: cuisine %s: %w", c.Region.Code(), err)
+	}
+	p.weight = make([]float64, p.npool)
+	p.catPool = make([][]int32, flavor.NumCategories)
+	for l, id := range c.UniqueIngredients {
+		p.weight[l] = float64(c.IngredientFreq[id])
+		cat := p.category[l]
+		p.catPool[cat] = append(p.catPool[cat], int32(l))
+	}
+	return p, nil
+}
+
+// Sampler returns a sampler over the pool under model m, drawing from
+// src. Samplers of one pool are independent: each owns its stream and
+// its scratch, so they may run concurrently. A goroutine that will draw
+// beside others should split its stream and call Sampler itself, so that
+// what it writes on every draw is not allocated next to theirs
+// (README.md, "Who allocates").
+func (p *NullPool) Sampler(m Model, src *rng.Source) (*NullSampler, error) {
+	s := &NullSampler{
+		pool: p, model: m, src: src,
+		stamp: make([]uint32, len(p.ids)),
+		loc:   make([]int32, 0, p.largest),
+		buf:   make([]flavor.ID, 0, p.largest),
+		perm:  make([]int32, p.npool),
+	}
+	for l := range s.perm {
+		s.perm[l] = int32(l)
 	}
 	// Weights follow the members' order, so the alias tables — and with
 	// them the variates each Sample consumes — are those of a sampler
 	// over the ingredient ids themselves.
-	weighted := func(members []int32) (*rng.Weighted, error) {
-		weights := make([]float64, len(members))
-		for i, l := range members {
-			weights[i] = float64(c.IngredientFreq[s.ids[l]])
-		}
-		return rng.NewWeighted(weights)
-	}
 	switch m {
 	case RandomModel:
-		s.undo = make([]int32, 0, cap(s.loc))
+		s.undo = make([]int32, 0, p.largest)
 	case FrequencyModel:
-		w, err := weighted(s.perm)
+		w, err := rng.NewWeighted(p.weight)
 		if err != nil {
-			return nil, fmt.Errorf("pairing: frequency weights for %s: %w", c.Region.Code(), err)
+			return nil, fmt.Errorf("pairing: frequency weights for %s: %w", p.region.Code(), err)
 		}
 		s.freq = w
 	case CategoryModel, FrequencyCategoryModel:
-		s.catPool = make([][]int32, flavor.NumCategories)
-		for _, l := range s.perm {
-			cat := s.category[l]
-			s.catPool[cat] = append(s.catPool[cat], l)
-		}
 		s.catFreq = make([]*rng.Weighted, flavor.NumCategories)
 		if m == FrequencyCategoryModel {
-			for cat, members := range s.catPool {
+			for cat, members := range p.catPool {
 				if len(members) == 0 {
 					continue
 				}
-				w, err := weighted(members)
+				weights := make([]float64, len(members))
+				for i, l := range members {
+					weights[i] = p.weight[l]
+				}
+				w, err := rng.NewWeighted(weights)
 				if err != nil {
 					return nil, fmt.Errorf("pairing: category %d weights for %s: %w",
-						cat, c.Region.Code(), err)
+						cat, p.region.Code(), err)
 				}
 				s.catFreq[cat] = w
 			}
 		}
+	default:
+		return nil, fmt.Errorf("pairing: invalid model %d", int(m))
 	}
 	return s, nil
 }
 
 // localize assigns local indices — the pool first, in order, then any
 // ingredient only a template names — and rewrites the templates, the
-// profile flags and the categories in them. Scratch is sized for the
-// largest draw here, so steady-state draws never grow it.
-func (s *NullSampler) localize(a *Analyzer, pool []flavor.ID, templates [][]flavor.ID) {
+// profile flags and the categories in them.
+func (p *NullPool) localize(a *Analyzer, pool []flavor.ID, templates [][]flavor.ID) {
 	localOf := make([]int32, a.n)
 	for i := range localOf {
 		localOf[i] = -1
 	}
-	s.ids = append(make([]flavor.ID, 0, len(pool)), pool...)
-	s.perm = make([]int32, len(pool))
+	p.ids = append(make([]flavor.ID, 0, len(pool)), pool...)
 	for l, id := range pool {
 		localOf[id] = int32(l)
-		s.perm[l] = int32(l)
 	}
-	slots, largest := 0, 0
+	slots := 0
 	for _, t := range templates {
 		slots += len(t)
-		if len(t) > largest {
-			largest = len(t)
+		if len(t) > p.largest {
+			p.largest = len(t)
 		}
 	}
-	s.tmpl = make([]int32, 0, slots)
-	s.tmplOff = make([]int32, 1, len(templates)+1)
+	p.tmpl = make([]int32, 0, slots)
+	p.tmplOff = make([]int32, 1, len(templates)+1)
 	for _, t := range templates {
 		for _, id := range t {
 			if localOf[id] < 0 {
-				localOf[id] = int32(len(s.ids))
-				s.ids = append(s.ids, id)
+				localOf[id] = int32(len(p.ids))
+				p.ids = append(p.ids, id)
 			}
-			s.tmpl = append(s.tmpl, localOf[id])
+			p.tmpl = append(p.tmpl, localOf[id])
 		}
-		s.tmplOff = append(s.tmplOff, int32(len(s.tmpl)))
+		p.tmplOff = append(p.tmplOff, int32(len(p.tmpl)))
 	}
-	s.profiled = make([]uint8, len(s.ids))
-	s.category = make([]uint8, len(s.ids))
-	for l, id := range s.ids {
+	p.profiled = make([]uint8, len(p.ids))
+	p.category = make([]uint8, len(p.ids))
+	for l, id := range p.ids {
 		if a.hasProfile[id] {
-			s.profiled[l] = 1
+			p.profiled[l] = 1
 		}
-		s.category[l] = uint8(a.catalog.Ingredient(id).Category)
+		p.category[l] = uint8(a.catalog.Ingredient(id).Category)
 	}
-	s.stamp = make([]uint32, len(s.ids))
-	s.loc = make([]int32, 0, largest)
-	s.buf = make([]flavor.ID, 0, largest)
 }
 
 // fillShared copies the local ingredients' pair counts out of the
@@ -230,24 +272,24 @@ func (s *NullSampler) localize(a *Analyzer, pool []flavor.ID, templates [][]flav
 // itself at most the catalog's molecule count, so 16 bits hold every
 // catalog this library builds; one that does not fit is refused rather
 // than truncated.
-func (s *NullSampler) fillShared(a *Analyzer) error {
-	n := len(s.ids)
-	s.shared = make([]uint16, n*n)
+func (p *NullPool) fillShared(a *Analyzer) error {
+	n := len(p.ids)
+	p.shared = make([]uint16, n*n)
 	for x := 0; x < n; x++ {
-		if s.profiled[x] == 0 {
+		if p.profiled[x] == 0 {
 			continue
 		}
 		for y := x + 1; y < n; y++ {
-			if s.profiled[y] == 0 {
+			if p.profiled[y] == 0 {
 				continue
 			}
-			v := a.sharedSym(int(s.ids[x]), int(s.ids[y]))
+			v := a.sharedSym(int(p.ids[x]), int(p.ids[y]))
 			if v > math.MaxUint16 {
 				return fmt.Errorf("ingredients %d and %d share %d flavor compounds, more than the null sampler's 16-bit pair table holds (%d)",
-					s.ids[x], s.ids[y], v, math.MaxUint16)
+					p.ids[x], p.ids[y], v, math.MaxUint16)
 			}
-			s.shared[x*n+y] = uint16(v)
-			s.shared[y*n+x] = uint16(v)
+			p.shared[x*n+y] = uint16(v)
+			p.shared[y*n+x] = uint16(v)
 		}
 	}
 	return nil
@@ -261,9 +303,10 @@ func (s *NullSampler) Model() Model { return s.model }
 // retain it.
 func (s *NullSampler) Draw() []flavor.ID {
 	s.draw()
+	ids := s.pool.ids
 	s.buf = s.buf[:0]
 	for _, l := range s.loc {
-		s.buf = append(s.buf, s.ids[l])
+		s.buf = append(s.buf, ids[l])
 	}
 	return s.buf
 }
@@ -272,8 +315,9 @@ func (s *NullSampler) Draw() []flavor.ID {
 // as the sampler always has: the template index first, then each
 // model's variates in slot order.
 func (s *NullSampler) draw() {
-	t := s.src.Intn(len(s.tmplOff) - 1)
-	tmpl := s.tmpl[s.tmplOff[t]:s.tmplOff[t+1]]
+	p := s.pool
+	t := s.src.Intn(len(p.tmplOff) - 1)
+	tmpl := p.tmpl[p.tmplOff[t]:p.tmplOff[t+1]]
 	size := len(tmpl)
 	s.loc = s.loc[:0]
 	s.gen++
@@ -285,14 +329,14 @@ func (s *NullSampler) draw() {
 	}
 	switch s.model {
 	case RandomModel:
-		if size >= s.npool {
+		if size >= p.npool {
 			// Degenerate: use the whole pool.
 			s.loc = append(s.loc, s.perm...)
 			return
 		}
 		s.sampleUniform(size)
 	case FrequencyModel:
-		if size >= s.npool {
+		if size >= p.npool {
 			s.loc = append(s.loc, s.perm...)
 			return
 		}
@@ -308,7 +352,7 @@ func (s *NullSampler) draw() {
 		// Preserve the template's category multiset; draw within each
 		// slot's category.
 		for _, orig := range tmpl {
-			l := s.drawFromCategory(s.category[orig], orig)
+			l := s.drawFromCategory(p.category[orig], orig)
 			s.stamp[l] = s.gen
 			s.loc = append(s.loc, l)
 		}
@@ -320,7 +364,7 @@ func (s *NullSampler) draw() {
 // consumes and choosing what it chooses: rejection from a set while
 // k*4 < npool, a partial Fisher–Yates otherwise.
 func (s *NullSampler) sampleUniform(k int) {
-	n := s.npool
+	n := s.pool.npool
 	if k*4 < n {
 		for len(s.loc) < k {
 			l := int32(s.src.Intn(n))
@@ -354,7 +398,7 @@ func (s *NullSampler) sampleUniform(k int) {
 // the pool has none of it — the slot keeps the template's original
 // ingredient.
 func (s *NullSampler) drawFromCategory(cat uint8, orig int32) int32 {
-	pool := s.catPool[cat]
+	pool := s.pool.catPool[cat]
 	if len(pool) == 0 {
 		return orig
 	}
@@ -383,12 +427,13 @@ func (s *NullSampler) drawFromCategory(cat uint8, orig int32) int32 {
 // filter and duplicate skip, and the pair sum is an integer, so its
 // order is free.
 func (s *NullSampler) scoreDraw() (float64, bool) {
-	stride := len(s.ids)
+	p := s.pool
+	stride := len(p.ids)
 	n := 0
 	var sum int64
 	for i, x := range s.loc {
-		n += int(s.profiled[x])
-		row := s.shared[int(x)*stride:][:stride]
+		n += int(p.profiled[x])
+		row := p.shared[int(x)*stride:][:stride]
 		for _, y := range s.loc[i+1:] {
 			sum += int64(row[y])
 		}

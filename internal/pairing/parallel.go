@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"culinary/internal/recipedb"
 	"culinary/internal/rng"
 	"culinary/internal/stats"
 )
 
-// This file holds the parallel scoring entry points. Two determinism
+// This file holds the parallel scoring entry points. Three determinism
 // regimes coexist:
 //
 //   - Index-addressed fan-out (ScoreCuisineParallel, the parallel
@@ -24,14 +25,21 @@ import (
 //     one-child-per-goroutine pattern the rng package documents), so
 //     results are deterministic for a fixed shard count but follow a
 //     different — equally valid — random stream than the serial
-//     sampler.
+//     sampler. The shards share one NullPool.
+//
+//   - Stream-addressed task fan-out (ForEachTask, as experiments.Fig4
+//     and cmd/pairing use it): every task owns a stream that was split
+//     off before any task ran — Split is a pure function of its parent
+//     and consumes nothing — and writes its own slot, so the result is
+//     bit-identical to running the tasks one after the other.
 
 // forEachChunkParallel runs fn(i) for every i in [0, n) across workers
-// goroutines using a channel-fed pool of chunk-sized index ranges —
-// the one worker-pool shape shared by analyzer construction and the
-// scoring fan-outs. Workers pull chunks dynamically, so uneven
-// per-index work balances without a static partition. fn must only
-// write state owned by index i.
+// goroutines that claim chunk-sized index ranges, in index order, from
+// one atomic counter — the one worker-pool shape shared by analyzer
+// construction and the scoring fan-outs. Workers claim chunks as they
+// finish, so uneven per-index work balances without a static partition,
+// and no goroutine has to be scheduled between two chunks to hand out
+// the next one. fn must only write state owned by index i.
 func forEachChunkParallel(n, workers, chunk int, fn func(i int)) {
 	if workers > (n+chunk-1)/chunk {
 		workers = (n + chunk - 1) / chunk
@@ -42,27 +50,23 @@ func forEachChunkParallel(n, workers, chunk int, fn func(i int)) {
 		}
 		return
 	}
-	next := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for lo := range next {
-				hi := lo + chunk
-				if hi > n {
-					hi = n
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
 				}
-				for i := lo; i < hi; i++ {
+				for i, hi := lo, min(lo+chunk, n); i < hi; i++ {
 					fn(i)
 				}
 			}
 		}()
 	}
-	for lo := 0; lo < n; lo += chunk {
-		next <- lo
-	}
-	close(next)
 	wg.Wait()
 }
 
@@ -70,6 +74,15 @@ func forEachChunkParallel(n, workers, chunk int, fn func(i int)) {
 // default chunk size.
 func forEachIndexParallel(n, workers int, fn func(i int)) {
 	forEachChunkParallel(n, workers, 64, fn)
+}
+
+// ForEachTask runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines and returns when all have. Workers take tasks in index
+// order, one at a time, so queueing the costliest first keeps the last
+// worker from finishing alone. fn must only write state owned by task i;
+// with one CPU or one task it runs on the caller's goroutine.
+func ForEachTask(n int, fn func(i int)) {
+	forEachChunkParallel(n, runtime.GOMAXPROCS(0), 1, fn)
 }
 
 // ScoreCuisineParallel computes the cuisine's mean flavor sharing N̄s
@@ -117,6 +130,10 @@ func NullMomentsParallel(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine
 	if shards > nRecipes {
 		shards = max(nRecipes, 1)
 	}
+	pool, err := NewNullPool(a, store, c)
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	accs := make([]stats.Accumulator, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -128,15 +145,22 @@ func NullMomentsParallel(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine
 			count++
 		}
 		wg.Add(1)
-		go func(w, count int, child *rng.Source) {
+		go func(w, count int) {
 			defer wg.Done()
-			s, err := NewNullSampler(a, store, c, m, child)
+			// A shard keeps everything its draws write to itself: it
+			// allocates its stream and sampler here (allocated back to
+			// back by one goroutine, the shards' 16-byte streams would
+			// share a cache line; Split only reads src) and accumulates
+			// on its own stack.
+			s, err := pool.Sampler(m, src.Split(uint64(w)))
 			if err != nil {
 				errs[w] = err
 				return
 			}
-			s.accumulate(count, &accs[w])
-		}(w, count, src.Split(uint64(w)))
+			var acc stats.Accumulator
+			s.accumulate(count, &acc)
+			accs[w] = acc
+		}(w, count)
 	}
 	wg.Wait()
 	var merged stats.Accumulator
