@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per table and figure of the paper,
-// plus the ablation benches DESIGN.md calls out. Run with
+// plus the ablation benches. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -447,7 +447,7 @@ func BenchmarkResultCacheHotQuery(b *testing.B) {
 	})
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches ---
 
 // BenchmarkAblationIntersection compares bitset popcount intersection
 // against a map-set implementation for flavor-profile overlap — the

@@ -5,10 +5,10 @@
 //
 //	culinarydb -out corpus.csv [-format csv|json] [-scale f] [-seed s]
 //	culinarydb -stats [-region CODE]
-//	culinarydb -query "SELECT ..." [-query-result-cache-bytes n]   # run CQL against the corpus
-//	culinarydb -savedb DIR [-db-sync]                  # persist a storage-engine snapshot
-//	           [-db-compact-interval d] [-db-compact-garbage-ratio f]
-//	culinarydb -dbinfo DIR                             # inspect a snapshot directory
+//	culinarydb -savedb DIR [-db-sync]   # persist a storage-engine snapshot
+//	culinarydb -dbinfo DIR              # inspect a snapshot directory (opened read-only)
+//
+// CQL statements against the corpus are cmd/query's job.
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"culinary/internal/flavor"
 	"culinary/internal/pairing"
-	"culinary/internal/query"
 	"culinary/internal/recipedb"
 	"culinary/internal/report"
 	"culinary/internal/stats"
@@ -29,20 +28,15 @@ import (
 
 func main() {
 	var (
-		out       = flag.String("out", "", "output file for corpus export ('-' for stdout)")
-		format    = flag.String("format", "csv", "export format: csv or json")
-		scale     = flag.Float64("scale", 1.0, "corpus scale factor")
-		seed      = flag.Uint64("seed", 20180416, "master seed")
-		stats     = flag.Bool("stats", false, "print per-region statistics instead of exporting")
-		region    = flag.String("region", "", "restrict -stats to one region code")
-		queryStmt = flag.String("query", "", "run one CQL statement against the generated corpus")
-		resCache  = flag.Int64("query-result-cache-bytes", query.DefaultResultCacheBytes,
-			"result cache byte budget for -query (0 disables)")
-		savedb    = flag.String("savedb", "", "persist the corpus into a storage snapshot directory")
-		dbinfo    = flag.String("dbinfo", "", "print statistics of a snapshot directory and exit")
-		dbSync    = flag.Bool("db-sync", false, "fsync every write while saving (group-committed)")
-		dbCompact = flag.Duration("db-compact-interval", 0, "background incremental compaction period while saving (0 = compact once at the end)")
-		dbGarbage = flag.Float64("db-compact-garbage-ratio", 0.5, "dead-byte fraction at which a sealed segment is compacted")
+		out    = flag.String("out", "", "output file for corpus export ('-' for stdout)")
+		format = flag.String("format", "csv", "export format: csv or json")
+		scale  = flag.Float64("scale", 1.0, "corpus scale factor")
+		seed   = flag.Uint64("seed", 20180416, "master seed")
+		stats  = flag.Bool("stats", false, "print per-region statistics instead of exporting")
+		region = flag.String("region", "", "restrict -stats to one region code")
+		savedb = flag.String("savedb", "", "persist the corpus into a storage snapshot directory")
+		dbinfo = flag.String("dbinfo", "", "print statistics of a snapshot directory and exit")
+		dbSync = flag.Bool("db-sync", false, "fsync every write while saving (group-committed)")
 	)
 	flag.Parse()
 
@@ -50,8 +44,8 @@ func main() {
 		printDBInfo(*dbinfo)
 		return
 	}
-	if *out == "" && !*stats && *savedb == "" && *queryStmt == "" {
-		fmt.Fprintln(os.Stderr, "culinarydb: need -out FILE, -stats, -query STMT, -savedb DIR or -dbinfo DIR; see -help")
+	if *out == "" && !*stats && *savedb == "" {
+		fmt.Fprintln(os.Stderr, "culinarydb: need -out FILE, -stats, -savedb DIR or -dbinfo DIR; see -help")
 		os.Exit(2)
 	}
 
@@ -74,11 +68,7 @@ func main() {
 		store.Len(), time.Since(t0).Round(time.Millisecond))
 
 	if *savedb != "" {
-		db, err := storage.Open(*savedb, storage.Options{
-			SyncEveryPut:        *dbSync,
-			CompactInterval:     *dbCompact,
-			CompactGarbageRatio: *dbGarbage,
-		})
+		db, err := storage.Open(*savedb, storage.Options{SyncEveryPut: *dbSync})
 		if err != nil {
 			fatal(err)
 		}
@@ -108,11 +98,6 @@ func main() {
 		return
 	}
 
-	if *queryStmt != "" {
-		runQuery(store, analyzer, *queryStmt, *resCache)
-		return
-	}
-
 	var w *os.File
 	if *out == "-" {
 		w = os.Stdout
@@ -132,25 +117,6 @@ func main() {
 		err = fmt.Errorf("unknown format %q", *format)
 	}
 	if err != nil {
-		fatal(err)
-	}
-}
-
-// runQuery executes one CQL statement against the corpus and prints
-// the result table plus the engine's cache counters.
-func runQuery(store *recipedb.Store, analyzer *pairing.Analyzer, stmt string, resCacheBytes int64) {
-	engine := query.NewEngine(store, analyzer)
-	if resCacheBytes != 0 {
-		engine.EnableResultCache(resCacheBytes)
-	}
-	t0 := time.Now()
-	res, err := engine.Run(stmt)
-	if err != nil {
-		fatal(err)
-	}
-	title := fmt.Sprintf("%d rows (scanned %d recipes in %v, corpus version %d)",
-		len(res.Rows), res.Scanned, time.Since(t0).Round(time.Microsecond), res.Version)
-	if err := res.Table(title).Render(os.Stdout); err != nil {
 		fatal(err)
 	}
 }
@@ -182,16 +148,18 @@ func giniOf(c *recipedb.Cuisine) float64 {
 }
 
 // printDBInfo summarizes a snapshot directory: storage-level stats plus
-// the recorded catalog configuration.
+// the recorded catalog configuration. The directory may belong to a
+// running server, so it is opened read-only: a second read-write open
+// would truncate the owner's active segment (internal/storage/README.md).
 func printDBInfo(dir string) {
-	db, err := storage.Open(dir, storage.Options{})
+	db, err := storage.Open(dir, storage.Options{ReadOnly: true})
 	if err != nil {
 		fatal(err)
 	}
 	defer db.Close()
 	st := db.Stats()
-	fmt.Printf("snapshot %s: %d keys, %d segments, %d keydir shards, %d live bytes, %d dead bytes\n",
-		dir, st.Keys, st.Segments, st.Shards, st.LiveBytes, st.DeadBytes)
+	fmt.Printf("snapshot %s: %d keys, %d segments, %d live bytes, %d dead bytes\n",
+		dir, st.Keys, st.Segments, st.LiveBytes, st.DeadBytes)
 	cfg, err := storage.LoadCatalogConfig(db)
 	if err != nil {
 		fmt.Println("no corpus snapshot metadata:", err)

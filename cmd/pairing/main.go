@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pairing [-region CODE] [-model name] [-null n] [-top k] [-scale f]
+//	pairing [-region CODE] [-model name] [-null n] [-top k] [-scale f] [-seed s]
 package main
 
 import (
@@ -29,7 +29,6 @@ func main() {
 		top        = flag.Int("top", 0, "also print the top-k contributing ingredients")
 		scale      = flag.Float64("scale", 1.0, "corpus scale factor")
 		seed       = flag.Uint64("seed", 20180416, "master seed")
-		shards     = flag.Int("shards", 0, "null-model sampling shards (0 = sequential sampler; >0 fans draws across shards with split rng streams — deterministic per shard count but a different random stream than sequential)")
 	)
 	flag.Parse()
 
@@ -55,7 +54,7 @@ func main() {
 		}
 		regions = []recipedb.Region{r}
 	}
-	if err := analyze(os.Stdout, env, regions, model, *shards, *top); err != nil {
+	if err := analyze(os.Stdout, env, regions, model, *top); err != nil {
 		fatal(err)
 	}
 }
@@ -64,7 +63,7 @@ func main() {
 // contributor table. The comparisons run one task per region on a
 // bounded worker set; every region draws from its own stream, split off
 // the seed by region, so the output is the same for any worker count.
-func analyze(w io.Writer, env *experiments.Env, regions []recipedb.Region, model pairing.Model, shards, top int) error {
+func analyze(w io.Writer, env *experiments.Env, regions []recipedb.Region, model pairing.Model, top int) error {
 	cuisines := make([]*recipedb.Cuisine, len(regions))
 	results := make([]pairing.Result, len(regions))
 	errs := make([]error, len(regions))
@@ -72,11 +71,7 @@ func analyze(w io.Writer, env *experiments.Env, regions []recipedb.Region, model
 		c := env.Store.BuildCuisine(regions[i])
 		cuisines[i] = c
 		src := rng.New(env.Seed).Split(0x9000 + uint64(regions[i]))
-		if shards > 0 {
-			results[i], errs[i] = pairing.CompareParallel(env.Analyzer, env.Store, c, model, env.NullRecipes, shards, src)
-		} else {
-			results[i], errs[i] = pairing.Compare(env.Analyzer, env.Store, c, model, env.NullRecipes, src)
-		}
+		results[i], errs[i] = pairing.Compare(env.Analyzer, env.Store, c, model, env.NullRecipes, src)
 	})
 	t := report.NewTable(
 		fmt.Sprintf("Food pairing vs %s model (%d random recipes)", model, env.NullRecipes),

@@ -44,30 +44,27 @@ func TestContributorSignFollowsMeasuredZ(t *testing.T) {
 // TestAllRegionOutputIgnoresWorkerCount: the 22-region sweep runs one
 // task per region on GOMAXPROCS workers, and every region draws from a
 // stream split off the seed by region, so the Z table and the
-// contributor tables must be the same bytes on 1, 2 and 4 workers —
-// sequential sampler and sharded alike.
+// contributor tables must be the same bytes on 1, 2 and 4 workers.
 func TestAllRegionOutputIgnoresWorkerCount(t *testing.T) {
 	env, err := experiments.NewEnv(experiments.Options{Scale: 0.05, NullRecipes: 1000, Seed: 20180416})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, shards := range []int{0, 3} {
-		var want []byte
-		for _, procs := range []int{1, 2, 4} {
-			runtime.GOMAXPROCS(procs)
-			var out bytes.Buffer
-			if err := analyze(&out, env, recipedb.MajorRegions(), pairing.FrequencyModel, shards, 2); err != nil {
-				t.Fatal(err)
+	var want []byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var out bytes.Buffer
+		if err := analyze(&out, env, recipedb.MajorRegions(), pairing.FrequencyModel, 2); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = out.Bytes()
+			if bytes.Count(want, []byte("\n")) < 2*recipedb.NumMajorRegions {
+				t.Fatalf("output is short:\n%s", want)
 			}
-			if want == nil {
-				want = out.Bytes()
-				if bytes.Count(want, []byte("\n")) < 2*recipedb.NumMajorRegions {
-					t.Fatalf("-shards %d: output is short:\n%s", shards, want)
-				}
-			} else if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("-shards %d: output on %d workers differs from 1 worker's:\n%s\nwant:\n%s", shards, procs, out.Bytes(), want)
-			}
+		} else if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("output on %d workers differs from 1 worker's:\n%s\nwant:\n%s", procs, out.Bytes(), want)
 		}
 	}
 }

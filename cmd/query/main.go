@@ -4,8 +4,7 @@
 //
 //	query [-scale f] [-seed s] "SELECT region, count(*) FROM recipes GROUP BY region"
 //	query -i            # interactive: one statement per line on stdin
-//	query -db DIR ...   # load the corpus from a storage snapshot
-//	query [-query-result-cache-bytes n] ...  # size the result cache (0 disables)
+//	query -db DIR ...   # load the corpus from a storage snapshot (opened read-only)
 //
 // Interactive sessions accept meta commands alongside statements:
 // ":stats" prints one unified view of the plan cache and the result
@@ -40,8 +39,6 @@ func main() {
 		seed        = flag.Uint64("seed", 20180416, "master seed")
 		interactive = flag.Bool("i", false, "read one statement per line from stdin")
 		dbDir       = flag.String("db", "", "load the corpus from a storage snapshot directory")
-		resCache    = flag.Int64("query-result-cache-bytes", query.DefaultResultCacheBytes,
-			"result cache byte budget, keyed by (statement, corpus version) (0 disables)")
 	)
 	flag.Parse()
 	if !*interactive && flag.NArg() == 0 {
@@ -54,7 +51,9 @@ func main() {
 	var store *recipedb.Store
 	var analyzer *pairing.Analyzer
 	if *dbDir != "" {
-		db, err := storage.Open(*dbDir, storage.Options{})
+		// Read-only: the directory may belong to a running server, and a
+		// second read-write open would truncate its active segment.
+		db, err := storage.Open(*dbDir, storage.Options{ReadOnly: true})
 		if err != nil {
 			fatal(err)
 		}
@@ -94,9 +93,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "corpus: %d recipes (built in %v)\n",
 		store.Len(), time.Since(t0).Round(time.Millisecond))
 	engine := query.NewEngine(store, analyzer)
-	if *resCache != 0 {
-		engine.EnableResultCache(*resCache)
-	}
+	engine.EnableResultCache(query.DefaultResultCacheBytes)
 
 	if !*interactive {
 		run(engine, strings.Join(flag.Args(), " "))

@@ -3,16 +3,20 @@
 //
 // Usage:
 //
-//	server [-addr :8080] [-scale f] [-seed s] [-null n] [-db DIR]
+//	server [-addr :8080] [-scale f] [-seed s] [-db DIR]
 //	       [-db-sync] [-db-compact-interval d] [-db-compact-garbage-ratio f]
-//	       [-db-scrub-interval d] [-db-write-probe-interval d]
-//	       [-query-result-cache-bytes n]
-//	       [-classifier-rebuild-interval d] [-recommender-rebuild-interval d]
-//	       [-max-body-bytes n] [-max-batch-items n]
+//	       [-max-body-bytes n]
 //	       [-rate-limit-rps f] [-rate-limit-mutation-rps f]
 //	       [-max-inflight n] [-request-timeout d] [-shutdown-grace d]
 //	       [-trusted-proxies cidrs] [-replication-listen addr]
 //	       [-replica-of url] [-primary-url url] [-replica-poll-interval d]
+//
+// Those 18 flags are the whole surface (main_test.go pins the list).
+// Fixed, not flags: the pairing endpoint's default null sample (2000),
+// the result cache budget (query.DefaultResultCacheBytes), the derived
+// models' rebuild debounce (derived.DefaultInterval), the batch cap
+// (server.DefaultMaxBatchItems), the scrub pacing (30s) and the
+// write-recovery probe period (5s).
 //
 // Replication: with -replication-listen, a -db primary serves its
 // storage log (sealed segments plus the active segment's durable
@@ -35,10 +39,10 @@
 // headers, 429 + Retry-After on rejection), request bodies capped at
 // -max-body-bytes (structured 413), per-request deadlines
 // (-request-timeout) propagated into query execution so slow scans
-// abort, and an in-flight concurrency gate (-max-inflight) that sheds
-// overload with 503 + Retry-After instead of queueing unboundedly —
-// with a grace multiplier while the result cache is cold. Every
-// 4xx/5xx body is the structured envelope {"error":{"code","message"}}.
+// abort, and an in-flight concurrency gate that admits -max-inflight
+// requests and sheds the excess with 503 + Retry-After instead of
+// queueing unboundedly. Every 4xx/5xx body is the structured envelope
+// {"error":{"code","message"}}.
 // The listener runs behind read-header/idle timeouts (no slowloris),
 // and SIGTERM/SIGINT drain in-flight requests for up to -shutdown-grace
 // before the process exits. /api/health (exempt from limits) reports
@@ -54,17 +58,16 @@
 // group-commit writer. -db-compact-interval runs the background
 // incremental compactor at that period (0 disables it), rewriting
 // segments whose garbage fraction reached -db-compact-garbage-ratio
-// without blocking reads or writes. -query-result-cache-bytes bounds
-// the CQL engine's result cache, keyed by (normalized statement, corpus
-// version) so a mutation fences every older cached result (0 disables
-// it).
+// without blocking reads or writes. The CQL engine's result cache is
+// keyed by (normalized statement, corpus version), so a mutation fences
+// every older cached result.
 //
 // Every derived read model is version-aware. The full-text search
 // index is maintained synchronously inside the mutation path, so an
 // acked POST/DELETE is visible to the next /api/search. The cuisine
 // classifier and the recommender rebuild in the background, debounced
-// to at most one rebuild per -classifier-rebuild-interval /
-// -recommender-rebuild-interval; their responses carry "modelVersion"
+// to at most one rebuild per derived.DefaultInterval; their responses
+// carry "modelVersion"
 // (the corpus version the model was trained at) and /api/health
 // reports per-model version, lag and rebuild counters under "derived".
 //
@@ -77,7 +80,7 @@
 //	GET  /api/recipes?region=ITA&limit=20&offset=0
 //	GET  /api/recipes/{id}
 //	POST /api/recipes    {"name": ..., "region": "ITA", "source": ..., "ingredients": [...], "id"?: N}
-//	POST /api/recipes/batch  {"recipes": [{...as POST /api/recipes...}, ...]}  (at most -max-batch-items)
+//	POST /api/recipes/batch  {"recipes": [{...as POST /api/recipes...}, ...]}  (at most 256)
 //	DELETE /api/recipes/{id}
 //	GET  /api/ingredients/{name}
 //	GET  /api/ingredients/{name}/pairings?limit=10
@@ -118,19 +121,10 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		scale     = flag.Float64("scale", 0.25, "corpus scale factor (1.0 = full 45,772 recipes)")
 		seed      = flag.Uint64("seed", 20180416, "master seed")
-		null      = flag.Int("null", 2000, "default null-model sample size for the pairing endpoint")
 		dbDir     = flag.String("db", "", "storage snapshot directory (load if present, else generate and save)")
 		dbSync    = flag.Bool("db-sync", false, "fsync every write (group-committed; durable but slower)")
 		dbCompact = flag.Duration("db-compact-interval", time.Minute, "background incremental compaction period (0 disables)")
 		dbGarbage = flag.Float64("db-compact-garbage-ratio", 0.5, "dead-byte fraction at which a sealed segment is compacted")
-		dbScrub   = flag.Duration("db-scrub-interval", 30*time.Second, "background segment scrub pacing, one sealed segment per tick (0 disables)")
-		dbProbe   = flag.Duration("db-write-probe-interval", 5*time.Second, "write-path recovery probe period while degraded (0 disables auto-recovery)")
-		resCache  = flag.Int64("query-result-cache-bytes", query.DefaultResultCacheBytes, "CQL result cache byte budget, keyed by (statement, corpus version) (0 disables)")
-
-		clsRebuild = flag.Duration("classifier-rebuild-interval", 2*time.Second, "max classifier staleness under mutation: at most one background retrain per interval")
-		recRebuild = flag.Duration("recommender-rebuild-interval", 2*time.Second, "max recommender staleness under mutation: at most one background rebuild per interval")
-
-		maxBatch = flag.Int("max-batch-items", server.DefaultMaxBatchItems, "recipe count cap for one POST /api/recipes/batch request (negative disables)")
 
 		replListen  = flag.String("replication-listen", "", "dedicated listener address for the replication feed (primary mode; requires -db)")
 		replicaOf   = flag.String("replica-of", "", "primary replication feed base URL; run as a read replica with -db as the local mirror directory")
@@ -147,12 +141,27 @@ func main() {
 		grace      = flag.Duration("shutdown-grace", 15*time.Second, "drain window for in-flight requests on SIGTERM/SIGINT")
 	)
 	flag.Parse()
+
+	// Flag combinations that cannot work fail here, before the catalog
+	// and corpus are built.
+	switch {
+	case *replicaOf != "" && *replListen != "":
+		fatal(errors.New("-replica-of and -replication-listen are mutually exclusive: a read replica has no storage log of its own to ship"))
+	case *replicaOf != "" && *dbDir == "":
+		fatal(errors.New("-replica-of requires -db (the local mirror directory)"))
+	case *replListen != "" && *dbDir == "":
+		fatal(errors.New("-replication-listen requires -db (the feed ships the storage log)"))
+	}
+	trustedProxies, err := httpmw.ParseTrustedProxies(*trustedCIDR)
+	if err != nil {
+		fatal(err)
+	}
 	dbOpts := storage.Options{
 		SyncEveryPut:        *dbSync,
 		CompactInterval:     *dbCompact,
 		CompactGarbageRatio: *dbGarbage,
-		ScrubInterval:       *dbScrub,
-		WriteProbeInterval:  *dbProbe,
+		ScrubInterval:       30 * time.Second, // one sealed segment per tick
+		WriteProbeInterval:  5 * time.Second,  // auto-recovery while degraded
 	}
 
 	logger := log.New(os.Stderr, "server: ", log.LstdFlags)
@@ -166,11 +175,6 @@ func main() {
 	}
 	analyzer := pairing.NewAnalyzer(catalog)
 
-	trustedProxies, err := httpmw.ParseTrustedProxies(*trustedCIDR)
-	if err != nil {
-		fatal(err)
-	}
-
 	var (
 		store    *recipedb.Store
 		db       *storage.Store
@@ -180,9 +184,6 @@ func main() {
 	if *replicaOf != "" {
 		// Read-replica mode: the corpus comes from the primary's
 		// replication feed, mirrored into -db and replayed in memory.
-		if *dbDir == "" {
-			fatal(errors.New("-replica-of requires -db (the local mirror directory)"))
-		}
 		follower, err = replica.OpenFollower(replica.FollowerConfig{
 			Primary:  *replicaOf,
 			Dir:      *dbDir,
@@ -216,9 +217,6 @@ func main() {
 	// connection budget or the traffic stack's rate limits.
 	var feedSrv *http.Server
 	if *replListen != "" {
-		if db == nil {
-			fatal(errors.New("-replication-listen requires -db (the feed ships the storage log)"))
-		}
 		feed = replica.NewFeed(db, store)
 		feedSrv = &http.Server{
 			Addr:              *replListen,
@@ -242,19 +240,15 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Store:                      store,
-		Analyzer:                   analyzer,
-		NullRecipes:                *null,
-		Seed:                       *seed,
-		Logger:                     logger,
-		DB:                         db,
-		ResultCacheBytes:           *resCache,
-		ClassifierRebuildInterval:  *clsRebuild,
-		RecommenderRebuildInterval: *recRebuild,
-		MaxBatchItems:              *maxBatch,
-		Follower:                   follower,
-		PrimaryURL:                 *primaryURL,
-		Feed:                       feed,
+		Store:            store,
+		Analyzer:         analyzer,
+		Seed:             *seed,
+		Logger:           logger,
+		DB:               db,
+		ResultCacheBytes: query.DefaultResultCacheBytes,
+		Follower:         follower,
+		PrimaryURL:       *primaryURL,
+		Feed:             feed,
 		Traffic: &httpmw.Config{
 			ReadRPS:        *readRPS,
 			ReadBurst:      *readRPS * 2,

@@ -1,8 +1,9 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation, plus the extension experiments DESIGN.md lists
-// (higher-order tuples, robustness, evolution-model sweep, aliasing
-// accuracy). Each driver returns structured results and can render the
-// same rows/series the paper reports.
+// paper's evaluation, plus the extension experiments the root README
+// maps to their packages (higher-order tuples, robustness,
+// evolution-model sweep, aliasing accuracy, rules, clusters, network).
+// Each driver returns structured results and can render the same
+// rows/series the paper reports.
 package experiments
 
 import (

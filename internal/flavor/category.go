@@ -10,7 +10,7 @@
 // flavor-space model calibrated to the structural properties that the
 // food-pairing analysis depends on: heavy-tailed profile sizes, strong
 // within-category molecule sharing, weaker cross-category sharing, and a
-// shared backbone of ubiquitous molecules. See DESIGN.md §2.
+// shared backbone of ubiquitous molecules.
 package flavor
 
 import "fmt"

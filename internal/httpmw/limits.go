@@ -75,9 +75,6 @@ type Config struct {
 	// MaxInFlight bounds concurrent admitted requests; <= 0 disables
 	// the gate.
 	MaxInFlight int
-	// Grace scales MaxInFlight dynamically (see Gate.grace); nil
-	// pins the bound.
-	Grace func() float64
 	// RetryAfter is the hint returned with 503 sheds.
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request bodies; <= 0 disables.
@@ -111,7 +108,7 @@ func NewTraffic(cfg Config) *Traffic {
 		t.mutation = NewLimiter(cfg.MutationRPS, cfg.MutationBurst)
 	}
 	if cfg.MaxInFlight > 0 {
-		t.gate = NewGate(cfg.MaxInFlight, cfg.RetryAfter, cfg.Grace)
+		t.gate = NewGate(cfg.MaxInFlight, cfg.RetryAfter)
 	}
 	return t
 }
@@ -146,17 +143,16 @@ func (t *Traffic) NoteTimeout() { t.timeouts.Add(1) }
 
 // TrafficStats is the /api/health "traffic" block.
 type TrafficStats struct {
-	InFlight       int64         `json:"inFlight"`
-	InFlightLimit  int64         `json:"inFlightLimit"`
-	EffectiveLimit int64         `json:"effectiveLimit"`
-	PeakInFlight   int64         `json:"peakInFlight"`
-	Admitted       int64         `json:"admitted"`
-	Rejected413    int64         `json:"rejected413"`
-	Rejected429    int64         `json:"rejected429"`
-	Shed503        int64         `json:"shed503"`
-	Timeouts       int64         `json:"timeouts"`
-	Read           *LimiterStats `json:"readLimiter,omitempty"`
-	Mutation       *LimiterStats `json:"mutationLimiter,omitempty"`
+	InFlight      int64         `json:"inFlight"`
+	InFlightLimit int64         `json:"inFlightLimit"`
+	PeakInFlight  int64         `json:"peakInFlight"`
+	Admitted      int64         `json:"admitted"`
+	Rejected413   int64         `json:"rejected413"`
+	Rejected429   int64         `json:"rejected429"`
+	Shed503       int64         `json:"shed503"`
+	Timeouts      int64         `json:"timeouts"`
+	Read          *LimiterStats `json:"readLimiter,omitempty"`
+	Mutation      *LimiterStats `json:"mutationLimiter,omitempty"`
 }
 
 // Stats snapshots every layer's counters.
@@ -169,7 +165,6 @@ func (t *Traffic) Stats() TrafficStats {
 		gs := t.gate.Stats()
 		s.InFlight = gs.InFlight
 		s.InFlightLimit = gs.Limit
-		s.EffectiveLimit = gs.EffectiveLimit
 		s.PeakInFlight = gs.Peak
 		s.Admitted = gs.Admitted
 		s.Shed503 = gs.Shed

@@ -8,23 +8,14 @@ import (
 )
 
 // Gate is the concurrency-limit/load-shed valve: it admits at most
-// limit×grace() requests in flight and rejects the excess with
-// 503 + Retry-After instead of queueing them. Shedding keeps the
-// server's latency bounded under overload — queued work would all
-// time out together; shed work retries against a server that is
-// still making progress.
+// limit requests in flight and rejects the excess with 503 +
+// Retry-After instead of queueing them. Shedding keeps the server's
+// latency bounded under overload — queued work would all time out
+// together; shed work retries against a server that is still making
+// progress.
 type Gate struct {
 	limit      int64
 	retryAfter time.Duration
-
-	// grace scales the limit dynamically; nil pins it at 1.0. The
-	// server wires this to the result cache's temperature: while the
-	// cache is cold every query executes for real (~600× slower than a
-	// cache hit), so in-flight counts spike on exactly the traffic
-	// that will warm the cache. The grace multiplier widens the gate
-	// during that window instead of 503ing the warmup herd; once the
-	// cache is hot the limit reverts to the tight base bound.
-	grace func() float64
 
 	inFlight atomic.Int64
 	peak     atomic.Int64
@@ -32,26 +23,13 @@ type Gate struct {
 	admitted atomic.Int64
 }
 
-// NewGate builds a gate admitting limit concurrent requests (scaled by
-// grace, which may be nil). retryAfter <= 0 defaults to 1s.
-func NewGate(limit int, retryAfter time.Duration, grace func() float64) *Gate {
+// NewGate builds a gate admitting limit concurrent requests.
+// retryAfter <= 0 defaults to 1s.
+func NewGate(limit int, retryAfter time.Duration) *Gate {
 	if retryAfter <= 0 {
 		retryAfter = time.Second
 	}
-	return &Gate{limit: int64(limit), retryAfter: retryAfter, grace: grace}
-}
-
-// EffectiveLimit is the current admission bound: limit×grace(),
-// floored at the base limit so a misbehaving grace hook can widen but
-// never strangle the gate.
-func (g *Gate) EffectiveLimit() int64 {
-	lim := g.limit
-	if g.grace != nil {
-		if m := g.grace(); m > 1 {
-			lim = int64(float64(g.limit) * m)
-		}
-	}
-	return lim
+	return &Gate{limit: int64(limit), retryAfter: retryAfter}
 }
 
 // Enter tries to claim an in-flight slot; callers must Exit() iff it
@@ -59,7 +37,7 @@ func (g *Gate) EffectiveLimit() int64 {
 // racing requests cannot both squeeze through the last slot.
 func (g *Gate) Enter() bool {
 	n := g.inFlight.Add(1)
-	if n > g.EffectiveLimit() {
+	if n > g.limit {
 		g.inFlight.Add(-1)
 		g.shed.Add(1)
 		return false
@@ -78,23 +56,21 @@ func (g *Gate) Exit() { g.inFlight.Add(-1) }
 
 // GateStats is a point-in-time gate snapshot for /api/health.
 type GateStats struct {
-	InFlight       int64 `json:"inFlight"`
-	Limit          int64 `json:"limit"`
-	EffectiveLimit int64 `json:"effectiveLimit"`
-	Peak           int64 `json:"peak"`
-	Admitted       int64 `json:"admitted"`
-	Shed           int64 `json:"shed"`
+	InFlight int64 `json:"inFlight"`
+	Limit    int64 `json:"limit"`
+	Peak     int64 `json:"peak"`
+	Admitted int64 `json:"admitted"`
+	Shed     int64 `json:"shed"`
 }
 
 // Stats snapshots the gate's counters.
 func (g *Gate) Stats() GateStats {
 	return GateStats{
-		InFlight:       g.inFlight.Load(),
-		Limit:          g.limit,
-		EffectiveLimit: g.EffectiveLimit(),
-		Peak:           g.peak.Load(),
-		Admitted:       g.admitted.Load(),
-		Shed:           g.shed.Load(),
+		InFlight: g.inFlight.Load(),
+		Limit:    g.limit,
+		Peak:     g.peak.Load(),
+		Admitted: g.admitted.Load(),
+		Shed:     g.shed.Load(),
 	}
 }
 

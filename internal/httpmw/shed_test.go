@@ -14,7 +14,7 @@ import (
 // (Retry-After + envelope code overloaded), then drains and asserts
 // full recovery — shedding is stateless, not a breaker that latches.
 func TestGateShedsAndRecovers(t *testing.T) {
-	g := NewGate(2, 3*time.Second, nil)
+	g := NewGate(2, 3*time.Second)
 	release := make(chan struct{})
 	started := make(chan struct{}, 16)
 	h := LoadShed(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -82,7 +82,7 @@ func TestGateShedsAndRecovers(t *testing.T) {
 // in-flight increment.
 func TestGateNeverOverAdmits(t *testing.T) {
 	const limit = 4
-	g := NewGate(limit, time.Second, nil)
+	g := NewGate(limit, time.Second)
 	var inHandler, maxSeen atomic.Int64
 	h := LoadShed(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := inHandler.Add(1)
@@ -133,49 +133,10 @@ func TestGateNeverOverAdmits(t *testing.T) {
 	}
 }
 
-// TestGateColdCacheGrace asserts the grace hook widens the gate while
-// active and the bound snaps back once it clears.
-func TestGateColdCacheGrace(t *testing.T) {
-	var cold atomic.Bool
-	cold.Store(true)
-	g := NewGate(2, time.Second, func() float64 {
-		if cold.Load() {
-			return 2.0
-		}
-		return 1.0
-	})
-
-	claim := func() int {
-		n := 0
-		for g.Enter() {
-			n++
-			if n > 100 {
-				t.Fatal("gate never closed")
-			}
-		}
-		return n
-	}
-
-	if got := claim(); got != 4 {
-		t.Fatalf("cold gate admitted %d, want limit×grace = 4", got)
-	}
-	for i := 0; i < 4; i++ {
-		g.Exit()
-	}
-
-	cold.Store(false)
-	if got := claim(); got != 2 {
-		t.Fatalf("warm gate admitted %d, want base limit 2", got)
-	}
-	for i := 0; i < 2; i++ {
-		g.Exit()
-	}
-}
-
 // TestGateExemptBypass asserts exempt requests (health probes) pass a
 // saturated gate.
 func TestGateExemptBypass(t *testing.T) {
-	g := NewGate(1, time.Second, nil)
+	g := NewGate(1, time.Second)
 	if !g.Enter() { // saturate
 		t.Fatal("could not claim the only slot")
 	}

@@ -444,22 +444,17 @@ func (s *NullSampler) scoreDraw() (float64, bool) {
 	return score(sum, n), true
 }
 
-// accumulate draws n randomized recipes and adds the score of each
-// scorable one to acc, in draw order: the package's one draw→score loop.
-func (s *NullSampler) accumulate(n int, acc *stats.Accumulator) {
-	for i := 0; i < n; i++ {
+// NullMoments draws nRecipes randomized recipes and accumulates the mean
+// and standard deviation of their pairing scores, in draw order: the
+// package's one draw→score loop.
+func (s *NullSampler) NullMoments(nRecipes int) (mean, std float64, scored int) {
+	var acc stats.Accumulator
+	for i := 0; i < nRecipes; i++ {
 		s.draw()
 		if v, ok := s.scoreDraw(); ok {
 			acc.Add(v)
 		}
 	}
-}
-
-// NullMoments draws nRecipes randomized recipes and accumulates the mean
-// and standard deviation of their pairing scores.
-func (s *NullSampler) NullMoments(nRecipes int) (mean, std float64, scored int) {
-	var acc stats.Accumulator
-	s.accumulate(nRecipes, &acc)
 	return acc.Mean(), acc.PopStdDev(), acc.N()
 }
 

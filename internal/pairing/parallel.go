@@ -1,31 +1,22 @@
 package pairing
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"culinary/internal/recipedb"
-	"culinary/internal/rng"
 	"culinary/internal/stats"
 )
 
-// This file holds the parallel scoring entry points. Three determinism
-// regimes coexist:
+// This file holds the parallel scoring entry points. Two determinism
+// regimes coexist, both bit-identical to the serial code path:
 //
 //   - Index-addressed fan-out (ScoreCuisineParallel, the parallel
 //     Contributions sweep): each work item writes its own slot and the
 //     floating-point reduction runs sequentially in item order, so the
-//     result is bit-identical to the serial code path no matter how
-//     many workers run or how they are scheduled.
-//
-//   - Sharded sampling (NullMomentsParallel, CompareParallel): each
-//     shard owns an independent rng.Source child (src.Split(shard), the
-//     one-child-per-goroutine pattern the rng package documents), so
-//     results are deterministic for a fixed shard count but follow a
-//     different — equally valid — random stream than the serial
-//     sampler. The shards share one NullPool.
+//     result does not depend on how many workers run or how they are
+//     scheduled.
 //
 //   - Stream-addressed task fan-out (ForEachTask, as experiments.Fig4
 //     and cmd/pairing use it): every task owns a stream that was split
@@ -114,92 +105,4 @@ func (a *Analyzer) ScoreCuisineParallel(store *recipedb.Store, c *recipedb.Cuisi
 		}
 	}
 	return acc.Mean(), acc.N()
-}
-
-// NullMomentsParallel draws nRecipes randomized recipes under model m
-// split across shards independent samplers, each seeded from
-// src.Split(shard), and returns the pooled mean and population standard
-// deviation of their pairing scores. Results are deterministic for a
-// fixed (seed, shards) pair and independent of GOMAXPROCS: shards are
-// merged in shard order. shards < 1 defaults to GOMAXPROCS.
-func NullMomentsParallel(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m Model,
-	nRecipes, shards int, src *rng.Source) (mean, std float64, scored int, err error) {
-	if shards < 1 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > nRecipes {
-		shards = max(nRecipes, 1)
-	}
-	pool, err := NewNullPool(a, store, c)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	accs := make([]stats.Accumulator, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	per := nRecipes / shards
-	extra := nRecipes % shards
-	for w := 0; w < shards; w++ {
-		count := per
-		if w < extra {
-			count++
-		}
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			// A shard keeps everything its draws write to itself: it
-			// allocates its stream and sampler here (allocated back to
-			// back by one goroutine, the shards' 16-byte streams would
-			// share a cache line; Split only reads src) and accumulates
-			// on its own stack.
-			s, err := pool.Sampler(m, src.Split(uint64(w)))
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			var acc stats.Accumulator
-			s.accumulate(count, &acc)
-			accs[w] = acc
-		}(w, count)
-	}
-	wg.Wait()
-	var merged stats.Accumulator
-	for w := range accs {
-		if errs[w] != nil {
-			return 0, 0, 0, errs[w]
-		}
-		merged.Merge(&accs[w])
-	}
-	return merged.Mean(), merged.PopStdDev(), merged.N(), nil
-}
-
-// CompareParallel is Compare with the null sampling sharded across
-// shards goroutines via NullMomentsParallel and the observed score
-// computed through ScoreCuisineParallel. The observed N̄s is
-// bit-identical to Compare's; the null moments follow the sharded
-// random stream (deterministic for fixed shards).
-func CompareParallel(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, m Model,
-	nRecipes, shards int, src *rng.Source) (Result, error) {
-	// The observed score is bit-identical for any worker count, so it
-	// always gets the full fan-out; shards only sizes the null sampling.
-	observed, scoredRecipes := a.ScoreCuisineParallel(store, c, 0)
-	if scoredRecipes == 0 {
-		return Result{}, fmt.Errorf("pairing: cuisine %s has no scorable recipes", c.Region.Code())
-	}
-	mean, std, n, err := NullMomentsParallel(a, store, c, m, nRecipes, shards, src)
-	if err != nil {
-		return Result{}, err
-	}
-	if n == 0 {
-		return Result{}, fmt.Errorf("pairing: model %s produced no scorable recipes for %s", m, c.Region.Code())
-	}
-	return Result{
-		Region:   c.Region,
-		Model:    m,
-		Observed: observed,
-		NullMean: mean,
-		NullStd:  std,
-		NRandom:  n,
-		Z:        stats.ZScore(observed, mean, std, n),
-	}, nil
 }

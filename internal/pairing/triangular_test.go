@@ -1,7 +1,6 @@
 package pairing
 
 import (
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -217,69 +216,5 @@ func TestContributionsParallelBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: parallel contributions diverge from serial", workers)
 		}
-	}
-}
-
-// TestNullMomentsParallelDeterministic pins the sharded sampler: for a
-// fixed shard count the pooled moments must not depend on scheduling,
-// and every shard must contribute (scored == nRecipes for a scorable
-// cuisine).
-func TestNullMomentsParallelDeterministic(t *testing.T) {
-	store, c := buildLargeStore(t)
-	const draws = 2000
-	mean1, std1, n1, err := NullMomentsParallel(testAnalyzer, store, c, RandomModel, draws, 4, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean2, std2, n2, err := NullMomentsParallel(testAnalyzer, store, c, RandomModel, draws, 4, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean1 != mean2 || std1 != std2 || n1 != n2 {
-		t.Fatalf("sharded moments not reproducible: (%v,%v,%d) vs (%v,%v,%d)",
-			mean1, std1, n1, mean2, std2, n2)
-	}
-	if n1 != draws {
-		t.Fatalf("scored %d of %d draws", n1, draws)
-	}
-	// The shards share one NullPool; what each draws is what it drew when
-	// every shard built its own tables. Bits recorded at commit c0c9015,
-	// the parent of the change that introduced the pool.
-	for _, pin := range []struct {
-		model     Model
-		shards    int
-		mean, std uint64
-	}{
-		{RandomModel, 1, 0x401aa891b0047915, 0x4017bfc92069bfc4},
-		{RandomModel, 3, 0x401a33ef11e2c82b, 0x4016506167c48ab0},
-		{RandomModel, 4, 0x401a517b6170753e, 0x40168b48c7dd823b},
-		{FrequencyModel, 1, 0x401b6f72a125f9c9, 0x4018a95b7a561d5c},
-		{FrequencyModel, 3, 0x401ba2be468426b9, 0x401989b5e32608d8},
-		{FrequencyModel, 4, 0x401b8ae4ebbf5fcb, 0x4019d890223fadde},
-		{CategoryModel, 1, 0x401a3085919064cd, 0x4017c9533827e2fb},
-		{CategoryModel, 3, 0x401a4769371683d6, 0x4016a22fdd2cb1aa},
-		{CategoryModel, 4, 0x401aa299236d59a6, 0x40184f42fdd6d312},
-		{FrequencyCategoryModel, 1, 0x401be2cac22d28ef, 0x40192d06742813c5},
-		{FrequencyCategoryModel, 3, 0x401b5b7e2679f4f0, 0x4017806e88e7c9c1},
-		{FrequencyCategoryModel, 4, 0x401b3ce8adc640be, 0x4017fa259c29e738},
-	} {
-		mean, std, n, err := NullMomentsParallel(testAnalyzer, store, c, pin.model, draws, pin.shards, rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(mean) != pin.mean || math.Float64bits(std) != pin.std || n != draws {
-			t.Errorf("%s, %d shards: moments (%#016x, %#016x, %d), recorded (%#016x, %#016x, %d)",
-				pin.model, pin.shards, math.Float64bits(mean), math.Float64bits(std), n, pin.mean, pin.std, draws)
-		}
-	}
-	// Sanity: the sharded estimate agrees with the serial sampler's
-	// distribution (same generator family, different stream).
-	s, err := NewNullSampler(testAnalyzer, store, c, RandomModel, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialMean, _, _ := s.NullMoments(draws)
-	if diff := mean1 - serialMean; diff > 1 || diff < -1 {
-		t.Fatalf("sharded mean %v implausibly far from serial mean %v", mean1, serialMean)
 	}
 }

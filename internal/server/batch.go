@@ -52,10 +52,10 @@ func (s *Server) handleBatchUpsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	max := s.cfg.MaxBatchItems
-	if max == 0 {
+	if max <= 0 {
 		max = DefaultMaxBatchItems
 	}
-	if max > 0 && len(req.Recipes) > max {
+	if len(req.Recipes) > max {
 		writeError(w, http.StatusUnprocessableEntity,
 			fmt.Sprintf("batch holds %d recipes, limit is %d", len(req.Recipes), max))
 		return

@@ -55,9 +55,8 @@ type Config struct {
 	// (rate limiting, body caps, per-request deadlines, load
 	// shedding) around every handler. Nil callbacks get server-aware
 	// defaults: IsMutation classifies POST/DELETE /api/recipes as
-	// mutations, Exempt passes /api/health, and Grace widens the
-	// in-flight gate while the result cache is cold. /api/health
-	// reports the stack's counters under "traffic".
+	// mutations and Exempt passes /api/health. /api/health reports
+	// the stack's counters under "traffic".
 	Traffic *httpmw.Config
 	// ClassifierRebuildInterval debounces the classifier's background
 	// rebuilds: at most one per interval while the corpus is mutating.
@@ -68,8 +67,8 @@ type Config struct {
 	// RecommenderRebuildInterval is the recommender's counterpart.
 	RecommenderRebuildInterval time.Duration
 	// MaxBatchItems caps the number of recipes one POST
-	// /api/recipes/batch request may carry. 0 selects
-	// DefaultMaxBatchItems; negative disables the cap.
+	// /api/recipes/batch request may carry; <= 0 selects
+	// DefaultMaxBatchItems.
 	MaxBatchItems int
 	// Follower switches the server into read-replica mode: Store must
 	// be the follower's corpus, mutation endpoints answer 403
@@ -88,21 +87,11 @@ type Config struct {
 }
 
 // DefaultMaxBatchItems bounds a bulk-ingest request when
-// Config.MaxBatchItems is zero. A batch holds the fan-in token for its
+// Config.MaxBatchItems is unset. A batch holds the fan-in token for its
 // whole plan/persist/apply cycle, so the cap is what keeps one huge
-// ingest from stalling interactive mutations behind it.
+// ingest from stalling interactive mutations behind it — which is why
+// there is no way to switch it off.
 const DefaultMaxBatchItems = 256
-
-// DefaultColdGraceMultiplier widens the load-shed gate while the
-// result cache is cold: cold-cache queries run ~600× longer than
-// cached ones, so in-flight counts spike on exactly the traffic that
-// will warm the cache. Once the hit ratio crosses
-// coldCacheHitRatio the bound snaps back to the configured limit.
-const (
-	DefaultColdGraceMultiplier = 4.0
-	coldCacheHitRatio          = 0.5
-	coldCacheMinSamples        = 100
-)
 
 // Server routes API requests to the analysis stack. Every derived
 // read model is version-aware: the full-text search index is
@@ -172,9 +161,6 @@ func New(cfg Config) (*Server, error) {
 		if tc.Exempt == nil {
 			tc.Exempt = isExemptRequest
 		}
-		if tc.Grace == nil {
-			tc.Grace = s.coldCacheGrace
-		}
 		s.traffic = httpmw.NewTraffic(tc)
 	}
 	s.mux = http.NewServeMux()
@@ -200,22 +186,6 @@ func isMutationRequest(r *http.Request) bool {
 // saturated, and the soak harness asserts on its counters mid-storm.
 func isExemptRequest(r *http.Request) bool {
 	return r.URL.Path == "/api/health"
-}
-
-// coldCacheGrace is the default load-shed grace hook (see
-// DefaultColdGraceMultiplier). With the result cache disabled every
-// query pays full price all the time, so there is no warmup window to
-// be graceful about and the bound stays fixed.
-func (s *Server) coldCacheGrace() float64 {
-	rcs := s.engine.ResultCacheStats()
-	if !rcs.Enabled {
-		return 1
-	}
-	total := rcs.Hits + rcs.Misses
-	if total < coldCacheMinSamples || float64(rcs.Hits)/float64(total) < coldCacheHitRatio {
-		return DefaultColdGraceMultiplier
-	}
-	return 1
 }
 
 // Traffic exposes the armor stack's counters (nil when Config.Traffic

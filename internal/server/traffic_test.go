@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -217,7 +218,7 @@ func TestTrafficHealthBlock(t *testing.T) {
 
 	traffic := healthTraffic(t, h)
 	for _, key := range []string{
-		"inFlight", "inFlightLimit", "effectiveLimit", "peakInFlight",
+		"inFlight", "inFlightLimit", "peakInFlight",
 		"admitted", "rejected413", "rejected429", "shed503", "timeouts",
 	} {
 		if _, ok := traffic[key]; !ok {
@@ -288,5 +289,91 @@ func TestTrafficMuxErrorsAreEnveloped(t *testing.T) {
 	}
 	if code := envelopeCode(t, rr.Body.Bytes()); code != httpmw.CodeMethod {
 		t.Fatalf("405 envelope code = %q", code)
+	}
+}
+
+// parkedBody holds the handler that decodes it — and that request's
+// in-flight slot — inside its first Read until release is closed.
+type parkedBody struct {
+	entered chan<- struct{}
+	release <-chan struct{}
+	body    io.Reader
+}
+
+func (b *parkedBody) Read(p []byte) (int, error) {
+	if b.entered != nil {
+		b.entered <- struct{}{}
+		b.entered = nil
+		<-b.release
+	}
+	return b.body.Read(p)
+}
+
+// TestGateBoundIsTheConfiguredBound: MaxInFlight N admits N, whatever
+// the result cache is doing. With N handlers parked, request N+1 is
+// shed with the structured 503; once they finish the gate admits again.
+func TestGateBoundIsTheConfiguredBound(t *testing.T) {
+	const n = 3
+	stmt, _ := json.Marshal(map[string]string{"q": "SELECT count(*) FROM recipes WHERE region = 'ITA'"})
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		warm       int // statements run before the gate is filled
+	}{
+		{"noResultCache", 0, 0},
+		{"coldResultCache", -1, 0},
+		{"hotResultCache", -1, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := armoredServer(t, httpmw.Config{MaxInFlight: n, RetryAfter: time.Second}, tc.cacheBytes)
+			defer srv.Close()
+			h := srv.Handler()
+			for i := 0; i < tc.warm; i++ {
+				if rr := doFrom(t, h, "203.0.113.6", "POST", "/api/query", stmt); rr.Code != http.StatusOK {
+					t.Fatalf("warm-up query: status %d (%s)", rr.Code, rr.Body.String())
+				}
+			}
+
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			done := make(chan int, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					req := httptest.NewRequest("POST", "/api/query",
+						&parkedBody{entered: entered, release: release, body: bytes.NewReader(stmt)})
+					rr := httptest.NewRecorder()
+					h.ServeHTTP(rr, req)
+					done <- rr.Code
+				}()
+			}
+			for i := 0; i < n; i++ {
+				select {
+				case <-entered:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("only %d of %d requests reached their handler", i, n)
+				}
+			}
+
+			rr := doFrom(t, h, "203.0.113.6", "POST", "/api/query", stmt)
+			if rr.Code != http.StatusServiceUnavailable {
+				t.Fatalf("request %d with %d in flight: status %d, want 503", n+1, n, rr.Code)
+			}
+			if code := envelopeCode(t, rr.Body.Bytes()); code != httpmw.CodeOverloaded {
+				t.Fatalf("envelope code = %q, want %q", code, httpmw.CodeOverloaded)
+			}
+			if st := srv.Traffic().Stats(); st.InFlight != n || st.InFlightLimit != n || st.Shed503 != 1 {
+				t.Fatalf("traffic stats %+v, want InFlight=%d InFlightLimit=%d Shed503=1", st, n, n)
+			}
+
+			close(release)
+			for i := 0; i < n; i++ {
+				if code := <-done; code != http.StatusOK {
+					t.Errorf("parked request finished with %d", code)
+				}
+			}
+			if rr := doFrom(t, h, "203.0.113.6", "POST", "/api/query", stmt); rr.Code != http.StatusOK {
+				t.Fatalf("after the drain: status %d, want 200", rr.Code)
+			}
+		})
 	}
 }

@@ -78,28 +78,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest observation (0 if empty).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Merge combines another accumulator into this one (parallel Welford).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
-}
-
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {

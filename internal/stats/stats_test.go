@@ -41,47 +41,6 @@ func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	var whole, left, right Accumulator
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 4 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d", left.N())
-	}
-	if !almostEqual(left.Mean(), whole.Mean(), 1e-12) {
-		t.Fatalf("merged mean %v vs %v", left.Mean(), whole.Mean())
-	}
-	if !almostEqual(left.Variance(), whole.Variance(), 1e-9) {
-		t.Fatalf("merged var %v vs %v", left.Variance(), whole.Variance())
-	}
-	if left.Min() != 1 || left.Max() != 10 {
-		t.Fatalf("merged min/max %v/%v", left.Min(), left.Max())
-	}
-}
-
-func TestAccumulatorMergeEmptySides(t *testing.T) {
-	var a, b Accumulator
-	b.Add(3)
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 2 || a.Mean() != 4 {
-		t.Fatalf("merge into empty: N=%d mean=%v", a.N(), a.Mean())
-	}
-	var c Accumulator
-	a.Merge(&c)
-	if a.N() != 2 {
-		t.Fatal("merging an empty accumulator changed N")
-	}
-}
-
 func TestMeanStdDevErrors(t *testing.T) {
 	if _, err := Mean(nil); err != ErrEmpty {
 		t.Fatal("Mean(nil) should return ErrEmpty")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -302,7 +303,8 @@ func BenchmarkStoreBlendedOps(b *testing.B) {
 }
 
 // BenchmarkStoreOpenReplay measures recovering a multi-segment store,
-// sweeping the replay worker pool (workers=1 is the serial baseline).
+// sweeping GOMAXPROCS, which sizes the replay worker pool (workers=1 is
+// the serial baseline).
 func BenchmarkStoreOpenReplay(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir, Options{MaxSegmentBytes: 1 << 18})
@@ -321,8 +323,9 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("segments%d/workers%d", nseg, workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			for i := 0; i < b.N; i++ {
-				s, err := Open(dir, Options{ReplayWorkers: workers})
+				s, err := Open(dir, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

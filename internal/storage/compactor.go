@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -14,9 +13,7 @@ import (
 
 // compactorState tracks the background goroutine's lifecycle.
 type compactorState struct {
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
+	loop bgLoop
 	// wedged refuses further compactions after a post-commit failure
 	// (see ErrCompactorWedged); cleared only by reopening the store.
 	wedged atomic.Bool
@@ -54,14 +51,11 @@ type CompactionStats struct {
 
 // CompactionStats returns a snapshot of compaction activity.
 func (s *Store) CompactionStats() CompactionStats {
-	s.compactor.mu.Lock()
-	running := s.compactor.stop != nil
-	s.compactor.mu.Unlock()
 	st := CompactionStats{
 		Runs:              s.cstats.runs.Load(),
 		SegmentsCompacted: s.cstats.segments.Load(),
 		BytesReclaimed:    s.cstats.reclaimed.Load(),
-		Running:           running,
+		Running:           s.compactor.loop.running(),
 		Wedged:            s.compactor.wedged.Load(),
 	}
 	if e, ok := s.compactor.lastErr.Load().(string); ok {
@@ -70,54 +64,16 @@ func (s *Store) CompactionStats() CompactionStats {
 	return st
 }
 
-// startCompactor launches the background loop. Called from Open; also
-// usable by tests. No-op if already running.
+// startCompactor launches the background loop: one compactOnce pass
+// per interval. Called from Open.
 func (s *Store) startCompactor(interval time.Duration, ratio float64) {
-	s.compactor.mu.Lock()
-	defer s.compactor.mu.Unlock()
-	if s.compactor.stop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.compactor.stop, s.compactor.done = stop, done
-	go s.compactLoop(interval, ratio, stop, done)
-}
-
-// stopCompactor signals the loop and waits for any in-flight pass to
-// finish. Idempotent; called by Close before it freezes the store.
-func (s *Store) stopCompactor() {
-	s.compactor.mu.Lock()
-	stop, done := s.compactor.stop, s.compactor.done
-	s.compactor.stop, s.compactor.done = nil, nil
-	s.compactor.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// compactLoop is the background goroutine body.
-func (s *Store) compactLoop(interval time.Duration, ratio float64, stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			if s.closed.Load() {
-				return
-			}
-			if _, err := s.compactOnce(ratio); err != nil {
-				s.compactor.lastErr.Store(err.Error())
-			} else {
-				s.compactor.lastErr.Store("")
-			}
+	s.compactor.loop.start(interval, &s.closed, func() {
+		if _, err := s.compactOnce(ratio); err != nil {
+			s.compactor.lastErr.Store(err.Error())
+		} else {
+			s.compactor.lastErr.Store("")
 		}
-	}
+	})
 }
 
 // compactOnce runs one victim-selection + compaction pass, returning

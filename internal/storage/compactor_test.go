@@ -518,7 +518,7 @@ func TestBackgroundCompactorStress(t *testing.T) {
 	t.Logf("compaction runs=%d segments=%d reclaimed=%d", cs.Runs, cs.SegmentsCompacted, cs.BytesReclaimed)
 
 	// Zero lost updates: every owner's final view matches the store.
-	s.stopCompactor()
+	s.compactor.loop.stop()
 	for w, mine := range finals {
 		for k, want := range mine {
 			got, err := s.Get(k)

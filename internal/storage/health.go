@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -74,9 +73,7 @@ type writeHealth struct {
 	// from a poisoned tail into a fresh segment.
 	salvagedRecords atomic.Uint64
 
-	probeMu   sync.Mutex
-	probeStop chan struct{}
-	probeDone chan struct{}
+	probe bgLoop
 }
 
 // Health returns the store's current write-path state. Reads serve in
@@ -298,50 +295,13 @@ func (s *Store) salvageTail(old *segment) error {
 // startWriteProbe launches the background recovery probe: every
 // interval, a read-only store attempts TryRecoverWrites, so mutations
 // resume automatically once a transient fault (disk space freed, I/O
-// error cleared) goes away. No-op if already running.
+// error cleared) goes away.
 func (s *Store) startWriteProbe(interval time.Duration) {
-	s.whealth.probeMu.Lock()
-	defer s.whealth.probeMu.Unlock()
-	if s.whealth.probeStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.whealth.probeStop, s.whealth.probeDone = stop, done
-	go s.writeProbeLoop(interval, stop, done)
-}
-
-// stopWriteProbe signals the probe and waits for it. Idempotent.
-func (s *Store) stopWriteProbe() {
-	s.whealth.probeMu.Lock()
-	stop, done := s.whealth.probeStop, s.whealth.probeDone
-	s.whealth.probeStop, s.whealth.probeDone = nil, nil
-	s.whealth.probeMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// writeProbeLoop is the probe goroutine body.
-func (s *Store) writeProbeLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			if s.closed.Load() {
-				return
-			}
-			if s.Health() == HealthReadOnly {
-				s.TryRecoverWrites() // failure: stay degraded, retry next tick
-			}
+	s.whealth.probe.start(interval, &s.closed, func() {
+		if s.Health() == HealthReadOnly {
+			s.TryRecoverWrites() // failure: stay degraded, retry next tick
 		}
-	}
+	})
 }
 
 // HealthStats is the write-path + scrub health snapshot surfaced by

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -94,8 +95,10 @@ func buildRecoveryFixture(t *testing.T, dir string) {
 
 // TestParallelReplayMatchesSerial asserts that the concurrent Open
 // rebuilds keydir state byte-identical to the reference serial replay
-// on a multi-segment fixture with overwrites and tombstones.
+// on a multi-segment fixture with overwrites and tombstones. Open scans
+// on GOMAXPROCS workers, so that is what the test varies.
 func TestParallelReplayMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tear := range []bool{false, true} {
 		name := "clean"
 		if tear {
@@ -122,7 +125,8 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 			want := serialReplay(t, dir) // also repairs the torn tail
 
 			for _, workers := range []int{1, 2, 8} {
-				s, err := Open(dir, Options{ReplayWorkers: workers})
+				runtime.GOMAXPROCS(workers)
+				s, err := Open(dir, Options{})
 				if err != nil {
 					t.Fatalf("Open(workers=%d): %v", workers, err)
 				}
@@ -146,36 +150,6 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 				s.Close()
 			}
 		})
-	}
-}
-
-// TestReplayAcrossShardCounts verifies recovered contents are
-// independent of the shard count the store is reopened with.
-func TestReplayAcrossShardCounts(t *testing.T) {
-	dir := t.TempDir()
-	buildRecoveryFixture(t, dir)
-	want := serialReplay(t, dir)
-	for _, shards := range []int{1, 4, 64, 100} { // 100 rounds up to 128
-		s, err := Open(dir, Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("Open(shards=%d): %v", shards, err)
-		}
-		if got := gatherKeydir(s); len(got) != len(want.keydir) {
-			t.Errorf("shards=%d: %d keys, want %d", shards, len(got), len(want.keydir))
-		}
-		if s.Len() != len(want.keydir) {
-			t.Errorf("shards=%d: Len = %d, want %d", shards, s.Len(), len(want.keydir))
-		}
-		for k, loc := range want.keydir {
-			v, err := s.Get(k)
-			if err != nil {
-				t.Fatalf("shards=%d: Get(%q): %v", shards, k, err)
-			}
-			if len(v) != loc.valLen {
-				t.Errorf("shards=%d: Get(%q) len = %d, want %d", shards, k, len(v), loc.valLen)
-			}
-		}
-		s.Close()
 	}
 }
 

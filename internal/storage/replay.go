@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -35,7 +36,7 @@ type segScan struct {
 }
 
 // loadSegments rebuilds the key directory from the segment files,
-// scanning up to opts.ReplayWorkers files in parallel. Only Open calls
+// scanning up to GOMAXPROCS files in parallel. Only Open calls
 // this, so shard maps are written without locks. The newest segment in
 // merge order — always the previous process's active segment, since
 // compaction outputs rank below it — gets torn-tail repair.
@@ -48,7 +49,7 @@ func (s *Store) loadSegments(ids []uint64) error {
 	sort.SliceStable(ids, func(i, j int) bool { return s.man.rankOf(ids[i]) < s.man.rankOf(ids[j]) })
 
 	scans := make([]segScan, len(ids))
-	workers := s.opts.ReplayWorkers
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {
 		workers = len(ids)
 	}

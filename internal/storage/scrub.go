@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -29,9 +28,7 @@ import (
 
 // scrubState is the scrubber's lifecycle and counters.
 type scrubState struct {
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
+	loop bgLoop
 	// cursor is the last segment ID scrubbed; each tick verifies the
 	// next sealed segment above it, wrapping at the top.
 	cursor atomic.Uint64
@@ -71,11 +68,8 @@ type ScrubStats struct {
 
 // ScrubStats returns a snapshot of scrub activity.
 func (s *Store) ScrubStats() ScrubStats {
-	s.scrub.mu.Lock()
-	running := s.scrub.stop != nil
-	s.scrub.mu.Unlock()
 	st := ScrubStats{
-		Running:          running,
+		Running:          s.scrub.loop.running(),
 		Runs:             s.scrub.runs.Load(),
 		SegmentsVerified: s.scrub.segmentsVerified.Load(),
 		BytesVerified:    s.scrub.bytesVerified.Load(),
@@ -89,49 +83,10 @@ func (s *Store) ScrubStats() ScrubStats {
 	return st
 }
 
-// startScrubber launches the background scrub loop. No-op if running.
+// startScrubber launches the background scrub loop: one segment per
+// tick keeps the I/O and CPU cost paced instead of bursty.
 func (s *Store) startScrubber(interval time.Duration) {
-	s.scrub.mu.Lock()
-	defer s.scrub.mu.Unlock()
-	if s.scrub.stop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.scrub.stop, s.scrub.done = stop, done
-	go s.scrubLoop(interval, stop, done)
-}
-
-// stopScrubber signals the loop and waits for any in-flight walk.
-func (s *Store) stopScrubber() {
-	s.scrub.mu.Lock()
-	stop, done := s.scrub.stop, s.scrub.done
-	s.scrub.stop, s.scrub.done = nil, nil
-	s.scrub.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// scrubLoop is the scrub goroutine body: one segment per tick keeps
-// the I/O and CPU cost paced instead of bursty.
-func (s *Store) scrubLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			if s.closed.Load() {
-				return
-			}
-			s.scrubPass(false)
-		}
-	}
+	s.scrub.loop.start(interval, &s.closed, func() { s.scrubPass(false) })
 }
 
 // Scrub runs one synchronous full pass: every sealed segment is

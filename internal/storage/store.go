@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,13 +38,6 @@ type Options struct {
 	// CompactionFloorBytes is the minimum dead-byte volume before
 	// NeedsCompaction reports true. Defaults to 1 MiB.
 	CompactionFloorBytes int64
-	// Shards is the number of key-directory partitions, rounded up to a
-	// power of two. Readers and writers touching keys on different
-	// shards never contend. Defaults to 64.
-	Shards int
-	// ReplayWorkers bounds the goroutines scanning segments in parallel
-	// during Open. 1 forces serial replay; defaults to GOMAXPROCS.
-	ReplayWorkers int
 	// CompactInterval starts a background compactor that wakes at this
 	// period, picks sealed segments whose garbage ratio meets
 	// CompactGarbageRatio, and rewrites them without blocking reads or
@@ -90,26 +82,15 @@ func (o *Options) applyDefaults() {
 	if o.CompactionFloorBytes <= 0 {
 		o.CompactionFloorBytes = 1 << 20
 	}
-	if o.Shards <= 0 {
-		o.Shards = 64
-	}
-	o.Shards = nextPow2(o.Shards)
-	if o.ReplayWorkers <= 0 {
-		o.ReplayWorkers = runtime.GOMAXPROCS(0)
-	}
 	if o.CompactGarbageRatio <= 0 || o.CompactGarbageRatio > 1 {
 		o.CompactGarbageRatio = 0.5
 	}
 }
 
-// nextPow2 rounds n up to the nearest power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// keydirShards is the number of key-directory partitions, a power of
+// two so a hash maps to its shard with a mask. Readers and writers
+// touching keys on different shards never contend.
+const keydirShards = 64
 
 // keyLoc locates the live value of a key.
 type keyLoc struct {
@@ -136,7 +117,7 @@ func (sh *shard) has(key string) bool {
 }
 
 // Store is the log-structured key-value store. All methods are safe for
-// concurrent use. The key directory is partitioned into power-of-two
+// concurrent use. The key directory is partitioned into keydirShards
 // shards, each with its own RWMutex, so readers and writers on
 // different keys proceed in parallel; appends to the shared log are
 // batched by a group-commit protocol (see commit.go).
@@ -147,8 +128,7 @@ type Store struct {
 	// writes; tests swap it for a fault-injecting version.
 	fs fsOps
 
-	shards []shard
-	mask   uint32
+	shards [keydirShards]shard
 
 	closed atomic.Bool
 	// nextSegID is the last segment ID handed out; rotation and
@@ -191,7 +171,7 @@ func (s *Store) shardFor(key string) *shard {
 
 // shardIndex returns the shard slot for key.
 func (s *Store) shardIndex(key string) int {
-	return int(fnv32a(key) & s.mask)
+	return int(fnv32a(key) & (keydirShards - 1))
 }
 
 // fnv32a hashes key (FNV-1a).
@@ -237,8 +217,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		opts:     opts,
 		fs:       osFS(),
-		shards:   make([]shard, opts.Shards),
-		mask:     uint32(opts.Shards - 1),
 		segments: make(map[uint64]*segment),
 		commits:  fanin.New[*commitReq](),
 	}
@@ -662,8 +640,6 @@ type Stats struct {
 	Keys int
 	// Segments is the number of data files.
 	Segments int
-	// Shards is the number of key-directory partitions.
-	Shards int
 	// LiveBytes is the total framed size of live records.
 	LiveBytes int64
 	// DeadBytes estimates reclaimable space (superseded records and
@@ -693,7 +669,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Keys:      keys,
 		Segments:  nseg,
-		Shards:    len(s.shards),
 		LiveBytes: live,
 		DeadBytes: dead,
 	}
@@ -716,9 +691,9 @@ func (s *Store) deadBytesTotal() int64 {
 // with ErrClosed when its commit runs. Segments still pinned by
 // in-flight reads close once those reads release them.
 func (s *Store) Close() error {
-	s.stopCompactor()
-	s.stopWriteProbe()
-	s.stopScrubber()
+	s.compactor.loop.stop()
+	s.whealth.probe.stop()
+	s.scrub.loop.stop()
 	s.commits.Lock()
 	defer s.commits.Unlock()
 	if s.closed.Load() {

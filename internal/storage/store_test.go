@@ -159,6 +159,61 @@ func TestReopenRecoversState(t *testing.T) {
 	}
 }
 
+// TestReadOnlyOpenOfALiveDirectoryLosesNothing: a directory has exactly
+// one read-write owner, and inspection tools (culinarydb -dbinfo, query
+// -db) open it ReadOnly while the owner keeps writing. Every write the
+// owner acked — before the inspector opened, while it was open and
+// after it closed — must reload. A second read-write open is
+// unsupported: its tail repair and its Close both truncate the owner's
+// active segment, and this same sequence then reloads 10 of the 30 keys
+// (the last 10 land behind a hole and replay as a torn tail).
+func TestReadOnlyOpenOfALiveDirectoryLosesNothing(t *testing.T) {
+	dir := t.TempDir()
+	owner, err := Open(dir, Options{SyncEveryPut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := owner.Put(fmt.Sprintf("key%02d", i), []byte(fmt.Sprintf("val%02d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 10)
+	inspector, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatalf("read-only open beside the owner: %v", err)
+	}
+	if inspector.Len() != 10 {
+		t.Errorf("inspector sees %d keys, want the 10 written before it opened", inspector.Len())
+	}
+	put(10, 20)
+	if err := inspector.Close(); err != nil {
+		t.Fatal(err)
+	}
+	put(20, 30)
+	if err := owner.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	if reopened.Len() != 30 {
+		t.Errorf("reloaded %d keys, want all 30 acked writes", reopened.Len())
+	}
+	for i := 0; i < 30; i++ {
+		k := fmt.Sprintf("key%02d", i)
+		if v, err := reopened.Get(k); err != nil || string(v) != fmt.Sprintf("val%02d", i) {
+			t.Errorf("Get(%s) = %q, %v", k, v, err)
+		}
+	}
+}
+
 func TestSegmentRotation(t *testing.T) {
 	s := openTemp(t, Options{MaxSegmentBytes: 256})
 	val := bytes.Repeat([]byte("x"), 64)
