@@ -10,9 +10,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"culinary/internal/classify"
+	"culinary/internal/experiments"
 	"culinary/internal/flavor"
 	"culinary/internal/query"
 	"culinary/internal/recipedb"
@@ -183,6 +186,60 @@ func BenchmarkSearch(b *testing.B) {
 	b.Run("QueryFuzzy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			idx.Search("tomatto garlik", search.Options{Fuzzy: true, Limit: 10})
+		}
+	})
+}
+
+// fullScaleSearch is the paper-sized corpus (scale 1.0, ~45 800
+// recipes), its index and the search terms as the repository benchmark's
+// workloads choose them (bench/workload.go: single-word catalog names in
+// id order, the first 64 the hot set). benchEnv is 5 % scale, where the
+// posting lists that dominate a served search do not occur.
+var fullScaleSearch = sync.OnceValue(func() (s struct {
+	store *recipedb.Store
+	idx   *search.Index
+	terms []string
+}) {
+	env, err := experiments.NewEnv(experiments.DefaultOptions())
+	if err != nil {
+		panic(err)
+	}
+	s.store, s.idx = env.Store, search.Build(env.Store)
+	for i := 0; i < env.Catalog.Len(); i++ {
+		name := env.Catalog.Ingredient(flavor.ID(i)).Name
+		if !strings.ContainsAny(name, ` '"\`) {
+			s.terms = append(s.terms, name)
+		}
+	}
+	return s
+})
+
+// BenchmarkSearchFullScale measures one-term searches and the index
+// build at the scale the server runs at; run with -benchmem, the
+// allocation columns are the point.
+func BenchmarkSearchFullScale(b *testing.B) {
+	const hotTerms = 64
+	s := fullScaleSearch()
+	query := func(terms []string) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				hits += len(s.idx.Search(terms[i%len(terms)], search.Options{Limit: 10}))
+			}
+			if hits == 0 {
+				b.Fatal("no term had a hit")
+			}
+		}
+	}
+	b.Run("HotTerm", query(s.terms[:hotTerms]))
+	b.Run("AnyTerm", query(s.terms))
+	b.Run("Build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if search.Build(s.store).DocCount() == 0 {
+				b.Fatal("empty index")
+			}
 		}
 	})
 }

@@ -10,11 +10,45 @@
 // acknowledged and gone the moment its delete is. After quiescing, the
 // incrementally-maintained index is byte-identical (CanonicalDump) to
 // a fresh Build of the same corpus.
+//
+// # The query kernel
+//
+// Posting lists are doc-ascending and duplicate-free (the invariant the
+// dump equality above enforces), so SearchVersion is a k-way merge over
+// one cursor per query term feeding a bounded heap of the best Limit
+// hits. It keeps no per-document state and allocates for the query and
+// the result only, never per posting. Three contracts make its hits the
+// hits of the map-and-sort-everything kernel it replaced, which
+// reference_test.go keeps verbatim and compares against bit for bit:
+//
+//   - Merge order is summation order. A document's score is the sum of
+//     its terms' tf/docLen × idf contributions, added in query-term
+//     order starting from zero — the order the old accumulator received
+//     them in — so every float64 comes out with the same bits.
+//   - Ranking is a strict total order: score descending, then recipe ID
+//     ascending, and IDs are unique within a result. Keeping the best k
+//     of a stream and then sorting them therefore equals sorting
+//     everything and truncating to k; there are no ties to break
+//     differently.
+//   - Every score is finite. A posting for a document implies the
+//     document has at least one token (docLen ≥ 1), and a posting list
+//     never outnumbers the live documents, so idf ≥ 0 and no NaN can
+//     reach the comparisons.
+//
+// # Locks
+//
+// idx.mu guards all index state. The mutation path takes it inside the
+// corpus write lock (store → index); Search takes only idx.mu and
+// filters on the index's own per-slot metadata, so nothing in this
+// package ever acquires the store's lock while holding idx.mu. A caller
+// that needs the hits and the recipes they name from one corpus version
+// calls Search inside Store.Read — the same store → index order.
 package search
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,7 +89,11 @@ type docMeta struct {
 // Built once with Build it is a static snapshot; built with NewLive it
 // tracks the store. All methods are safe for concurrent use.
 type Index struct {
-	catalog *flavor.Catalog
+	// ingTokens[id] is tokenize(catalog name of ingredient id), computed
+	// once at construction: the catalog is immutable after flavor.Build,
+	// and a corpus names each of its few hundred ingredients hundreds of
+	// thousands of times.
+	ingTokens [][]string
 
 	mu       sync.RWMutex
 	version  uint64 // corpus version the index state reflects
@@ -67,10 +105,14 @@ type Index struct {
 }
 
 func newIndex(catalog *flavor.Catalog) *Index {
-	return &Index{
-		catalog:  catalog,
-		postings: make(map[string][]posting),
+	idx := &Index{
+		ingTokens: make([][]string, catalog.Len()),
+		postings:  make(map[string][]posting),
 	}
+	for i := range idx.ingTokens {
+		idx.ingTokens[i] = tokenize(catalog.Ingredient(flavor.ID(i)).Name)
+	}
+	return idx
 }
 
 // Build indexes every recipe in the store as a one-shot snapshot.
@@ -111,14 +153,15 @@ func (idx *Index) rebuildLocked(v *recipedb.View) {
 	idx.docs = make([]docMeta, v.Slots())
 	idx.nDocs = v.Len()
 	idx.version = v.Version
+	counts := make(map[string]int)
 	for docID := 0; docID < v.Slots(); docID++ {
 		rec := v.Recipe(docID)
 		if rec.Deleted {
 			continue
 		}
 		idx.docs[docID] = docMeta{live: true, region: rec.Region}
-		counts := make(map[string]int)
-		idx.countTokens(rec, func(n int) { idx.docLen[docID] += n }, counts)
+		clear(counts)
+		idx.docLen[docID] = idx.countTokens(rec, counts)
 		for term, tf := range counts {
 			idx.postings[term] = append(idx.postings[term], posting{doc: docID, tf: tf})
 		}
@@ -130,21 +173,23 @@ func (idx *Index) rebuildLocked(v *recipedb.View) {
 	sort.Strings(idx.terms)
 }
 
-// countTokens tokenizes a recipe's document text into counts and
-// reports the token total through addLen.
-func (idx *Index) countTokens(rec *recipedb.Recipe, addLen func(int), counts map[string]int) {
-	n := 0
-	add := func(text string) {
-		for _, tok := range tokenize(text) {
+// countTokens adds the terms of a recipe's document text — its own
+// name, tokenized here, plus its ingredients' names from the memo — to
+// counts and returns the token total.
+func (idx *Index) countTokens(rec *recipedb.Recipe, counts map[string]int) int {
+	toks := tokenize(rec.Name)
+	n := len(toks)
+	for _, tok := range toks {
+		counts[tok]++
+	}
+	for _, ing := range rec.Ingredients {
+		toks := idx.ingTokens[ing]
+		n += len(toks)
+		for _, tok := range toks {
 			counts[tok]++
-			n++
 		}
 	}
-	add(rec.Name)
-	for _, ing := range rec.Ingredients {
-		add(idx.catalog.Ingredient(ing).Name)
-	}
-	addLen(n)
+	return n
 }
 
 // Apply folds one corpus mutation into the index. Mutations at or
@@ -186,7 +231,7 @@ func (idx *Index) addDocLocked(rec *recipedb.Recipe) {
 		idx.docs = append(idx.docs, docMeta{})
 	}
 	counts := make(map[string]int)
-	idx.countTokens(rec, func(n int) { idx.docLen[rec.ID] = n }, counts)
+	idx.docLen[rec.ID] = idx.countTokens(rec, counts)
 	for term, tf := range counts {
 		plist, existed := idx.postings[term]
 		idx.postings[term] = insertPosting(plist, posting{doc: rec.ID, tf: tf})
@@ -198,14 +243,14 @@ func (idx *Index) addDocLocked(rec *recipedb.Recipe) {
 	idx.nDocs++
 }
 
-// removeDocLocked unindexes one recipe by re-tokenizing its document
-// text — the recipe copy in the mutation preserves exactly what was
+// removeDocLocked unindexes one recipe by counting its document text
+// again — the recipe copy in the mutation preserves exactly what was
 // indexed. Terms whose posting list empties leave the vocabulary, so
 // fuzzy expansion never resurrects deleted-only terms and the
 // vocabulary matches a fresh Build byte for byte.
 func (idx *Index) removeDocLocked(rec *recipedb.Recipe) {
 	counts := make(map[string]int)
-	idx.countTokens(rec, func(int) {}, counts)
+	idx.countTokens(rec, counts)
 	for term := range counts {
 		plist := removePosting(idx.postings[term], rec.ID)
 		if len(plist) == 0 {
@@ -262,7 +307,7 @@ func removePosting(list []posting, doc int) []posting {
 
 // tokenize normalizes free text into index terms.
 func tokenize(text string) []string {
-	toks := textproc.Tokenize(textproc.Normalize(text))
+	toks := textproc.Tokenize(text)
 	out := toks[:0]
 	for _, tok := range toks {
 		if len(tok) < 2 || textproc.IsQuantity(tok) {
@@ -342,56 +387,73 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 	if len(terms) == 0 {
 		return nil, idx.Version()
 	}
-	// Deduplicate query terms.
-	seen := make(map[string]struct{}, len(terms))
+	// Deduplicate query terms, keeping first occurrences in order.
 	uniq := terms[:0]
 	for _, term := range terms {
-		if _, dup := seen[term]; dup {
-			continue
+		if !slices.Contains(uniq, term) {
+			uniq = append(uniq, term)
 		}
-		seen[term] = struct{}{}
-		uniq = append(uniq, term)
 	}
 	terms = uniq
 
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
 
-	type accum struct {
-		score   float64
-		matched int
-	}
-	scores := make(map[int]*accum)
+	// One cursor per matching term, in query-term order.
+	cursors := make([]cursor, 0, len(terms))
+	candidates := 0 // upper bound on the number of hits
 	for _, term := range terms {
 		plist := idx.postings[term]
 		if len(plist) == 0 && opts.Fuzzy {
 			plist = idx.fuzzyPostingsLocked(term)
 		}
 		if len(plist) == 0 {
+			if opts.Mode == ModeAll {
+				// No document can match every term: skip the merge and
+				// the fuzzy expansion of any later term.
+				return []Hit{}, idx.version
+			}
 			continue
 		}
 		idf := math.Log(float64(idx.nDocs+1) / float64(len(plist)+1))
-		for _, p := range plist {
-			a := scores[p.doc]
-			if a == nil {
-				a = &accum{}
-				scores[p.doc] = a
-			}
-			tf := float64(p.tf) / float64(idx.docLen[p.doc])
-			a.score += tf * idf
-			a.matched++
-		}
+		cursors = append(cursors, cursor{list: plist, idf: idf})
+		candidates += len(plist)
 	}
 
-	hits := make([]Hit, 0, len(scores))
-	// Liveness and region come from the index's own per-slot metadata,
-	// maintained in the same critical section as the postings — a live
-	// index never ranks a deleted recipe, and it never needs to lock
-	// the store at query time.
-	for doc, a := range scores {
-		if opts.Mode == ModeAll && a.matched < len(terms) {
+	// top is a heap of the best min(limit, candidates) hits seen so far
+	// with the worst of them at the root.
+	top := make([]Hit, 0, min(limit, candidates))
+	for {
+		// The next document is the smallest one any cursor points at.
+		doc := -1
+		for i := range cursors {
+			if c := &cursors[i]; c.pos < len(c.list) && (doc < 0 || c.list[c.pos].doc < doc) {
+				doc = c.list[c.pos].doc
+			}
+		}
+		if doc < 0 {
+			break
+		}
+		// Sum its terms' contributions in query-term order — the order
+		// the sums have always been taken in, so scores keep their bits.
+		h := Hit{RecipeID: doc}
+		for i := range cursors {
+			c := &cursors[i]
+			if c.pos == len(c.list) || c.list[c.pos].doc != doc {
+				continue
+			}
+			tf := float64(c.list[c.pos].tf) / float64(idx.docLen[doc])
+			h.Score += tf * c.idf
+			h.Matched++
+			c.pos++
+		}
+		if opts.Mode == ModeAll && h.Matched < len(terms) {
 			continue
 		}
+		// Liveness and region come from the index's own per-slot metadata,
+		// maintained in the same critical section as the postings — a live
+		// index never ranks a deleted recipe, and it never needs to lock
+		// the store at query time.
 		meta := idx.docs[doc]
 		if !meta.live {
 			continue
@@ -399,18 +461,69 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 		if opts.HasRegion && opts.Region != recipedb.World && meta.region != opts.Region {
 			continue
 		}
-		hits = append(hits, Hit{RecipeID: doc, Score: a.score, Matched: a.matched})
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+		switch {
+		case len(top) < cap(top):
+			top = append(top, h)
+			siftUp(top, len(top)-1)
+		case ranksBefore(h, top[0]):
+			top[0] = h
+			siftDown(top, 0)
 		}
-		return hits[i].RecipeID < hits[j].RecipeID
-	})
-	if len(hits) > limit {
-		hits = hits[:limit]
 	}
-	return hits, idx.version
+	// Heapsort in place: moving the worst remaining hit to the end each
+	// round leaves the slice best-first.
+	for n := len(top) - 1; n > 0; n-- {
+		top[0], top[n] = top[n], top[0]
+		siftDown(top[:n], 0)
+	}
+	return top, idx.version
+}
+
+// cursor is the read position in one query term's posting list, and
+// the term's inverse document frequency.
+type cursor struct {
+	list []posting
+	pos  int
+	idf  float64
+}
+
+// ranksBefore is the ranking: score descending, ties by recipe ID
+// ascending. IDs are unique within a result and scores are never NaN,
+// so it is a strict total order.
+func ranksBefore(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.RecipeID < b.RecipeID
+}
+
+// siftUp and siftDown restore the heap property — no hit ranks after
+// its parent, so the root ranks last — once h[i] has changed.
+func siftUp(h []Hit, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ranksBefore(h[parent], h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []Hit, i int) {
+	for {
+		worst := i
+		for child := 2*i + 1; child <= 2*i+2 && child < len(h); child++ {
+			if ranksBefore(h[worst], h[child]) {
+				worst = child
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // fuzzyPostingsLocked merges the posting lists of vocabulary terms

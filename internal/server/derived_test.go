@@ -338,3 +338,81 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// TestSearchHitsRenderTheVersionTheyRanked pins the one-epoch guarantee
+// of /api/search: a hit's recipe body is the recipe the ranking matched,
+// and "version" is the corpus version of both. A writer flips one recipe
+// between a name that matches the query and one that does not, so every
+// version has a known answer; a handler that ranked under the index lock
+// and fetched the bodies afterwards returns a hit named "plain soup" (or
+// a tombstone) under a version that predates the rename.
+func TestSearchHitsRenderTheVersionTheyRanked(t *testing.T) {
+	s, h := mutableServer(t)
+	ings := ingredientNames(t, s.cfg.Store, 3)
+	upsert := func(id interface{}, name string) (int, map[string]interface{}) {
+		fields := map[string]interface{}{"name": name, "region": "ITA", "source": "Epicurious", "ingredients": ings}
+		if id != nil {
+			fields["id"] = id
+		}
+		return do(t, h, "POST", "/api/recipes", fields)
+	}
+	code, body := upsert(nil, "plain soup")
+	if code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, body)
+	}
+	id, v0 := int(body["id"].(float64)), uint64(body["version"].(float64))
+	// The writer is the only mutator and every rename changes the
+	// recipe, so rename k lands at version v0+k: odd k
+	// names it "zzyzx stew", even k "plain soup".
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 1; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			name := "plain soup"
+			if k%2 == 1 {
+				name = "zzyzx stew"
+			}
+			if code, body := upsert(id, name); code != http.StatusOK {
+				t.Errorf("rename %d: %d %v", k, code, body)
+				return
+			}
+		}
+	}()
+	torn, matched := 0, 0
+	for i := 0; i < 4000 && torn <= 5; i++ {
+		code, body := do(t, h, "GET", "/api/search?q=zzyzx", nil)
+		if code != http.StatusOK {
+			t.Fatalf("search: %d %v", code, body)
+		}
+		hits := body["hits"].([]interface{})
+		version := uint64(body["version"].(float64))
+		if (version-v0)%2 == 0 {
+			if len(hits) != 0 {
+				torn++
+				t.Errorf("version %d names the recipe \"plain soup\", yet the search returned %v", version, hits)
+			}
+			continue
+		}
+		matched++
+		if len(hits) != 1 {
+			torn++
+			t.Errorf("version %d names the recipe \"zzyzx stew\", yet the search returned %d hits", version, len(hits))
+			continue
+		}
+		rec := hits[0].(map[string]interface{})["recipe"].(map[string]interface{})
+		if int(rec["id"].(float64)) != id || rec["name"] != "zzyzx stew" {
+			torn++
+			t.Errorf("hit ranked at version %d rendered as %v", version, rec)
+		}
+	}
+	close(stop)
+	<-done
+	if matched == 0 {
+		t.Fatal("no search ever saw the matching name: the writer did not interleave")
+	}
+}

@@ -790,13 +790,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		opts.Region, opts.HasRegion = region, true
 	}
 	// The index is maintained inside the mutation critical section, so
-	// these hits reflect every acked mutation; version is the corpus
-	// version the ranking observed.
-	hits, version := s.index.SearchVersion(text, opts)
-	out := make([]searchHit, len(hits))
-	for i, h := range hits {
-		out[i] = searchHit{Recipe: s.recipeJSON(s.cfg.Store.Recipe(h.RecipeID)), Score: h.Score}
-	}
+	// these hits reflect every acked mutation. Ranking and rendering
+	// share one corpus read epoch (lock order store → index, as on the
+	// mutation path): every hit carries the recipe the ranking saw, and
+	// version is the corpus version of both.
+	var out []searchHit
+	var version uint64
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		var hits []search.Hit
+		hits, version = s.index.SearchVersion(text, opts)
+		out = make([]searchHit, len(hits))
+		for i, h := range hits {
+			out[i] = searchHit{Recipe: s.recipeJSON(*v.Recipe(h.RecipeID)), Score: h.Score}
+		}
+	})
 	writeJSON(w, map[string]interface{}{
 		"query":   text,
 		"hits":    out,
