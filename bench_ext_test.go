@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"culinary/internal/classify"
 	"culinary/internal/experiments"
@@ -195,15 +196,20 @@ func BenchmarkSearch(b *testing.B) {
 // workloads choose them (bench/workload.go: single-word catalog names in
 // id order, the first 64 the hot set). benchEnv is 5 % scale, where the
 // posting lists that dominate a served search do not occur.
+var fullScaleEnv = sync.OnceValue(func() *experiments.Env {
+	env, err := experiments.NewEnv(experiments.DefaultOptions())
+	if err != nil {
+		panic(err)
+	}
+	return env
+})
+
 var fullScaleSearch = sync.OnceValue(func() (s struct {
 	store *recipedb.Store
 	idx   *search.Index
 	terms []string
 }) {
-	env, err := experiments.NewEnv(experiments.DefaultOptions())
-	if err != nil {
-		panic(err)
-	}
+	env := fullScaleEnv()
 	s.store, s.idx = env.Store, search.Build(env.Store)
 	for i := 0; i < env.Catalog.Len(); i++ {
 		name := env.Catalog.Ingredient(flavor.ID(i)).Name
@@ -213,6 +219,60 @@ var fullScaleSearch = sync.OnceValue(func() (s struct {
 	}
 	return s
 })
+
+// BenchmarkServerBoot measures what `cmd/server -db DIR` does between
+// exec and listening when DIR holds a snapshot: Open (segment replay),
+// LoadCorpus (fold, decode, install), server.New (search index,
+// classifier, recommender), at the scale the server runs at and on the
+// single-segment directory a first boot's SaveCorpus leaves. The
+// open-ms, load-ms and new-ms columns split the total by stage.
+func BenchmarkServerBoot(b *testing.B) {
+	env := fullScaleEnv()
+	dir := b.TempDir()
+	db, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := storage.SaveCorpus(db, env.Store); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var open, load, boot time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		db, err := storage.Open(dir, storage.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		store, err := storage.LoadCorpus(db, env.Catalog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		srv, err := server.New(server.Config{Store: store, Analyzer: env.Analyzer})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		open, load, boot = open+t1.Sub(t0), load+t2.Sub(t1), boot+t3.Sub(t2)
+		if store.Len() != env.Store.Len() {
+			b.Fatalf("loaded %d recipes, want %d", store.Len(), env.Store.Len())
+		}
+		srv.Close()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(open), "open-ms")
+	b.ReportMetric(perOp(load), "load-ms")
+	b.ReportMetric(perOp(boot), "new-ms")
+}
 
 // BenchmarkSearchFullScale measures one-term searches and the index
 // build at the scale the server runs at; run with -benchmem, the

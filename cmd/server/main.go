@@ -174,16 +174,23 @@ func main() {
 		fatal(err)
 	}
 	analyzer := pairing.NewAnalyzer(catalog)
+	catalogTook := time.Since(t0)
 
 	var (
 		store    *recipedb.Store
 		db       *storage.Store
 		follower *replica.Follower
 		feed     *replica.Feed
+		// Where the corpus's share of the boot went: opening the engine
+		// (segment replay) and producing the corpus from it (snapshot
+		// load, or generate and save). A follower's bootstrap — fetch,
+		// open and load in one call — is all reported as load.
+		openTook, loadTook time.Duration
 	)
 	if *replicaOf != "" {
 		// Read-replica mode: the corpus comes from the primary's
 		// replication feed, mirrored into -db and replayed in memory.
+		t1 := time.Now()
 		follower, err = replica.OpenFollower(replica.FollowerConfig{
 			Primary:  *replicaOf,
 			Dir:      *dbDir,
@@ -194,14 +201,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		loadTook = time.Since(t1)
 		defer follower.Close()
 		follower.Start()
 		store = follower.Corpus()
 	} else {
-		store, db, err = loadOrGenerate(logger, catalog, analyzer, *dbDir, dbOpts, *scale, *seed)
+		t1 := time.Now()
+		store, db, openTook, err = loadOrGenerate(logger, catalog, analyzer, *dbDir, dbOpts, *scale, *seed)
 		if err != nil {
 			fatal(err)
 		}
+		loadTook = time.Since(t1) - openTook
 		if db != nil {
 			defer db.Close()
 			// Recipe mutations write through to the open engine, so they
@@ -210,7 +220,8 @@ func main() {
 			store.SetBackend(db)
 		}
 	}
-	logger.Printf("corpus ready: %d recipes in %v", store.Len(), time.Since(t0).Round(time.Millisecond))
+	logger.Printf("corpus ready: %d recipes in %v catalog=%dms open=%dms load=%dms", store.Len(),
+		time.Since(t0).Round(time.Millisecond), catalogTook.Milliseconds(), openTook.Milliseconds(), loadTook.Milliseconds())
 
 	// The replication feed gets its own listener so shipping traffic
 	// never competes with client requests for the API listener's
@@ -313,37 +324,40 @@ func main() {
 // exists there, generating (and saving, if dbDir is set) otherwise. The
 // returned storage engine (nil without -db) stays open so the
 // background compactor keeps running and /api/health can report it.
+// The duration is the share of the call spent in storage.Open.
 func loadOrGenerate(logger *log.Logger, catalog *flavor.Catalog, analyzer *pairing.Analyzer,
-	dbDir string, dbOpts storage.Options, scale float64, seed uint64) (*recipedb.Store, *storage.Store, error) {
+	dbDir string, dbOpts storage.Options, scale float64, seed uint64) (*recipedb.Store, *storage.Store, time.Duration, error) {
 	if dbDir != "" {
+		t0 := time.Now()
 		db, err := storage.Open(dbDir, dbOpts)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
+		openTook := time.Since(t0)
 		store, err := storage.LoadCorpus(db, catalog)
 		if err == nil {
 			logger.Printf("loaded snapshot from %s", dbDir)
-			return store, db, nil
+			return store, db, openTook, nil
 		}
 		if !errors.Is(err, storage.ErrNotFound) && !errors.Is(err, storage.ErrSnapshot) {
 			db.Close()
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		logger.Printf("no usable snapshot in %s (%v); generating", dbDir, err)
 		store, gerr := generate(analyzer, scale, seed)
 		if gerr != nil {
 			db.Close()
-			return nil, nil, gerr
+			return nil, nil, 0, gerr
 		}
 		if serr := storage.SaveCorpus(db, store); serr != nil {
 			db.Close()
-			return nil, nil, fmt.Errorf("saving snapshot: %w", serr)
+			return nil, nil, 0, fmt.Errorf("saving snapshot: %w", serr)
 		}
 		logger.Printf("saved snapshot to %s", dbDir)
-		return store, db, nil
+		return store, db, openTook, nil
 	}
 	store, err := generate(analyzer, scale, seed)
-	return store, nil, err
+	return store, nil, 0, err
 }
 
 func generate(analyzer *pairing.Analyzer, scale float64, seed uint64) (*recipedb.Store, error) {

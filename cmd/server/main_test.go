@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -146,55 +149,113 @@ func TestHeldPortFailsTheBoot(t *testing.T) {
 	}
 }
 
-// bootAndDrain starts a primary on dir, waits for /api/health to answer
-// 200, sends SIGTERM and returns the stderr of a clean (exit 0) drain.
-func bootAndDrain(t *testing.T, dir string) string {
+// serverProc is one running cmd/server.
+type serverProc struct {
+	addr   string
+	cmd    *exec.Cmd
+	stderr *bytes.Buffer // read it only once the process has exited
+	exited chan error
+}
+
+// freeAddr returns a loopback address nothing is listening on.
+func freeAddr(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	defer ln.Close()
+	return ln.Addr().String()
+}
 
-	var stderr bytes.Buffer
-	cmd := exec.Command(serverBin, "-addr", addr, "-scale", "0.01", "-db", dir, "-shutdown-grace", "10s")
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
+// startServer runs the binary with -addr on a free port plus args and
+// returns once /api/health answers 200. The process is killed when the
+// test ends, if drain has not stopped it first.
+func startServer(t *testing.T, args ...string) *serverProc {
+	t.Helper()
+	p := &serverProc{addr: freeAddr(t), stderr: new(bytes.Buffer), exited: make(chan error, 1)}
+	p.cmd = exec.Command(serverBin, append([]string{"-addr", p.addr}, args...)...)
+	p.cmd.Stderr = p.stderr
+	if err := p.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	defer cmd.Process.Kill() // no-op once it has exited
+	go func() { p.exited <- p.cmd.Wait() }()
+	t.Cleanup(func() { p.cmd.Process.Kill() }) // no-op once it has exited
 
 	deadline := time.Now().Add(time.Minute)
 	for healthy := false; !healthy; {
 		select {
-		case err := <-exited:
-			t.Fatalf("server exited during boot (%v):\n%s", err, stderr.String())
+		case err := <-p.exited:
+			t.Fatalf("server exited during boot (%v):\n%s", err, p.stderr.String())
 		case <-time.After(50 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("no 200 from /api/health within a minute")
 		}
-		if resp, err := http.Get("http://" + addr + "/api/health"); err == nil {
+		if resp, err := http.Get("http://" + p.addr + "/api/health"); err == nil {
 			healthy = resp.StatusCode == http.StatusOK
 			resp.Body.Close()
 		}
 	}
+	return p
+}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+// drain sends SIGTERM and returns the stderr of a clean (exit 0) exit.
+func (p *serverProc) drain(t *testing.T) string {
+	t.Helper()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-exited:
+	case err := <-p.exited:
 		if err != nil {
-			t.Fatalf("SIGTERM drain: %v\n%s", err, stderr.String())
+			t.Fatalf("SIGTERM drain: %v\n%s", err, p.stderr.String())
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not exit within 30s of SIGTERM")
 	}
-	return stderr.String()
+	return p.stderr.String()
+}
+
+// bootAndDrain starts a primary on dir, waits for /api/health to answer
+// 200, sends SIGTERM and returns the stderr of a clean (exit 0) drain.
+func bootAndDrain(t *testing.T, dir string) string {
+	t.Helper()
+	return startServer(t, "-scale", "0.01", "-db", dir, "-shutdown-grace", "10s").drain(t)
+}
+
+// checkBootStages: the two boot lines name their stages in whole
+// milliseconds, and the stages of each fit inside the total the same
+// line reports (which is rounded to the millisecond; each stage is
+// truncated to it).
+func checkBootStages(t *testing.T, log string) {
+	t.Helper()
+	for _, line := range []struct{ re, stages string }{
+		{`corpus ready: \d+ recipes in (\S+) catalog=(\d+)ms open=(\d+)ms load=(\d+)ms\n`, "catalog+open+load"},
+		{`read models ready in (\S+) index=(\d+)ms classifier=(\d+)ms recommender=(\d+)ms\n`, "index+classifier+recommender"},
+	} {
+		m := regexp.MustCompile(line.re).FindStringSubmatch(log)
+		if m == nil {
+			t.Errorf("no line matching %q in:\n%s", line.re, log)
+			continue
+		}
+		total, err := time.ParseDuration(m[1])
+		if err != nil {
+			t.Errorf("%q: total %q: %v", m[0], m[1], err)
+			continue
+		}
+		var sum time.Duration
+		for _, ms := range m[2:] {
+			n, err := strconv.Atoi(ms)
+			if err != nil {
+				t.Errorf("%q: stage %q: %v", m[0], ms, err)
+			}
+			sum += time.Duration(n) * time.Millisecond
+		}
+		if sum > total+time.Millisecond {
+			t.Errorf("%s = %v exceeds the line's total %v: %q", line.stages, sum, total, m[0])
+		}
+	}
 }
 
 func TestPrimaryBootsDrainsAndReloadsItsSnapshot(t *testing.T) {
@@ -205,8 +266,80 @@ func TestPrimaryBootsDrainsAndReloadsItsSnapshot(t *testing.T) {
 			t.Errorf("first boot's log lacks %q:\n%s", want, first)
 		}
 	}
+	checkBootStages(t, first)
 	second := bootAndDrain(t, dir)
 	if !strings.Contains(second, "loaded snapshot from "+dir) || strings.Contains(second, "generating") {
 		t.Errorf("second boot did not load the first boot's snapshot:\n%s", second)
 	}
+	checkBootStages(t, second)
+}
+
+// TestFollowerBootsFromThePrimarysFeed: a second process started with
+// -replica-of bootstraps from the first one's replication listener
+// (mirror the log, Open it read-only, LoadCorpus) and then serves the
+// primary's corpus, writes made before it booted included, at the
+// primary's version; it refuses writes of its own with 403 not_primary.
+func TestFollowerBootsFromThePrimarysFeed(t *testing.T) {
+	feedAddr := freeAddr(t)
+	primary := startServer(t, "-scale", "0.01", "-db", t.TempDir(), "-replication-listen", feedAddr)
+
+	post := func(addr, name string) *http.Response {
+		t.Helper()
+		body := fmt.Sprintf(`{"name": %q, "region": "ITA", "source": "AllRecipes", "ingredients": ["onion", "garlic", "tomato"]}`, name)
+		resp, err := http.Post("http://"+addr+"/api/recipes", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	get := func(addr, path string) (status int, version, body string) {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("X-Corpus-Version"), string(raw)
+	}
+
+	var paths []string
+	for _, name := range []string{"first posted dish", "second posted dish"} {
+		resp := post(primary.addr, name)
+		var created struct{ ID int }
+		err := json.NewDecoder(resp.Body).Decode(&created)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("POST %q to the primary: status %d, decode error %v", name, resp.StatusCode, err)
+		}
+		paths = append(paths, fmt.Sprintf("/api/recipes/%d", created.ID))
+	}
+
+	follower := startServer(t, "-scale", "0.01", "-db", t.TempDir(),
+		"-replica-of", "http://"+feedAddr, "-replica-poll-interval", "50ms")
+	for _, path := range paths {
+		pStatus, pVersion, pBody := get(primary.addr, path)
+		fStatus, fVersion, fBody := get(follower.addr, path)
+		if pStatus != http.StatusOK || fStatus != pStatus || fBody != pBody {
+			t.Errorf("GET %s: follower %d %q, primary %d %q", path, fStatus, fBody, pStatus, pBody)
+		}
+		if fVersion == "" || fVersion != pVersion {
+			t.Errorf("GET %s: follower at X-Corpus-Version %q, primary at %q", path, fVersion, pVersion)
+		}
+	}
+
+	resp := post(follower.addr, "a write to the replica")
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden || !strings.Contains(string(raw), `"not_primary"`) {
+		t.Errorf("POST to the follower: %d %s, want 403 not_primary", resp.StatusCode, raw)
+	}
+
+	if log := follower.drain(t); !strings.Contains(log, "drained cleanly") {
+		t.Errorf("follower's log lacks a clean drain:\n%s", log)
+	}
+	primary.drain(t)
 }

@@ -1,6 +1,7 @@
 package recipedb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -319,31 +320,15 @@ func (s *Store) commitGroup(ops []*writeOp) {
 			muts = append(muts, Mutation{Version: v, ID: op.outID, Old: &oldCopy})
 			continue
 		}
-		id := op.outID
-		for len(s.recipes) < id { // gap slots stay tombstoned
-			s.recipes = append(s.recipes, Recipe{ID: len(s.recipes), Deleted: true})
-		}
-		var displaced *Recipe
+		displaced := s.installLocked(op.rec)
 		op.outcome = OutcomeCreated
-		if id == len(s.recipes) {
-			s.recipes = append(s.recipes, op.rec)
-			s.live++
-		} else {
-			if old := &s.recipes[id]; !old.Deleted {
-				oldCopy := *old
-				displaced = &oldCopy
-				s.unindexLocked(old)
-				op.outcome = OutcomeReplaced
-			} else {
-				s.live++
-			}
-			s.recipes[id] = op.rec
+		if displaced != nil {
+			op.outcome = OutcomeReplaced
 		}
-		s.indexLocked(&s.recipes[id])
 		v++
 		op.version = v
-		newCopy := s.recipes[id]
-		muts = append(muts, Mutation{Version: v, ID: id, Old: displaced, New: &newCopy})
+		newCopy := s.recipes[op.outID]
+		muts = append(muts, Mutation{Version: v, ID: op.outID, Old: displaced, New: &newCopy})
 	}
 	// Subscribers run before the atomic version is published: the
 	// lock-free version is a fence ("state at version v is observable"),
@@ -357,6 +342,82 @@ func (s *Store) commitGroup(ops []*writeOp) {
 		s.version.Store(v)
 	}
 	s.mu.Unlock()
+}
+
+// installLocked puts rec into slot rec.ID and on its posting lists:
+// slots between the current bound and rec.ID become tombstones, a live
+// occupant is unindexed and returned (nil when the slot was free or
+// tombstoned). Callers hold s.mu exclusively.
+func (s *Store) installLocked(rec Recipe) (displaced *Recipe) {
+	id := rec.ID
+	for len(s.recipes) < id { // gap slots stay tombstoned
+		s.recipes = append(s.recipes, Recipe{ID: len(s.recipes), Deleted: true})
+	}
+	if id == len(s.recipes) {
+		s.recipes = append(s.recipes, rec)
+		s.live++
+	} else {
+		if old := &s.recipes[id]; !old.Deleted {
+			oldCopy := *old
+			displaced = &oldCopy
+			s.unindexLocked(old)
+		} else {
+			s.live++
+		}
+		s.recipes[id] = rec
+	}
+	s.indexLocked(&s.recipes[id])
+	return displaced
+}
+
+// Load installs recs, each addressed by its ID, and leaves the store in
+// the state calling Upsert(r.ID, r.Name, r.Region, r.Source,
+// r.Ingredients) on each in order would: the same slots, gaps and
+// tombstones, the same posting lists, one version per recipe, the same
+// mutations delivered to subscribers — CanonicalDump, Version, Slots and
+// Len are equal. What differs is the cost: the whole slice is validated
+// and installed in one write critical section with one version
+// publication, no per-recipe write group, and the store keeps each
+// Ingredients slice instead of copying it (the caller must not write
+// them afterwards). It is the snapshot reload path (storage.LoadCorpus).
+//
+// Like the Upsert loop it stops at the first invalid recipe: n is the
+// number installed and err, when non-nil, describes recs[n]. Load does
+// not write through, so a store with a backend attached refuses it.
+func (s *Store) Load(recs []Recipe) (n int, err error) {
+	s.writes.Lock() // the write token: no write group runs beside this
+	defer s.writes.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.persist != nil {
+		return 0, errors.New("recipedb: Load on a store with a backend attached")
+	}
+	base := s.version.Load()
+	v := base
+	var muts []Mutation
+	for i := range recs {
+		r := &recs[i]
+		if err = s.validate(r.Name, r.Region, r.Source, r.Ingredients); err != nil {
+			break
+		}
+		rec := Recipe{ID: r.ID, Name: r.Name, Region: r.Region, Source: r.Source, Ingredients: r.Ingredients}
+		if rec.ID < 0 {
+			rec.ID = len(s.recipes)
+		}
+		displaced := s.installLocked(rec)
+		v++
+		if len(s.subs) > 0 {
+			newCopy := rec // rec itself stays off the heap when nobody listens
+			muts = append(muts, Mutation{Version: v, ID: rec.ID, Old: displaced, New: &newCopy})
+		}
+		n++
+	}
+	// Subscribers before the version, as in commitGroup.
+	s.notifyLocked(muts)
+	if v != base {
+		s.version.Store(v)
+	}
+	return n, err
 }
 
 // recipeEqual reports content equality (everything but the slot ID,

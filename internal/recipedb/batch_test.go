@@ -508,3 +508,94 @@ func TestBatchFanInStressRace(t *testing.T) {
 		t.Fatalf("implausible stats: %+v", bs)
 	}
 }
+
+// TestLoadEquivalenceRandomized holds Load to its definition: installing
+// a slice of recipes — replacements, revivals, slot extensions with gaps,
+// next-free-slot inserts, into a store that already has recipes,
+// tombstones and a subscriber — in arbitrary chunks leaves the dump, the
+// version and the delivered mutation stream identical to upserting the
+// same recipes one at a time, and an invalid recipe stops both at the
+// same point with the same error.
+func TestLoadEquivalenceRandomized(t *testing.T) {
+	type seen struct {
+		version  uint64
+		id       int
+		old, new string
+	}
+	render := func(r *Recipe) string {
+		if r == nil {
+			return "<nil>"
+		}
+		return fmt.Sprintf("%d %q %d %d %v %v", r.ID, r.Name, r.Region, r.Source, r.Ingredients, r.Deleted)
+	}
+	record := func(s *Store, log *[]seen) {
+		s.Subscribe(nil, func(m Mutation) {
+			*log = append(*log, seen{m.Version, m.ID, render(m.Old), render(m.New)})
+		})
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := genMutationScript(rng, 160)
+		prefix, rest := script[:40], script[40:]
+
+		var recs []Recipe
+		for _, op := range rest {
+			if !op.Remove {
+				recs = append(recs, Recipe{ID: op.ID, Name: op.Name, Region: op.Region, Source: op.Source, Ingredients: op.Ingredients})
+			}
+		}
+
+		one, bulk := NewStore(testCatalog), NewStore(testCatalog)
+		one.ApplyBatch(prefix)
+		bulk.ApplyBatch(prefix)
+		var oneLog, bulkLog []seen
+		record(one, &oneLog)
+		record(bulk, &bulkLog)
+
+		// The script plants invalid recipes; each stops a Load, which is
+		// then resumed past it, exactly as the per-record loop steps over
+		// the Upsert that failed.
+		var oneErrs, bulkErrs []string
+		for _, r := range recs {
+			if _, _, _, err := one.Upsert(r.ID, r.Name, r.Region, r.Source, r.Ingredients); err != nil {
+				oneErrs = append(oneErrs, err.Error())
+			}
+		}
+		for i := 0; i < len(recs); {
+			chunk := recs[i:min(len(recs), i+1+rng.Intn(12))]
+			n, err := bulk.Load(chunk)
+			i += n
+			if err != nil {
+				bulkErrs = append(bulkErrs, err.Error())
+				i++ // recs[i] is the recipe err describes
+			} else if n != len(chunk) {
+				t.Fatalf("seed %d: Load installed %d of %d without an error", seed, n, len(chunk))
+			}
+		}
+
+		if od, bd := one.CanonicalDump(), bulk.CanonicalDump(); od != bd {
+			t.Fatalf("seed %d corpus dumps diverge:\n--- per record ---\n%s--- Load ---\n%s", seed, od, bd)
+		}
+		if one.Version() != bulk.Version() || one.Slots() != bulk.Slots() || one.Len() != bulk.Len() {
+			t.Fatalf("seed %d version/slots/len %d/%d/%d vs %d/%d/%d", seed,
+				one.Version(), one.Slots(), one.Len(), bulk.Version(), bulk.Slots(), bulk.Len())
+		}
+		if fmt.Sprint(oneLog) != fmt.Sprint(bulkLog) {
+			t.Fatalf("seed %d: subscribers saw different mutation streams", seed)
+		}
+		if len(oneErrs) == 0 || fmt.Sprint(oneErrs) != fmt.Sprint(bulkErrs) {
+			t.Fatalf("seed %d: errors diverge (or the script planted none):\n%v\n%v", seed, oneErrs, bulkErrs)
+		}
+	}
+}
+
+// TestLoadRefusesBackend: Load does not write through, so it must not
+// run where a write-through is owed.
+func TestLoadRefusesBackend(t *testing.T) {
+	s := NewStore(testCatalog)
+	s.SetBackend(&stateBackend{})
+	n, err := s.Load([]Recipe{{ID: 0, Name: "dish", Region: Italy, Source: AllRecipes, Ingredients: []flavor.ID{1, 2}}})
+	if err == nil || n != 0 || s.Slots() != 0 || s.Version() != 0 {
+		t.Fatalf("Load with a backend = %d, %v; store now at %d slots, version %d", n, err, s.Slots(), s.Version())
+	}
+}

@@ -1,7 +1,6 @@
 package recipedb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
@@ -20,21 +19,34 @@ var ErrCodec = errors.New("recipedb: bad recipe encoding")
 // RecipePrefix namespaces per-recipe keys in a persistence backend.
 const RecipePrefix = "recipe/"
 
+// recipeKeyDigits is the zero-padded width of the ID in a recipe key.
+const recipeKeyDigits = 8
+
 // RecipeKey renders the backend key for one recipe ID. Zero-padding
 // keeps lexicographic key order equal to ID order, so sorted key scans
 // reload recipes in ID order.
-func RecipeKey(id int) string { return fmt.Sprintf("%s%08d", RecipePrefix, id) }
+func RecipeKey(id int) string { return fmt.Sprintf("%s%0*d", RecipePrefix, recipeKeyDigits, id) }
 
 // ParseRecipeKey is the inverse of RecipeKey: it reports false for any
 // key RecipeKey would not have rendered (another namespace, trailing
 // bytes, a sign, a missing or surplus zero pad).
 func ParseRecipeKey(key string) (int, bool) {
 	digits, ok := strings.CutPrefix(key, RecipePrefix)
-	if !ok {
+	if !ok || len(digits) < recipeKeyDigits {
 		return 0, false
 	}
+	// Padding stops at the pad width: a longer run of digits is an ID
+	// too large for it, which RecipeKey renders without a leading zero.
+	if len(digits) > recipeKeyDigits && digits[0] == '0' {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
 	id, err := strconv.Atoi(digits)
-	if err != nil || id < 0 || RecipeKey(id) != key {
+	if err != nil {
 		return 0, false
 	}
 	return id, true
@@ -65,15 +77,25 @@ func EncodeRecipe(r *Recipe) []byte {
 	return buf
 }
 
-// DecodeRecipe parses an EncodeRecipe body.
+// DecodeRecipe parses an EncodeRecipe body. Nothing it returns aliases
+// data.
 func DecodeRecipe(data []byte) (name string, region Region, source Source, ids []flavor.ID, err error) {
-	r := bytes.NewReader(data)
+	p := 0 // bytes of data consumed
 	read := func() uint64 {
 		if err != nil {
 			return 0
 		}
-		var v uint64
-		v, err = binary.ReadUvarint(r)
+		v, n := binary.Uvarint(data[p:])
+		switch {
+		case n == 0:
+			err = io.ErrUnexpectedEOF
+		case n < 0:
+			err = errors.New("uvarint overflows 64 bits")
+		}
+		if err != nil {
+			return 0
+		}
+		p += n
 		return v
 	}
 	region = Region(read())
@@ -82,19 +104,16 @@ func DecodeRecipe(data []byte) (name string, region Region, source Source, ids [
 	if err != nil {
 		return "", 0, 0, nil, fmt.Errorf("%w: %v", ErrCodec, err)
 	}
-	if nameLen > uint64(r.Len()) {
-		return "", 0, 0, nil, fmt.Errorf("%w: name length %d exceeds remaining %d", ErrCodec, nameLen, r.Len())
+	if nameLen > uint64(len(data)-p) {
+		return "", 0, 0, nil, fmt.Errorf("%w: name length %d exceeds remaining %d", ErrCodec, nameLen, len(data)-p)
 	}
-	nameBuf := make([]byte, nameLen)
-	if _, rerr := r.Read(nameBuf); rerr != nil {
-		return "", 0, 0, nil, fmt.Errorf("%w: %v", ErrCodec, rerr)
-	}
-	name = string(nameBuf)
+	name = string(data[p : p+int(nameLen)])
+	p += int(nameLen)
 	n := read()
 	if err != nil {
 		return "", 0, 0, nil, fmt.Errorf("%w: %v", ErrCodec, err)
 	}
-	if n > uint64(r.Len()) { // each ID takes >= 1 byte
+	if n > uint64(len(data)-p) { // each ID takes >= 1 byte
 		return "", 0, 0, nil, fmt.Errorf("%w: ingredient count %d exceeds remaining bytes", ErrCodec, n)
 	}
 	ids = make([]flavor.ID, n)
@@ -104,8 +123,8 @@ func DecodeRecipe(data []byte) (name string, region Region, source Source, ids [
 	if err != nil {
 		return "", 0, 0, nil, fmt.Errorf("%w: %v", ErrCodec, err)
 	}
-	if r.Len() != 0 {
-		return "", 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.Len())
+	if p != len(data) {
+		return "", 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(data)-p)
 	}
 	return name, region, source, ids, nil
 }

@@ -308,15 +308,20 @@ func (s *Store) validate(name string, region Region, source Source, ingredients 
 	if len(ingredients) < 2 {
 		return fmt.Errorf("%w: recipe %q has %d ingredients, need >= 2", ErrValidation, name, len(ingredients))
 	}
-	seen := make(map[flavor.ID]struct{}, len(ingredients))
-	for _, id := range ingredients {
+	// The duplicate check rescans the prefix instead of building a set:
+	// recipes hold a dozen ingredients, and since every ID was just
+	// checked to be inside the catalog a repeat must turn up within
+	// catalog.Len()+1 entries, so even a hostile list costs a bounded
+	// number of compares and no allocation.
+	for i, id := range ingredients {
 		if id < 0 || int(id) >= s.catalog.Len() {
 			return fmt.Errorf("%w: recipe %q ingredient %d outside catalog", ErrValidation, name, id)
 		}
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("%w: recipe %q repeats ingredient %q", ErrValidation, name, s.catalog.Ingredient(id).Name)
+		for _, prev := range ingredients[:i] {
+			if prev == id {
+				return fmt.Errorf("%w: recipe %q repeats ingredient %q", ErrValidation, name, s.catalog.Ingredient(id).Name)
+			}
 		}
-		seen[id] = struct{}{}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -375,11 +376,34 @@ func TestSourceCounts(t *testing.T) {
 	}
 }
 
+// TestParseRecipeKey is the property ok ⇔ key == RecipeKey(id): every
+// rendered key parses back to its ID, and nothing parses that RecipeKey
+// would not have rendered — a hostile table, then random keys and the
+// neighbours of rendered ones.
 func TestParseRecipeKey(t *testing.T) {
-	for _, id := range []int{0, 12, 45771, 99999999, 100000000, 1<<31 - 1} {
-		if got, ok := ParseRecipeKey(RecipeKey(id)); !ok || got != id {
+	check := func(key string) {
+		t.Helper()
+		id, ok := ParseRecipeKey(key)
+		if ok != (id >= 0 && RecipeKey(id) == key) {
+			t.Errorf("ParseRecipeKey(%q) = %d, %v; RecipeKey(%d) = %q", key, id, ok, id, RecipeKey(id))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	ids := []int{0, 12, 45771, 99999999, 100000000, 100000001, 1<<31 - 1, math.MaxInt}
+	for i := 0; i < 2000; i++ {
+		ids = append(ids, int(rng.Int63()>>uint(rng.Intn(63))))
+	}
+	for _, id := range ids {
+		key := RecipeKey(id)
+		if got, ok := ParseRecipeKey(key); !ok || got != id {
 			t.Errorf("ParseRecipeKey(RecipeKey(%d)) = %d, %v", id, got, ok)
 		}
+		// Neighbours: a digit dropped, a byte replaced, a zero or junk added.
+		at := len(RecipePrefix) + rng.Intn(len(key)-len(RecipePrefix))
+		check(key[:at] + key[at+1:])
+		check(key[:at] + string(rune(rng.Intn(128))) + key[at+1:])
+		check(RecipePrefix + "0" + key[len(RecipePrefix):])
+		check(key + string(rune(rng.Intn(128))))
 	}
 	for _, key := range []string{
 		"",
@@ -389,12 +413,21 @@ func TestParseRecipeKey(t *testing.T) {
 		"recipe/00000012 ",
 		"recipe/-0000012",
 		"recipe/+0000012",
+		"recipe/-00000012",
+		"recipe/0000_012",
+		"recipe/0x000012",
 		"recipe/12",        // missing zero pad
 		"recipe/000000012", // surplus zero pad
-		"recipe/0000001２",  // non-ASCII digit
+		"recipe/0100000000",
+		"recipe/0000001２", // non-ASCII digit
 		"recipe/99999999999999999999",
+		"recipe/9223372036854775808", // MaxInt + 1
 		"xrecipe/00000012",
+		RecipeKey(-1),
+		RecipeKey(-12345678),
+		RecipeKey(math.MinInt),
 	} {
+		check(key)
 		if id, ok := ParseRecipeKey(key); ok {
 			t.Errorf("ParseRecipeKey(%q) = %d, want reject", key, id)
 		}

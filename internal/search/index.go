@@ -35,6 +35,24 @@
 //     never outnumbers the live documents, so idf ≥ 0 and no NaN can
 //     reach the comparisons.
 //
+// # The build
+//
+// Build and NewLive cut the slot range into one contiguous span per
+// worker (GOMAXPROCS of them) and index the spans concurrently, each into
+// a posting map of its own; a term's list is then the spans' lists
+// joined in worker order. Every document of span w precedes every
+// document of span w+1, each span visits its documents in ascending
+// order, and no document belongs to two spans, so the joined list is
+// doc-ascending and duplicate-free by construction — entry for entry the
+// list one pass over all slots builds, at any worker count. That is the
+// invariant the kernel above merges on, the one incremental maintenance
+// preserves, and the one TestCanonicalDumpDigest and the live-vs-Build
+// dump comparisons witness. The join appends onto the first span's
+// lists, so on one worker it copies nothing and the lists keep the spare
+// capacity append growth leaves them — room the live index's first
+// inserts use (lists sized exactly would each be reallocated by their
+// first insert, and measured +4 % peak RSS on the write workloads).
+//
 // # Locks
 //
 // idx.mu guards all index state. The mutation path takes it inside the
@@ -48,6 +66,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -144,17 +163,55 @@ func NewLive(store *recipedb.Store) *Index {
 // Documents are addressed by recipe slot, so a corpus with tombstoned
 // (deleted) slots keeps doc IDs aligned with recipe IDs; tombstones
 // contribute no postings. Callers hold no idx lock contention yet
-// (construction) or must not: it takes the write lock itself.
+// (construction) or must not: it takes the write lock itself. The
+// caller's View keeps the corpus locked while the span workers read it
+// (see "The build" in the package comment for why their lists join into
+// the single-pass index).
 func (idx *Index) rebuildLocked(v *recipedb.View) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	idx.postings = make(map[string][]posting)
-	idx.docLen = make([]int, v.Slots())
-	idx.docs = make([]docMeta, v.Slots())
+	slots := v.Slots()
+	idx.docLen = make([]int, slots)
+	idx.docs = make([]docMeta, slots)
 	idx.nDocs = v.Len()
 	idx.version = v.Version
+
+	workers := max(1, min(runtime.GOMAXPROCS(0), slots))
+	parts := make([]map[string][]posting, workers)
+	var wg sync.WaitGroup
+	for w := range parts {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			parts[w] = idx.indexSpan(v, slots*w/workers, slots*(w+1)/workers)
+		}(w)
+	}
+	wg.Wait()
+
+	// Join in worker order onto the first span's lists, dropping each
+	// later span's copy as it goes so the collector need not wait for the
+	// join to end.
+	idx.postings = parts[0]
+	for _, part := range parts[1:] {
+		for term, list := range part {
+			idx.postings[term] = append(idx.postings[term], list...)
+			delete(part, term)
+		}
+	}
+	idx.terms = make([]string, 0, len(idx.postings))
+	for term := range idx.postings {
+		idx.terms = append(idx.terms, term)
+	}
+	sort.Strings(idx.terms)
+}
+
+// indexSpan indexes the documents in slots [lo, hi): it fills their
+// entries of the slot tables, which no other span touches, and returns
+// their postings, each list doc-ascending.
+func (idx *Index) indexSpan(v *recipedb.View, lo, hi int) map[string][]posting {
+	postings := make(map[string][]posting)
 	counts := make(map[string]int)
-	for docID := 0; docID < v.Slots(); docID++ {
+	for docID := lo; docID < hi; docID++ {
 		rec := v.Recipe(docID)
 		if rec.Deleted {
 			continue
@@ -163,14 +220,10 @@ func (idx *Index) rebuildLocked(v *recipedb.View) {
 		clear(counts)
 		idx.docLen[docID] = idx.countTokens(rec, counts)
 		for term, tf := range counts {
-			idx.postings[term] = append(idx.postings[term], posting{doc: docID, tf: tf})
+			postings[term] = append(postings[term], posting{doc: docID, tf: tf})
 		}
 	}
-	idx.terms = make([]string, 0, len(idx.postings))
-	for term := range idx.postings {
-		idx.terms = append(idx.terms, term)
-	}
-	sort.Strings(idx.terms)
+	return postings
 }
 
 // countTokens adds the terms of a recipe's document text — its own

@@ -1,8 +1,11 @@
 package search
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
+	"culinary/internal/experiments"
 	"culinary/internal/flavor"
 	"culinary/internal/recipedb"
 )
@@ -176,6 +179,38 @@ func TestDeterministicTieBreak(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic ordering: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestBuildIsTheSameAtAnyWorkerCount: the build cuts the slots into one
+// span per GOMAXPROCS and joins the spans' lists in order, which must
+// give the single-pass index whatever the count — one span, spans that
+// hold only tombstones, more spans than the machine has CPUs.
+func TestBuildIsTheSameAtAnyWorkerCount(t *testing.T) {
+	env, err := experiments.NewEnv(experiments.TestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := env.Store
+	for id := 0; id < store.Slots(); id++ {
+		if id < 100 || id%5 == 0 { // a dead stretch at the front, gaps throughout
+			if _, err := store.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, four := buildFixture(t) // fewer documents than workers
+	for _, store := range []*recipedb.Store{store, four} {
+		build := func(procs int) []byte {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return Build(store).CanonicalDump()
+		}
+		want := build(1)
+		for _, procs := range []int{2, 3, 8, 64} {
+			if !bytes.Equal(build(procs), want) {
+				t.Errorf("Build of %d slots on %d workers differs from Build on one", store.Slots(), procs)
+			}
 		}
 	}
 }

@@ -129,6 +129,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.NullRecipes <= 0 {
 		cfg.NullRecipes = 2000
 	}
+	t0 := time.Now()
 	s := &Server{
 		cfg:     cfg,
 		catalog: cfg.Store.Catalog(),
@@ -138,6 +139,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ResultCacheBytes != 0 {
 		s.engine.EnableResultCache(cfg.ResultCacheBytes)
 	}
+	t1 := time.Now()
 	s.classifier = derived.New("classifier", cfg.Store, cfg.ClassifierRebuildInterval,
 		func(v *recipedb.View) (*classify.Classifier, error) {
 			c := classify.New()
@@ -146,6 +148,7 @@ func New(cfg Config) (*Server, error) {
 			}
 			return c, nil
 		})
+	t2 := time.Now()
 	s.recommender = derived.New("recommender", cfg.Store, cfg.RecommenderRebuildInterval,
 		func(v *recipedb.View) (*recommend.Recommender, error) {
 			if v.Len() == 0 {
@@ -153,6 +156,13 @@ func New(cfg Config) (*Server, error) {
 			}
 			return recommend.NewFromView(cfg.Analyzer, v), nil
 		})
+	t3 := time.Now()
+	if cfg.Logger != nil {
+		// The three builds New waits for, each over the whole corpus; with
+		// cmd/server's "corpus ready" line this is the boot's stage budget.
+		cfg.Logger.Printf("read models ready in %v index=%dms classifier=%dms recommender=%dms",
+			t3.Sub(t0).Round(time.Millisecond), t1.Sub(t0).Milliseconds(), t2.Sub(t1).Milliseconds(), t3.Sub(t2).Milliseconds())
+	}
 	if cfg.Traffic != nil {
 		tc := *cfg.Traffic
 		if tc.IsMutation == nil {

@@ -7,6 +7,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"culinary/internal/flavor"
+	"culinary/internal/pairing"
+	"culinary/internal/synth"
 )
 
 // singleMutexStore reimplements the pre-sharding engine — one RWMutex
@@ -65,11 +69,7 @@ func (s *singleMutexStore) get(key string) ([]byte, error) {
 	if _, err := s.f.ReadAt(buf, loc.offset); err != nil {
 		return nil, err
 	}
-	rec, err := newRecordReader(bytes.NewReader(buf)).next()
-	if err != nil {
-		return nil, err
-	}
-	return rec.value, nil
+	return decodeFramedValue(buf, key)
 }
 
 func (s *singleMutexStore) close() { s.f.Close() }
@@ -302,12 +302,15 @@ func BenchmarkStoreBlendedOps(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreOpenReplay measures recovering a multi-segment store,
-// sweeping GOMAXPROCS, which sizes the replay worker pool (workers=1 is
-// the serial baseline).
+// BenchmarkStoreOpenReplay measures recovering a store, sweeping
+// GOMAXPROCS, which sizes the replay worker pool (workers=1 is the
+// serial baseline): a multi-segment log of overwritten keys, and the
+// directory `cmd/server -db` actually boots from — the paper-scale
+// corpus as SaveCorpus leaves it, 45 772 recipe records in one segment,
+// where there is no second file to hand a second worker.
 func BenchmarkStoreOpenReplay(b *testing.B) {
-	dir := b.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 1 << 18})
+	churned := b.TempDir()
+	s, err := Open(churned, Options{MaxSegmentBytes: 1 << 18})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -321,20 +324,51 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("segments%d/workers%d", nseg, workers), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-			for i := 0; i < b.N; i++ {
-				s, err := Open(dir, Options{})
-				if err != nil {
-					b.Fatal(err)
+
+	catalog, err := flavor.Build(flavor.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus, err := synth.Generate(pairing.NewAnalyzer(catalog), synth.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	snapshot := b.TempDir()
+	if s, err = Open(snapshot, Options{}); err != nil {
+		b.Fatal(err)
+	}
+	if err := SaveCorpus(s, corpus); err != nil {
+		b.Fatal(err)
+	}
+	snapshotKeys := s.Len()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name    string
+		dir     string
+		keys    int
+		workers []int
+	}{
+		{fmt.Sprintf("segments%d", nseg), churned, 8000, []int{1, 2, 4, 8}},
+		{"snapshot", snapshot, snapshotKeys, []int{1, 2}},
+	} {
+		for _, workers := range c.workers {
+			b.Run(fmt.Sprintf("%s/workers%d", c.name, workers), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				for i := 0; i < b.N; i++ {
+					s, err := Open(c.dir, Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if s.Len() != c.keys {
+						b.Fatal("bad replay")
+					}
+					s.Close()
 				}
-				if s.Len() != 8000 {
-					b.Fatal("bad replay")
-				}
-				s.Close()
-			}
-		})
+			})
+		}
 	}
 }
 

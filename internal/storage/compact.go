@@ -93,12 +93,11 @@ func (s *Store) compactSegments(victims []*segment) error {
 	// the newest record per key within the set.
 	last := make(map[string]victimRec)
 	for _, v := range victims {
-		_, err := scanSegment(v.path, false, func(rec record, off, length int64) error {
+		_, err := scanSegment(v.path, false, func(rec record, off, length int64) {
 			last[string(rec.key)] = victimRec{
 				seg: v, off: off, length: length,
 				valLen: len(rec.value), tombstone: rec.tombstone,
 			}
-			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("storage: compacting segment %d: %w", v.id, err)

@@ -7,11 +7,13 @@ import (
 )
 
 // FuzzDecodeRecord drives both record decoders — the zero-copy point
-// read (decodeFramedValue) and the streaming replay reader
-// (recordReader) — with three classes of input:
+// read (decodeFramedValue) and the chunked replay reader (recordReader),
+// two callers of the one frame parser — with three classes of input:
 //
-//  1. arbitrary bytes: neither decoder may panic, and anything they
-//     accept must respect the framing bounds;
+//  1. arbitrary bytes: neither decoder may panic, anything they accept
+//     must respect the framing bounds, and the replay reader must
+//     decode them exactly as the reference reader (reference_test.go)
+//     does, stopping with the same error class at the same offset;
 //  2. well-formed frames: both decoders must round-trip them exactly;
 //  3. single-bit corruptions of well-formed frames: both decoders must
 //     reject them — the CRC32C covers every byte after the checksum
@@ -79,9 +81,11 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // assertReaderSane streams arbitrary bytes through recordReader:
 // however mangled the input, every record it yields must be within the
-// framing bounds, and it must terminate.
+// framing bounds, it must terminate, and the scan must equal the
+// reference reader's.
 func assertReaderSane(t *testing.T, raw []byte) {
 	t.Helper()
+	assertSameScan(t, "fuzz input", func() io.Reader { return bytes.NewReader(raw) })
 	rr := newRecordReader(bytes.NewReader(raw))
 	for {
 		rec, err := rr.next()

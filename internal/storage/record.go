@@ -93,133 +93,161 @@ func appendRecord(buf []byte, rec record) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeFramedValue validates one complete framed record in buf and
-// returns its value without copying (the value aliases buf, which the
-// caller owns). wantKey guards against keydir/log skew. This is the
-// allocation-free point-read path; streaming replay uses recordReader.
-func decodeFramedValue(buf []byte, wantKey string) ([]byte, error) {
-	if len(buf) < 7 { // checksum + flags + two varint bytes + 1-byte key
-		return nil, fmt.Errorf("%w: short record", ErrCorrupt)
+// parseFrame decodes the framed record at the front of buf. It is the
+// only frame parser in the package: the chunked replay reader
+// (recordReader.next), the point-read and fold path (decodeFramedValue)
+// and the replication stream decoder (DecodeRecords) all go through it,
+// so the three agree on what a valid frame is by construction. rec's key
+// and value alias buf. The outcomes:
+//
+//	err != nil     the frame is invalid within the bytes available
+//	               (bad lengths, checksum mismatch, tombstone with a
+//	               value); err wraps ErrCorrupt
+//	n == 0         buf ends inside the header; nothing is known yet
+//	n > len(buf)   the header is sound but buf ends inside the body; n is
+//	               the frame's full length
+//	otherwise      rec is the record and the frame is buf[:n]
+func parseFrame(buf []byte) (rec record, n int, err error) {
+	// checksum(4) + flags(1); the shortest header also needs two varint
+	// bytes, but Uvarint reports those.
+	if len(buf) < 5 {
+		return record{}, 0, nil
 	}
-	want := binary.LittleEndian.Uint32(buf[:4])
-	if crc32.Checksum(buf[4:], castagnoli) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	flags := buf[4]
 	p := 5
-	keyLen, n := binary.Uvarint(buf[p:])
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad key length", ErrCorrupt)
+	keyLen, w := binary.Uvarint(buf[p:])
+	if w == 0 {
+		return record{}, 0, nil
 	}
-	p += n
-	valLen, n := binary.Uvarint(buf[p:])
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad value length", ErrCorrupt)
+	if w < 0 {
+		return record{}, 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
 	}
-	p += n
-	if keyLen == 0 || keyLen > MaxKeyLen || valLen > MaxValueLen ||
-		uint64(len(buf)-p) != keyLen+valLen {
-		return nil, fmt.Errorf("%w: lengths key=%d value=%d frame=%d", ErrCorrupt, keyLen, valLen, len(buf))
+	p += w
+	valLen, w := binary.Uvarint(buf[p:])
+	if w == 0 {
+		return record{}, 0, nil
 	}
-	if flags&flagTombstone != 0 {
-		return nil, fmt.Errorf("%w: keydir points at a tombstone", ErrCorrupt)
+	if w < 0 {
+		return record{}, 0, fmt.Errorf("%w: bad value length", ErrCorrupt)
 	}
-	key := buf[p : p+int(keyLen)]
-	if string(key) != wantKey {
-		return nil, fmt.Errorf("%w: keydir points at record for %q, want %q", ErrCorrupt, key, wantKey)
+	p += w
+	if keyLen == 0 || keyLen > MaxKeyLen || valLen > MaxValueLen {
+		return record{}, 0, fmt.Errorf("%w: lengths key=%d value=%d", ErrCorrupt, keyLen, valLen)
 	}
-	return buf[p+int(keyLen):], nil
+	n = p + int(keyLen) + int(valLen)
+	if len(buf) < n {
+		return record{}, n, nil
+	}
+	if crc32.Checksum(buf[4:n], castagnoli) != binary.LittleEndian.Uint32(buf[:4]) {
+		return record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	rec = record{
+		key:       buf[p : p+int(keyLen) : p+int(keyLen)],
+		value:     buf[p+int(keyLen) : n : n],
+		tombstone: buf[4]&flagTombstone != 0,
+	}
+	if rec.tombstone && valLen != 0 {
+		return record{}, 0, fmt.Errorf("%w: tombstone with value", ErrCorrupt)
+	}
+	return rec, n, nil
 }
 
-// recordReader decodes consecutive records from a segment stream and
-// tracks byte offsets so callers can build the key directory.
+// decodeFramedValue validates buf as exactly one complete framed record
+// for wantKey and returns its value without copying (the value aliases
+// buf, which the caller owns, and is capped at the record's end).
+// wantKey guards against keydir/log skew. This is the allocation-free
+// point-read and fold path.
+func decodeFramedValue(buf []byte, wantKey string) ([]byte, error) {
+	rec, n, err := parseFrame(buf)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(buf) {
+		return nil, fmt.Errorf("%w: frame of %d bytes in a %d-byte read", ErrCorrupt, n, len(buf))
+	}
+	if rec.tombstone {
+		return nil, fmt.Errorf("%w: keydir points at a tombstone", ErrCorrupt)
+	}
+	if string(rec.key) != wantKey {
+		return nil, fmt.Errorf("%w: keydir points at record for %q, want %q", ErrCorrupt, rec.key, wantKey)
+	}
+	return rec.value, nil
+}
+
+// replayChunkBytes is how much of its source a recordReader fetches per
+// Read. A frame larger than this grows the buffer to the frame's size.
+const replayChunkBytes = 64 << 10
+
+// recordReader decodes consecutive records from a segment stream. It
+// reads the source in replayChunkBytes chunks and parses frames in place,
+// so a scan costs one Read per chunk, not several per record, and copies
+// nothing out of the chunk.
 type recordReader struct {
-	r   *countingReader
-	buf []byte
+	src io.Reader
+	// buf[pos:end] is fetched but not yet consumed by a decoded record.
+	buf      []byte
+	pos, end int
+	// consumed is the stream offset of buf[pos]: the bytes covered by the
+	// records next has returned, never the bytes fetched.
+	consumed int64
+	// srcErr is the first error src returned (io.EOF at a clean end);
+	// nothing is read after it.
+	srcErr error
 }
 
 // newRecordReader wraps an io.Reader positioned at a segment start.
 func newRecordReader(r io.Reader) *recordReader {
-	return &recordReader{r: &countingReader{r: r}}
+	return &recordReader{src: r}
 }
 
-// offset returns the stream offset of the next record.
-func (rr *recordReader) offset() int64 { return rr.r.n }
+// offset returns the stream offset of the next record: the total length
+// of the frames decoded so far. A failed next leaves it at the start of
+// the frame that failed — the torn-tail truncation point — however far
+// past it the reader has fetched.
+func (rr *recordReader) offset() int64 { return rr.consumed }
 
 // next decodes one record. It returns io.EOF at a clean end of stream and
-// ErrCorrupt (possibly wrapped) for torn or damaged entries.
+// ErrCorrupt (possibly wrapped) for torn or damaged entries, a source
+// that fails mid-record included. The record's key and value alias the
+// reader's buffer and are valid until the following call.
 func (rr *recordReader) next() (record, error) {
-	var sum [4]byte
-	if _, err := io.ReadFull(rr.r, sum[:]); err != nil {
-		if err == io.EOF {
-			return record{}, io.EOF
+	for {
+		avail := rr.buf[rr.pos:rr.end]
+		rec, n, err := parseFrame(avail)
+		if err != nil {
+			return record{}, err
 		}
-		return record{}, fmt.Errorf("%w: truncated checksum: %v", ErrCorrupt, err)
+		if n > 0 && n <= len(avail) {
+			rr.pos += n
+			rr.consumed += int64(n)
+			return rec, nil
+		}
+		if rr.srcErr != nil {
+			if len(avail) == 0 && rr.srcErr == io.EOF {
+				return record{}, io.EOF
+			}
+			return record{}, fmt.Errorf("%w: truncated record, %d bytes of it present: %v", ErrCorrupt, len(avail), rr.srcErr)
+		}
+		rr.fill(n)
 	}
-	want := binary.LittleEndian.Uint32(sum[:])
-
-	crc := crc32.New(castagnoli)
-	tee := io.TeeReader(rr.r, crc)
-
-	var flags [1]byte
-	if _, err := io.ReadFull(tee, flags[:]); err != nil {
-		return record{}, fmt.Errorf("%w: truncated flags: %v", ErrCorrupt, err)
-	}
-	br := &byteReaderFrom{r: tee}
-	keyLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return record{}, fmt.Errorf("%w: bad key length: %v", ErrCorrupt, err)
-	}
-	valLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return record{}, fmt.Errorf("%w: bad value length: %v", ErrCorrupt, err)
-	}
-	if keyLen == 0 || keyLen > MaxKeyLen || valLen > MaxValueLen {
-		return record{}, fmt.Errorf("%w: lengths key=%d value=%d", ErrCorrupt, keyLen, valLen)
-	}
-	need := int(keyLen + valLen)
-	if cap(rr.buf) < need {
-		rr.buf = make([]byte, need)
-	}
-	body := rr.buf[:need]
-	if _, err := io.ReadFull(tee, body); err != nil {
-		return record{}, fmt.Errorf("%w: truncated body: %v", ErrCorrupt, err)
-	}
-	if crc.Sum32() != want {
-		return record{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	rec := record{
-		key:       append([]byte(nil), body[:keyLen]...),
-		value:     append([]byte(nil), body[keyLen:]...),
-		tombstone: flags[0]&flagTombstone != 0,
-	}
-	if rec.tombstone && valLen != 0 {
-		return record{}, fmt.Errorf("%w: tombstone with value", ErrCorrupt)
-	}
-	return rec, nil
 }
 
-// countingReader counts bytes consumed from the underlying reader.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// byteReaderFrom adapts an io.Reader to io.ByteReader for ReadUvarint.
-type byteReaderFrom struct {
-	r io.Reader
-}
-
-func (b *byteReaderFrom) ReadByte() (byte, error) {
-	var one [1]byte
-	if _, err := io.ReadFull(b.r, one[:]); err != nil {
-		return 0, err
+// fill moves the unconsumed bytes to the front of the buffer and reads
+// once into the space behind them. frame, when positive, is the length
+// of the frame the buffer must be able to hold whole.
+func (rr *recordReader) fill(frame int) {
+	if size := max(frame, replayChunkBytes); size > len(rr.buf) {
+		grown := make([]byte, size)
+		copy(grown, rr.buf[rr.pos:rr.end])
+		rr.buf = grown
+	} else {
+		copy(rr.buf, rr.buf[rr.pos:rr.end])
 	}
-	return one[0], nil
+	rr.end -= rr.pos
+	rr.pos = 0
+	n, err := rr.src.Read(rr.buf[rr.end:])
+	rr.end += n
+	if err == nil && n == 0 {
+		err = io.ErrNoProgress
+	}
+	rr.srcErr = err
 }

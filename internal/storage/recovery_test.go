@@ -28,7 +28,7 @@ func serialReplay(t *testing.T, dir string) serialReplayState {
 	st := serialReplayState{keydir: make(map[string]keyLoc)}
 	for i, id := range ids {
 		last := i == len(ids)-1
-		_, err := scanSegment(segmentPath(dir, id), last, func(rec record, off, length int64) error {
+		_, err := scanSegment(segmentPath(dir, id), last, func(rec record, off, length int64) {
 			key := string(rec.key)
 			if prev, ok := st.keydir[key]; ok {
 				st.dead += prev.length
@@ -36,10 +36,9 @@ func serialReplay(t *testing.T, dir string) serialReplayState {
 			if rec.tombstone {
 				delete(st.keydir, key)
 				st.dead += length
-				return nil
+				return
 			}
 			st.keydir[key] = keyLoc{segID: id, offset: off, length: length, valLen: len(rec.value)}
-			return nil
 		})
 		if err != nil {
 			t.Fatalf("serial replay of segment %d: %v", id, err)
@@ -200,11 +199,10 @@ func countTombstones(t *testing.T, dir, key string) int {
 	}
 	n := 0
 	for i, id := range ids {
-		_, err := scanSegment(segmentPath(dir, id), i == len(ids)-1, func(rec record, _, _ int64) error {
+		_, err := scanSegment(segmentPath(dir, id), i == len(ids)-1, func(rec record, _, _ int64) {
 			if rec.tombstone && string(rec.key) == key {
 				n++
 			}
-			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

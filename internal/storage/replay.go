@@ -124,14 +124,13 @@ func (s *Store) loadSegments(ids []uint64) error {
 // map. repairTail truncates a torn final record (newest segment only).
 func scanOneSegment(path string, repairTail bool) segScan {
 	entries := make(map[string]segEntry)
-	size, err := scanSegment(path, repairTail, func(rec record, off, length int64) error {
+	size, err := scanSegment(path, repairTail, func(rec record, off, length int64) {
 		entries[string(rec.key)] = segEntry{
 			off:       off,
 			length:    length,
 			valLen:    len(rec.value),
 			tombstone: rec.tombstone,
 		}
-		return nil
 	})
 	return segScan{entries: entries, size: size, err: err}
 }

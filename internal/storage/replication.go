@@ -14,11 +14,9 @@ package storage
 // these hooks.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 )
 
 // ManifestFileName is the manifest's file name inside a store
@@ -160,51 +158,18 @@ type ReplicaRecord struct {
 // decoded before it. Keys and values are copied out of buf.
 func DecodeRecords(buf []byte) (recs []ReplicaRecord, consumed int64, err error) {
 	for {
-		rest := buf[consumed:]
-		// checksum(4) + flags(1); the shortest header also needs two
-		// varint bytes, but let Uvarint report those.
-		if len(rest) < 5 {
-			return recs, consumed, nil
+		rec, n, err := parseFrame(buf[consumed:])
+		if err != nil {
+			return recs, consumed, err
 		}
-		want := binary.LittleEndian.Uint32(rest[:4])
-		flags := rest[4]
-		p := 5
-		keyLen, n := binary.Uvarint(rest[p:])
-		if n == 0 {
-			return recs, consumed, nil // varint cut short by the chunk
+		if n == 0 || int64(n) > int64(len(buf))-consumed {
+			return recs, consumed, nil // frame cut short by the chunk
 		}
-		if n < 0 {
-			return recs, consumed, fmt.Errorf("%w: bad key length", ErrCorrupt)
+		out := ReplicaRecord{Key: string(rec.key), Tombstone: rec.tombstone}
+		if !rec.tombstone {
+			out.Value = append([]byte(nil), rec.value...)
 		}
-		p += n
-		valLen, n := binary.Uvarint(rest[p:])
-		if n == 0 {
-			return recs, consumed, nil
-		}
-		if n < 0 {
-			return recs, consumed, fmt.Errorf("%w: bad value length", ErrCorrupt)
-		}
-		p += n
-		if keyLen == 0 || keyLen > MaxKeyLen || valLen > MaxValueLen {
-			return recs, consumed, fmt.Errorf("%w: lengths key=%d value=%d", ErrCorrupt, keyLen, valLen)
-		}
-		frame := int64(p) + int64(keyLen) + int64(valLen)
-		if int64(len(rest)) < frame {
-			return recs, consumed, nil // body cut short by the chunk
-		}
-		if crc32.Checksum(rest[4:frame], castagnoli) != want {
-			return recs, consumed, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-		}
-		tomb := flags&flagTombstone != 0
-		if tomb && valLen != 0 {
-			return recs, consumed, fmt.Errorf("%w: tombstone with value", ErrCorrupt)
-		}
-		body := rest[p:frame]
-		rec := ReplicaRecord{Key: string(body[:keyLen]), Tombstone: tomb}
-		if !tomb {
-			rec.Value = append([]byte(nil), body[keyLen:]...)
-		}
-		recs = append(recs, rec)
-		consumed += frame
+		recs = append(recs, out)
+		consumed += int64(n)
 	}
 }

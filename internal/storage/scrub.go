@@ -202,16 +202,7 @@ func (s *Store) quarantinedSegments() []*segment {
 // bytes covered. The caller holds a pin, so the descriptor cannot
 // retire mid-walk.
 func (s *Store) verifySegment(seg *segment) (int64, error) {
-	rr := newRecordReader(io.NewSectionReader(seg.f, 0, seg.size))
-	for {
-		_, err := rr.next()
-		if err == io.EOF {
-			return seg.size, nil
-		}
-		if err != nil {
-			return rr.offset(), err
-		}
-	}
+	return scanRecords(io.NewSectionReader(seg.f, 0, seg.size), func(record, int64, int64) {})
 }
 
 // salvageSegment rewrites what it can out of a quarantined segment and

@@ -190,19 +190,13 @@ func scanDir(dir string) (ids, tmps []uint64, err error) {
 	return ids, tmps, nil
 }
 
-// scanSegment replays one segment file, invoking fn for every decoded
-// record with its offset and on-disk length. When repairTail is true
-// (only ever the newest segment), a corrupt tail is truncated away —
-// the recovery path after a crash mid-append; otherwise corruption is an
-// error.
-func scanSegment(path string, repairTail bool, fn func(rec record, off, length int64) error) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("storage: opening segment: %w", err)
-	}
-	defer f.Close()
-
-	rr := newRecordReader(f)
+// scanRecords decodes r record by record, invoking fn for each with its
+// offset and framed length, and returns the offset it stopped at: the
+// stream's length at a clean end, or the start of the frame that failed
+// to decode along with that error. rec's key and value alias the
+// reader's chunk and are valid only until fn returns.
+func scanRecords(r io.Reader, fn func(rec record, off, length int64)) (int64, error) {
+	rr := newRecordReader(r)
 	for {
 		off := rr.offset()
 		rec, err := rr.next()
@@ -210,18 +204,34 @@ func scanSegment(path string, repairTail bool, fn func(rec record, off, length i
 			return off, nil
 		}
 		if err != nil {
-			if repairTail {
-				// Torn final write: discard everything from the bad
-				// record onward and resume appending there.
-				if terr := os.Truncate(path, off); terr != nil {
-					return 0, fmt.Errorf("storage: truncating torn tail: %w", terr)
-				}
-				return off, nil
-			}
-			return 0, fmt.Errorf("storage: segment %s at offset %d: %w", filepath.Base(path), off, err)
+			return off, err
 		}
-		if err := fn(rec, off, rr.offset()-off); err != nil {
-			return 0, err
-		}
+		fn(rec, off, rr.offset()-off)
 	}
+}
+
+// scanSegment replays one segment file through scanRecords and returns
+// its size. When repairTail is true (only ever the newest segment), a
+// corrupt tail is truncated away — the recovery path after a crash
+// mid-append; otherwise corruption is an error.
+func scanSegment(path string, repairTail bool, fn func(rec record, off, length int64)) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, fmt.Errorf("storage: opening segment: %w", err)
+	}
+	defer f.Close()
+
+	size, err := scanRecords(f, fn)
+	if err == nil {
+		return size, nil
+	}
+	if !repairTail {
+		return 0, fmt.Errorf("storage: segment %s at offset %d: %w", filepath.Base(path), size, err)
+	}
+	// Torn final write: discard everything from the bad record onward and
+	// resume appending there.
+	if terr := os.Truncate(path, size); terr != nil {
+		return 0, fmt.Errorf("storage: truncating torn tail: %w", terr)
+	}
+	return size, nil
 }

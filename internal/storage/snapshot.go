@@ -126,10 +126,18 @@ func LoadCatalogConfig(db *Store) (flavor.Config, error) {
 	return cfg, nil
 }
 
+// loadChunkRecipes bounds one recipedb.Load of a reload: decoded recipes
+// wait in a slice this long before they are installed under one write
+// critical section.
+const loadChunkRecipes = 4096
+
 // LoadCorpus reads a snapshot back into an in-memory recipe store bound
 // to catalog. The catalog must have been built with the same
 // configuration the snapshot records (checked), because ingredient IDs
-// are dense catalog indices.
+// are dense catalog indices. Recipes are decoded as the fold delivers
+// them and installed a chunk at a time (recipedb.Load); the resulting
+// store is the one upserting every recipe under its own ID in key order
+// would build.
 func LoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 	format, err := db.Get(formatKey)
 	if err != nil {
@@ -146,6 +154,16 @@ func LoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 		return nil, fmt.Errorf("%w: snapshot catalog config differs from supplied catalog", ErrSnapshot)
 	}
 	corpus := recipedb.NewStore(catalog)
+	chunk := make([]recipedb.Recipe, 0, loadChunkRecipes)
+	// Installing with the explicit ID tombstones any gap left by deleted
+	// recipes, so reloaded IDs match the saved corpus.
+	install := func() error {
+		if n, err := corpus.Load(chunk); err != nil {
+			return fmt.Errorf("storage: recipe %s: %w", recipedb.RecipeKey(chunk[n].ID), err)
+		}
+		chunk = chunk[:0]
+		return nil
+	}
 	// Fold delivers keys sorted, so IDs load in ascending order.
 	err = db.Fold(func(key string, raw []byte) error {
 		if !strings.HasPrefix(key, recipePrefix) {
@@ -159,14 +177,16 @@ func LoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 		if err != nil {
 			return fmt.Errorf("storage: recipe %s: %w", key, err)
 		}
-		// Upsert with the explicit ID tombstones any gap left by
-		// deleted recipes, so reloaded IDs match the saved corpus.
-		if _, _, _, err := corpus.Upsert(id, name, region, source, ids); err != nil {
-			return fmt.Errorf("storage: recipe %s: %w", key, err)
+		chunk = append(chunk, recipedb.Recipe{ID: id, Name: name, Region: region, Source: source, Ingredients: ids})
+		if len(chunk) < loadChunkRecipes {
+			return nil
 		}
-		return nil
+		return install()
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := install(); err != nil {
 		return nil, err
 	}
 	return corpus, nil

@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"culinary/internal/flavor"
 	"culinary/internal/recipedb"
+	"culinary/internal/search"
 )
 
 // testCatalog builds a small deterministic catalog shared by snapshot
@@ -408,6 +411,178 @@ func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
 					}
 				}
 				db.Close()
+			}
+		})
+	}
+}
+
+// referenceLoadCorpus is LoadCorpus's install step as it stood before
+// recipedb.Load: every recipe the fold delivers goes through an Upsert
+// write group of its own. It defines the store a reload must produce.
+func referenceLoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
+	corpus := recipedb.NewStore(catalog)
+	err := db.Fold(func(key string, raw []byte) error {
+		if !strings.HasPrefix(key, recipePrefix) {
+			return nil
+		}
+		id, ok := recipedb.ParseRecipeKey(key)
+		if !ok {
+			return fmt.Errorf("%w: recipe key %q", ErrSnapshot, key)
+		}
+		name, region, source, ids, err := decodeRecipe(raw)
+		if err != nil {
+			return fmt.Errorf("storage: recipe %s: %w", key, err)
+		}
+		if _, _, _, err := corpus.Upsert(id, name, region, source, ids); err != nil {
+			return fmt.Errorf("storage: recipe %s: %w", key, err)
+		}
+		return nil
+	})
+	return corpus, err
+}
+
+// TestLoadCorpusMatchesPerRecordUpserts holds the bulk install to the
+// per-record loader on everything a reload publishes: the corpus dump
+// (slots, tombstones, posting lists), version, slot bound, live count,
+// and the search index built from it. The snapshots are fresh ones long
+// enough to cross install-chunk boundaries, ones with deleted slots and
+// gaps, multi-segment ones, and ones mutated through the write-through
+// path and then compacted.
+func TestLoadCorpusMatchesPerRecordUpserts(t *testing.T) {
+	catalog := testCatalog(t)
+	check := func(t *testing.T, db *Store) {
+		t.Helper()
+		want, err := referenceLoadCorpus(db, catalog)
+		if err != nil {
+			t.Fatalf("per-record load: %v", err)
+		}
+		got, err := LoadCorpus(db, catalog)
+		if err != nil {
+			t.Fatalf("LoadCorpus: %v", err)
+		}
+		if got.Version() != want.Version() || got.Slots() != want.Slots() || got.Len() != want.Len() {
+			t.Fatalf("version/slots/len = %d/%d/%d, per-record load %d/%d/%d",
+				got.Version(), got.Slots(), got.Len(), want.Version(), want.Slots(), want.Len())
+		}
+		if got.CanonicalDump() != want.CanonicalDump() {
+			t.Fatal("corpus dump differs from the per-record load")
+		}
+		if !bytes.Equal(search.Build(got).CanonicalDump(), search.Build(want).CanonicalDump()) {
+			t.Fatal("search index dump differs from the per-record load's")
+		}
+	}
+	// thin tombstones every third slot and the top five, leaving gaps
+	// inside the slot range and a reload that ends short of the bound.
+	thin := func(t *testing.T, corpus *recipedb.Store) {
+		t.Helper()
+		for id := 1; id < corpus.Slots(); id++ {
+			if id%3 == 0 || id >= corpus.Slots()-5 {
+				if _, err := corpus.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	t.Run("fresh across chunks", func(t *testing.T) {
+		corpus := testCorpus(t, catalog)
+		r0, r1 := corpus.Recipe(0), corpus.Recipe(1)
+		for i := 0; corpus.Len() < 2*loadChunkRecipes+100; i++ {
+			r := r0
+			if i%2 == 1 {
+				r = r1
+			}
+			if _, err := corpus.Add(fmt.Sprintf("filler dish %d", i), recipedb.Region(i%5), recipedb.AllRecipes, r.Ingredients); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := openTemp(t, Options{})
+		if err := SaveCorpus(db, corpus); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db)
+		thin(t, corpus)
+		if err := SaveCorpus(db, corpus); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db)
+	})
+	t.Run("deleted slots and gaps", func(t *testing.T) {
+		corpus := largeTestCorpus(t, catalog)
+		thin(t, corpus)
+		db := openTemp(t, Options{})
+		if err := SaveCorpus(db, corpus); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db)
+	})
+	t.Run("several segments, mutated, compacted", func(t *testing.T) {
+		corpus := largeTestCorpus(t, catalog)
+		r0 := corpus.Recipe(0)
+		dir := t.TempDir()
+		db, err := Open(dir, Options{MaxSegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveCorpus(db, corpus); err != nil {
+			t.Fatal(err)
+		}
+		if db.Stats().Segments < 3 {
+			t.Fatalf("snapshot spans %d segments, want several", db.Stats().Segments)
+		}
+		check(t, db)
+		corpus.SetBackend(db)
+		thin(t, corpus)
+		if _, _, _, err := corpus.Upsert(1, "replaced dish", recipedb.France, recipedb.Epicurious, r0.Ingredients); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := corpus.Upsert(corpus.Slots()+7, "far dish", recipedb.Korea, recipedb.TarlaDalal, r0.Ingredients); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db)
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ro, err := Open(dir, Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ro.Close()
+		check(t, ro)
+	})
+}
+
+// TestLoadCorpusRejectsInvalidRecipe plants one recipe the corpus
+// invariants forbid in an otherwise sound snapshot: the reload must fail
+// exactly as the per-record loader does, naming the same key.
+func TestLoadCorpusRejectsInvalidRecipe(t *testing.T) {
+	catalog := testCatalog(t)
+	good := testCorpus(t, catalog).Recipe(0)
+	for name, ingredients := range map[string][]flavor.ID{
+		"duplicate ingredient": {good.Ingredients[0], good.Ingredients[1], good.Ingredients[0]},
+		"id outside catalog":   {good.Ingredients[0], flavor.ID(catalog.Len())},
+		"one ingredient":       {good.Ingredients[0]},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := openTemp(t, Options{})
+			if err := SaveCorpus(db, largeTestCorpus(t, catalog)); err != nil {
+				t.Fatal(err)
+			}
+			bad := recipedb.Recipe{Name: "bad dish", Region: good.Region, Source: good.Source, Ingredients: ingredients}
+			if err := db.Put(recipedb.RecipeKey(17), recipedb.EncodeRecipe(&bad)); err != nil {
+				t.Fatal(err)
+			}
+			_, want := referenceLoadCorpus(db, catalog)
+			_, got := LoadCorpus(db, catalog)
+			if !errors.Is(got, recipedb.ErrValidation) || want == nil || got.Error() != want.Error() {
+				t.Fatalf("LoadCorpus = %v, per-record load = %v", got, want)
+			}
+			if !strings.Contains(got.Error(), recipedb.RecipeKey(17)) {
+				t.Fatalf("error %q does not name the recipe's key", got)
 			}
 		})
 	}

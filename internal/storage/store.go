@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -517,7 +519,7 @@ func (s *Store) Fold(fn func(key string, value []byte) error) error {
 	// Decoded values alias their chunk (decodeFramedValue copies
 	// nothing); a batch's chunks become collectable once the next batch
 	// starts.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	slices.SortFunc(entries, func(a, b foldEntry) int { return strings.Compare(a.key, b.key) })
 	for start := 0; start < len(entries); {
 		end := start
 		var batchBytes int64
