@@ -244,7 +244,7 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageQPS tracks the sharded storage engine's serving
+// BenchmarkStorageQPS tracks the storage engine's serving
 // throughput through the public API at 8 goroutines: concurrent point
 // reads, concurrent group-committed durable writes, and reads running
 // against a live durable writer. These numbers feed BENCH_storage.json

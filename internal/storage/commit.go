@@ -50,7 +50,8 @@ func (r *commitReq) applied(syncEvery bool) bool {
 
 // commit appends one group to the log and applies it to the key
 // directory. Caller holds the commit token, so this is the only
-// goroutine mutating the active segment or shard maps.
+// goroutine mutating the active segment or applying commits to the
+// keydir.
 //
 // Failure semantics: a record is applied to the key directory exactly
 // when its caller is acknowledged — its bytes reached the file and,
@@ -89,7 +90,7 @@ func (s *Store) appendGroup(reqs []*commitReq) error {
 	}
 
 	// Pass 1: resolve redundant tombstones against the serialized view:
-	// shard state plus the effect of earlier requests in this batch.
+	// keydir state plus the effect of earlier requests in this batch.
 	var effects map[string]bool // key -> present after the processed prefix
 	for i, req := range reqs {
 		if !req.rec.tombstone {
@@ -106,7 +107,7 @@ func (s *Store) appendGroup(reqs []*commitReq) error {
 		}
 		present, tracked := effects[req.key]
 		if !tracked {
-			present = s.shardFor(req.key).has(req.key)
+			present = s.Has(req.key)
 		}
 		if !present {
 			req.skip = true
@@ -216,31 +217,31 @@ func (s *Store) syncActive() error {
 // tombstones, records after a failed flush) are left out, as are
 // written records whose covering fsync failed under SyncEveryPut —
 // their callers are told the write failed, so showing the record to
-// readers would acknowledge it through the back door.
+// readers would acknowledge it through the back door. The whole group
+// applies under one hold of the keydir lock.
 func (s *Store) applyGroup(reqs []*commitReq) {
 	syncEvery := s.opts.SyncEveryPut
+	s.keyMu.Lock()
+	defer s.keyMu.Unlock()
 	for _, req := range reqs {
 		if !req.applied(syncEvery) {
 			continue
 		}
-		sh := s.shardFor(req.key)
-		sh.mu.Lock()
-		if prev, ok := sh.m[req.key]; ok {
+		if prev, ok := s.keydir[req.key]; ok {
 			s.addDead(prev.segID, prev.length)
 		}
 		if req.rec.tombstone {
-			delete(sh.m, req.key)
+			delete(s.keydir, req.key)
 			// The tombstone itself is reclaimable the moment it lands.
 			s.addDead(req.segID, req.length)
 		} else {
-			sh.m[req.key] = keyLoc{
+			s.keydir[req.key] = keyLoc{
 				segID:  req.segID,
 				offset: req.off,
 				length: req.length,
 				valLen: len(req.rec.value),
 			}
 		}
-		sh.mu.Unlock()
 	}
 }
 

@@ -11,13 +11,12 @@ import (
 // a set of sealed victim segments into fresh output segments while
 // reads and writes keep flowing: the victims are immutable, so the scan
 // and copy phases hold no locks at all; the key directory is flipped
-// afterward one shard at a time with a per-key compare-and-swap, so a
-// record a writer superseded mid-copy simply stays garbage in the
-// output. Crash safety comes from the manifest protocol (manifest.go):
-// outputs are staged as *.seg.tmp, fsynced, committed by an atomic
-// manifest write that also sentences the victims, then renamed into
-// place — a crash at any step recovers to exactly the pre- or
-// post-compaction segment set.
+// afterward with a per-key compare-and-swap, so a record a writer
+// superseded mid-copy simply stays garbage in the output. Crash safety
+// comes from the manifest protocol (manifest.go): outputs are staged as
+// *.seg.tmp, fsynced, committed by an atomic manifest write that also
+// sentences the victims, then renamed into place — a crash at any step
+// recovers to exactly the pre- or post-compaction segment set.
 //
 // Phases, with the on-crash outcome of each:
 //
@@ -112,8 +111,11 @@ func (s *Store) compactSegments(victims []*segment) error {
 	minSurvivor := s.minSurvivingOrder(victimIDs)
 	plan := make([]copyPlan, 0, len(last))
 	for key, vr := range last {
+		s.keyMu.RLock()
+		loc, ok := s.keydir[key]
+		s.keyMu.RUnlock()
 		if vr.tombstone {
-			if s.shardFor(key).has(key) {
+			if ok {
 				continue // a later put superseded the tombstone
 			}
 			if minSurvivor == nil || !orderBefore(minSurvivor, vr.seg) {
@@ -122,10 +124,6 @@ func (s *Store) compactSegments(victims []*segment) error {
 			plan = append(plan, copyPlan{key: key, src: vr})
 			continue
 		}
-		sh := s.shardFor(key)
-		sh.mu.RLock()
-		loc, ok := sh.m[key]
-		sh.mu.RUnlock()
 		if ok && loc.segID == vr.seg.id && loc.offset == vr.off {
 			plan = append(plan, copyPlan{key: key, src: vr})
 		}
@@ -187,10 +185,10 @@ func (s *Store) rewritePlan(victims []*segment, victimIDs map[uint64]bool, plan 
 		return fmt.Errorf("storage: syncing dir after compaction: %w", err)
 	}
 
-	// Phase 5: publish the outputs, then flip the key directory one
-	// shard at a time. A per-key CAS keeps flips correct against
-	// concurrent writers: an entry that moved on is left alone and the
-	// copy is charged to the output as garbage.
+	// Phase 5: publish the outputs, then flip the key directory. A
+	// per-key CAS keeps flips correct against concurrent writers: an
+	// entry that moved on is left alone and the copy is charged to the
+	// output as garbage.
 	s.segMu.Lock()
 	if s.closed.Load() {
 		s.segMu.Unlock()
@@ -367,36 +365,28 @@ func (s *Store) stageManifest(outputs, victims []*segment, rank uint64) manifest
 	return man
 }
 
-// flipKeydir repoints surviving copies, one shard at a time. Entries a
-// concurrent writer moved past fail the CAS; their copies become
-// garbage in the output they landed in.
+// flipKeydir repoints surviving copies under one hold of the keydir
+// lock. Entries a concurrent writer moved past fail the CAS; their
+// copies become garbage in the output they landed in.
 func (s *Store) flipKeydir(plan []copyPlan) {
-	byShard := make(map[int][]*copyPlan)
+	s.keyMu.Lock()
+	defer s.keyMu.Unlock()
 	for i := range plan {
 		p := &plan[i]
 		if p.src.tombstone || p.out == nil {
 			continue
 		}
-		idx := s.shardIndex(p.key)
-		byShard[idx] = append(byShard[idx], p)
-	}
-	for idx, ps := range byShard {
-		sh := &s.shards[idx]
-		sh.mu.Lock()
-		for _, p := range ps {
-			cur, ok := sh.m[p.key]
-			if ok && cur.segID == p.src.seg.id && cur.offset == p.src.off {
-				sh.m[p.key] = keyLoc{
-					segID:  p.out.id,
-					offset: p.newOff,
-					length: p.src.length,
-					valLen: p.src.valLen,
-				}
-			} else {
-				p.out.dead.Add(p.src.length)
+		cur, ok := s.keydir[p.key]
+		if ok && cur.segID == p.src.seg.id && cur.offset == p.src.off {
+			s.keydir[p.key] = keyLoc{
+				segID:  p.out.id,
+				offset: p.newOff,
+				length: p.src.length,
+				valLen: p.src.valLen,
 			}
+		} else {
+			p.out.dead.Add(p.src.length)
 		}
-		sh.mu.Unlock()
 	}
 }
 

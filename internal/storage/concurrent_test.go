@@ -64,7 +64,7 @@ func TestConcurrentReadersSingleWriter(t *testing.T) {
 }
 
 // TestConcurrentStressThroughCompaction mixes Get/Put/Delete/Keys/
-// Stats/Len/Fold across shards while segments rotate and a compactor
+// Stats/Len/Fold while segments rotate and a compactor
 // loops, under the race detector. Stable keys must stay visible and
 // internally consistent through every compaction cycle.
 func TestConcurrentStressThroughCompaction(t *testing.T) {
@@ -150,7 +150,7 @@ func TestConcurrentStressThroughCompaction(t *testing.T) {
 		}
 	}()
 
-	// Writers: churn volatile keys spread across shards.
+	// Writers: churn volatile keys.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {

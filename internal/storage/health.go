@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -256,37 +255,25 @@ func (s *Store) salvageTail(old *segment) error {
 	// offset the frame was applied from; anything else in the window is
 	// a within-batch superseded copy or a tombstone, dead on arrival in
 	// the new segment.
-	rr := newRecordReader(bytes.NewReader(buf))
 	salvaged := uint64(0)
-	for {
-		off := rr.offset()
-		rec, err := rr.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("storage: walking poisoned tail: %w", err)
-		}
-		length := rr.offset() - off
-		if rec.tombstone {
+	s.keyMu.Lock()
+	_, err := scanRecords(bytes.NewReader(buf), func(rec record, off, length int64) {
+		loc, ok := s.keydir[string(rec.key)]
+		if !ok || rec.tombstone || loc.segID != old.id || loc.offset != oldSynced+off {
 			s.addDead(act.id, length)
-			continue
+			return
 		}
-		key := string(rec.key)
-		sh := s.shardFor(key)
-		sh.mu.Lock()
-		if loc, ok := sh.m[key]; ok && loc.segID == old.id && loc.offset == oldSynced+off {
-			sh.m[key] = keyLoc{
-				segID:  act.id,
-				offset: base + off,
-				length: length,
-				valLen: len(rec.value),
-			}
-			salvaged++
-		} else {
-			s.addDead(act.id, length)
+		s.keydir[string(rec.key)] = keyLoc{
+			segID:  act.id,
+			offset: base + off,
+			length: length,
+			valLen: len(rec.value),
 		}
-		sh.mu.Unlock()
+		salvaged++
+	})
+	s.keyMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("storage: walking poisoned tail: %w", err)
 	}
 	s.whealth.salvagedRecords.Add(salvaged)
 	return nil

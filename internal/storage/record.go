@@ -3,14 +3,13 @@
 // publishes its datasets as an online database
 // (http://cosylab.iiitd.edu.in/culinarydb); this package is the durable
 // substrate behind our equivalent: append-only data segments with CRC32C
-// framing, a sharded in-memory key directory, group-commit batched
-// appends (fdatasync into preallocated segments on linux), pread point
-// reads and coalesced folds, parallel segment replay at Open,
-// tail-truncation crash recovery and background incremental
-// compaction with a crash-safe manifest, in the style of bitcask. See
-// README.md for the shard layout, the group-commit protocol, the read
-// and durability paths, the recovery ordering invariant and the
-// compaction crash matrix.
+// framing, one in-memory key directory, group-commit batched appends
+// (fdatasync into preallocated segments on linux), pread point reads and
+// coalesced folds, serial segment replay at Open, tail-truncation crash
+// recovery and background incremental compaction with a crash-safe
+// manifest, in the style of bitcask. See README.md for the key
+// directory, the group-commit protocol, the read and durability paths,
+// the recovery ordering invariant and the compaction crash matrix.
 package storage
 
 import (

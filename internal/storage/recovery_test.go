@@ -5,37 +5,55 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
+	"runtime/debug"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// serialReplayState is the reference recovery: the pre-sharding
-// engine's record-by-record, segment-by-segment replay.
+// serialReplayState is the reference recovery: a record-by-record,
+// segment-by-segment replay of the log.
 type serialReplayState struct {
 	keydir map[string]keyLoc
-	dead   int64
+	// dead is the garbage charged to each segment: a superseded record
+	// to the segment holding it, a tombstone to its own.
+	dead map[uint64]int64
 }
 
-// serialReplay rebuilds keydir state exactly the way the original
-// single-threaded Open did. It repairs a torn tail on the newest
-// segment as a side effect, just like Open.
-func serialReplay(t *testing.T, dir string) serialReplayState {
+// replayOrder returns dir's segment IDs in the manifest's (rank, id)
+// order, the order Open replays them in.
+func replayOrder(t *testing.T, dir string) []uint64 {
 	t.Helper()
 	ids, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := serialReplayState{keydir: make(map[string]keyLoc)}
+	man, err := loadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(ids, func(i, j int) bool { return man.rankOf(ids[i]) < man.rankOf(ids[j]) })
+	return ids
+}
+
+// serialReplay rebuilds keydir state and per-segment garbage record by
+// record. It repairs a torn tail on the last segment as a side effect,
+// just like Open.
+func serialReplay(t *testing.T, dir string) serialReplayState {
+	t.Helper()
+	ids := replayOrder(t, dir)
+	st := serialReplayState{keydir: make(map[string]keyLoc), dead: make(map[uint64]int64)}
 	for i, id := range ids {
 		last := i == len(ids)-1
+		st.dead[id] = 0
 		_, err := scanSegment(segmentPath(dir, id), last, func(rec record, off, length int64) {
 			key := string(rec.key)
 			if prev, ok := st.keydir[key]; ok {
-				st.dead += prev.length
+				st.dead[prev.segID] += prev.length
 			}
 			if rec.tombstone {
 				delete(st.keydir, key)
-				st.dead += length
+				st.dead[id] += length
 				return
 			}
 			st.keydir[key] = keyLoc{segID: id, offset: off, length: length, valLen: len(rec.value)}
@@ -45,18 +63,6 @@ func serialReplay(t *testing.T, dir string) serialReplayState {
 		}
 	}
 	return st
-}
-
-// gatherKeydir flattens a store's shard maps into one map for
-// comparison against the serial reference.
-func gatherKeydir(s *Store) map[string]keyLoc {
-	out := make(map[string]keyLoc)
-	for i := range s.shards {
-		for k, loc := range s.shards[i].m {
-			out[k] = loc
-		}
-	}
-	return out
 }
 
 // buildRecoveryFixture writes a multi-segment store with overwrites and
@@ -92,63 +98,187 @@ func buildRecoveryFixture(t *testing.T, dir string) {
 	}
 }
 
-// TestParallelReplayMatchesSerial asserts that the concurrent Open
-// rebuilds keydir state byte-identical to the reference serial replay
-// on a multi-segment fixture with overwrites and tombstones. Open scans
-// on GOMAXPROCS workers, so that is what the test varies.
-func TestParallelReplayMatchesSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, tear := range []bool{false, true} {
-		name := "clean"
-		if tear {
-			name = "tornTail"
-		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			buildRecoveryFixture(t, dir)
-			if tear {
-				ids, err := listSegments(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				path := segmentPath(dir, ids[len(ids)-1])
-				fi, err := os.Stat(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.Truncate(path, fi.Size()-5); err != nil {
-					t.Fatal(err)
-				}
+// buildPartialCompactionFixture writes a log whose replay order is not
+// its id order: a partial compaction rewrites every sealed segment but
+// the oldest into outputs ranked below the active segment, and later
+// puts — the first of them into that lower-id active segment —
+// supersede some of the copies while a tombstone deletes another.
+func buildPartialCompactionFixture(t *testing.T, dir string) {
+	t.Helper()
+	s, err := Open(dir, Options{MaxSegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 3; gen++ {
+		for i := 0; i < 40; i++ {
+			if err := s.Put(fmt.Sprintf("key%03d", i), bytes.Repeat([]byte{byte('a' + gen)}, 20+i%30)); err != nil {
+				t.Fatal(err)
 			}
+		}
+		// Tombstones in the victims; the oldest segment survives, so
+		// the compaction must copy them.
+		if err := s.Delete(fmt.Sprintf("key%03d", 30+gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.compactSegments(sealedExceptOldest(s)); err != nil {
+		t.Fatalf("partial compaction: %v", err)
+	}
+	var compacted []string
+	for _, k := range s.Keys() {
+		s.segMu.RLock()
+		seg := s.segments[s.keydir[k].segID]
+		s.segMu.RUnlock()
+		if seg.rank != seg.id {
+			compacted = append(compacted, k)
+		}
+	}
+	if len(compacted) < 4 {
+		t.Fatalf("partial compaction left %d keys in its outputs, want >= 4", len(compacted))
+	}
+	for i, k := range compacted {
+		if i%3 == 0 {
+			if err := s.Put(k, []byte("after-compaction")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Delete(compacted[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-			want := serialReplay(t, dir) // also repairs the torn tail
+// TestReplayMatchesReference asserts that Open rebuilds exactly the
+// reference serial replay's key directory and per-segment garbage, on
+// a churned log and on one whose compaction outputs rank below newer
+// segments, each intact and with a torn tail on its last segment.
+func TestReplayMatchesReference(t *testing.T) {
+	fixtures := []struct {
+		name  string
+		build func(*testing.T, string)
+	}{
+		{"churn", buildRecoveryFixture},
+		{"partialCompaction", buildPartialCompactionFixture},
+	}
+	for _, fx := range fixtures {
+		for _, tear := range []bool{false, true} {
+			name := fx.name + "/clean"
+			if tear {
+				name = fx.name + "/tornTail"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				fx.build(t, dir)
+				order := replayOrder(t, dir)
+				if fx.name == "partialCompaction" && slices.IsSorted(order) {
+					t.Fatalf("replay order %v is id order; the fixture does not exercise ranks", order)
+				}
+				if tear {
+					path := segmentPath(dir, order[len(order)-1])
+					fi, err := os.Stat(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.Truncate(path, fi.Size()-5); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-			for _, workers := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(workers)
+				want := serialReplay(t, dir) // also repairs the torn tail
+
 				s, err := Open(dir, Options{})
 				if err != nil {
-					t.Fatalf("Open(workers=%d): %v", workers, err)
+					t.Fatalf("Open: %v", err)
 				}
-				got := gatherKeydir(s)
-				if len(got) != len(want.keydir) {
-					t.Errorf("workers=%d: %d keys, want %d", workers, len(got), len(want.keydir))
+				defer s.Close()
+				if len(s.keydir) != len(want.keydir) {
+					t.Errorf("%d keys, want %d", len(s.keydir), len(want.keydir))
 				}
 				for k, wloc := range want.keydir {
-					if gloc, ok := got[k]; !ok || gloc != wloc {
-						t.Errorf("workers=%d: keydir[%q] = %+v (present=%v), want %+v", workers, k, gloc, ok, wloc)
+					if gloc, ok := s.keydir[k]; !ok || gloc != wloc {
+						t.Errorf("keydir[%q] = %+v (present=%v), want %+v", k, gloc, ok, wloc)
 					}
 				}
-				for k := range got {
+				for k := range s.keydir {
 					if _, ok := want.keydir[k]; !ok {
-						t.Errorf("workers=%d: extra key %q", workers, k)
+						t.Errorf("extra key %q", k)
 					}
 				}
-				if dead := s.deadBytesTotal(); dead != want.dead {
-					t.Errorf("workers=%d: deadBytes = %d, want %d", workers, dead, want.dead)
+				if len(s.segments) != len(want.dead) {
+					t.Errorf("%d segments, want %d", len(s.segments), len(want.dead))
 				}
-				s.Close()
-			}
-		})
+				var wantTotal int64
+				for id, wdead := range want.dead {
+					wantTotal += wdead
+					seg := s.segments[id]
+					if seg == nil {
+						t.Errorf("segment %d not registered", id)
+					} else if got := seg.dead.Load(); got != wdead {
+						t.Errorf("segment %d: dead = %d, want %d", id, got, wdead)
+					}
+				}
+				if dead := s.Stats().DeadBytes; dead != wantTotal {
+					t.Errorf("Stats().DeadBytes = %d, want %d", dead, wantTotal)
+				}
+			})
+		}
+	}
+}
+
+// TestFailedOpenClosesItsSegments corrupts a sealed segment in the
+// middle of the replay order and fails Open on it repeatedly: the
+// segments each attempt opened before the corrupt one must be closed
+// by Open, not left for finalizers (which the test switches off).
+func TestFailedOpenClosesItsSegments(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
+	}
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxSegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; s.Stats().Segments < 14; i++ {
+		if err := s.Put(fmt.Sprintf("key%03d", i), bytes.Repeat([]byte("v"), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := segmentPath(dir, ids[7])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	before := fds()
+	for i := 0; i < 20; i++ {
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open over a corrupt sealed segment = %v, want ErrCorrupt", err)
+		}
+	}
+	if after := fds(); after != before {
+		t.Fatalf("20 failed Opens left %d descriptors open", after-before)
 	}
 }
 

@@ -245,15 +245,13 @@ func (s *Store) salvageSegment(seg *segment) error {
 		loc keyLoc
 	}
 	var live []liveRef
-	s.rlockAll()
-	for i := range s.shards {
-		for k, loc := range s.shards[i].m {
-			if loc.segID == seg.id {
-				live = append(live, liveRef{key: k, loc: loc})
-			}
+	s.keyMu.RLock()
+	for k, loc := range s.keydir {
+		if loc.segID == seg.id {
+			live = append(live, liveRef{key: k, loc: loc})
 		}
 	}
-	s.runlockAll()
+	s.keyMu.RUnlock()
 	sort.Slice(live, func(i, j int) bool { return live[i].loc.offset < live[j].loc.offset })
 
 	// Verify each live frame in place. Intact ones are salvage
@@ -276,13 +274,12 @@ func (s *Store) salvageSegment(seg *segment) error {
 			_, derr = decodeFramedValue(frame, lr.key)
 		}
 		if rerr != nil || derr != nil {
-			sh := s.shardFor(lr.key)
-			sh.mu.Lock()
-			if cur, ok := sh.m[lr.key]; ok && cur.segID == seg.id && cur.offset == lr.loc.offset {
-				delete(sh.m, lr.key)
+			s.keyMu.Lock()
+			if cur, ok := s.keydir[lr.key]; ok && cur.segID == seg.id && cur.offset == lr.loc.offset {
+				delete(s.keydir, lr.key)
 				lost++
 			}
-			sh.mu.Unlock()
+			s.keyMu.Unlock()
 			continue
 		}
 		liveOffsets = append(liveOffsets, lr.loc.offset)
@@ -299,7 +296,7 @@ func (s *Store) salvageSegment(seg *segment) error {
 	// compaction survival rules.
 	minSurvivor := s.minSurvivingOrder(victimIDs)
 	for _, ts := range s.rescueTombstones(seg, liveOffsets) {
-		if s.shardFor(ts.key).has(ts.key) {
+		if s.Has(ts.key) {
 			continue // a later put made it moot
 		}
 		if minSurvivor == nil || !orderBefore(minSurvivor, seg) {
@@ -338,49 +335,32 @@ type rescuedTombstone struct {
 // live-record offset past the damage (frames between are
 // unrecoverable — without a trustworthy length there is no safe way to
 // find the next frame boundary). Later duplicates win, as in replay.
+// liveOffsets is ascending.
 func (s *Store) rescueTombstones(seg *segment, liveOffsets []int64) []rescuedTombstone {
 	lastByKey := make(map[string]rescuedTombstone)
-	base := int64(0)
-	for base < seg.size {
-		rr := newRecordReader(io.NewSectionReader(seg.f, base, seg.size-base))
-		for {
-			off := base + rr.offset()
-			rec, err := rr.next()
-			if err == io.EOF {
-				return tombstoneList(lastByKey)
-			}
-			if err != nil {
-				// Resync past the corruption at the next live offset.
-				next := int64(-1)
-				for _, lo := range liveOffsets {
-					if lo > off {
-						next = lo
-						break
-					}
-				}
-				if next < 0 {
-					return tombstoneList(lastByKey)
-				}
-				base = next
-				break
-			}
-			if rec.tombstone {
-				key := string(rec.key)
-				lastByKey[key] = rescuedTombstone{key: key, off: off, length: base + rr.offset() - off}
-			} else {
+	for base := int64(0); base < seg.size; {
+		stop, err := scanRecords(io.NewSectionReader(seg.f, base, seg.size-base), func(rec record, off, length int64) {
+			if !rec.tombstone {
 				// A later put in the same segment supersedes a rescued
 				// tombstone, exactly as replay order would.
 				delete(lastByKey, string(rec.key))
+				return
 			}
+			key := string(rec.key)
+			lastByKey[key] = rescuedTombstone{key: key, off: base + off, length: length}
+		})
+		if err == nil {
+			break
 		}
+		// Resync past the corruption at the next live offset.
+		next := sort.Search(len(liveOffsets), func(i int) bool { return liveOffsets[i] > base+stop })
+		if next == len(liveOffsets) {
+			break
+		}
+		base = liveOffsets[next]
 	}
-	return tombstoneList(lastByKey)
-}
-
-// tombstoneList flattens the per-key survivors.
-func tombstoneList(m map[string]rescuedTombstone) []rescuedTombstone {
-	out := make([]rescuedTombstone, 0, len(m))
-	for _, ts := range m {
+	out := make([]rescuedTombstone, 0, len(lastByKey))
+	for _, ts := range lastByKey {
 		out = append(out, ts)
 	}
 	return out

@@ -12,10 +12,9 @@ import (
 // segOf returns the segment currently holding key's live record.
 func segOf(t *testing.T, s *Store, key string) uint64 {
 	t.Helper()
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	loc, ok := sh.m[key]
-	sh.mu.RUnlock()
+	s.keyMu.RLock()
+	loc, ok := s.keydir[key]
+	s.keyMu.RUnlock()
 	if !ok {
 		t.Fatalf("segOf: %q not in keydir", key)
 	}
@@ -26,10 +25,9 @@ func segOf(t *testing.T, s *Store, key string) uint64 {
 // byte of its value region, breaking the frame CRC.
 func flipFrameByte(t *testing.T, s *Store, key string) {
 	t.Helper()
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	loc, ok := sh.m[key]
-	sh.mu.RUnlock()
+	s.keyMu.RLock()
+	loc, ok := s.keydir[key]
+	s.keyMu.RUnlock()
 	if !ok {
 		t.Fatalf("flipFrameByte: %q not in keydir", key)
 	}
@@ -183,8 +181,9 @@ func TestScrubRescuesTombstones(t *testing.T) {
 		}
 	}
 
-	// Segment A: the doomed put, then fill until rotation.
+	// Segment A: the doomed puts, then fill until rotation.
 	put("dead-key")
+	put("dead-after-damage")
 	segA := segOf(t, s, "dead-key")
 	i := 0
 	for activeSegID(s) == segA {
@@ -192,14 +191,19 @@ func TestScrubRescuesTombstones(t *testing.T) {
 		i++
 	}
 	// Segment B, from the top: tombstone for dead-key, a sacrificial
-	// record to corrupt, then fill until B seals.
+	// record to corrupt, a live record the rescue walk resyncs at, the
+	// second tombstone, then fill until B seals.
 	segB := activeSegID(s)
 	if err := s.Delete("dead-key"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	put("sacrificial")
-	if got := segOf(t, s, "sacrificial"); got != segB {
-		t.Fatalf("fixture: sacrificial landed in segment %d, want %d (with the tombstone)", got, segB)
+	put("resync-anchor")
+	if err := s.Delete("dead-after-damage"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if got := segOf(t, s, "resync-anchor"); got != segB {
+		t.Fatalf("fixture: resync-anchor landed in segment %d, want %d (with the tombstones)", got, segB)
 	}
 	i = 0
 	for activeSegID(s) == segB {
@@ -234,8 +238,14 @@ func TestScrubRescuesTombstones(t *testing.T) {
 	if _, err := s2.Get("dead-key"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("reopened Get(dead-key) err = %v, want ErrNotFound — tombstone lost in salvage", err)
 	}
+	if _, err := s2.Get("dead-after-damage"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("reopened Get(dead-after-damage) err = %v, want ErrNotFound — tombstone past the damage lost in salvage", err)
+	}
 	if _, err := s2.Get("sacrificial"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("reopened Get(sacrificial) err = %v, want ErrNotFound", err)
+	}
+	if got, err := s2.Get("resync-anchor"); err != nil || string(got) != filler {
+		t.Fatalf("reopened Get(resync-anchor) = (%q, %v), want filler", got, err)
 	}
 	if got, err := s2.Get("fill-a-00"); err != nil || string(got) != filler {
 		t.Fatalf("reopened Get(fill-a-00) = (%q, %v), want filler", got, err)

@@ -89,11 +89,6 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// keydirShards is the number of key-directory partitions, a power of
-// two so a hash maps to its shard with a mask. Readers and writers
-// touching keys on different shards never contend.
-const keydirShards = 64
-
 // keyLoc locates the live value of a key.
 type keyLoc struct {
 	segID  uint64
@@ -102,27 +97,13 @@ type keyLoc struct {
 	valLen int   // decoded value length (cheap Len/stat answers)
 }
 
-// shard is one partition of the key directory. Keys are assigned by
-// hash, so a shard's mutex only ever serializes operations on its own
-// key subset.
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]keyLoc
-}
-
-// has reports key presence under the shard read lock.
-func (sh *shard) has(key string) bool {
-	sh.mu.RLock()
-	_, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return ok
-}
-
 // Store is the log-structured key-value store. All methods are safe for
-// concurrent use. The key directory is partitioned into keydirShards
-// shards, each with its own RWMutex, so readers and writers on
-// different keys proceed in parallel; appends to the shared log are
-// batched by a group-commit protocol (see commit.go).
+// concurrent use. The key directory is one map under one RWMutex: its
+// writers are the commit leader (once per group), the compactor's flip
+// and the scrubber, its readers the boot Fold, Stats and tools, so there
+// is no concurrent point-read traffic for a finer lock to serve. Appends
+// to the shared log are batched by a group-commit protocol (see
+// commit.go). Lock order: keyMu before segMu.
 type Store struct {
 	dir  string
 	opts Options
@@ -130,7 +111,8 @@ type Store struct {
 	// writes; tests swap it for a fault-injecting version.
 	fs fsOps
 
-	shards [keydirShards]shard
+	keyMu  sync.RWMutex
+	keydir map[string]keyLoc
 
 	closed atomic.Bool
 	// nextSegID is the last segment ID handed out; rotation and
@@ -166,50 +148,15 @@ type Store struct {
 	commitBuf []byte // leader-owned concatenation buffer
 }
 
-// shardFor hashes key onto its directory partition.
-func (s *Store) shardFor(key string) *shard {
-	return &s.shards[s.shardIndex(key)]
-}
-
-// shardIndex returns the shard slot for key.
-func (s *Store) shardIndex(key string) int {
-	return int(fnv32a(key) & (keydirShards - 1))
-}
-
-// fnv32a hashes key (FNV-1a).
-func fnv32a(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return h
-}
-
-// rlockAll takes every shard read lock in index order, giving callers a
-// consistent global view of the key directory (writers hold one shard
-// at a time; compaction takes the same locks in the same order).
-func (s *Store) rlockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-	}
-}
-
-func (s *Store) runlockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.RUnlock()
-	}
-}
-
 // Open opens (creating if necessary) a store rooted at dir, replaying
-// all segments to rebuild the key directory. Sealed segments are
-// scanned in parallel (see replay.go); recovered state is identical to
-// a serial, record-by-record replay because per-key winners merge in
-// (rank, segID, offset) order. A torn tail on the newest segment is
-// truncated away; corruption anywhere else fails Open. A crash during
-// an incremental compaction recovers to a consistent pre- or
-// post-compaction segment set (see manifest.go): orphaned outputs are
-// deleted, committed ones rolled forward, superseded victims unlinked.
-// When opts.CompactInterval is set, a background compactor starts.
+// all segments in (rank, id) order to rebuild the key directory (see
+// replay.go). A torn tail on the newest segment is truncated away;
+// corruption anywhere else fails Open, which then closes every segment
+// it had opened. A crash during an incremental compaction recovers to a
+// consistent pre- or post-compaction segment set (see manifest.go):
+// orphaned outputs are deleted, committed ones rolled forward,
+// superseded victims unlinked. When opts.CompactInterval is set, a
+// background compactor starts.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -219,6 +166,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		opts:     opts,
 		fs:       osFS(),
+		keydir:   make(map[string]keyLoc),
 		segments: make(map[uint64]*segment),
 		commits:  fanin.New[*commitReq](),
 	}
@@ -228,20 +176,20 @@ func Open(dir string, opts Options) (*Store, error) {
 		// the whole write/rotate/compact/manifest sequence.
 		s.fs = opts.FaultInjection.wrapFS(s.fs)
 	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]keyLoc)
-	}
 	ids, err := s.recoverDir()
+	if err == nil {
+		err = s.loadSegments(ids)
+	}
+	if err == nil && s.active == nil && !opts.ReadOnly {
+		err = s.rotate()
+	}
 	if err != nil {
-		return nil, err
-	}
-	if err := s.loadSegments(ids); err != nil {
-		return nil, err
-	}
-	if s.active == nil && !opts.ReadOnly {
-		if err := s.rotate(); err != nil {
-			return nil, err
+		// Nothing else holds these descriptors; left open they would
+		// wait for finalizers.
+		for _, seg := range s.segments {
+			seg.f.Close()
 		}
+		return nil, err
 	}
 	if opts.ReadOnly {
 		// Nothing mutates a read-only store, so the write probe,
@@ -353,7 +301,7 @@ func (s *Store) Delete(key string) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	if !s.shardFor(key).has(key) {
+	if !s.Has(key) {
 		// Fast path: already absent. Racy, but the commit leader
 		// re-checks under its serialized view before logging.
 		return nil
@@ -367,11 +315,10 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	sh := s.shardFor(key)
 	for {
-		sh.mu.RLock()
-		loc, ok := sh.m[key]
-		sh.mu.RUnlock()
+		s.keyMu.RLock()
+		loc, ok := s.keydir[key]
+		s.keyMu.RUnlock()
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
@@ -411,51 +358,42 @@ func readValue(seg *segment, loc keyLoc, key string) ([]byte, error) {
 
 // Has reports whether key is present.
 func (s *Store) Has(key string) bool {
-	return s.shardFor(key).has(key)
+	s.keyMu.RLock()
+	_, ok := s.keydir[key]
+	s.keyMu.RUnlock()
+	return ok
 }
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
-	s.rlockAll()
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].m)
-	}
-	s.runlockAll()
-	return n
+	s.keyMu.RLock()
+	defer s.keyMu.RUnlock()
+	return len(s.keydir)
 }
 
 // Keys returns all live keys, sorted. Intended for tools and tests; the
 // result is O(n) fresh memory taken from one consistent view.
 func (s *Store) Keys() []string {
-	s.rlockAll()
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].m)
+	s.keyMu.RLock()
+	out := make([]string, 0, len(s.keydir))
+	for k := range s.keydir {
+		out = append(out, k)
 	}
-	out := make([]string, 0, n)
-	for i := range s.shards {
-		for k := range s.shards[i].m {
-			out = append(out, k)
-		}
-	}
-	s.runlockAll()
+	s.keyMu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // KeysWithPrefix returns live keys beginning with prefix, sorted.
 func (s *Store) KeysWithPrefix(prefix string) []string {
-	s.rlockAll()
+	s.keyMu.RLock()
 	var out []string
-	for i := range s.shards {
-		for k := range s.shards[i].m {
-			if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-				out = append(out, k)
-			}
+	for k := range s.keydir {
+		if strings.HasPrefix(k, prefix) {
+			out = append(out, k)
 		}
 	}
-	s.runlockAll()
+	s.keyMu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -485,16 +423,10 @@ func (s *Store) Fold(fn func(key string, value []byte) error) error {
 	// Snapshot locations and pin segments under one consistent view, so
 	// concurrent writes, rotation and compaction cannot disturb the
 	// records the fold will read.
-	s.rlockAll()
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].m)
-	}
-	entries := make([]foldEntry, 0, n)
-	for i := range s.shards {
-		for k, loc := range s.shards[i].m {
-			entries = append(entries, foldEntry{key: k, loc: loc})
-		}
+	s.keyMu.RLock()
+	entries := make([]foldEntry, 0, len(s.keydir))
+	for k, loc := range s.keydir {
+		entries = append(entries, foldEntry{key: k, loc: loc})
 	}
 	s.segMu.RLock()
 	pinned := make([]*segment, 0, len(s.segments))
@@ -505,7 +437,7 @@ func (s *Store) Fold(fn func(key string, value []byte) error) error {
 		segByID[id] = seg
 	}
 	s.segMu.RUnlock()
-	s.runlockAll()
+	s.keyMu.RUnlock()
 	defer func() {
 		for _, seg := range pinned {
 			seg.release()
@@ -560,8 +492,8 @@ func (s *Store) readFoldBatch(batch []foldEntry, segByID map[uint64]*segment) er
 		first := byOffset[i].loc
 		seg := segByID[first.segID]
 		if seg == nil {
-			// Compaction cannot outrun the snapshot (it needs the shard
-			// write locks the fold held), so a vanished segment means
+			// Compaction cannot outrun the snapshot (its flip needs the
+			// keydir write lock the fold held), so a vanished segment means
 			// the store was closed underneath us.
 			if s.closed.Load() {
 				return ErrClosed
@@ -651,41 +583,19 @@ type Stats struct {
 
 // Stats returns statistics from one consistent view of the directory.
 func (s *Store) Stats() Stats {
-	s.rlockAll()
+	s.keyMu.RLock()
 	var live int64
-	keys := 0
-	for i := range s.shards {
-		keys += len(s.shards[i].m)
-		for _, loc := range s.shards[i].m {
-			live += loc.length
-		}
+	for _, loc := range s.keydir {
+		live += loc.length
 	}
 	s.segMu.RLock()
-	nseg := len(s.segments)
-	var dead int64
+	st := Stats{Keys: len(s.keydir), Segments: len(s.segments), LiveBytes: live}
 	for _, seg := range s.segments {
-		dead += seg.dead.Load()
+		st.DeadBytes += seg.dead.Load()
 	}
 	s.segMu.RUnlock()
-	s.runlockAll()
-	return Stats{
-		Keys:      keys,
-		Segments:  nseg,
-		LiveBytes: live,
-		DeadBytes: dead,
-	}
-}
-
-// deadBytesTotal sums per-segment garbage counters (test helper and
-// compaction-floor check).
-func (s *Store) deadBytesTotal() int64 {
-	s.segMu.RLock()
-	var dead int64
-	for _, seg := range s.segments {
-		dead += seg.dead.Load()
-	}
-	s.segMu.RUnlock()
-	return dead
+	s.keyMu.RUnlock()
+	return st
 }
 
 // Close stops the background goroutines, syncs and closes every segment.
