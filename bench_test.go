@@ -230,17 +230,25 @@ func BenchmarkExtAliasing(b *testing.B) {
 	}
 }
 
-// BenchmarkCorpusGeneration measures full per-recipe generation cost of
-// the calibrated synthetic corpus at 5% scale.
+// BenchmarkCorpusGeneration measures generating the calibrated synthetic
+// corpus, calibration included, at TestConfig's 12% scale (test) and at
+// the paper's full scale (full: 45,772 recipes, what experiments.NewEnv
+// and the paper_figs setup pay).
 func BenchmarkCorpusGeneration(b *testing.B) {
-	cfg := synth.TestConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		store, err := synth.Generate(benchEnv.Analyzer, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(store.Len()), "recipes")
+	for _, bc := range []struct {
+		name string
+		cfg  synth.Config
+	}{{"test", synth.TestConfig()}, {"full", synth.DefaultConfig()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				store, err := synth.Generate(benchEnv.Analyzer, bc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(store.Len()), "recipes")
+			}
+		})
 	}
 }
 

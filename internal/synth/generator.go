@@ -25,11 +25,20 @@
 //
 // Recipe sizes follow a shifted Poisson distribution with mean ≈ 9
 // bounded to [3, 28]: the bounded, thin-tailed distribution of Fig 3a.
+//
+// Determinism: each region draws only from its own stream,
+// rng.New(Seed).Split(region+1), and Split does not advance its parent,
+// so Generate draws the regions on min(GOMAXPROCS, regions) workers,
+// installs them in region order, and IDs, versions and CanonicalDump do
+// not depend on GOMAXPROCS (golden_test.go pins them). Within a region,
+// never reorder or replace an rng draw: a sampler that consumes the
+// stream differently (alias table, Fenwick tree) is a different corpus.
 package synth
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"culinary/internal/flavor"
 	"culinary/internal/pairing"
@@ -86,7 +95,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// TestConfig returns a reduced corpus (≈ 5% scale) for fast tests.
+// TestConfig returns a reduced corpus (12% scale) for fast tests.
 func TestConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Scale = 0.12
@@ -122,16 +131,29 @@ func Generate(analyzer *pairing.Analyzer, cfg Config) (*recipedb.Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	catalog := analyzer.Catalog()
-	store := recipedb.NewStore(catalog)
 	master := rng.New(cfg.Seed)
-
 	regions := recipedb.MajorRegions()
 	if cfg.IncludeMinorRegions {
 		regions = recipedb.AllRegions()
 	}
+	// Workers take regions largest first, so the longest is not started
+	// last; results are indexed by Region, which counts up from 0.
+	byCost := append([]recipedb.Region(nil), regions...)
+	sort.SliceStable(byCost, func(a, b int) bool { return byCost[a].PaperRecipeCount() > byCost[b].PaperRecipeCount() })
+	recs := make([][]recipedb.Recipe, recipedb.NumAllRegions)
+	errs := make([]error, recipedb.NumAllRegions)
+	pairing.ForEachTask(len(byCost), func(k int) {
+		r := byCost[k]
+		// Split on the worker, so no two hot rng.Sources share a cache line.
+		recs[r], errs[r] = generateCalibratedRegion(analyzer, r, cfg, master.Split(uint64(r)+1))
+	})
+	store := recipedb.NewStore(analyzer.Catalog())
 	for _, region := range regions {
-		if err := generateCalibratedRegion(analyzer, store, region, cfg, master.Split(uint64(region)+1)); err != nil {
+		err := errs[region]
+		if err == nil {
+			_, err = store.Load(recs[region])
+		}
+		if err != nil {
 			return nil, fmt.Errorf("synth: region %s: %w", region.Code(), err)
 		}
 	}
@@ -156,84 +178,92 @@ const (
 // cuisine the wrong way, especially in small corpora; when that happens
 // the region is regenerated with a stronger flavor-affinity bias. The
 // loop is deterministic: attempt k uses the seed stream Split(k).
-func generateCalibratedRegion(analyzer *pairing.Analyzer, store *recipedb.Store, region recipedb.Region, cfg Config, src *rng.Source) error {
+func generateCalibratedRegion(analyzer *pairing.Analyzer, region recipedb.Region, cfg Config, src *rng.Source) ([]recipedb.Recipe, error) {
+	target := int(math.Round(float64(region.PaperRecipeCount()) * cfg.Scale))
+	if target < 4 {
+		target = 4
+	}
 	wantSign := region.PairingSign()
 	scale := cfg.AffinityScale
 	for attempt := 0; attempt < calibrationAttempts; attempt++ {
-		attemptCfg := cfg
-		attemptCfg.AffinityScale = scale
-		trial := recipedb.NewStore(analyzer.Catalog())
-		if err := generateRegion(analyzer, trial, region, attemptCfg, src.Split(uint64(attempt))); err != nil {
-			return err
-		}
+		st := newRegionState(analyzer, region, cfg, src.Split(uint64(attempt)), region.PairingBias()*scale)
+		recs := st.evolve(target)
 		if wantSign == 0 {
-			return copyRegion(trial, store, region)
+			return recs, nil
+		}
+		trial := recipedb.NewStore(analyzer.Catalog())
+		if _, err := trial.Load(recs); err != nil {
+			return nil, err
 		}
 		cuisine := trial.BuildCuisine(region)
 		res, err := pairing.Compare(analyzer, trial, cuisine, pairing.RandomModel,
 			calibrationNullDraws, src.Split(1000+uint64(attempt)))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if (wantSign > 0 && res.Z >= calibrationMinZ) || (wantSign < 0 && res.Z <= -calibrationMinZ) {
-			return copyRegion(trial, store, region)
+			return recs, nil
 		}
 		scale *= 1.7
 	}
-	return fmt.Errorf("synth: region %s failed pairing-direction calibration after %d attempts",
+	return nil, fmt.Errorf("synth: region %s failed pairing-direction calibration after %d attempts",
 		region.Code(), calibrationAttempts)
 }
 
-// copyRegion moves every recipe of the region from a trial store into
-// the destination store.
-func copyRegion(from, to *recipedb.Store, region recipedb.Region) error {
-	var firstErr error
-	from.ForEachInRegion(region, func(r *recipedb.Recipe) {
-		if firstErr != nil {
-			return
-		}
-		if _, err := to.Add(r.Name, r.Region, r.Source, r.Ingredients); err != nil {
-			firstErr = err
-		}
-	})
-	return firstErr
+// cand is one candidate ingredient of a slot and its softmax weight.
+type cand struct {
+	id flavor.ID
+	w  float64
 }
 
-// regionState carries the evolving cuisine during generation.
+// regionState carries the evolving cuisine during generation, and the
+// selection kernel's scratch so that a draw allocates nothing.
 type regionState struct {
 	analyzer *pairing.Analyzer
 	cfg      Config
 	region   recipedb.Region
 	src      *rng.Source
 	pool     []flavor.ID
-	poolIdx  map[flavor.ID]int
+	poolIdx  []int     // catalog ID → index in pool, for pool members
 	usage    []float64 // usage[i] = 1 + times pool[i] has been used
 	catw     []float64 // per-pool-member category fitness multiplier
+	weight   []float64 // weight[i] = usage[i] * catw[i]
 	// standardization constants for shared-compound counts in the pool
 	shareMean, shareStd float64
 	recipes             [][]flavor.ID
 	beta                float64
-	usageMax            float64
+	usageMax            float64     // max of weight
+	member              []bool      // by catalog ID: in the recipe being drawn
+	cands               []cand      // one slot's candidates
+	rest                []flavor.ID // a copied recipe minus the slot being redrawn
 }
 
-func generateRegion(analyzer *pairing.Analyzer, store *recipedb.Store, region recipedb.Region, cfg Config, src *rng.Source) error {
-	target := int(math.Round(float64(region.PaperRecipeCount()) * cfg.Scale))
-	if target < 4 {
-		target = 4
-	}
+// newRegionState draws the region's pool and share statistics from src;
+// beta is the flavor-affinity bias the selection kernel applies.
+func newRegionState(analyzer *pairing.Analyzer, region recipedb.Region, cfg Config, src *rng.Source, beta float64) *regionState {
 	st := &regionState{
 		analyzer: analyzer,
 		cfg:      cfg,
 		region:   region,
 		src:      src,
-		beta:     region.PairingBias() * cfg.AffinityScale,
+		beta:     beta,
+		member:   make([]bool, analyzer.Catalog().Len()),
+		cands:    make([]cand, 0, cfg.Candidates),
+		rest:     make([]flavor.ID, 0, cfg.MaxSize),
 	}
 	st.buildPool()
 	st.calibrateShares()
+	return st
+}
 
-	for len(st.recipes) < target {
+// evolve grows the cuisine to n recipes, each a copy-mutate of an
+// earlier one or a fresh composition, then names them and assigns their
+// sources. The recipes come back in generation order with ID -1, so
+// Store.Load gives each the next free slot.
+func (st *regionState) evolve(n int) []recipedb.Recipe {
+	for len(st.recipes) < n {
 		var recipe []flavor.ID
-		if len(st.recipes) > 8 && src.Float64() < cfg.CopyProb {
+		if len(st.recipes) > 8 && st.src.Float64() < st.cfg.CopyProb {
 			recipe = st.copyMutate()
 		} else {
 			recipe = st.freshRecipe()
@@ -242,20 +272,19 @@ func generateRegion(analyzer *pairing.Analyzer, store *recipedb.Store, region re
 		for _, id := range recipe {
 			i := st.poolIdx[id]
 			st.usage[i]++
-			if w := st.usage[i] * st.catw[i]; w > st.usageMax {
-				st.usageMax = w
+			st.weight[i] = st.usage[i] * st.catw[i]
+			if st.weight[i] > st.usageMax {
+				st.usageMax = st.weight[i]
 			}
 		}
 	}
-
+	recs := make([]recipedb.Recipe, len(st.recipes))
 	for i, recipe := range st.recipes {
 		name := st.recipeName(recipe, i)
 		source := st.pickSource()
-		if _, err := store.Add(name, region, source, recipe); err != nil {
-			return err
-		}
+		recs[i] = recipedb.Recipe{ID: -1, Name: name, Region: st.region, Source: source, Ingredients: recipe}
 	}
-	return nil
+	return recs
 }
 
 // buildPool selects the region's ingredient pool with category-weighted
@@ -280,21 +309,23 @@ func (st *regionState) buildPool() {
 	}
 	chosen := w.SampleDistinct(st.src, targetSize)
 	st.pool = make([]flavor.ID, len(chosen))
-	st.poolIdx = make(map[flavor.ID]int, len(chosen))
+	st.poolIdx = make([]int, catalog.Len())
 	st.usage = make([]float64, len(chosen))
 	st.catw = make([]float64, len(chosen))
+	st.weight = make([]float64, len(chosen))
 	st.usageMax = 0
 	for i, idx := range chosen {
 		st.pool[i] = flavor.ID(idx)
-		st.poolIdx[flavor.ID(idx)] = i
+		st.poolIdx[idx] = i
 		st.usage[i] = 1 // Laplace prior so every pool member is reachable
 		// Category fitness shapes usage incidence (Fig 2): slots prefer
 		// members of regionally favored categories, and preferential
 		// attachment compounds the advantage.
 		cw := CategoryWeight(st.region, catalog.Ingredient(flavor.ID(idx)).Category)
 		st.catw[i] = cw * cw // squared to sharpen regional signatures
-		if st.catw[i] > st.usageMax {
-			st.usageMax = st.catw[i]
+		st.weight[i] = st.catw[i]
+		if st.weight[i] > st.usageMax {
+			st.usageMax = st.weight[i]
 		}
 	}
 }
@@ -347,11 +378,13 @@ func (st *regionState) sampleSize() int {
 func (st *regionState) freshRecipe() []flavor.ID {
 	size := st.sampleSize()
 	recipe := make([]flavor.ID, 0, size)
-	member := make(map[flavor.ID]struct{}, size)
 	for len(recipe) < size {
-		id := st.selectIngredient(recipe, member)
+		id := st.selectIngredient(recipe)
 		recipe = append(recipe, id)
-		member[id] = struct{}{}
+		st.member[id] = true
+	}
+	for _, id := range recipe {
+		st.member[id] = false
 	}
 	return recipe
 }
@@ -361,41 +394,34 @@ func (st *regionState) freshRecipe() []flavor.ID {
 func (st *regionState) copyMutate() []flavor.ID {
 	tmpl := st.recipes[st.src.Intn(len(st.recipes))]
 	recipe := append([]flavor.ID(nil), tmpl...)
-	member := make(map[flavor.ID]struct{}, len(recipe))
 	for _, id := range recipe {
-		member[id] = struct{}{}
+		st.member[id] = true
 	}
 	mutations := int(math.Ceil(st.cfg.MutationRate * float64(len(recipe))))
 	for m := 0; m < mutations; m++ {
 		slot := st.src.Intn(len(recipe))
-		old := recipe[slot]
-		delete(member, old)
+		st.member[recipe[slot]] = false
 		// Remove the slot from the affinity context, then redraw.
-		rest := make([]flavor.ID, 0, len(recipe)-1)
-		for i, id := range recipe {
-			if i != slot {
-				rest = append(rest, id)
-			}
-		}
-		id := st.selectIngredient(rest, member)
+		st.rest = append(append(st.rest[:0], recipe[:slot]...), recipe[slot+1:]...)
+		id := st.selectIngredient(st.rest)
 		recipe[slot] = id
-		member[id] = struct{}{}
+		st.member[id] = true
+	}
+	for _, id := range recipe {
+		st.member[id] = false
 	}
 	return recipe
 }
 
-// selectIngredient draws Candidates pool members with probability
-// proportional to usage (preferential attachment), scores each by the
-// standardized mean shared-compound count against the partial recipe,
-// and picks via softmax with inverse temperature β. With β = 0 this
-// reduces to pure preferential attachment; β > 0 favors flavor-similar
-// candidates (uniform pairing), β < 0 flavor-dissimilar (contrasting).
-func (st *regionState) selectIngredient(partial []flavor.ID, member map[flavor.ID]struct{}) flavor.ID {
-	type cand struct {
-		id flavor.ID
-		w  float64
-	}
-	cands := make([]cand, 0, st.cfg.Candidates)
+// selectIngredient draws Candidates pool members not yet in the recipe
+// (st.member) with probability proportional to usage (preferential
+// attachment), scores each by the standardized mean shared-compound
+// count against the partial recipe, and picks via softmax with inverse
+// temperature β. With β = 0 this reduces to pure preferential
+// attachment; β > 0 favors flavor-similar candidates (uniform pairing),
+// β < 0 flavor-dissimilar (contrasting).
+func (st *regionState) selectIngredient(partial []flavor.ID) flavor.ID {
+	cands := st.cands[:0]
 	attempts := 0
 	for len(cands) < st.cfg.Candidates && attempts < st.cfg.Candidates*20 {
 		attempts++
@@ -406,15 +432,16 @@ func (st *regionState) selectIngredient(partial []flavor.ID, member map[flavor.I
 			idx = st.sampleByUsage()
 		}
 		id := st.pool[idx]
-		if _, dup := member[id]; dup {
+		if st.member[id] {
 			continue
 		}
 		cands = append(cands, cand{id: id})
 	}
+	st.cands = cands
 	if len(cands) == 0 {
 		// Pool nearly exhausted by this recipe: linear scan.
 		for _, id := range st.pool {
-			if _, dup := member[id]; !dup {
+			if !st.member[id] {
 				return id
 			}
 		}
@@ -461,11 +488,11 @@ func (st *regionState) selectIngredient(partial []flavor.ID, member map[flavor.I
 // sampleByUsage draws a pool index proportionally to usage × category
 // fitness by rejection against the incrementally maintained maximum
 // (weights change every recipe, so an alias table would need constant
-// rebuilding).
+// rebuilding — and would consume the stream differently).
 func (st *regionState) sampleByUsage() int {
 	for {
-		i := st.src.Intn(len(st.usage))
-		if st.src.Float64()*st.usageMax <= st.usage[i]*st.catw[i] {
+		i := st.src.Intn(len(st.weight))
+		if st.src.Float64()*st.usageMax <= st.weight[i] {
 			return i
 		}
 	}
@@ -529,39 +556,10 @@ func GenerateSingleRegion(analyzer *pairing.Analyzer, region recipedb.Region, cf
 	if cfg.Recipes < 4 {
 		return nil, fmt.Errorf("synth: Recipes %d too small", cfg.Recipes)
 	}
-	base := DefaultConfig()
-	base.Seed = cfg.Seed
+	st := newRegionState(analyzer, region, DefaultConfig(), rng.New(cfg.Seed).Split(uint64(region)+1), cfg.Beta)
 	store := recipedb.NewStore(analyzer.Catalog())
-	src := rng.New(cfg.Seed).Split(uint64(region) + 1)
-	st := &regionState{
-		analyzer: analyzer,
-		cfg:      base,
-		region:   region,
-		src:      src,
-		beta:     cfg.Beta,
-	}
-	st.buildPool()
-	st.calibrateShares()
-	for len(st.recipes) < cfg.Recipes {
-		var recipe []flavor.ID
-		if len(st.recipes) > 8 && src.Float64() < base.CopyProb {
-			recipe = st.copyMutate()
-		} else {
-			recipe = st.freshRecipe()
-		}
-		st.recipes = append(st.recipes, recipe)
-		for _, id := range recipe {
-			i := st.poolIdx[id]
-			st.usage[i]++
-			if w := st.usage[i] * st.catw[i]; w > st.usageMax {
-				st.usageMax = w
-			}
-		}
-	}
-	for i, recipe := range st.recipes {
-		if _, err := store.Add(st.recipeName(recipe, i), region, st.pickSource(), recipe); err != nil {
-			return nil, err
-		}
+	if _, err := store.Load(st.evolve(cfg.Recipes)); err != nil {
+		return nil, err
 	}
 	return store, nil
 }

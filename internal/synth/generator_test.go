@@ -121,7 +121,7 @@ func TestNoDuplicateIngredientsWithinRecipe(t *testing.T) {
 
 func TestUniqueIngredientCoverage(t *testing.T) {
 	// Per-region unique ingredients should be a sizeable fraction of the
-	// Table 1 target even at 5% corpus scale, and never exceed it.
+	// Table 1 target even at 12% corpus scale, and never exceed it.
 	for _, r := range []recipedb.Region{recipedb.Italy, recipedb.USA, recipedb.France} {
 		c := testStore.BuildCuisine(r)
 		target := r.PaperIngredientCount()
@@ -133,7 +133,7 @@ func TestUniqueIngredientCoverage(t *testing.T) {
 			t.Errorf("%s: %d unique exceeds pool %d", r.Code(), got, target)
 		}
 		if float64(got) < 0.5*float64(target) {
-			t.Errorf("%s: only %d of %d unique ingredients at 5%% scale", r.Code(), got, target)
+			t.Errorf("%s: only %d of %d unique ingredients at 12%% scale", r.Code(), got, target)
 		}
 	}
 }
