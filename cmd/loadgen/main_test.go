@@ -336,11 +336,15 @@ func TestReplicaSoak(t *testing.T) {
 	feedSrv := httptest.NewServer(replica.NewFeed(db, env.Store).Handler())
 	defer feedSrv.Close()
 
+	fdb, err := storage.Open(t.TempDir(), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fdb.Close()
 	f, err := replica.OpenFollower(replica.FollowerConfig{
-		Primary:  feedSrv.URL,
-		Dir:      t.TempDir(),
-		Catalog:  env.Catalog,
-		Interval: 25 * time.Millisecond,
+		Primary: feedSrv.URL,
+		DB:      fdb,
+		Catalog: env.Catalog,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,20 +9,21 @@
 //	       [-rate-limit-rps f] [-rate-limit-mutation-rps f]
 //	       [-max-inflight n] [-request-timeout d] [-shutdown-grace d]
 //	       [-trusted-proxies cidrs] [-replication-listen addr]
-//	       [-replica-of url] [-primary-url url] [-replica-poll-interval d]
+//	       [-replica-of url] [-primary-url url]
 //
-// Those 18 flags are the whole surface (main_test.go pins the list).
+// Those 17 flags are the whole surface (main_test.go pins the list).
 // Fixed, not flags: the pairing endpoint's default null sample (2000),
 // the result cache budget (query.DefaultResultCacheBytes), the derived
 // models' rebuild debounce (derived.DefaultInterval), the batch cap
-// (server.DefaultMaxBatchItems), the scrub pacing (30s) and the
-// write-recovery probe period (5s).
+// (server.DefaultMaxBatchItems), the scrub pacing (30s), the
+// write-recovery probe period (5s), and the replication log's backlog,
+// batch size and long-poll wait (internal/replica).
 //
 // Replication: with -replication-listen, a -db primary serves its
-// storage log (sealed segments plus the active segment's durable
-// prefix) on a dedicated listener. A second process started with
-// -replica-of pointing at that listener runs as a read replica: it
-// mirrors the log into its own -db directory, replays it into memory,
+// corpus's mutation log and snapshots on a dedicated listener. A second
+// process started with -replica-of pointing at that listener runs as a
+// read replica: it installs the primary's snapshot into its own -db
+// store (or resumes from the one it already holds), long-polls the log,
 // serves every read endpoint, and answers mutations with 403
 // not_primary (Location: -primary-url). Reads carrying X-Min-Version
 // (or ?minVersion=) are version-gated: a replica that has not caught
@@ -126,10 +127,9 @@ func main() {
 		dbCompact = flag.Duration("db-compact-interval", time.Minute, "background incremental compaction period (0 disables)")
 		dbGarbage = flag.Float64("db-compact-garbage-ratio", 0.5, "dead-byte fraction at which a sealed segment is compacted")
 
-		replListen  = flag.String("replication-listen", "", "dedicated listener address for the replication feed (primary mode; requires -db)")
-		replicaOf   = flag.String("replica-of", "", "primary replication feed base URL; run as a read replica with -db as the local mirror directory")
-		primaryURL  = flag.String("primary-url", "", "primary's public API base URL, advertised in not_primary redirects (replica mode)")
-		replicaPoll = flag.Duration("replica-poll-interval", 250*time.Millisecond, "replication poll period in replica mode")
+		replListen = flag.String("replication-listen", "", "dedicated listener address for the replication feed (primary mode; requires -db)")
+		replicaOf  = flag.String("replica-of", "", "primary replication feed base URL; run as a read replica with -db as its own store")
+		primaryURL = flag.String("primary-url", "", "primary's public API base URL, advertised in not_primary redirects (replica mode)")
 
 		trustedCIDR = flag.String("trusted-proxies", "", "comma-separated proxy CIDRs whose X-Forwarded-For chains key the rate limiter (empty: key on RemoteAddr)")
 
@@ -146,11 +146,11 @@ func main() {
 	// and corpus are built.
 	switch {
 	case *replicaOf != "" && *replListen != "":
-		fatal(errors.New("-replica-of and -replication-listen are mutually exclusive: a read replica has no storage log of its own to ship"))
+		fatal(errors.New("-replica-of and -replication-listen are mutually exclusive: a read replica serves no feed of its own"))
 	case *replicaOf != "" && *dbDir == "":
-		fatal(errors.New("-replica-of requires -db (the local mirror directory)"))
+		fatal(errors.New("-replica-of requires -db (the replica's own store)"))
 	case *replListen != "" && *dbDir == "":
-		fatal(errors.New("-replication-listen requires -db (the feed ships the storage log)"))
+		fatal(errors.New("-replication-listen requires -db (the feed ships only what the store has made durable)"))
 	}
 	trustedProxies, err := httpmw.ParseTrustedProxies(*trustedCIDR)
 	if err != nil {
@@ -183,26 +183,31 @@ func main() {
 		feed     *replica.Feed
 		// Where the corpus's share of the boot went: opening the engine
 		// (segment replay) and producing the corpus from it (snapshot
-		// load, or generate and save). A follower's bootstrap — fetch,
-		// open and load in one call — is all reported as load.
+		// load, generate and save, or a follower's snapshot install).
 		openTook, loadTook time.Duration
 	)
 	if *replicaOf != "" {
-		// Read-replica mode: the corpus comes from the primary's
-		// replication feed, mirrored into -db and replayed in memory.
+		// Read-replica mode: -db is the follower's own store, loaded if
+		// it holds a corpus and filled from the primary's snapshot if
+		// not; the corpus then follows the primary's log.
 		t1 := time.Now()
+		db, err = storage.Open(*dbDir, dbOpts)
+		if err != nil {
+			fatal(err)
+		}
+		defer db.Close()
+		openTook = time.Since(t1)
 		follower, err = replica.OpenFollower(replica.FollowerConfig{
-			Primary:  *replicaOf,
-			Dir:      *dbDir,
-			Catalog:  catalog,
-			Interval: *replicaPoll,
-			Logger:   logger,
+			Primary: *replicaOf,
+			DB:      db,
+			Catalog: catalog,
+			Logger:  logger,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		loadTook = time.Since(t1)
-		defer follower.Close()
+		loadTook = time.Since(t1) - openTook
+		defer follower.Close() // before db.Close: defers run last in, first out
 		follower.Start()
 		store = follower.Corpus()
 	} else {
@@ -223,7 +228,7 @@ func main() {
 	logger.Printf("corpus ready: %d recipes in %v catalog=%dms open=%dms load=%dms", store.Len(),
 		time.Since(t0).Round(time.Millisecond), catalogTook.Milliseconds(), openTook.Milliseconds(), loadTook.Milliseconds())
 
-	// The replication feed gets its own listener so shipping traffic
+	// The replication feed gets its own listener so replication traffic
 	// never competes with client requests for the API listener's
 	// connection budget or the traffic stack's rate limits.
 	var feedSrv *http.Server
@@ -235,6 +240,9 @@ func main() {
 			ReadHeaderTimeout: 5 * time.Second,
 			IdleTimeout:       2 * time.Minute,
 		}
+		// Shutdown waits for in-flight requests; closing the feed ends
+		// the followers' long-polls at once instead of at their timeout.
+		feedSrv.RegisterOnShutdown(feed.Close)
 		// Bind before serving: a primary that cannot offer its feed
 		// (port taken, bad address) must fail loudly at startup, not
 		// run on while followers can never bootstrap.

@@ -49,14 +49,14 @@ var flagLedger = []string{
 	"db", "db-sync", "db-compact-interval", "db-compact-garbage-ratio",
 	"max-body-bytes", "rate-limit-rps", "rate-limit-mutation-rps",
 	"max-inflight", "request-timeout", "shutdown-grace", "trusted-proxies",
-	"replication-listen", "replica-of", "primary-url", "replica-poll-interval",
+	"replication-listen", "replica-of", "primary-url",
 }
 
 // removedFlags became constants (see main.go's usage comment).
 var removedFlags = []string{
 	"null", "db-scrub-interval", "db-write-probe-interval",
 	"query-result-cache-bytes", "classifier-rebuild-interval",
-	"recommender-rebuild-interval", "max-batch-items",
+	"recommender-rebuild-interval", "max-batch-items", "replica-poll-interval",
 }
 
 // runToExit runs the server with args until it exits by itself and
@@ -274,72 +274,188 @@ func TestPrimaryBootsDrainsAndReloadsItsSnapshot(t *testing.T) {
 	checkBootStages(t, second)
 }
 
+// request sends one request to a server and returns its status,
+// X-Corpus-Version and body.
+func request(t *testing.T, method, addr, path, body string) (status int, version, respBody string) {
+	t.Helper()
+	req, err := http.NewRequest(method, "http://"+addr+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("X-Corpus-Version"), string(raw)
+}
+
+// postRecipe upserts one recipe (id < 0 inserts) and returns the
+// response status, the slot it landed in and the version the ack
+// carries.
+func postRecipe(t *testing.T, addr string, id int, name string) (status, slot int, version string) {
+	t.Helper()
+	idField := ""
+	if id >= 0 {
+		idField = fmt.Sprintf(`"id": %d, `, id)
+	}
+	body := fmt.Sprintf(`{%s"name": %q, "region": "ITA", "source": "AllRecipes", "ingredients": ["onion", "garlic", "tomato"]}`, idField, name)
+	status, version, raw := request(t, "POST", addr, "/api/recipes", body)
+	var created struct{ ID int }
+	if status == http.StatusCreated || status == http.StatusOK {
+		if err := json.Unmarshal([]byte(raw), &created); err != nil {
+			t.Fatalf("POST %q: decoding %q: %v", name, raw, err)
+		}
+	}
+	return status, created.ID, version
+}
+
+// TestVersionSurvivesRestart: a primary that acked an insert, a replace
+// and a delete of its top slot reboots at the version the last ack
+// carried, not below it, and hands out the next slot rather than the
+// deleted one — after a SIGTERM drain and after a SIGKILL.
+func TestVersionSurvivesRestart(t *testing.T) {
+	for _, stop := range []string{"sigterm", "sigkill"} {
+		t.Run(stop, func(t *testing.T) {
+			dir := t.TempDir()
+			p := startServer(t, "-scale", "0.01", "-db", dir, "-db-sync")
+			status, top, _ := postRecipe(t, p.addr, -1, "a dish for the top slot")
+			if status != http.StatusCreated {
+				t.Fatalf("insert: status %d", status)
+			}
+			if status, _, _ := postRecipe(t, p.addr, 0, "a replaced dish"); status != http.StatusOK {
+				t.Fatalf("replace: status %d", status)
+			}
+			status, acked, _ := request(t, "DELETE", p.addr, fmt.Sprintf("/api/recipes/%d", top), "")
+			if status != http.StatusOK || acked == "" {
+				t.Fatalf("delete: status %d, version %q", status, acked)
+			}
+			if stop == "sigterm" {
+				p.drain(t)
+			} else {
+				p.cmd.Process.Kill()
+				<-p.exited
+			}
+
+			p = startServer(t, "-scale", "0.01", "-db", dir, "-db-sync")
+			if _, version, _ := request(t, "GET", p.addr, "/api/regions", ""); version != acked {
+				t.Errorf("rebooted at X-Corpus-Version %s; the last ack before the restart carried %s", version, acked)
+			}
+			if status, slot, _ := postRecipe(t, p.addr, -1, "a dish after the restart"); status != http.StatusCreated || slot != top+1 {
+				t.Errorf("insert after the restart: status %d in slot %d; want a new slot %d, not the deleted %d", status, slot, top+1, top)
+			}
+			p.drain(t)
+		})
+	}
+}
+
 // TestFollowerBootsFromThePrimarysFeed: a second process started with
-// -replica-of bootstraps from the first one's replication listener
-// (mirror the log, Open it read-only, LoadCorpus) and then serves the
-// primary's corpus, writes made before it booted included, at the
-// primary's version; it refuses writes of its own with 403 not_primary.
+// -replica-of installs the first one's snapshot from its replication
+// listener and then serves the primary's corpus, writes made before it
+// booted included, at the primary's version; it refuses writes of its
+// own with 403 not_primary and follows the primary's later writes.
+// Caught up, with its long-poll waiting on the primary, both processes
+// drain cleanly on SIGTERM, the primary first. The primaryRestart
+// variant first SIGTERMs the primary alone and boots it again on the
+// same store and listener: the follower must converge on the rebooted
+// primary's version and follow its writes, never reporting a lower
+// version on the way.
 func TestFollowerBootsFromThePrimarysFeed(t *testing.T) {
-	feedAddr := freeAddr(t)
-	primary := startServer(t, "-scale", "0.01", "-db", t.TempDir(), "-replication-listen", feedAddr)
+	for _, restart := range []bool{false, true} {
+		name := "steady"
+		if restart {
+			name = "primaryRestart"
+		}
+		t.Run(name, func(t *testing.T) {
+			feedAddr, pdir := freeAddr(t), t.TempDir()
+			bootPrimary := func() *serverProc {
+				return startServer(t, "-scale", "0.01", "-db", pdir, "-replication-listen", feedAddr, "-shutdown-grace", "10s")
+			}
+			primary := bootPrimary()
+			var paths []string
+			for _, name := range []string{"first posted dish", "second posted dish"} {
+				status, id, _ := postRecipe(t, primary.addr, -1, name)
+				if status != http.StatusCreated {
+					t.Fatalf("POST %q to the primary: status %d", name, status)
+				}
+				paths = append(paths, fmt.Sprintf("/api/recipes/%d", id))
+			}
 
-	post := func(addr, name string) *http.Response {
-		t.Helper()
-		body := fmt.Sprintf(`{"name": %q, "region": "ITA", "source": "AllRecipes", "ingredients": ["onion", "garlic", "tomato"]}`, name)
-		resp, err := http.Post("http://"+addr+"/api/recipes", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	get := func(addr, path string) (status int, version, body string) {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, resp.Header.Get("X-Corpus-Version"), string(raw)
-	}
+			follower := startServer(t, "-scale", "0.01", "-db", t.TempDir(),
+				"-replica-of", "http://"+feedAddr, "-shutdown-grace", "10s")
+			for _, path := range paths {
+				pStatus, pVersion, pBody := request(t, "GET", primary.addr, path, "")
+				fStatus, fVersion, fBody := request(t, "GET", follower.addr, path, "")
+				if pStatus != http.StatusOK || fStatus != pStatus || fBody != pBody {
+					t.Errorf("GET %s: follower %d %q, primary %d %q", path, fStatus, fBody, pStatus, pBody)
+				}
+				if fVersion == "" || fVersion != pVersion {
+					t.Errorf("GET %s: follower at X-Corpus-Version %q, primary at %q", path, fVersion, pVersion)
+				}
+			}
+			body := `{"name": "a write to the replica", "region": "ITA", "source": "AllRecipes", "ingredients": ["onion", "garlic"]}`
+			if status, _, raw := request(t, "POST", follower.addr, "/api/recipes", body); status != http.StatusForbidden || !strings.Contains(raw, `"not_primary"`) {
+				t.Errorf("POST to the follower: %d %s, want 403 not_primary", status, raw)
+			}
 
-	var paths []string
-	for _, name := range []string{"first posted dish", "second posted dish"} {
-		resp := post(primary.addr, name)
-		var created struct{ ID int }
-		err := json.NewDecoder(resp.Body).Decode(&created)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated || err != nil {
-			t.Fatalf("POST %q to the primary: status %d, decode error %v", name, resp.StatusCode, err)
-		}
-		paths = append(paths, fmt.Sprintf("/api/recipes/%d", created.ID))
-	}
+			// follows posts a recipe to the primary and waits until the
+			// follower serves it at the ack's version, checking on the way
+			// that the follower's version never goes back.
+			var seen uint64
+			follows := func(name string) {
+				t.Helper()
+				status, id, acked := postRecipe(t, primary.addr, -1, name)
+				if status != http.StatusCreated {
+					t.Fatalf("POST %q to the primary: status %d", name, status)
+				}
+				path := fmt.Sprintf("/api/recipes/%d", id)
+				_, _, want := request(t, "GET", primary.addr, path, "")
+				for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+					_, stamp, _ := request(t, "GET", follower.addr, "/api/regions", "")
+					if v, _ := strconv.ParseUint(stamp, 10, 64); v < seen {
+						t.Fatalf("the follower went back from version %d to %d", seen, v)
+					} else {
+						seen = v
+					}
+					req, _ := http.NewRequest("GET", "http://"+follower.addr+path, nil)
+					req.Header.Set("X-Min-Version", acked)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusOK {
+						if string(body) != want {
+							t.Fatalf("follower serves %s as %s, primary as %s", path, body, want)
+						}
+						return
+					}
+					if resp.StatusCode != http.StatusServiceUnavailable || time.Now().After(deadline) {
+						t.Fatalf("GET %s from the follower with X-Min-Version %s: %d %s", path, acked, resp.StatusCode, body)
+					}
+				}
+			}
+			follows("a dish posted after the follower booted")
 
-	follower := startServer(t, "-scale", "0.01", "-db", t.TempDir(),
-		"-replica-of", "http://"+feedAddr, "-replica-poll-interval", "50ms")
-	for _, path := range paths {
-		pStatus, pVersion, pBody := get(primary.addr, path)
-		fStatus, fVersion, fBody := get(follower.addr, path)
-		if pStatus != http.StatusOK || fStatus != pStatus || fBody != pBody {
-			t.Errorf("GET %s: follower %d %q, primary %d %q", path, fStatus, fBody, pStatus, pBody)
-		}
-		if fVersion == "" || fVersion != pVersion {
-			t.Errorf("GET %s: follower at X-Corpus-Version %q, primary at %q", path, fVersion, pVersion)
-		}
+			if restart {
+				before := primary.drain(t)
+				if !strings.Contains(before, "drained cleanly") {
+					t.Errorf("the primary's log lacks a clean drain:\n%s", before)
+				}
+				primary = bootPrimary()
+				follows("a dish posted after the primary's restart")
+			}
+			if log := primary.drain(t); !strings.Contains(log, "drained cleanly") {
+				t.Errorf("the primary's log lacks a clean drain:\n%s", log)
+			}
+			if log := follower.drain(t); !strings.Contains(log, "drained cleanly") {
+				t.Errorf("the follower's log lacks a clean drain:\n%s", log)
+			}
+		})
 	}
-
-	resp := post(follower.addr, "a write to the replica")
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden || !strings.Contains(string(raw), `"not_primary"`) {
-		t.Errorf("POST to the follower: %d %s, want 403 not_primary", resp.StatusCode, raw)
-	}
-
-	if log := follower.drain(t); !strings.Contains(log, "drained cleanly") {
-		t.Errorf("follower's log lacks a clean drain:\n%s", log)
-	}
-	primary.drain(t)
 }

@@ -51,11 +51,11 @@ const (
 	// mutation: followers are read-only by construction, and the
 	// response's Location header names the primary that accepts writes.
 	CodeNotPrimary = "not_primary"
-	// CodeSegmentGone marks a 404 from the replication feed for a
-	// segment the primary no longer serves (compacted, salvaged or
-	// quarantined). Followers re-fetch the replication state and
-	// reconcile instead of retrying the fetch.
-	CodeSegmentGone = "segment_gone"
+	// CodeResync marks a 410 from the replication feed's log for a
+	// version it cannot serve the mutations after: older than its
+	// in-memory backlog, or newer than the primary. Followers install
+	// the feed's snapshot instead of retrying the read.
+	CodeResync = "resync"
 )
 
 // ErrorDetail is the inner object of the error envelope.

@@ -173,10 +173,19 @@ func (s *Store) applyGroup(ops []*writeOp) {
 
 // planGroup validates every op, assigns slots, detects kept items and
 // encodes the backend records, all against a read snapshot layered with
-// the effects of earlier in-group ops. Returns the backend write set.
+// the effects of earlier in-group ops. Returns the backend write set:
+// the version record first, so a fault that splits the batch never
+// leaves a recipe record durable without it, then one record per op
+// that changes the corpus — or nothing when no op does.
 func (s *Store) planGroup(ops []*writeOp) (keys []string, values [][]byte, tombs []bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	slots := len(s.recipes)
+	if s.persist != nil {
+		keys = append(make([]string, 0, len(ops)+1), VersionKey)
+		values = append(make([][]byte, 0, len(ops)+1), nil)
+		tombs = append(make([]bool, 0, len(ops)+1), false)
+	}
 	// overlay maps slots touched by earlier in-group ops to their
 	// post-op content (nil = tombstoned); lastWriter tracks which op
 	// produced that content, for kept-dependency accounting.
@@ -210,7 +219,7 @@ func (s *Store) planGroup(ops []*writeOp) (keys []string, values [][]byte, tombs
 			}
 			continue
 		}
-		if err := s.validate(op.name, op.region, op.source, op.ingredients); err != nil {
+		if err := s.Validate(op.name, op.region, op.source, op.ingredients); err != nil {
 			op.err = err
 			continue
 		}
@@ -247,7 +256,11 @@ func (s *Store) planGroup(ops []*writeOp) (keys []string, values [][]byte, tombs
 			op.persistIdx = len(keys) - 1
 		}
 	}
-	s.mu.RUnlock()
+	if len(keys) <= 1 {
+		return nil, nil, nil
+	}
+	// Every persisted op that commits bumps the version once.
+	values[0] = EncodeVersion(s.version.Load()+uint64(len(keys)-1), slots)
 	return keys, values, tombs
 }
 
@@ -397,7 +410,7 @@ func (s *Store) Load(recs []Recipe) (n int, err error) {
 	var muts []Mutation
 	for i := range recs {
 		r := &recs[i]
-		if err = s.validate(r.Name, r.Region, r.Source, r.Ingredients); err != nil {
+		if err = s.Validate(r.Name, r.Region, r.Source, r.Ingredients); err != nil {
 			break
 		}
 		rec := Recipe{ID: r.ID, Name: r.Name, Region: r.Region, Source: r.Source, Ingredients: r.Ingredients}

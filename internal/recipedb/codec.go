@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -50,6 +51,39 @@ func ParseRecipeKey(key string) (int, bool) {
 		return 0, false
 	}
 	return id, true
+}
+
+// VersionKey is the backend key of the version record: the corpus
+// version and slot bound (EncodeVersion). A reload installs one version
+// per live recipe and recovers only live slots, so without the record a
+// corpus that served replaces and deletes would reboot at a lower
+// version — reissuing version tokens clients already hold — and one whose
+// top slots were deleted would hand their IDs out again. Every write
+// group leads with the record (batch.go), storage.SaveCorpus writes it,
+// and storage.LoadCorpus raises the reloaded corpus to it. A group
+// records the version and bound it plans to reach, an upper bound on
+// what a mid-group fault lets it commit: versions may skip, never
+// regress.
+const VersionKey = "meta/version"
+
+// EncodeVersion serializes a version record: version, then slots, as
+// uvarints.
+func EncodeVersion(version uint64, slots int) []byte {
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64)
+	return binary.AppendUvarint(binary.AppendUvarint(buf, version), uint64(slots))
+}
+
+// DecodeVersion parses an EncodeVersion body.
+func DecodeVersion(data []byte) (version uint64, slots int, err error) {
+	version, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("%w: version record: bad version", ErrCodec)
+	}
+	s, m := binary.Uvarint(data[n:])
+	if m <= 0 || s > math.MaxInt32 || n+m != len(data) {
+		return 0, 0, fmt.Errorf("%w: version record: bad slot bound", ErrCodec)
+	}
+	return version, int(s), nil
 }
 
 // EncodeRecipe serializes one recipe for a persistence backend:

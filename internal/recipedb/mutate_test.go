@@ -144,12 +144,17 @@ func TestBackendWriteThrough(t *testing.T) {
 	if _, err := s.Remove(id); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if got := backend.snapshot(); len(got) != 1 || got[RecipeKey(id)] != tombMark {
-		t.Fatalf("Remove did not write a tombstone through; state = %v", got)
+	// Every write group carries the version record: after the insert and
+	// the delete, version 2 over one slot.
+	if got := backend.snapshot(); len(got) != 2 || got[RecipeKey(id)] != tombMark ||
+		got[VersionKey] != string(EncodeVersion(2, 1)) {
+		t.Fatalf("Remove did not write a tombstone and the version record through; state = %v", got)
 	}
 
 	// A failing backend must leave the in-memory corpus and version
-	// untouched.
+	// untouched. The version record leads the group, so a fault on the
+	// recipe record behind it leaves the record at the bound the group
+	// planned: ahead of the corpus, never behind it.
 	v := s.Version()
 	full := errors.New("disk full")
 	backend.arm(RecipeKey(id+1), full) // the slot the next insert takes
@@ -158,6 +163,39 @@ func TestBackendWriteThrough(t *testing.T) {
 	}
 	if s.Version() != v || s.Len() != 0 {
 		t.Errorf("failed write mutated corpus: version %d->%d, len %d", v, s.Version(), s.Len())
+	}
+	if got := backend.snapshot()[VersionKey]; got != string(EncodeVersion(3, 2)) {
+		t.Errorf("version record after the split group = %q, want the planned bound %q", got, EncodeVersion(3, 2))
+	}
+
+	// SyncVersion and SyncSlots move a store with a backend only once
+	// their record is durable.
+	if err := s.SyncVersion(10); err != nil || backend.snapshot()[VersionKey] != string(EncodeVersion(10, 1)) {
+		t.Fatalf("SyncVersion(10) = %v; version record %q", err, backend.snapshot()[VersionKey])
+	}
+	backend.arm(VersionKey, full)
+	if err := s.SyncSlots(5); !errors.Is(err, full) || s.Slots() != 1 {
+		t.Errorf("SyncSlots over a failing backend = %v with %d slots; want the error and 1 slot", err, s.Slots())
+	}
+	if err := s.SyncVersion(11); !errors.Is(err, full) || s.Version() != 10 {
+		t.Errorf("SyncVersion over a failing backend = %v at version %d; want the error at 10", err, s.Version())
+	}
+}
+
+func TestVersionRecordRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		v     uint64
+		slots int
+	}{{0, 0}, {1, 1}, {45772, 45780}, {1 << 40, 1<<31 - 1}} {
+		v, slots, err := DecodeVersion(EncodeVersion(c.v, c.slots))
+		if err != nil || v != c.v || slots != c.slots {
+			t.Errorf("round trip of (%d, %d) = (%d, %d, %v)", c.v, c.slots, v, slots, err)
+		}
+	}
+	for _, bad := range [][]byte{nil, {0x80}, {1}, {1, 2, 3}, EncodeVersion(1, 1<<31)} {
+		if _, _, err := DecodeVersion(bad); !errors.Is(err, ErrCodec) {
+			t.Errorf("DecodeVersion(%x) = %v, want ErrCodec", bad, err)
+		}
 	}
 }
 

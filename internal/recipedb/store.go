@@ -181,40 +181,70 @@ func (s *Store) Catalog() *flavor.Catalog { return s.catalog }
 func (s *Store) Version() uint64 { return s.version.Load() }
 
 // SyncVersion raises the corpus version to at least v without changing
-// any recipe. Replica followers use it to reconcile version accounting
-// with the primary: some primary version bumps leave no replayable
-// record (redundant-tombstone no-ops, and version numbering consumed
-// by records a later compaction folded away), so after applying every
-// shipped record up to the primary's published version V the follower
-// calls SyncVersion(V) to land exactly on V. Subscribers receive one
+// any recipe: a reload lands on the version its snapshot recorded
+// (storage.LoadCorpus), and a replica follower on the primary's version
+// once it holds every change up to it (its own write groups count only
+// the mutations that changed a slot, so they can stop short of the
+// primary's number). Subscribers receive one
 // content-free Mutation{Version: v} (nil Old and New) so derived state
 // that fences on the corpus version — the search index, the rebuild
-// debouncers — advances its version stamp with it. Lower or equal v is
-// a no-op.
-func (s *Store) SyncVersion(v uint64) {
+// debouncers — advances its version stamp with it. With a backend
+// attached the new version record is written through first, and a
+// failed write leaves the version where it was. Lower or equal v is a
+// no-op.
+func (s *Store) SyncVersion(v uint64) error {
+	s.writes.Lock() // the write token: no write group plans beside this
+	defer s.writes.Unlock()
+	if v <= s.version.Load() {
+		return nil
+	}
+	if err := s.persistVersion(v, s.Slots()); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v <= s.version.Load() {
-		return
-	}
 	s.notifyLocked([]Mutation{{Version: v}})
 	s.version.Store(v)
+	return nil
 }
 
 // SyncSlots extends the slot table to at least n slots with tombstones,
-// changing no live recipe and no version. The snapshot-reload path
-// (storage.LoadCorpus) carries only live recipes, so a corpus whose
-// highest slots were all tombstoned reloads short of the original slot
-// bound; replica followers persist the bound alongside the version and
-// restore it here so Slots(), Add's next-free-slot choice and
-// CanonicalDump agree with the primary byte for byte. Lower or equal n
-// is a no-op.
-func (s *Store) SyncSlots(n int) {
+// changing no live recipe and no version. A reload carries only live
+// recipes, so a corpus whose highest slots were all tombstoned reloads
+// short of its slot bound; restoring the recorded bound here keeps
+// Slots(), the next free slot and CanonicalDump what they were. With a
+// backend attached the new bound is written through first, as in
+// SyncVersion. Lower or equal n is a no-op.
+func (s *Store) SyncSlots(n int) error {
+	s.writes.Lock()
+	defer s.writes.Unlock()
+	if n <= s.Slots() {
+		return nil
+	}
+	if err := s.persistVersion(s.version.Load(), n); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.recipes) < n {
 		s.recipes = append(s.recipes, Recipe{ID: len(s.recipes), Deleted: true})
 	}
+	return nil
+}
+
+// persistVersion writes a version record through the backend, when one
+// is attached. Callers hold the write token.
+func (s *Store) persistVersion(v uint64, slots int) error {
+	s.mu.RLock()
+	backend := s.persist
+	s.mu.RUnlock()
+	if backend == nil {
+		return nil
+	}
+	if err := backend.WriteBatch([]string{VersionKey}, [][]byte{EncodeVersion(v, slots)}, []bool{false})[0]; err != nil {
+		return fmt.Errorf("recipedb: persisting version %d: %w", v, err)
+	}
+	return nil
 }
 
 // View is a lock-free window onto the corpus, valid only inside the
@@ -295,10 +325,12 @@ func (s *Store) forEachInRegionLocked(r Region, fn func(*Recipe)) {
 	}
 }
 
-// validate enforces the corpus invariants: a known region and source,
-// at least two ingredients (a pairing analysis needs pairs), no
-// duplicate ingredients, and every ingredient ID within the catalog.
-func (s *Store) validate(name string, region Region, source Source, ingredients []flavor.ID) error {
+// Validate enforces the corpus invariants every stored recipe meets: a
+// known region and source, at least two ingredients (a pairing analysis
+// needs pairs), no duplicate ingredients, and every ingredient ID within
+// the catalog. Writes check it themselves; it is exported for callers
+// that must know a whole batch is valid before applying any of it.
+func (s *Store) Validate(name string, region Region, source Source, ingredients []flavor.ID) error {
 	if !region.Valid() || region == World {
 		return fmt.Errorf("%w: bad region %d", ErrValidation, region)
 	}

@@ -1,166 +1,193 @@
 package replica
 
 import (
-	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"culinary/internal/httpmw"
 	"culinary/internal/recipedb"
 	"culinary/internal/storage"
 )
 
-// Feed is the primary-side replication endpoint pair, designed to be
-// served from a dedicated listener (cmd/server -replication-listen) so
-// replication traffic never competes with client requests for the API
-// listener's connection and rate budgets.
+// Feed is the primary side of replication: the log and snapshot
+// endpoints, designed to be served from a dedicated listener
+// (cmd/server -replication-listen) so replication traffic never
+// competes with client requests for the API listener's connection and
+// rate budgets. See the package comment for the protocol.
 type Feed struct {
 	db     *storage.Store
 	corpus *recipedb.Store
 
-	// lastGood is the newest (version, slot bound) a successful sample
-	// published. When a sample's fsync fails (write path degraded), the
-	// feed keeps serving segment positions — reads and shipping stay up
-	// while writes are down — but must not claim a version the
-	// un-fsynced positions might not cover, so it falls back to these
-	// values (undershooting is always safe; see State).
-	mu            sync.Mutex
-	lastGood      uint64
-	lastGoodSlots int
+	mu sync.Mutex
+	// backlog holds, in version order, every mutation with a version in
+	// (floor, last] that changed a slot; last is the newest version the
+	// corpus published.
+	backlog     []logEntry
+	floor, last uint64
+	// grew is closed, and replaced, whenever last advances.
+	grew chan struct{}
 
-	stateReqs   atomic.Uint64
-	segmentReqs atomic.Uint64
-	bytesServed atomic.Uint64
+	closeOnce sync.Once
+	closed    chan struct{}
+
+	logRequests atomic.Uint64
+	longPolls   atomic.Uint64
+	resyncs     atomic.Uint64
+	snapshots   atomic.Uint64
 }
 
-// NewFeed builds a replication feed over an open primary store pair.
+// NewFeed builds the replication feed over an open primary store pair.
+// Its log starts at the corpus's current version.
 func NewFeed(db *storage.Store, corpus *recipedb.Store) *Feed {
-	return &Feed{db: db, corpus: corpus}
+	f := &Feed{db: db, corpus: corpus, grew: make(chan struct{}), closed: make(chan struct{})}
+	corpus.SubscribeBatch(func(v *recipedb.View) { f.floor, f.last = v.Version, v.Version }, f.append)
+	return f
 }
 
-// Handler returns the feed's HTTP handler, routing StatePath and
-// SegmentPath. Errors use the structured envelope so follower clients
-// and humans share one decoding path.
+// append records one committed write batch. It runs inside the corpus's
+// write critical section, so it only records and wakes.
+func (f *Feed) append(ms []recipedb.Mutation) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, m := range ms {
+		if m.Old != nil || m.New != nil { // not a bare version bump
+			f.backlog = append(f.backlog, logEntry{version: m.Version, id: m.ID, recipe: m.New})
+		}
+	}
+	f.last = ms[len(ms)-1].Version
+	if len(f.backlog) > 2*backlogLen {
+		cut := len(f.backlog) - backlogLen
+		f.floor = f.backlog[cut-1].version
+		f.backlog = slices.Clone(f.backlog[cut:])
+	}
+	close(f.grew)
+	f.grew = make(chan struct{})
+}
+
+// Close ends every waiting and future long-poll at once. cmd/server
+// calls it when the feed's listener starts shutting down.
+func (f *Feed) Close() {
+	f.closeOnce.Do(func() { close(f.closed) })
+}
+
+// Handler returns the feed's HTTP handler, routing LogPath and
+// SnapshotPath. Errors use the structured envelope.
 func (f *Feed) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(StatePath, f.handleState)
-	mux.HandleFunc(SegmentPath, f.handleSegment)
-	return mux
+	mux.HandleFunc("GET "+LogPath, f.handleLog)
+	mux.HandleFunc("GET "+SnapshotPath, f.handleSnapshot)
+	return httpmw.EnvelopeFallback(mux)
 }
 
-// handleState samples and serves a replication snapshot. Ordering is
-// the correctness core: the corpus version is read FIRST, then the log
-// is fsynced, then segment positions are sampled. Any mutation counted
-// by the version was persisted (write-through) before the version was
-// published, so the fsync covers its bytes and the sampled positions
-// include them — replaying to these positions can only land at or
-// beyond the published version, never behind it.
-func (f *Feed) handleState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpmw.WriteError(w, http.StatusMethodNotAllowed, httpmw.CodeMethod, "GET only")
+func (f *Feed) handleLog(w http.ResponseWriter, r *http.Request) {
+	after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
+	if err != nil {
+		httpmw.WriteError(w, http.StatusBadRequest, httpmw.CodeBadRequest, "after must be a corpus version")
 		return
 	}
-	f.stateReqs.Add(1)
-
-	var version uint64
-	var slots int
-	f.corpus.Read(func(v *recipedb.View) {
-		version, slots = v.Version, v.Slots()
-	})
-	if err := f.db.Sync(); err != nil {
-		// Write path degraded: the durable watermark cannot be advanced,
-		// so fall back to the last version a successful sample covered.
-		// Fresh positions are still served — they only ever undershoot.
-		f.mu.Lock()
-		version, slots = f.lastGood, f.lastGoodSlots
-		f.mu.Unlock()
-	} else {
-		f.mu.Lock()
-		if version > f.lastGood {
-			f.lastGood, f.lastGoodSlots = version, slots
-		} else {
-			version, slots = f.lastGood, f.lastGoodSlots
+	f.logRequests.Add(1)
+	f.mu.Lock()
+	last, grew := f.last, f.grew
+	f.mu.Unlock()
+	if after == last {
+		f.longPolls.Add(1)
+		wait := time.NewTimer(longPollWait)
+		defer wait.Stop()
+		select {
+		case <-grew:
+		case <-wait.C:
+		case <-r.Context().Done():
+		case <-f.closed:
 		}
+	}
+
+	f.mu.Lock()
+	if after < f.floor || after > f.last {
+		floor, last := f.floor, f.last
 		f.mu.Unlock()
+		f.resyncs.Add(1)
+		httpmw.WriteError(w, http.StatusGone, httpmw.CodeResync,
+			fmt.Sprintf("the log holds versions (%d, %d]; version %d needs the snapshot", floor, last, after))
+		return
 	}
+	i := sort.Search(len(f.backlog), func(i int) bool { return f.backlog[i].version > after })
+	batch := logBatch{primary: f.last, through: f.last}
+	batch.entries = slices.Clone(f.backlog[i:min(len(f.backlog), i+logBatchMax)])
+	if len(f.backlog)-i > logBatchMax {
+		batch.through = batch.entries[len(batch.entries)-1].version
+	}
+	f.mu.Unlock()
 
-	manifest, segs, err := f.db.ReplicationState()
-	if err != nil {
-		httpmw.WriteError(w, http.StatusServiceUnavailable, httpmw.CodeStorageUnavailable, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(State{Version: version, Slots: slots, Manifest: manifest, Segments: segs})
-}
-
-// handleSegment streams raw segment bytes: ?id=N&off=N&limit=N. The
-// response may be shorter than limit (watermark reached) or empty (no
-// new bytes past off). A segment the store no longer serves answers
-// 404 segment_gone — the follower's cue to re-fetch the state and
-// reconcile rather than retry.
-func (f *Feed) handleSegment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpmw.WriteError(w, http.StatusMethodNotAllowed, httpmw.CodeMethod, "GET only")
-		return
-	}
-	f.segmentReqs.Add(1)
-	q := r.URL.Query()
-	id, err := strconv.ParseUint(q.Get("id"), 10, 64)
-	if err != nil {
-		httpmw.WriteError(w, http.StatusBadRequest, httpmw.CodeBadRequest, "bad segment id")
-		return
-	}
-	off, err := strconv.ParseInt(q.Get("off"), 10, 64)
-	if err != nil || off < 0 {
-		httpmw.WriteError(w, http.StatusBadRequest, httpmw.CodeBadRequest, "bad offset")
-		return
-	}
-	limit := int64(DefaultChunkBytes)
-	if s := q.Get("limit"); s != "" {
-		limit, err = strconv.ParseInt(s, 10, 64)
-		if err != nil || limit <= 0 {
-			httpmw.WriteError(w, http.StatusBadRequest, httpmw.CodeBadRequest, "bad limit")
+	// Everything sampled was written to the store before it reached the
+	// backlog; the fsync makes it durable before any of it leaves.
+	if batch.through > after {
+		if err := f.db.Sync(); err != nil {
+			httpmw.WriteError(w, http.StatusServiceUnavailable, httpmw.CodeStorageUnavailable, err.Error())
 			return
 		}
 	}
-	if limit > MaxChunkBytes {
-		limit = MaxChunkBytes
-	}
-	data, err := f.db.ReadSegmentAt(id, off, limit)
-	switch {
-	case errors.Is(err, storage.ErrSegmentGone):
-		httpmw.WriteError(w, http.StatusNotFound, httpmw.CodeSegmentGone, err.Error())
-		return
-	case err != nil:
+	writeBody(w, encodeLog(batch))
+}
+
+func (f *Feed) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	f.snapshots.Add(1)
+	var snap snapshot
+	f.corpus.Read(func(v *recipedb.View) {
+		snap = snapshot{version: v.Version, slots: v.Slots(), recipes: make([]recipedb.Recipe, 0, v.Len())}
+		for id := 0; id < v.Slots(); id++ {
+			if r := v.Recipe(id); !r.Deleted {
+				snap.recipes = append(snap.recipes, *r)
+			}
+		}
+	})
+	if err := f.db.Sync(); err != nil { // as in handleLog: durable before it leaves
 		httpmw.WriteError(w, http.StatusServiceUnavailable, httpmw.CodeStorageUnavailable, err.Error())
 		return
 	}
-	f.bytesServed.Add(uint64(len(data)))
+	writeBody(w, encodeSnapshot(snap))
+}
+
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // FeedStats is a snapshot of feed-side counters for /api/health.
 type FeedStats struct {
-	StateRequests   uint64 `json:"stateRequests"`
-	SegmentRequests uint64 `json:"segmentRequests"`
-	BytesServed     uint64 `json:"bytesServed"`
-	LastVersion     uint64 `json:"lastVersion"`
+	// Version is the newest corpus version in the log.
+	Version uint64 `json:"version"`
+	// BacklogFloor and BacklogLen describe the in-memory backlog: it
+	// serves followers at any version from BacklogFloor on, and holds
+	// BacklogLen mutations.
+	BacklogFloor uint64 `json:"backlogFloor"`
+	BacklogLen   int    `json:"backlogLen"`
+	// LogRequests counts log reads; LongPolls those that found nothing
+	// newer and waited; Resyncs those answered resync; Snapshots the
+	// snapshots served.
+	LogRequests uint64 `json:"logRequests"`
+	LongPolls   uint64 `json:"longPolls"`
+	Resyncs     uint64 `json:"resyncs"`
+	Snapshots   uint64 `json:"snapshots"`
 }
 
 // Stats returns the feed counters.
 func (f *Feed) Stats() FeedStats {
 	f.mu.Lock()
-	last := f.lastGood
-	f.mu.Unlock()
+	defer f.mu.Unlock()
 	return FeedStats{
-		StateRequests:   f.stateReqs.Load(),
-		SegmentRequests: f.segmentReqs.Load(),
-		BytesServed:     f.bytesServed.Load(),
-		LastVersion:     last,
+		Version:      f.last,
+		BacklogFloor: f.floor,
+		BacklogLen:   len(f.backlog),
+		LogRequests:  f.logRequests.Load(),
+		LongPolls:    f.longPolls.Load(),
+		Resyncs:      f.resyncs.Load(),
+		Snapshots:    f.snapshots.Load(),
 	}
 }

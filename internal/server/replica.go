@@ -14,8 +14,8 @@ import (
 // a replica repeats that token on the read as an X-Min-Version header
 // (or ?minVersion= query parameter). A server whose corpus has not yet
 // replayed to that version answers 503 replica_lagging with a
-// Retry-After hint instead of serving a stale result — after at most
-// one retry interval a healthy follower has caught up. The primary
+// Retry-After hint instead of serving a stale result — within one retry
+// interval a healthy follower has caught up. The primary
 // honors the same contract (trivially: it is never behind itself), so
 // clients can send the token unconditionally and route reads anywhere.
 
@@ -32,8 +32,8 @@ const (
 )
 
 // replicaRetryAfterSeconds is the Retry-After hint on replica_lagging
-// responses; followers poll sub-second, so one second always spans at
-// least one full replication round.
+// responses; a follower's long-poll returns as soon as the primary
+// commits, so one second spans at least one full replication round.
 const replicaRetryAfterSeconds = 1
 
 // minVersion extracts the freshness floor from a request. ok reports

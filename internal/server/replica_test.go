@@ -122,19 +122,25 @@ func newFollowerFixture(t *testing.T) *followerFixture {
 	feedSrv := httptest.NewServer(replica.NewFeed(db, corpus).Handler())
 	t.Cleanup(feedSrv.Close)
 
+	fdb, err := storage.Open(t.TempDir(), storage.Options{})
+	if err != nil {
+		t.Fatalf("opening the follower's store: %v", err)
+	}
+	t.Cleanup(func() { fdb.Close() })
 	f, err := replica.OpenFollower(replica.FollowerConfig{
 		Primary: feedSrv.URL,
-		Dir:     t.TempDir(),
+		DB:      fdb,
 		Catalog: env.Catalog,
 	})
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}
-	t.Cleanup(func() { f.Close() })
+	t.Cleanup(f.Close)
 
 	srv, err := New(Config{
 		Store:      f.Corpus(),
 		Analyzer:   env.Analyzer,
+		DB:         fdb,
 		Follower:   f,
 		PrimaryURL: "http://primary.example:8080/",
 	})
@@ -210,7 +216,8 @@ func TestFollowerVersionToken(t *testing.T) {
 }
 
 // TestFollowerHealthReplicationBlock asserts /api/health reports the
-// follower role and its replication counters.
+// follower role, its replication counters, and the follower's own
+// store.
 func TestFollowerHealthReplicationBlock(t *testing.T) {
 	fx := newFollowerFixture(t)
 	rr := doHdr(t, fx.handler, "GET", "/api/health", nil)
@@ -222,6 +229,7 @@ func TestFollowerHealthReplicationBlock(t *testing.T) {
 			Role     string                 `json:"role"`
 			Follower map[string]interface{} `json:"follower"`
 		} `json:"replication"`
+		Storage map[string]interface{} `json:"storage"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
 		t.Fatalf("health body: %v", err)
@@ -229,7 +237,12 @@ func TestFollowerHealthReplicationBlock(t *testing.T) {
 	if body.Replication.Role != "follower" {
 		t.Errorf("role = %q, want follower", body.Replication.Role)
 	}
-	if body.Replication.Follower == nil {
-		t.Error("health missing follower stats")
+	for _, key := range []string{"primary", "primaryVersion", "version", "lag", "polls", "pollErrors", "applied", "resyncs"} {
+		if _, ok := body.Replication.Follower[key]; !ok {
+			t.Errorf("follower stats lack %q: %v", key, body.Replication.Follower)
+		}
+	}
+	if body.Storage == nil {
+		t.Error("health lacks the follower's storage block")
 	}
 }

@@ -248,10 +248,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/recipes", s.handleRecipes)
 	s.mux.HandleFunc("GET /api/recipes/{id}", s.handleRecipe)
 	if s.cfg.Follower != nil {
-		// Read-replica mode: the corpus mutates only via replication
-		// replay, never via the API. Intercepting here (rather than
-		// relying on the missing backend) keeps the in-memory corpus
-		// from silently diverging from the primary's log.
+		// Read-replica mode: the corpus changes only by following the
+		// primary's log, never via the API. The follower's corpus writes
+		// through to its own store, so a write accepted here would
+		// diverge from the primary durably.
 		s.mux.HandleFunc("POST /api/recipes", s.handleNotPrimary)
 		s.mux.HandleFunc("POST /api/recipes/batch", s.handleNotPrimary)
 		s.mux.HandleFunc("DELETE /api/recipes/{id}", s.handleNotPrimary)

@@ -184,7 +184,7 @@ func (s *Store) appendGroup(reqs []*commitReq) error {
 			s.active.syncFailed.Store(true)
 			return fmt.Errorf("storage: fsync: %w", err)
 		}
-		s.active.syncedSize.Store(s.active.size)
+		s.active.syncedSize = s.active.size
 		markSynced()
 	}
 	return nil
@@ -364,6 +364,6 @@ func (s *Store) sealActive() error {
 		old.syncFailed.Store(true)
 		return fmt.Errorf("storage: syncing sealed segment: %w", err)
 	}
-	old.syncedSize.Store(old.size)
+	old.syncedSize = old.size
 	return nil
 }

@@ -314,7 +314,7 @@ func (s *Store) writeCompactionOutputs(plan []copyPlan, rank uint64) ([]*segment
 		if err := o.f.Sync(); err != nil {
 			return outputs, fmt.Errorf("storage: syncing compaction output: %w", err)
 		}
-		o.syncedSize.Store(o.size)
+		o.syncedSize = o.size
 	}
 	return outputs, nil
 }

@@ -181,7 +181,7 @@ func (s *Store) recoverWritesLocked() error {
 	// also what restores durability after a failed fsync. Under
 	// SyncEveryPut nothing past syncedSize was ever acknowledged or
 	// applied, so there is nothing to salvage.
-	if !s.opts.SyncEveryPut && old.size > old.syncedSize.Load() {
+	if !s.opts.SyncEveryPut && old.size > old.syncedSize {
 		if err := s.salvageTail(old); err != nil {
 			// The fresh segment may hold a partial copy; poison it and
 			// stay read-only. Its unreferenced bytes are harmless on
@@ -196,7 +196,7 @@ func (s *Store) recoverWritesLocked() error {
 	// never acknowledged; trimming reconciles the file with the key
 	// directory. A failed trim wedges: the file would replay bytes this
 	// process promised were gone.
-	boundary := old.syncedSize.Load()
+	boundary := old.syncedSize
 	if f := osFile(old.f); f != nil {
 		if err := f.Truncate(boundary); err != nil {
 			err = fmt.Errorf("storage: trimming poisoned segment: %w", err)
@@ -232,7 +232,7 @@ func (s *Store) recoverWritesLocked() error {
 // segment, fsyncs them, and repoints the key directory. Caller holds
 // the commit token; the window is bounded by MaxSegmentBytes.
 func (s *Store) salvageTail(old *segment) error {
-	oldSynced := old.syncedSize.Load()
+	oldSynced := old.syncedSize
 	n := old.size - oldSynced
 	buf := make([]byte, n)
 	if _, err := old.f.ReadAt(buf, oldSynced); err != nil {
@@ -248,7 +248,7 @@ func (s *Store) salvageTail(old *segment) error {
 		act.syncFailed.Store(true)
 		return fmt.Errorf("storage: syncing salvaged tail: %w", err)
 	}
-	act.syncedSize.Store(act.size)
+	act.syncedSize = act.size
 
 	// Repoint live entries frame by frame. Mutations have been gated
 	// since the fault, so an entry into the old tail is exactly at the

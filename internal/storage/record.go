@@ -94,10 +94,9 @@ func appendRecord(buf []byte, rec record) ([]byte, error) {
 
 // parseFrame decodes the framed record at the front of buf. It is the
 // only frame parser in the package: the chunked replay reader
-// (recordReader.next), the point-read and fold path (decodeFramedValue)
-// and the replication stream decoder (DecodeRecords) all go through it,
-// so the three agree on what a valid frame is by construction. rec's key
-// and value alias buf. The outcomes:
+// (recordReader.next) and the point-read and fold path
+// (decodeFramedValue) both go through it, so they agree on what a valid
+// frame is by construction. rec's key and value alias buf. The outcomes:
 //
 //	err != nil     the frame is invalid within the bytes available
 //	               (bad lengths, checksum mismatch, tombstone with a

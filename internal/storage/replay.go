@@ -54,7 +54,7 @@ func (s *Store) loadSegments(ids []uint64) error {
 		// Replayed bytes are as durable as this disk gets: they were
 		// read back from it, so the durable boundary is the full size.
 		seg.size = size
-		seg.syncedSize.Store(size)
+		seg.syncedSize = size
 		if last {
 			s.active = seg
 		}

@@ -40,14 +40,12 @@ type segment struct {
 
 	// syncedSize is the byte prefix known durable: advanced only after a
 	// successful fsync covering it (group-commit sync, rotation seal,
-	// explicit Sync), and set to the on-disk size at replay. Written only
-	// under the commit token, like size, but read concurrently by the
-	// replication feed (it is the ship watermark — see replication.go),
-	// hence atomic. When a write fault poisons the segment, recovery
-	// seals it at this boundary — everything beyond is either
-	// unacknowledged (SyncEveryPut) or salvaged into a fresh segment
-	// first.
-	syncedSize atomic.Int64
+	// explicit Sync), and set to the on-disk size at replay. Read and
+	// written under the commit token, like size. When a write fault
+	// poisons the segment, recovery seals it at this boundary —
+	// everything beyond is either unacknowledged (SyncEveryPut) or
+	// salvaged into a fresh segment first.
+	syncedSize int64
 	// poisoned marks an active segment a write-path operation failed on;
 	// no further appends land in it, and write recovery seals it.
 	poisoned atomic.Bool

@@ -10,8 +10,9 @@ import (
 	"culinary/internal/recipedb"
 )
 
-// Snapshot layout. The corpus is stored one key per recipe plus two
-// metadata keys, so tools can read, patch or delete individual recipes
+// Snapshot layout. The corpus is stored one key per recipe plus three
+// metadata keys (the format marker, the catalog config and
+// recipedb.VersionKey), so tools can read, patch or delete individual recipes
 // without rewriting the corpus. The per-recipe wire format and key
 // scheme live in recipedb (shared with its write-through mutation
 // path); this file layers the whole-corpus save/load protocol on top.
@@ -103,6 +104,9 @@ func saveCorpus(db *Store, corpus *recipedb.Store, chunk int) error {
 			return err
 		}
 	}
+	if err := add(recipedb.VersionKey, recipedb.EncodeVersion(corpus.Version(), corpus.Slots())); err != nil {
+		return err
+	}
 	if err := flush(); err != nil {
 		return err
 	}
@@ -137,7 +141,8 @@ const loadChunkRecipes = 4096
 // are dense catalog indices. Recipes are decoded as the fold delivers
 // them and installed a chunk at a time (recipedb.Load); the resulting
 // store is the one upserting every recipe under its own ID in key order
-// would build.
+// would build, raised to the version and slot bound the snapshot's
+// version record holds (recipedb.VersionKey).
 func LoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 	format, err := db.Get(formatKey)
 	if err != nil {
@@ -189,5 +194,21 @@ func LoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 	if err := install(); err != nil {
 		return nil, err
 	}
+	// The version record (absent from snapshots older than it) restores
+	// what the live recipes alone cannot: the version the corpus was at
+	// and its slot bound.
+	raw, err := db.Get(recipedb.VersionKey)
+	if errors.Is(err, ErrNotFound) {
+		return corpus, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	version, slots, err := recipedb.DecodeVersion(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
+	}
+	corpus.SyncSlots(slots) // no backend attached yet: nothing to fail
+	corpus.SyncVersion(version)
 	return corpus, nil
 }

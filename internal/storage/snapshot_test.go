@@ -248,7 +248,7 @@ func replayLive(t *testing.T, corpus *recipedb.Store) *recipedb.Store {
 // reload — the reloaded corpus must match slot for slot, including the
 // tombstoned gaps. The cases vary what the reload's Fold reads through:
 // one segment, many segments with a Compact between the mutations, and
-// a ReadOnly reopen (the mode replica followers reload in).
+// a ReadOnly reopen (the mode inspection tools reload in).
 func TestMutatedCorpusRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -313,8 +313,10 @@ func testMutatedCorpusRoundTrip(t *testing.T, open Options, compact bool, reopen
 	if err != nil {
 		t.Fatalf("LoadCorpus after mutations: %v", err)
 	}
-	if got, want := loaded.CanonicalDump(), replayLive(t, corpus).CanonicalDump(); got != want {
-		t.Errorf("reloaded corpus differs from a replay of the live slots:\n got %s\nwant %s", got, want)
+	// The version record brings back what the live slots alone cannot:
+	// the version the replaces and deletes reached and the slot bound.
+	if got, want := loaded.CanonicalDump(), corpus.CanonicalDump(); got != want {
+		t.Errorf("reloaded corpus differs from the corpus it was saved from:\n got %s\nwant %s", got, want)
 	}
 	if loaded.Len() != corpus.Len() || loaded.Slots() != corpus.Slots() {
 		t.Fatalf("reload Len/Slots = %d/%d, want %d/%d",
@@ -416,9 +418,75 @@ func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
 	}
 }
 
+// TestReloadNeverRegressesTheVersion fails each filesystem operation of
+// a write-through workload in turn (plain EIO on even points, a torn
+// write on odd ones), so some write groups split mid-batch, then reloads
+// the directory: the reloaded corpus must stand at a version no lower
+// than any write the corpus acknowledged and at a slot bound no shorter,
+// although the workload replaces and deletes (which leave fewer live
+// recipes than versions) and deletes its top slots.
+func TestReloadNeverRegressesTheVersion(t *testing.T) {
+	catalog := testCatalog(t)
+	// run drives the workload with operation failAt failing and returns
+	// the highest version and slot bound it acknowledged.
+	run := func(failAt int) (dir string, version uint64, slots, ops int) {
+		dir = t.TempDir()
+		inj := NewErrInjector()
+		db, err := Open(dir, Options{MaxSegmentBytes: 512, SyncEveryPut: true, FaultInjection: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		corpus := largeTestCorpus(t, catalog)
+		if err := SaveCorpus(db, corpus); err != nil {
+			t.Fatal(err)
+		}
+		corpus.SetBackend(db)
+		version, slots = corpus.Version(), corpus.Slots()
+		r0 := corpus.Recipe(0)
+		inj.FailOp(failAt, errInjectedIO, failAt%2 == 1)
+		for i := 0; i < 8; i++ {
+			top := corpus.Slots() - 1
+			for _, res := range corpus.ApplyBatch([]recipedb.BatchItem{
+				{ID: i, Name: fmt.Sprintf("replaced %d", i), Region: recipedb.France, Source: recipedb.Epicurious, Ingredients: r0.Ingredients},
+				{Remove: true, ID: top},
+				{ID: -1, Name: fmt.Sprintf("inserted %d", i), Region: recipedb.Korea, Source: recipedb.AllRecipes, Ingredients: r0.Ingredients},
+				{Remove: true, ID: top + 1},
+			}) {
+				if res.Err == nil {
+					version, slots = max(version, res.Version), max(slots, res.ID+1)
+				}
+			}
+		}
+		return dir, version, slots, inj.Ops()
+	}
+	_, _, _, total := run(1 << 30) // unreachable: count only
+	if total < 20 {
+		t.Fatalf("the workload took only %d fs operations; too few for a meaningful sweep", total)
+	}
+	for k := 0; k < total; k++ {
+		dir, version, slots, _ := run(k)
+		db, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("op %d: reopen: %v", k, err)
+		}
+		loaded, err := LoadCorpus(db, catalog)
+		if err != nil {
+			t.Fatalf("op %d: LoadCorpus: %v", k, err)
+		}
+		if loaded.Version() < version || loaded.Slots() < slots {
+			t.Errorf("op %d: reloaded at version %d with %d slots; acknowledged version %d and %d slots",
+				k, loaded.Version(), loaded.Slots(), version, slots)
+		}
+		db.Close()
+	}
+}
+
 // referenceLoadCorpus is LoadCorpus's install step as it stood before
 // recipedb.Load: every recipe the fold delivers goes through an Upsert
-// write group of its own. It defines the store a reload must produce.
+// write group of its own, and the version record, when there is one,
+// then raises the slot bound and version. It defines the store a reload
+// must produce.
 func referenceLoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 	corpus := recipedb.NewStore(catalog)
 	err := db.Fold(func(key string, raw []byte) error {
@@ -438,7 +506,18 @@ func referenceLoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, e
 		}
 		return nil
 	})
-	return corpus, err
+	if err != nil {
+		return corpus, err
+	}
+	if raw, err := db.Get(recipedb.VersionKey); err == nil {
+		version, slots, err := recipedb.DecodeVersion(raw)
+		if err != nil {
+			return corpus, err
+		}
+		corpus.SyncSlots(slots)
+		corpus.SyncVersion(version)
+	}
+	return corpus, nil
 }
 
 // TestLoadCorpusMatchesPerRecordUpserts holds the bulk install to the

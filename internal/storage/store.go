@@ -22,7 +22,7 @@ var (
 	// ErrClosed is returned by operations on a closed store.
 	ErrClosed = errors.New("storage: store is closed")
 	// ErrReadOnly is returned by mutating operations on a store opened
-	// with Options.ReadOnly (a replica follower's replayed mirror).
+	// with Options.ReadOnly (an inspector beside the directory's owner).
 	ErrReadOnly = errors.New("storage: store is read-only")
 )
 
@@ -70,10 +70,10 @@ type Options struct {
 	// point (Put, Delete, Sync, WriteBatch, Compact, Scrub) fails with
 	// ErrReadOnly, no background goroutines start, and an empty
 	// directory opens with no active segment rather than creating one.
-	// Tail repair on the newest segment still runs — a replica
-	// follower's mirror can carry a torn tail from an interrupted
-	// fetch, and trimming it is exactly the recovery the replay
-	// contract promises. This is the mode replica followers serve from.
+	// Tail repair on the newest segment still runs; beside a live owner
+	// it only drops the zero tail the owner's next write re-extends.
+	// This is the mode tools that only look (cmd/culinarydb -dbinfo,
+	// cmd/query -db) open a directory in.
 	ReadOnly bool
 }
 
@@ -194,8 +194,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.ReadOnly {
 		// Nothing mutates a read-only store, so the write probe,
 		// compactor and scrubber have no work; starting them would only
-		// let a background pass race the external process (the replica
-		// fetcher) that owns this directory's contents.
+		// let a background pass race the process that owns this
+		// directory's contents.
 		return s, nil
 	}
 	// A recovered active segment is deliberately NOT re-preallocated:
@@ -564,7 +564,7 @@ func (s *Store) Sync() error {
 		s.degradeWrites(err)
 		return err
 	}
-	s.active.syncedSize.Store(s.active.size)
+	s.active.syncedSize = s.active.size
 	return nil
 }
 
