@@ -8,6 +8,7 @@ import (
 
 	"culinary/internal/flavor"
 	"culinary/internal/recipedb"
+	"culinary/internal/search"
 	"culinary/internal/storage"
 )
 
@@ -136,4 +137,72 @@ func BenchmarkBulkIngest(b *testing.B) {
 		}
 		applied += n
 	}
+}
+
+// BenchmarkCorpusMutation measures one write's in-memory cost at the
+// scale the server runs at — the part of a durable write that is not
+// the fsync: a private store loaded with the scale-1.0 corpus (~45 800
+// recipes, posting lists thousands long) and the live search index
+// subscribed, no backend. replaceLow rewrites slots 0–63, in front of
+// every list's whole tail; replaceRecent rewrites the top 64 slots;
+// both take donors from 64 live recipes mid-corpus, a different donor
+// each round, so every write really changes its slot. delete tombstones
+// slots 0–63 in turn and revives the window, untimed, when it runs out.
+// The other write benches run on a 512-slot store or the 5 % corpus,
+// where a list that a write copies in full is short.
+func BenchmarkCorpusMutation(b *testing.B) {
+	const window = 64
+	env := fullScaleEnv()
+	var recs []recipedb.Recipe
+	env.Store.Read(func(v *recipedb.View) {
+		for _, id := range v.LiveIDs() {
+			recs = append(recs, *v.Recipe(id))
+		}
+	})
+	donors := recs[len(recs)/2 : len(recs)/2+window]
+	private := func(b *testing.B) *recipedb.Store {
+		store := recipedb.NewStore(env.Catalog)
+		if _, err := store.Load(recs); err != nil {
+			b.Fatal(err)
+		}
+		search.NewLive(store)
+		return store
+	}
+	replace := func(top bool) func(*testing.B) {
+		return func(b *testing.B) {
+			store := private(b)
+			base := 0
+			if top {
+				base = store.Slots() - window
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := &donors[(i+i/window)%window]
+				if _, _, _, err := store.Upsert(base+i%window, d.Name, d.Region, d.Source, d.Ingredients); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("replaceLow", replace(false))
+	b.Run("replaceRecent", replace(true))
+	b.Run("delete", func(b *testing.B) {
+		store := private(b)
+		low := recs[:window]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%window == 0 {
+				b.StopTimer()
+				if _, err := store.Load(low); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if _, err := store.Remove(low[i%window].ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -193,7 +193,7 @@ func Split(store *recipedb.Store, testFraction float64, seed uint64) (train, tes
 	}
 	src := rng.New(seed)
 	for _, region := range recipedb.MajorRegions() {
-		ids := append([]int(nil), store.RegionRecipes(region)...)
+		ids := store.RegionRecipes(region)
 		if len(ids) == 0 {
 			continue
 		}

@@ -359,8 +359,9 @@ func (s *Store) commitGroup(ops []*writeOp) {
 
 // installLocked puts rec into slot rec.ID and on its posting lists:
 // slots between the current bound and rec.ID become tombstones, a live
-// occupant is unindexed and returned (nil when the slot was free or
-// tombstoned). Callers hold s.mu exclusively.
+// occupant is returned (nil when the slot was free or tombstoned) and
+// its lists are patched into rec's, touching only the lists that
+// differ. Callers hold s.mu exclusively.
 func (s *Store) installLocked(rec Recipe) (displaced *Recipe) {
 	id := rec.ID
 	for len(s.recipes) < id { // gap slots stay tombstoned
@@ -368,19 +369,17 @@ func (s *Store) installLocked(rec Recipe) (displaced *Recipe) {
 	}
 	if id == len(s.recipes) {
 		s.recipes = append(s.recipes, rec)
-		s.live++
+	} else if !s.recipes[id].Deleted {
+		old := s.recipes[id]
+		s.recipes[id] = rec
+		s.reindexLocked(&old, &s.recipes[id])
+		return &old
 	} else {
-		if old := &s.recipes[id]; !old.Deleted {
-			oldCopy := *old
-			displaced = &oldCopy
-			s.unindexLocked(old)
-		} else {
-			s.live++
-		}
 		s.recipes[id] = rec
 	}
+	s.live++
 	s.indexLocked(&s.recipes[id])
-	return displaced
+	return nil
 }
 
 // Load installs recs, each addressed by its ID, and leaves the store in

@@ -3,6 +3,7 @@ package recipedb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -278,7 +279,8 @@ func (v *View) Slots() int { return len(v.s.recipes) }
 func (v *View) Recipe(id int) *Recipe { return &v.s.recipes[id] }
 
 // IngredientRecipes returns the posting list of the ingredient in
-// ascending-ID order. Do not mutate or retain past the callback.
+// ascending-ID order. It is the store's own list, which mutations patch
+// in place: do not mutate it or retain it past the callback.
 func (v *View) IngredientRecipes(id flavor.ID) []int { return v.s.byIngredient[id] }
 
 // RegionLen returns the number of live recipes in the region; World
@@ -401,8 +403,10 @@ func (s *Store) Remove(id int) (uint64, error) {
 }
 
 // indexLocked adds rec's ID to the region and ingredient posting
-// lists. Lists are copy-on-write: readers that fetched a list under
-// the shared lock keep a consistent (if stale) array.
+// lists. Lists are patched in place under the exclusive lock, so they
+// may be read only under s.mu: every reader does (the View accessors,
+// forEachInRegionLocked, buildCuisineLocked, CanonicalDump), and the
+// two accessors that hand a list past the lock return a copy.
 func (s *Store) indexLocked(rec *Recipe) {
 	s.byRegion[rec.Region] = insertSorted(s.byRegion[rec.Region], rec.ID)
 	for _, ing := range rec.Ingredients {
@@ -418,43 +422,58 @@ func (s *Store) unindexLocked(rec *Recipe) {
 	}
 }
 
-// insertSorted returns an ascending list with id added (idempotent).
-// Appending past the tail may reuse spare capacity: that slot is beyond
-// every published length, so concurrent readers of older headers never
-// see it. Mid-list inserts copy, and removeSorted always copies, so an
-// array a reader holds is never rewritten below its length.
+// reindexLocked moves slot old.ID from old's posting lists to rec's
+// (rec.ID == old.ID), patching only the lists that differ: the region
+// lists when the region changed, and the lists of ingredients in one
+// recipe but not the other. A recipe holds about a dozen IDs, so the
+// nested membership scans cost less than any set would.
+func (s *Store) reindexLocked(old, rec *Recipe) {
+	if old.Region != rec.Region {
+		s.byRegion[old.Region] = removeSorted(s.byRegion[old.Region], old.ID)
+		s.byRegion[rec.Region] = insertSorted(s.byRegion[rec.Region], rec.ID)
+	}
+	for _, ing := range old.Ingredients {
+		if !rec.Contains(ing) {
+			s.byIngredient[ing] = removeSorted(s.byIngredient[ing], old.ID)
+		}
+	}
+	for _, ing := range rec.Ingredients {
+		if !old.Contains(ing) {
+			s.byIngredient[ing] = insertSorted(s.byIngredient[ing], rec.ID)
+		}
+	}
+}
+
+// insertSorted adds id to an ascending list in place (idempotent); it
+// allocates only when the list outgrows its capacity.
 func insertSorted(list []int, id int) []int {
 	if len(list) == 0 || id > list[len(list)-1] {
 		return append(list, id) // corpus build: IDs arrive ascending
 	}
-	i := sort.SearchInts(list, id)
-	if i < len(list) && list[i] == id {
+	i, found := slices.BinarySearch(list, id)
+	if found {
 		return list
 	}
-	out := make([]int, 0, len(list)+1)
-	out = append(out, list[:i]...)
-	out = append(out, id)
-	return append(out, list[i:]...)
+	return slices.Insert(list, i, id)
 }
 
-// removeSorted returns a fresh list with id removed (idempotent).
+// removeSorted drops id from an ascending list in place (idempotent).
 func removeSorted(list []int, id int) []int {
-	i := sort.SearchInts(list, id)
-	if i >= len(list) || list[i] != id {
+	i, found := slices.BinarySearch(list, id)
+	if !found {
 		return list
 	}
-	out := make([]int, 0, len(list)-1)
-	out = append(out, list[:i]...)
-	return append(out, list[i+1:]...)
+	return slices.Delete(list, i, i+1)
 }
 
 // IngredientRecipes returns the IDs of live recipes containing the
-// ingredient, in ascending-ID order. The slice is copy-on-write under
-// mutation; do not mutate it.
+// ingredient, in ascending-ID order. The slice is a copy taken under
+// the shared lock: the store's own list is patched in place by later
+// mutations, this one never changes.
 func (s *Store) IngredientRecipes(id flavor.ID) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.byIngredient[id]
+	return slices.Clone(s.byIngredient[id])
 }
 
 // Len returns the number of live recipes.
@@ -554,16 +573,16 @@ func (s *Store) ForEachInRegion(r Region, fn func(*Recipe)) {
 	s.forEachInRegionLocked(r, fn)
 }
 
-// RegionRecipes returns the live recipe IDs of a region. The slice is
-// copy-on-write under mutation; do not mutate it. World returns nil
-// (iterate instead).
+// RegionRecipes returns the live recipe IDs of a region, ascending, as
+// a copy taken under the shared lock (the caller owns it). World
+// returns nil (iterate instead).
 func (s *Store) RegionRecipes(r Region) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if r == World {
 		return nil
 	}
-	return s.byRegion[r]
+	return slices.Clone(s.byRegion[r])
 }
 
 // Cuisine is the per-region analytical view used by the pairing package

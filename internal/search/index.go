@@ -53,14 +53,29 @@
 // inserts use (lists sized exactly would each be reallocated by their
 // first insert, and measured +4 % peak RSS on the write workloads).
 //
+// # Postings
+//
+// A posting is two int32s, 8 bytes: the doc (recipe slot) and its tf.
+// Doc IDs are below the corpus's Slots(), the HTTP API refuses IDs at or
+// above that bound, and the index keeps a docLen and docMeta entry per
+// slot, so an ID past math.MaxInt32 would need tens of gigabytes of slot
+// tables before it needed a wider posting. A tf counts tokens of one
+// recipe's text. Scores are unchanged by the narrowing: float64(int32(x))
+// == float64(x) for every value that fits.
+//
 // # Locks
 //
 // idx.mu guards all index state. The mutation path takes it inside the
-// corpus write lock (store → index); Search takes only idx.mu and
-// filters on the index's own per-slot metadata, so nothing in this
-// package ever acquires the store's lock while holding idx.mu. A caller
-// that needs the hits and the recipes they name from one corpus version
-// calls Search inside Store.Read — the same store → index order.
+// corpus write lock (store → index) and patches lists in place: a
+// mutation carrying both Old and New diffs their term counts, rewriting
+// the tf of a term both recipes hold where it differs and inserting or
+// removing only the others, so only those can enter or leave the
+// vocabulary. Its per-document count maps are scratch on the Index,
+// reused under idx.mu. Search takes only idx.mu and filters on the
+// index's own per-slot metadata, so nothing in this package ever
+// acquires the store's lock while holding idx.mu. A caller that needs
+// the hits and the recipes they name from one corpus version calls
+// Search inside Store.Read — the same store → index order.
 package search
 
 import (
@@ -90,10 +105,11 @@ const (
 
 // posting is one document's entry in a term's posting list. Lists stay
 // doc-ascending under incremental maintenance (binary insert), the
-// same order a fresh Build produces.
+// same order a fresh Build produces. Both fields are int32 (see
+// "Postings" in the package comment for why they fit).
 type posting struct {
-	doc int // recipe ID
-	tf  int // term frequency within the document
+	doc int32 // recipe ID
+	tf  int32 // term frequency within the document
 }
 
 // docMeta mirrors the per-slot liveness and region of the corpus, so
@@ -121,12 +137,18 @@ type Index struct {
 	docs     []docMeta
 	nDocs    int
 	terms    []string // sorted vocabulary, for fuzzy expansion
+
+	// counts and oldCounts are ApplyBatch's per-document term counts,
+	// scratch reused under idx.mu.
+	counts, oldCounts map[string]int
 }
 
 func newIndex(catalog *flavor.Catalog) *Index {
 	idx := &Index{
 		ingTokens: make([][]string, catalog.Len()),
 		postings:  make(map[string][]posting),
+		counts:    make(map[string]int),
+		oldCounts: make(map[string]int),
 	}
 	for i := range idx.ingTokens {
 		idx.ingTokens[i] = tokenize(catalog.Ingredient(flavor.ID(i)).Name)
@@ -220,7 +242,7 @@ func (idx *Index) indexSpan(v *recipedb.View, lo, hi int) map[string][]posting {
 		clear(counts)
 		idx.docLen[docID] = idx.countTokens(rec, counts)
 		for term, tf := range counts {
-			postings[term] = append(postings[term], posting{doc: docID, tf: tf})
+			postings[term] = append(postings[term], posting{doc: int32(docID), tf: int32(tf)})
 		}
 	}
 	return postings
@@ -265,10 +287,12 @@ func (idx *Index) ApplyBatch(ms []recipedb.Mutation) {
 		if m.Version <= idx.version {
 			continue
 		}
-		if m.Old != nil {
+		switch {
+		case m.Old != nil && m.New != nil:
+			idx.replaceDocLocked(m.Old, m.New)
+		case m.Old != nil:
 			idx.removeDocLocked(m.Old)
-		}
-		if m.New != nil {
+		case m.New != nil:
 			idx.addDocLocked(m.New)
 		}
 		idx.version = m.Version
@@ -283,14 +307,10 @@ func (idx *Index) addDocLocked(rec *recipedb.Recipe) {
 		idx.docLen = append(idx.docLen, 0)
 		idx.docs = append(idx.docs, docMeta{})
 	}
-	counts := make(map[string]int)
-	idx.docLen[rec.ID] = idx.countTokens(rec, counts)
-	for term, tf := range counts {
-		plist, existed := idx.postings[term]
-		idx.postings[term] = insertPosting(plist, posting{doc: rec.ID, tf: tf})
-		if !existed {
-			idx.insertTermLocked(term)
-		}
+	idx.counts = reuse(idx.counts)
+	idx.docLen[rec.ID] = idx.countTokens(rec, idx.counts)
+	for term, tf := range idx.counts {
+		idx.insertPostingLocked(term, rec.ID, tf)
 	}
 	idx.docs[rec.ID] = docMeta{live: true, region: rec.Region}
 	idx.nDocs++
@@ -298,24 +318,85 @@ func (idx *Index) addDocLocked(rec *recipedb.Recipe) {
 
 // removeDocLocked unindexes one recipe by counting its document text
 // again — the recipe copy in the mutation preserves exactly what was
-// indexed. Terms whose posting list empties leave the vocabulary, so
-// fuzzy expansion never resurrects deleted-only terms and the
-// vocabulary matches a fresh Build byte for byte.
+// indexed.
 func (idx *Index) removeDocLocked(rec *recipedb.Recipe) {
-	counts := make(map[string]int)
-	idx.countTokens(rec, counts)
-	for term := range counts {
-		plist := removePosting(idx.postings[term], rec.ID)
-		if len(plist) == 0 {
-			delete(idx.postings, term)
-			idx.removeTermLocked(term)
-		} else {
-			idx.postings[term] = plist
-		}
+	idx.counts = reuse(idx.counts)
+	idx.countTokens(rec, idx.counts)
+	for term := range idx.counts {
+		idx.removePostingLocked(term, rec.ID)
 	}
 	idx.docLen[rec.ID] = 0
 	idx.docs[rec.ID] = docMeta{}
 	idx.nDocs--
+}
+
+// replaceDocLocked re-indexes a slot whose live recipe old was replaced
+// by rec, diffing their term counts: a term in both keeps its posting
+// and has its tf rewritten in place, and only the other terms are
+// inserted or removed — so only they can enter or leave the vocabulary,
+// and a long list the two share is never shifted.
+func (idx *Index) replaceDocLocked(old, rec *recipedb.Recipe) {
+	idx.oldCounts = reuse(idx.oldCounts)
+	idx.countTokens(old, idx.oldCounts)
+	idx.counts = reuse(idx.counts)
+	idx.docLen[rec.ID] = idx.countTokens(rec, idx.counts)
+	for term := range idx.oldCounts {
+		if _, kept := idx.counts[term]; !kept {
+			idx.removePostingLocked(term, rec.ID)
+		}
+	}
+	for term, tf := range idx.counts {
+		if oldTF, kept := idx.oldCounts[term]; !kept || tf != oldTF {
+			idx.insertPostingLocked(term, rec.ID, tf)
+		}
+	}
+	idx.docs[rec.ID] = docMeta{live: true, region: rec.Region}
+}
+
+// reuse returns m emptied for the next document's counts. Clearing a
+// map costs its capacity, not its length, so a map an outsized document
+// grew is dropped rather than kept to slow every later write.
+func reuse(m map[string]int) map[string]int {
+	if len(m) > 256 {
+		return make(map[string]int)
+	}
+	clear(m)
+	return m
+}
+
+// insertPostingLocked puts (doc, tf) on term's list: an entry already
+// there for doc has its tf rewritten in place, anything else is
+// inserted, and a term new to the index enters the vocabulary.
+func (idx *Index) insertPostingLocked(term string, doc, tf int) {
+	p := posting{doc: int32(doc), tf: int32(tf)}
+	plist, existed := idx.postings[term]
+	i, found := findPosting(plist, p.doc)
+	if found {
+		plist[i] = p
+		return
+	}
+	idx.postings[term] = slices.Insert(plist, i, p)
+	if !existed {
+		idx.insertTermLocked(term)
+	}
+}
+
+// removePostingLocked drops doc from term's list. A term whose list
+// empties leaves the vocabulary, so fuzzy expansion never resurrects
+// deleted-only terms and the vocabulary matches a fresh Build byte for
+// byte.
+func (idx *Index) removePostingLocked(term string, doc int) {
+	plist := idx.postings[term]
+	i, found := findPosting(plist, int32(doc))
+	if !found {
+		return
+	}
+	if len(plist) == 1 {
+		delete(idx.postings, term)
+		idx.removeTermLocked(term)
+		return
+	}
+	idx.postings[term] = slices.Delete(plist, i, i+1)
 }
 
 // insertTermLocked adds a term to the sorted vocabulary slice.
@@ -334,28 +415,19 @@ func (idx *Index) removeTermLocked(term string) {
 	}
 }
 
-// insertPosting keeps the list doc-ascending (replacing an existing
-// entry for the same doc, which cannot happen from the mutation path
-// but keeps the operation idempotent).
-func insertPosting(list []posting, p posting) []posting {
-	i := sort.Search(len(list), func(i int) bool { return list[i].doc >= p.doc })
-	if i < len(list) && list[i].doc == p.doc {
-		list[i] = p
-		return list
+// findPosting returns where doc is, or would go, in a doc-ascending
+// list, and whether it is there.
+func findPosting(list []posting, doc int32) (int, bool) {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if list[m].doc < doc {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	list = append(list, posting{})
-	copy(list[i+1:], list[i:])
-	list[i] = p
-	return list
-}
-
-// removePosting drops the entry for doc, preserving order.
-func removePosting(list []posting, doc int) []posting {
-	i := sort.Search(len(list), func(i int) bool { return list[i].doc >= doc })
-	if i >= len(list) || list[i].doc != doc {
-		return list
-	}
-	return append(list[:i], list[i+1:]...)
+	return lo, lo < len(list) && list[lo].doc == doc
 }
 
 // tokenize normalizes free text into index terms.
@@ -478,7 +550,7 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 	top := make([]Hit, 0, min(limit, candidates))
 	for {
 		// The next document is the smallest one any cursor points at.
-		doc := -1
+		doc := int32(-1)
 		for i := range cursors {
 			if c := &cursors[i]; c.pos < len(c.list) && (doc < 0 || c.list[c.pos].doc < doc) {
 				doc = c.list[c.pos].doc
@@ -489,7 +561,7 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 		}
 		// Sum its terms' contributions in query-term order — the order
 		// the sums have always been taken in, so scores keep their bits.
-		h := Hit{RecipeID: doc}
+		h := Hit{RecipeID: int(doc)}
 		for i := range cursors {
 			c := &cursors[i]
 			if c.pos == len(c.list) || c.list[c.pos].doc != doc {
@@ -667,7 +739,7 @@ func (idx *Index) TopTerms(k int) []TermStats {
 	for term, plist := range idx.postings {
 		total := 0
 		for _, p := range plist {
-			total += p.tf
+			total += int(p.tf)
 		}
 		stats = append(stats, TermStats{Term: term, Docs: len(plist), TotalTF: total})
 	}

@@ -60,10 +60,10 @@ func (idx *Index) referenceSearchVersion(query string, opts Options) ([]Hit, uin
 		}
 		idf := math.Log(float64(idx.nDocs+1) / float64(len(plist)+1))
 		for _, p := range plist {
-			a := scores[p.doc]
+			a := scores[int(p.doc)]
 			if a == nil {
 				a = &accum{}
-				scores[p.doc] = a
+				scores[int(p.doc)] = a
 			}
 			tf := float64(p.tf) / float64(idx.docLen[p.doc])
 			a.score += tf * idf
