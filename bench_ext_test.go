@@ -6,7 +6,6 @@ package culinary
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -367,55 +366,59 @@ func BenchmarkRecommend(b *testing.B) {
 	})
 }
 
-// BenchmarkServerAPI measures request handling through the full HTTP
-// stack (mux, middleware, JSON encoding) for cheap and expensive
-// endpoints.
-func BenchmarkServerAPI(b *testing.B) {
+// BenchmarkServerHandler measures serve_read_hot's four requests
+// through Server.Handler() in process — routing, the version gate, the
+// handler's work and the JSON encode, no transport. The request and the
+// response writer are reused, so -benchmem's columns are the server's
+// own; internal/server's TestHandlerAllocationBudget pins the same
+// requests' allocation counts.
+func BenchmarkServerHandler(b *testing.B) {
 	srv, err := server.New(server.Config{
-		Store:       benchEnv.Store,
-		Analyzer:    benchEnv.Analyzer,
-		NullRecipes: 500,
-		Seed:        7,
+		Store:                      benchEnv.Store,
+		Analyzer:                   benchEnv.Analyzer,
+		ResultCacheBytes:           query.DefaultResultCacheBytes,
+		ClassifierRebuildInterval:  -1,
+		RecommenderRebuildInterval: -1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
 	h := srv.Handler()
-	get := func(b *testing.B, path string) {
-		req := httptest.NewRequest("GET", path, nil)
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, req)
-		if rr.Code != http.StatusOK {
-			b.Fatalf("%s -> %d", path, rr.Code)
-		}
-	}
-	b.Run("Health", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			get(b, "/api/health")
-		}
-	})
-	b.Run("RecipeByID", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			get(b, fmt.Sprintf("/api/recipes/%d", i%benchEnv.Store.Len()))
-		}
-	})
-	b.Run("Search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			get(b, "/api/search?q=tomato+garlic&limit=5")
-		}
-	})
-	b.Run("Classify", func(b *testing.B) {
-		body, _ := json.Marshal(map[string][]string{
-			"ingredients": {"soy sauce", "tofu", "ginger", "scallion"},
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest("POST", "/api/classify", bytes.NewReader(body))
-			rr := httptest.NewRecorder()
-			h.ServeHTTP(rr, req)
-			if rr.Code != http.StatusOK {
-				b.Fatalf("classify -> %d", rr.Code)
+	run := func(method, path, body string) func(*testing.B) {
+		return func(b *testing.B) {
+			rd := strings.NewReader(body)
+			req := httptest.NewRequest(method, path, rd)
+			w := &statusWriter{hdr: http.Header{}}
+			serve := func() {
+				rd.Reset(body)
+				w.status = 0
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("%s %s -> %d", method, path, w.status)
+				}
+			}
+			serve() // warm: the query's result-cache entry, the response buffer pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
 			}
 		}
-	})
+	}
+	b.Run("recipe", run("GET", "/api/recipes/0", ""))
+	b.Run("search", run("GET", "/api/search?q=tomato&limit=10", ""))
+	b.Run("query_hit", run("POST", "/api/query", `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`))
+	b.Run("pairings", run("GET", "/api/ingredients/tomato/pairings", ""))
 }
+
+// statusWriter is a reusable http.ResponseWriter that keeps only the
+// status.
+type statusWriter struct {
+	hdr    http.Header
+	status int
+}
+
+func (w *statusWriter) Header() http.Header         { return w.hdr }
+func (w *statusWriter) WriteHeader(status int)      { w.status = status }
+func (w *statusWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -41,6 +41,14 @@ type batchItemResult struct {
 	Message string `json:"message,omitempty"`
 }
 
+// batchResponse is the POST /api/recipes/batch body: how many items
+// wrote, the per-item results, and the newest version any item produced.
+type batchResponse struct {
+	Applied int               `json:"applied"`
+	Results []batchItemResult `json:"results"`
+	Version uint64            `json:"version"`
+}
+
 func (s *Server) handleBatchUpsert(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.decodeJSON(w, r, &req,
@@ -115,9 +123,5 @@ func (s *Server) handleBatchUpsert(w http.ResponseWriter, r *http.Request) {
 		// header into X-Min-Version without parsing the body.
 		w.Header().Set(CorpusVersionHeader, strconv.FormatUint(version, 10))
 	}
-	writeJSON(w, map[string]interface{}{
-		"version": version,
-		"applied": applied,
-		"results": results,
-	})
+	s.writeJSON(w, r, http.StatusOK, batchResponse{Applied: applied, Results: results, Version: version})
 }

@@ -98,6 +98,13 @@ func (s *Server) resolveUpsertItem(req upsertRequest) (recipedb.BatchItem, *item
 	return item, nil
 }
 
+// mutationAck is the body of an accepted upsert or delete: the recipe's
+// slot and the corpus version the write produced.
+type mutationAck struct {
+	ID      int    `json:"id"`
+	Version uint64 `json:"version"`
+}
+
 func (s *Server) handleUpsertRecipe(w http.ResponseWriter, r *http.Request) {
 	var req upsertRequest
 	if !s.decodeJSON(w, r, &req,
@@ -123,14 +130,11 @@ func (s *Server) handleUpsertRecipe(w http.ResponseWriter, r *http.Request) {
 	// that a client can chain it into X-Min-Version without parsing
 	// the body.
 	w.Header().Set(CorpusVersionHeader, strconv.FormatUint(version, 10))
+	status := http.StatusOK
 	if created {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
+		status = http.StatusCreated
 	}
-	writeJSON(w, map[string]interface{}{
-		"id":      id,
-		"version": version,
-	})
+	s.writeJSON(w, r, status, mutationAck{ID: id, Version: version})
 }
 
 // storageRetryAfterSeconds is the Retry-After hint on storage_unavailable
@@ -194,8 +198,5 @@ func (s *Server) handleDeleteRecipe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(CorpusVersionHeader, strconv.FormatUint(version, 10))
-	writeJSON(w, map[string]interface{}{
-		"id":      id,
-		"version": version,
-	})
+	s.writeJSON(w, r, http.StatusOK, mutationAck{ID: id, Version: version})
 }

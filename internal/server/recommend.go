@@ -27,6 +27,15 @@ type completeEntry struct {
 	Popularity float64 `json:"popularity"`
 }
 
+// completeResponse is the POST /api/complete body. ModelVersion is the
+// corpus version the recommender's cuisine snapshots were built at.
+type completeResponse struct {
+	ModelVersion       uint64          `json:"modelVersion"`
+	Region             string          `json:"region"`
+	Suggestions        []completeEntry `json:"suggestions"`
+	UnknownIngredients []string        `json:"unknownIngredients,omitempty"`
+}
+
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
 	if !s.decodeJSON(w, r, &req, "body must be JSON {\"region\": \"ITA\", \"ingredients\": [...]}") {
@@ -70,17 +79,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 			Popularity: sg.Popularity,
 		}
 	}
-	resp := map[string]interface{}{
-		"region":      region.Code(),
-		"suggestions": out,
-		// modelVersion is the corpus version the recommender's cuisine
-		// snapshots were built at.
-		"modelVersion": modelVersion,
-	}
-	if len(unknown) > 0 {
-		resp["unknownIngredients"] = unknown
-	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, http.StatusOK, completeResponse{
+		ModelVersion:       modelVersion,
+		Region:             region.Code(),
+		Suggestions:        out,
+		UnknownIngredients: unknown,
+	})
 }
 
 // substituteEntry is one replacement candidate on the wire.
@@ -89,6 +93,13 @@ type substituteEntry struct {
 	Category     string  `json:"category"`
 	Similarity   float64 `json:"similarity"`
 	SameCategory bool    `json:"sameCategory"`
+}
+
+// substituteResponse is the GET /api/ingredients/{name}/substitutes body.
+type substituteResponse struct {
+	Ingredient   string            `json:"ingredient"`
+	ModelVersion uint64            `json:"modelVersion"`
+	Substitutes  []substituteEntry `json:"substitutes"`
 }
 
 func (s *Server) handleSubstitute(w http.ResponseWriter, r *http.Request) {
@@ -130,17 +141,25 @@ func (s *Server) handleSubstitute(w http.ResponseWriter, r *http.Request) {
 			SameCategory: sub.SameCategory,
 		}
 	}
-	writeJSON(w, map[string]interface{}{
-		"ingredient":   name,
-		"substitutes":  out,
-		"modelVersion": modelVersion,
-	})
+	s.writeJSON(w, r, http.StatusOK, substituteResponse{Ingredient: name, ModelVersion: modelVersion, Substitutes: out})
 }
 
 // tasteRequest is the POST /api/taste body.
 type tasteRequest struct {
 	Ingredients []string `json:"ingredients"`
 	K           int      `json:"k"`
+}
+
+// tasteEntry is one descriptor weight on the wire.
+type tasteEntry struct {
+	Descriptor string  `json:"descriptor"`
+	Weight     float64 `json:"weight"`
+}
+
+// tasteResponse is the POST /api/taste body.
+type tasteResponse struct {
+	Taste              []tasteEntry `json:"taste"`
+	UnknownIngredients []string     `json:"unknownIngredients,omitempty"`
 }
 
 // handleTaste enumerates the taste of an ingredient list — the paper's
@@ -168,21 +187,11 @@ func (s *Server) handleTaste(w http.ResponseWriter, r *http.Request) {
 	if k < len(profile) {
 		profile = profile[:k]
 	}
-	type entry struct {
-		Descriptor string  `json:"descriptor"`
-		Weight     float64 `json:"weight"`
-	}
-	out := make([]entry, len(profile))
+	out := make([]tasteEntry, len(profile))
 	for i, dw := range profile {
-		out[i] = entry{Descriptor: dw.Descriptor, Weight: dw.Weight}
+		out[i] = tasteEntry{Descriptor: dw.Descriptor, Weight: dw.Weight}
 	}
-	resp := map[string]interface{}{
-		"taste": out,
-	}
-	if len(unknown) > 0 {
-		resp["unknownIngredients"] = unknown
-	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, http.StatusOK, tasteResponse{Taste: out, UnknownIngredients: unknown})
 }
 
 // resolveIngredients maps names to catalog IDs, collecting unknowns.

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -174,7 +176,9 @@ func New(cfg Config) (*Server, error) {
 		s.traffic = httpmw.NewTraffic(tc)
 	}
 	s.mux = http.NewServeMux()
-	s.routes()
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.pattern, rt.handler)
+	}
 	return s, nil
 }
 
@@ -239,35 +243,42 @@ func (s *Server) writeModelUnavailable(w http.ResponseWriter, err error) {
 		err.Error())
 }
 
-// routes registers every endpoint.
-func (s *Server) routes() {
-	s.mux.HandleFunc("GET /api/health", s.handleHealth)
-	s.mux.HandleFunc("GET /api/regions", s.handleRegions)
-	s.mux.HandleFunc("GET /api/regions/{code}", s.handleRegion)
-	s.mux.HandleFunc("GET /api/regions/{code}/pairing", s.handlePairing)
-	s.mux.HandleFunc("GET /api/recipes", s.handleRecipes)
-	s.mux.HandleFunc("GET /api/recipes/{id}", s.handleRecipe)
+// route is one mux pattern and the handler serving it.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes lists every endpoint New registers; the wire-compatibility
+// battery checks each of them.
+func (s *Server) routes() []route {
+	upsert, batch, del := s.handleUpsertRecipe, s.handleBatchUpsert, s.handleDeleteRecipe
 	if s.cfg.Follower != nil {
 		// Read-replica mode: the corpus changes only by following the
 		// primary's log, never via the API. The follower's corpus writes
 		// through to its own store, so a write accepted here would
 		// diverge from the primary durably.
-		s.mux.HandleFunc("POST /api/recipes", s.handleNotPrimary)
-		s.mux.HandleFunc("POST /api/recipes/batch", s.handleNotPrimary)
-		s.mux.HandleFunc("DELETE /api/recipes/{id}", s.handleNotPrimary)
-	} else {
-		s.mux.HandleFunc("POST /api/recipes", s.handleUpsertRecipe)
-		s.mux.HandleFunc("POST /api/recipes/batch", s.handleBatchUpsert)
-		s.mux.HandleFunc("DELETE /api/recipes/{id}", s.handleDeleteRecipe)
+		upsert, batch, del = s.handleNotPrimary, s.handleNotPrimary, s.handleNotPrimary
 	}
-	s.mux.HandleFunc("GET /api/ingredients/{name}", s.handleIngredient)
-	s.mux.HandleFunc("GET /api/ingredients/{name}/pairings", s.handleIngredientPairings)
-	s.mux.HandleFunc("GET /api/search", s.handleSearch)
-	s.mux.HandleFunc("POST /api/query", s.handleQuery)
-	s.mux.HandleFunc("POST /api/classify", s.handleClassify)
-	s.mux.HandleFunc("POST /api/complete", s.handleComplete)
-	s.mux.HandleFunc("GET /api/ingredients/{name}/substitutes", s.handleSubstitute)
-	s.mux.HandleFunc("POST /api/taste", s.handleTaste)
+	return []route{
+		{"GET /api/health", s.handleHealth},
+		{"GET /api/regions", s.handleRegions},
+		{"GET /api/regions/{code}", s.handleRegion},
+		{"GET /api/regions/{code}/pairing", s.handlePairing},
+		{"GET /api/recipes", s.handleRecipes},
+		{"GET /api/recipes/{id}", s.handleRecipe},
+		{"POST /api/recipes", upsert},
+		{"POST /api/recipes/batch", batch},
+		{"DELETE /api/recipes/{id}", del},
+		{"GET /api/ingredients/{name}", s.handleIngredient},
+		{"GET /api/ingredients/{name}/pairings", s.handleIngredientPairings},
+		{"GET /api/search", s.handleSearch},
+		{"POST /api/query", s.handleQuery},
+		{"POST /api/classify", s.handleClassify},
+		{"POST /api/complete", s.handleComplete},
+		{"GET /api/ingredients/{name}/substitutes", s.handleSubstitute},
+		{"POST /api/taste", s.handleTaste},
+	}
 }
 
 // Handler returns the root handler. Chain, outermost first: panic
@@ -344,11 +355,41 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{
 	return false
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// respBufs holds the buffers writeJSON encodes into.
+var respBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+
+// maxPooledRespBuf bounds what respBufs keeps: a buffer grown by a large
+// listing (a 500-recipe page is ~100 KB) goes to the GC instead, so the
+// pool holds only the few-KB buffers of ordinary reads.
+const maxPooledRespBuf = 64 << 10
+
+// writeJSON answers status with v encoded once, compactly and with one
+// trailing newline, sent with its Content-Length in one Write. Response
+// bodies are structs whose fields are declared in sorted key order —
+// the order encoding/json gave the maps they used to be — so the bytes
+// are the compact form of what those maps encoded to
+// (TestWireCompatibility). JSON cannot carry NaN or ±Inf: an encode
+// failure answers a 500 internal envelope instead, before anything of
+// the success response was sent, and logs the endpoint.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}) {
+	buf := respBufs.Get().(*bytes.Buffer)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Printf("encoding the response to %s %s: %v", r.Method, r.URL.Path, err)
+		}
+		httpmw.WriteError(w, http.StatusInternalServerError, httpmw.CodeInternal,
+			"encoding the response failed")
+	} else {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(buf.Len()))
+		w.WriteHeader(status)
+		w.Write(buf.Bytes()) // fails only once the client is gone: nobody left to tell
+	}
+	if buf.Cap() <= maxPooledRespBuf {
+		buf.Reset()
+		respBufs.Put(buf)
+	}
 }
 
 // --- handlers ---
@@ -380,6 +421,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	corpusVersion := s.cfg.Store.Version()
+	// derivedModelHealth shapes one rebuilder's stats.
+	derivedModelHealth := func(st derived.Stats) map[string]interface{} {
+		return map[string]interface{}{
+			"available":    st.Available,
+			"version":      st.Version,
+			"lag":          lagBehind(corpusVersion, st.Version),
+			"rebuilds":     st.Rebuilds,
+			"failures":     st.Failures,
+			"lastError":    st.LastError,
+			"lastBuildNs":  st.LastBuild.Nanoseconds(),
+			"totalBuildNs": st.TotalBuild.Nanoseconds(),
+			"intervalMs":   st.Interval.Milliseconds(),
+		}
+	}
 	body["derived"] = map[string]interface{}{
 		// The search index is maintained synchronously inside the
 		// mutation critical section, so its lag is zero by
@@ -390,8 +445,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"version": s.index.Version(),
 			"lag":     lagBehind(corpusVersion, s.index.Version()),
 		},
-		"classifier":  derivedModelHealth(s.classifier.Stats(), corpusVersion),
-		"recommender": derivedModelHealth(s.recommender.Stats(), corpusVersion),
+		"classifier":  derivedModelHealth(s.classifier.Stats()),
+		"recommender": derivedModelHealth(s.recommender.Stats()),
 	}
 	// The traffic block always carries the mutation fan-in's coalescing
 	// telemetry and the storage_unavailable response count; the
@@ -465,7 +520,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			},
 		}
 	}
-	writeJSON(w, body)
+	s.writeJSON(w, r, http.StatusOK, body)
 }
 
 // lagBehind is a saturating corpus-version delta: a model built at a
@@ -478,21 +533,6 @@ func lagBehind(corpus, model uint64) uint64 {
 	return corpus - model
 }
 
-// derivedModelHealth shapes one rebuilder's stats for /api/health.
-func derivedModelHealth(st derived.Stats, corpusVersion uint64) map[string]interface{} {
-	return map[string]interface{}{
-		"available":    st.Available,
-		"version":      st.Version,
-		"lag":          lagBehind(corpusVersion, st.Version),
-		"rebuilds":     st.Rebuilds,
-		"failures":     st.Failures,
-		"lastError":    st.LastError,
-		"lastBuildNs":  st.LastBuild.Nanoseconds(),
-		"totalBuildNs": st.TotalBuild.Nanoseconds(),
-		"intervalMs":   st.Interval.Milliseconds(),
-	}
-}
-
 // regionSummary is one row of GET /api/regions.
 type regionSummary struct {
 	Code        string `json:"code"`
@@ -502,23 +542,35 @@ type regionSummary struct {
 }
 
 func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
-	var out []regionSummary
-	for _, region := range recipedb.MajorRegions() {
+	regions := recipedb.MajorRegions()
+	out := make([]regionSummary, len(regions))
+	for i, region := range regions {
 		c := s.cfg.Store.BuildCuisine(region)
-		out = append(out, regionSummary{
+		out[i] = regionSummary{
 			Code:        region.Code(),
 			Name:        region.Name(),
 			Recipes:     c.NumRecipes(),
 			Ingredients: c.NumUniqueIngredients(),
-		})
+		}
 	}
-	writeJSON(w, out)
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
 // parseRegion resolves the {code} path segment (ParseRegion is
 // case-insensitive, so no normalization happens here).
 func parseRegionParam(r *http.Request) (recipedb.Region, error) {
 	return recipedb.ParseRegion(r.PathValue("code"))
+}
+
+// regionResponse is the GET /api/regions/{code} body.
+type regionResponse struct {
+	CategoryUsage  map[string]float64 `json:"categoryUsage"`
+	Code           string             `json:"code"`
+	Ingredients    int                `json:"ingredients"`
+	MeanRecipeSize float64            `json:"meanRecipeSize"`
+	Name           string             `json:"name"`
+	Recipes        int                `json:"recipes"`
+	TopIngredients []string           `json:"topIngredients"`
 }
 
 func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
@@ -540,15 +592,27 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 			categories[flavor.Category(cat).String()] = frac
 		}
 	}
-	writeJSON(w, map[string]interface{}{
-		"code":           region.Code(),
-		"name":           region.Name(),
-		"recipes":        c.NumRecipes(),
-		"ingredients":    c.NumUniqueIngredients(),
-		"meanRecipeSize": c.SizeHistogram().Mean(),
-		"topIngredients": topNames,
-		"categoryUsage":  categories,
+	s.writeJSON(w, r, http.StatusOK, regionResponse{
+		CategoryUsage:  categories,
+		Code:           region.Code(),
+		Ingredients:    c.NumUniqueIngredients(),
+		MeanRecipeSize: c.SizeHistogram().Mean(),
+		Name:           region.Name(),
+		Recipes:        c.NumRecipes(),
+		TopIngredients: topNames,
 	})
+}
+
+// pairingResponse is the GET /api/regions/{code}/pairing body.
+type pairingResponse struct {
+	Model    string  `json:"model"`
+	NRandom  int     `json:"nRandom"`
+	NullMean float64 `json:"nullMean"`
+	NullStd  float64 `json:"nullStd"`
+	Observed float64 `json:"observed"`
+	Pairing  string  `json:"pairing"`
+	Region   string  `json:"region"`
+	Z        float64 `json:"z"`
 }
 
 func (s *Server) handlePairing(w http.ResponseWriter, r *http.Request) {
@@ -583,15 +647,15 @@ func (s *Server) handlePairing(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, map[string]interface{}{
-		"region":   region.Code(),
-		"model":    model.String(),
-		"observed": res.Observed,
-		"nullMean": res.NullMean,
-		"nullStd":  res.NullStd,
-		"nRandom":  res.NRandom,
-		"z":        res.Z,
-		"pairing":  pairingDirection(res.Z),
+	s.writeJSON(w, r, http.StatusOK, pairingResponse{
+		Model:    model.String(),
+		NRandom:  res.NRandom,
+		NullMean: res.NullMean,
+		NullStd:  res.NullStd,
+		Observed: res.Observed,
+		Pairing:  pairingDirection(res.Z),
+		Region:   region.Code(),
+		Z:        res.Z,
 	})
 }
 
@@ -630,6 +694,13 @@ func (s *Server) recipeJSON(rec recipedb.Recipe) recipeJSON {
 	}
 }
 
+// recipeListResponse is the GET /api/recipes body.
+type recipeListResponse struct {
+	Offset  int          `json:"offset"`
+	Recipes []recipeJSON `json:"recipes"`
+	Total   int          `json:"total"`
+}
+
 func (s *Server) handleRecipes(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit := 20
@@ -659,7 +730,7 @@ func (s *Server) handleRecipes(w http.ResponseWriter, r *http.Request) {
 		}
 		region = reg
 	}
-	var out []recipeJSON
+	out := []recipeJSON{} // a page past the end is [], not null
 	skipped := 0
 	s.cfg.Store.ForEachInRegion(region, func(rec *recipedb.Recipe) {
 		if skipped < offset {
@@ -670,11 +741,19 @@ func (s *Server) handleRecipes(w http.ResponseWriter, r *http.Request) {
 			out = append(out, s.recipeJSON(*rec))
 		}
 	})
-	writeJSON(w, map[string]interface{}{
-		"total":   s.cfg.Store.RegionLen(region),
-		"offset":  offset,
-		"recipes": out,
+	s.writeJSON(w, r, http.StatusOK, recipeListResponse{
+		Offset:  offset,
+		Recipes: out,
+		Total:   s.cfg.Store.RegionLen(region),
 	})
+}
+
+// recipeResponse is the GET /api/recipes/{id} body. PairingScore is a
+// pointer because a recipe the analyzer cannot score has none, while a
+// scored 0 is still sent.
+type recipeResponse struct {
+	PairingScore *float64   `json:"pairingScore,omitempty"`
+	Recipe       recipeJSON `json:"recipe"`
 }
 
 func (s *Server) handleRecipe(w http.ResponseWriter, r *http.Request) {
@@ -688,14 +767,24 @@ func (s *Server) handleRecipe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("recipe %d was deleted", id))
 		return
 	}
-	body := s.recipeJSON(rec)
-	resp := map[string]interface{}{
-		"recipe": body,
-	}
+	resp := recipeResponse{Recipe: s.recipeJSON(rec)}
 	if score, ok := s.cfg.Analyzer.RecipeScore(rec.Ingredients); ok {
-		resp["pairingScore"] = score
+		resp.PairingScore = &score
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
+}
+
+// ingredientResponse is the GET /api/ingredients/{name} body.
+// ProfileSize is sent exactly when the ingredient has a profile (an
+// empty profile's 0 included), Constituents only for a compound.
+type ingredientResponse struct {
+	Category     string   `json:"category"`
+	Compound     bool     `json:"compound"`
+	Constituents []string `json:"constituents,omitempty"`
+	HasProfile   bool     `json:"hasProfile"`
+	ID           int      `json:"id"`
+	Name         string   `json:"name"`
+	ProfileSize  *int     `json:"profileSize,omitempty"`
 }
 
 func (s *Server) handleIngredient(w http.ResponseWriter, r *http.Request) {
@@ -706,24 +795,21 @@ func (s *Server) handleIngredient(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ing := s.catalog.Ingredient(id)
-	resp := map[string]interface{}{
-		"id":         int(ing.ID),
-		"name":       ing.Name,
-		"category":   ing.Category.String(),
-		"compound":   ing.Compound,
-		"hasProfile": ing.HasProfile,
+	resp := ingredientResponse{
+		Category:   ing.Category.String(),
+		Compound:   ing.Compound,
+		HasProfile: ing.HasProfile,
+		ID:         int(ing.ID),
+		Name:       ing.Name,
 	}
 	if ing.HasProfile {
-		resp["profileSize"] = s.catalog.Profile(id).Count()
+		size := s.catalog.Profile(id).Count()
+		resp.ProfileSize = &size
 	}
-	if len(ing.Constituents) > 0 {
-		names := make([]string, len(ing.Constituents))
-		for i, cid := range ing.Constituents {
-			names[i] = s.catalog.Ingredient(cid).Name
-		}
-		resp["constituents"] = names
+	for _, cid := range ing.Constituents {
+		resp.Constituents = append(resp.Constituents, s.catalog.Ingredient(cid).Name)
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 // pairingEntry is one row of the ingredient-pairings response.
@@ -731,6 +817,12 @@ type pairingEntry struct {
 	Name     string `json:"name"`
 	Category string `json:"category"`
 	Shared   int    `json:"sharedCompounds"`
+}
+
+// pairingsResponse is the GET /api/ingredients/{name}/pairings body.
+type pairingsResponse struct {
+	Ingredient string         `json:"ingredient"`
+	Pairings   []pairingEntry `json:"pairings"`
 }
 
 func (s *Server) handleIngredientPairings(w http.ResponseWriter, r *http.Request) {
@@ -760,16 +852,20 @@ func (s *Server) handleIngredientPairings(w http.ResponseWriter, r *http.Request
 		ing := s.catalog.Ingredient(p.Partner)
 		out[i] = pairingEntry{Name: ing.Name, Category: ing.Category.String(), Shared: p.Shared}
 	}
-	writeJSON(w, map[string]interface{}{
-		"ingredient": name,
-		"pairings":   out,
-	})
+	s.writeJSON(w, r, http.StatusOK, pairingsResponse{Ingredient: name, Pairings: out})
 }
 
 // searchHit is the wire form of one search result.
 type searchHit struct {
 	Recipe recipeJSON `json:"recipe"`
 	Score  float64    `json:"score"`
+}
+
+// searchResponse is the GET /api/search body.
+type searchResponse struct {
+	Hits    []searchHit `json:"hits"`
+	Query   string      `json:"query"`
+	Version uint64      `json:"version"`
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -814,16 +910,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			out[i] = searchHit{Recipe: s.recipeJSON(*v.Recipe(h.RecipeID)), Score: h.Score}
 		}
 	})
-	writeJSON(w, map[string]interface{}{
-		"query":   text,
-		"hits":    out,
-		"version": version,
-	})
+	s.writeJSON(w, r, http.StatusOK, searchResponse{Hits: out, Query: text, Version: version})
 }
 
 // queryRequest is the POST /api/query body.
 type queryRequest struct {
 	Q string `json:"q"`
+}
+
+// queryResponse is the POST /api/query body.
+type queryResponse struct {
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+	Scanned int        `json:"scanned"`
+	Version uint64     `json:"version"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -859,11 +959,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		rows[i] = cells
 	}
-	writeJSON(w, map[string]interface{}{
-		"columns": res.Columns,
-		"rows":    rows,
-		"scanned": res.Scanned,
-		"version": res.Version,
+	s.writeJSON(w, r, http.StatusOK, queryResponse{
+		Columns: res.Columns,
+		Rows:    rows,
+		Scanned: res.Scanned,
+		Version: res.Version,
 	})
 }
 
@@ -877,6 +977,15 @@ type classifyResponseEntry struct {
 	Region      string  `json:"region"`
 	Name        string  `json:"name"`
 	Probability float64 `json:"probability"`
+}
+
+// classifyResponse is the POST /api/classify body. ModelVersion is the
+// corpus version the model was trained at — the staleness fence clients
+// compare against query/search responses' "version".
+type classifyResponse struct {
+	ModelVersion       uint64                  `json:"modelVersion"`
+	Predictions        []classifyResponseEntry `json:"predictions"`
+	UnknownIngredients []string                `json:"unknownIngredients,omitempty"`
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -914,15 +1023,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			Probability: p.Probability,
 		}
 	}
-	resp := map[string]interface{}{
-		"predictions": out,
-		// modelVersion is the corpus version the model was trained at —
-		// the staleness fence clients compare against query/search
-		// responses' "version".
-		"modelVersion": modelVersion,
-	}
-	if len(unknown) > 0 {
-		resp["unknownIngredients"] = unknown
-	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, http.StatusOK, classifyResponse{
+		ModelVersion:       modelVersion,
+		Predictions:        out,
+		UnknownIngredients: unknown,
+	})
 }
