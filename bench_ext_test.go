@@ -366,12 +366,12 @@ func BenchmarkRecommend(b *testing.B) {
 	})
 }
 
-// BenchmarkServerHandler measures serve_read_hot's four requests
-// through Server.Handler() in process — routing, the version gate, the
-// handler's work and the JSON encode, no transport. The request and the
-// response writer are reused, so -benchmem's columns are the server's
-// own; internal/server's TestHandlerAllocationBudget pins the same
-// requests' allocation counts.
+// BenchmarkServerHandler measures serve_read_hot's four requests and
+// the region pages through Server.Handler() in process — routing, the
+// version gate, the handler's work and the JSON encode, no transport.
+// The request and the response writer are reused, so -benchmem's
+// columns are the server's own; internal/server's
+// TestHandlerAllocationBudget pins the same requests' allocation counts.
 func BenchmarkServerHandler(b *testing.B) {
 	srv, err := server.New(server.Config{
 		Store:                      benchEnv.Store,
@@ -410,6 +410,9 @@ func BenchmarkServerHandler(b *testing.B) {
 	b.Run("search", run("GET", "/api/search?q=tomato&limit=10", ""))
 	b.Run("query_hit", run("POST", "/api/query", `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`))
 	b.Run("pairings", run("GET", "/api/ingredients/tomato/pairings", ""))
+	b.Run("region_usa", run("GET", "/api/regions/USA", ""))
+	b.Run("region_kor", run("GET", "/api/regions/KOR", ""))
+	b.Run("regions", run("GET", "/api/regions", ""))
 }
 
 // statusWriter is a reusable http.ResponseWriter that keeps only the

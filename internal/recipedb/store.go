@@ -132,6 +132,10 @@ type Store struct {
 	live         int // slots minus tombstones
 	byRegion     map[Region][]int
 	byIngredient map[flavor.ID][]int
+	// counts are each region's sums over its live recipes, World's over
+	// every live recipe. Only the three posting-list patch functions
+	// change them, so they describe the corpus the lists describe.
+	counts [numRegions]regionCounts
 
 	// persist, when set, receives every mutation before the in-memory
 	// state changes (write-through): a failed write leaves the corpus
@@ -292,10 +296,42 @@ func (v *View) RegionLen(r Region) int {
 	return len(v.s.byRegion[r])
 }
 
+// RegionIngredients returns the number of distinct ingredients the
+// region's live recipes use (Table 1's unique-ingredient count).
+func (v *View) RegionIngredients(r Region) int { return v.s.counts[r].distinct }
+
 // ForEachInRegion calls fn for every live recipe in the region (every
 // live recipe when r == World), in ascending-ID order.
 func (v *View) ForEachInRegion(r Region, fn func(*Recipe)) {
 	v.s.forEachInRegionLocked(r, fn)
+}
+
+// RegionPage calls fn for the live recipes at positions [offset,
+// offset+limit) of the region's ascending-ID order (every live recipe's
+// when r == World). A region's page is sliced from its list; World
+// walks the slots only up to the page's end.
+func (v *View) RegionPage(r Region, offset, limit int, fn func(*Recipe)) {
+	s := v.s
+	if r != World {
+		ids := s.byRegion[r]
+		if offset >= len(ids) {
+			return
+		}
+		for _, id := range ids[offset:min(len(ids), offset+limit)] {
+			fn(&s.recipes[id])
+		}
+		return
+	}
+	for i := 0; i < len(s.recipes) && limit > 0; i++ {
+		switch {
+		case s.recipes[i].Deleted:
+		case offset > 0:
+			offset--
+		default:
+			fn(&s.recipes[i])
+			limit--
+		}
+	}
 }
 
 // Catalog returns the (immutable) ingredient catalog.
@@ -403,19 +439,23 @@ func (s *Store) Remove(id int) (uint64, error) {
 }
 
 // indexLocked adds rec's ID to the region and ingredient posting
-// lists. Lists are patched in place under the exclusive lock, so they
-// may be read only under s.mu: every reader does (the View accessors,
-// forEachInRegionLocked, buildCuisineLocked, CanonicalDump), and the
-// two accessors that hand a list past the lock return a copy.
+// lists and rec to the region counters. Lists are patched in place
+// under the exclusive lock, so they may be read only under s.mu: every
+// reader does (the View accessors, forEachInRegionLocked,
+// buildCuisineLocked, CanonicalDump), and the two accessors that hand a
+// list past the lock return a copy.
 func (s *Store) indexLocked(rec *Recipe) {
+	s.tallyLocked(rec, 1)
 	s.byRegion[rec.Region] = insertSorted(s.byRegion[rec.Region], rec.ID)
 	for _, ing := range rec.Ingredients {
 		s.byIngredient[ing] = insertSorted(s.byIngredient[ing], rec.ID)
 	}
 }
 
-// unindexLocked removes rec's ID from every posting list it is on.
+// unindexLocked removes rec's ID from every posting list it is on and
+// rec from the region counters.
 func (s *Store) unindexLocked(rec *Recipe) {
+	s.tallyLocked(rec, -1)
 	s.byRegion[rec.Region] = removeSorted(s.byRegion[rec.Region], rec.ID)
 	for _, ing := range rec.Ingredients {
 		s.byIngredient[ing] = removeSorted(s.byIngredient[ing], rec.ID)
@@ -426,8 +466,12 @@ func (s *Store) unindexLocked(rec *Recipe) {
 // (rec.ID == old.ID), patching only the lists that differ: the region
 // lists when the region changed, and the lists of ingredients in one
 // recipe but not the other. A recipe holds about a dozen IDs, so the
-// nested membership scans cost less than any set would.
+// nested membership scans cost less than any set would. The counters
+// take old out and rec in whole: integer adds are cheaper than the
+// scans that would find the difference.
 func (s *Store) reindexLocked(old, rec *Recipe) {
+	s.tallyLocked(old, -1)
+	s.tallyLocked(rec, 1)
 	if old.Region != rec.Region {
 		s.byRegion[old.Region] = removeSorted(s.byRegion[old.Region], old.ID)
 		s.byRegion[rec.Region] = insertSorted(s.byRegion[rec.Region], rec.ID)
@@ -464,6 +508,39 @@ func removeSorted(list []int, id int) []int {
 		return list
 	}
 	return slices.Delete(list, i, i+1)
+}
+
+// regionCounts are one region's exact integer sums over its live
+// recipes: everything a region page reports is derived from them.
+type regionCounts struct {
+	size     int // Σ recipe size: the region's ingredient slots
+	distinct int // ingredients with uses > 0
+	// uses counts the recipes using each catalog ingredient, by ID. It
+	// is allocated with the region's first recipe, so a store holding
+	// one region (a generator's calibration trial) carries two arrays,
+	// not 27.
+	uses []int32
+}
+
+// tallyLocked adds rec to (delta 1) or takes it out of (delta -1) the
+// counters of its region and of World.
+func (s *Store) tallyLocked(rec *Recipe, delta int32) {
+	for _, c := range [2]*regionCounts{&s.counts[rec.Region], &s.counts[World]} {
+		if c.uses == nil {
+			c.uses = make([]int32, s.catalog.Len())
+		}
+		c.size += int(delta) * len(rec.Ingredients)
+		for _, ing := range rec.Ingredients {
+			before := c.uses[ing]
+			c.uses[ing] = before + delta
+			switch {
+			case before == 0:
+				c.distinct++
+			case before+delta == 0:
+				c.distinct--
+			}
+		}
+	}
 }
 
 // IngredientRecipes returns the IDs of live recipes containing the
@@ -674,26 +751,98 @@ func (c *Cuisine) TopIngredients(k int) []flavor.ID {
 	return ids[:k]
 }
 
+// RegionStats is one region's descriptive statistics at one corpus
+// version: Table 1's counts, the mean recipe size, the most-used
+// ingredients and the Fig 2 category usage. Every field is computed
+// from exact integer counters, so each equals what the region's Cuisine
+// and CategoryUsage walk would give, bit for bit.
+type RegionStats struct {
+	// Recipes counts live recipes; Ingredients the distinct ingredients
+	// they use.
+	Recipes, Ingredients int
+	// MeanSize is the mean recipe size, 0 for an empty region.
+	MeanSize float64
+	// Top holds the k most-used ingredients (fewer when the region uses
+	// fewer), descending by use count, ties by ascending ID — the order
+	// of Cuisine.TopIngredients.
+	Top []flavor.ID
+	// CategoryUsage is the region's row of CategoryUsage.
+	CategoryUsage []float64
+}
+
+// RegionStats returns the region's descriptive statistics with its k
+// most-used ingredients, all from one read of the counters: no recipe
+// is visited.
+func (s *Store) RegionStats(r Region, k int) RegionStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c := &s.counts[r]
+	st := RegionStats{
+		Recipes:       len(s.byRegion[r]),
+		Ingredients:   c.distinct,
+		Top:           c.top(k),
+		CategoryUsage: s.categoryUsageLocked(r),
+	}
+	if r == World {
+		st.Recipes = s.live
+	}
+	if st.Recipes > 0 {
+		st.MeanSize = float64(c.size) / float64(st.Recipes)
+	}
+	return st
+}
+
+// top returns the k most-used ingredients, descending by count, ties
+// by ascending ID: an insertion into a k-long list, scanning IDs in
+// ascending order so an equal count never overtakes.
+func (c *regionCounts) top(k int) []flavor.ID {
+	k = min(k, c.distinct)
+	out := make([]flavor.ID, 0, k)
+	if k == 0 {
+		return out
+	}
+	for id, n := range c.uses {
+		if n == 0 || len(out) == k && n <= c.uses[out[k-1]] {
+			continue
+		}
+		if len(out) < k {
+			out = append(out, 0)
+		}
+		i := len(out) - 1
+		for ; i > 0 && c.uses[out[i-1]] < n; i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = flavor.ID(id)
+	}
+	return out
+}
+
 // CategoryUsage computes, for each of the 21 categories, the fraction of
 // ingredient slots (recipe-ingredient incidences) in the cuisine that
 // fall in the category — the rows of the Fig 2 heatmap.
 func (s *Store) CategoryUsage(r Region) []float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	counts := make([]int, flavor.NumCategories)
-	total := 0
-	s.forEachInRegionLocked(r, func(rec *Recipe) {
-		for _, id := range rec.Ingredients {
-			counts[s.catalog.Ingredient(id).Category]++
-			total++
-		}
-	})
+	return s.categoryUsageLocked(r)
+}
+
+// categoryUsageLocked sums the region's per-ingredient counters by
+// category; every count and the total are integers, so each fraction is
+// one correctly rounded division.
+func (s *Store) categoryUsageLocked(r Region) []float64 {
+	c := &s.counts[r]
 	out := make([]float64, flavor.NumCategories)
-	if total == 0 {
+	if c.size == 0 {
 		return out
 	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
+	var counts [flavor.NumCategories]int
+	for id, n := range c.uses {
+		if n != 0 {
+			counts[s.catalog.Ingredient(flavor.ID(id)).Category] += int(n)
+		}
+	}
+	for i, n := range counts {
+		out[i] = float64(n) / float64(c.size)
 	}
 	return out
 }

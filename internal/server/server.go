@@ -544,15 +544,16 @@ type regionSummary struct {
 func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
 	regions := recipedb.MajorRegions()
 	out := make([]regionSummary, len(regions))
-	for i, region := range regions {
-		c := s.cfg.Store.BuildCuisine(region)
-		out[i] = regionSummary{
-			Code:        region.Code(),
-			Name:        region.Name(),
-			Recipes:     c.NumRecipes(),
-			Ingredients: c.NumUniqueIngredients(),
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		for i, region := range regions {
+			out[i] = regionSummary{
+				Code:        region.Code(),
+				Name:        region.Name(),
+				Recipes:     v.RegionLen(region),
+				Ingredients: v.RegionIngredients(region),
+			}
 		}
-	}
+	})
 	s.writeJSON(w, r, http.StatusOK, out)
 }
 
@@ -579,15 +580,13 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	c := s.cfg.Store.BuildCuisine(region)
-	top := c.TopIngredients(10)
-	topNames := make([]string, len(top))
-	for i, id := range top {
+	st := s.cfg.Store.RegionStats(region, 10)
+	topNames := make([]string, len(st.Top))
+	for i, id := range st.Top {
 		topNames[i] = s.catalog.Ingredient(id).Name
 	}
-	usage := s.cfg.Store.CategoryUsage(region)
-	categories := make(map[string]float64, len(usage))
-	for cat, frac := range usage {
+	categories := make(map[string]float64, len(st.CategoryUsage))
+	for cat, frac := range st.CategoryUsage {
 		if frac > 0 {
 			categories[flavor.Category(cat).String()] = frac
 		}
@@ -595,10 +594,10 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, regionResponse{
 		CategoryUsage:  categories,
 		Code:           region.Code(),
-		Ingredients:    c.NumUniqueIngredients(),
-		MeanRecipeSize: c.SizeHistogram().Mean(),
+		Ingredients:    st.Ingredients,
+		MeanRecipeSize: st.MeanSize,
 		Name:           region.Name(),
-		Recipes:        c.NumRecipes(),
+		Recipes:        st.Recipes,
 		TopIngredients: topNames,
 	})
 }
@@ -730,22 +729,16 @@ func (s *Server) handleRecipes(w http.ResponseWriter, r *http.Request) {
 		}
 		region = reg
 	}
-	out := []recipeJSON{} // a page past the end is [], not null
-	skipped := 0
-	s.cfg.Store.ForEachInRegion(region, func(rec *recipedb.Recipe) {
-		if skipped < offset {
-			skipped++
-			return
-		}
-		if len(out) < limit {
-			out = append(out, s.recipeJSON(*rec))
-		}
+	// The page and its total come from one read: a write between them
+	// would answer a total that does not describe the page.
+	resp := recipeListResponse{Offset: offset, Recipes: []recipeJSON{}} // a page past the end is [], not null
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		resp.Total = v.RegionLen(region)
+		v.RegionPage(region, offset, limit, func(rec *recipedb.Recipe) {
+			resp.Recipes = append(resp.Recipes, s.recipeJSON(*rec))
+		})
 	})
-	s.writeJSON(w, r, http.StatusOK, recipeListResponse{
-		Offset:  offset,
-		Recipes: out,
-		Total:   s.cfg.Store.RegionLen(region),
-	})
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 // recipeResponse is the GET /api/recipes/{id} body. PairingScore is a

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"culinary/internal/experiments"
+	"culinary/internal/recipedb"
 	"culinary/internal/search"
 	"culinary/internal/storage"
 )
@@ -239,6 +240,66 @@ func TestMutationStressRace(t *testing.T) {
 	if _, ok := health["resultCache"].(map[string]interface{}); !ok {
 		t.Errorf("health lacks resultCache block: %v", health)
 	}
+}
+
+// TestRecipeListingStressRace: writers insert into and delete from one
+// region while readers page its last page. A listing takes its page and
+// its total from one read of the corpus, so however the writes land,
+// every page holds exactly min(limit, total-offset) recipes of the total
+// it reports.
+func TestRecipeListingStressRace(t *testing.T) {
+	s, h := mutableServer(t)
+	store := s.cfg.Store
+	const (
+		writers     = 2
+		writesPerGo = 150
+		readers     = 4
+		pagesPerGo  = 150
+		limit       = 10
+	)
+	ingredients := store.Recipe(0).Ingredients
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < writesPerGo; i++ {
+				id, err := store.Add("listing churn", recipedb.Korea, recipedb.AllRecipes, ingredients)
+				if err == nil {
+					_, err = store.Remove(id)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pagesPerGo; i++ {
+				offset := max(0, store.RegionLen(recipedb.Korea)-limit/2)
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest("GET", fmt.Sprintf("/api/recipes?region=KOR&limit=%d&offset=%d", limit, offset), nil))
+				var page struct {
+					Recipes []json.RawMessage `json:"recipes"`
+					Total   int               `json:"total"`
+				}
+				if err := json.Unmarshal(rr.Body.Bytes(), &page); rr.Code != http.StatusOK || err != nil {
+					t.Errorf("offset %d: %d %v: %s", offset, rr.Code, err, rr.Body)
+					return
+				}
+				if want := min(limit, max(0, page.Total-offset)); len(page.Recipes) != want {
+					t.Errorf("offset %d: %d recipes under total %d, want %d", offset, len(page.Recipes), page.Total, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDerivedStressRace is the derived-state counterpart of
