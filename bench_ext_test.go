@@ -132,6 +132,73 @@ func BenchmarkQueryEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryShapes measures the statement shapes the HTTP
+// benchmark sends, at the scale the server runs at (benchEnv's 5 %
+// corpus has none of the long posting lists): the two cold shapes, each
+// statement new to the plan cache, and the four hot ones, plan-cached
+// but re-executed as they are after every write fences the result
+// cache. Statements are built as bench/workload.go builds them; run
+// with -benchmem, the allocation columns are part of the contract.
+func BenchmarkQueryShapes(b *testing.B) {
+	env := fullScaleEnv()
+	var names []string
+	for i := 0; i < env.Catalog.Len(); i++ {
+		if name := env.Catalog.Ingredient(flavor.ID(i)).Name; !strings.ContainsAny(name, `'"\`) {
+			names = append(names, name)
+		}
+	}
+	regions := recipedb.MajorRegions()
+	// cold statements outnumber the plan cache, so cycling them always
+	// misses it; hot ones fit in it.
+	const cold, hot = 4 * query.DefaultPlanCacheCapacity, 16
+	shapes := []struct {
+		name string
+		n    int
+		stmt func(i int, a, c string, r recipedb.Region) string
+	}{
+		{"cold_scan", cold, func(i int, a, _ string, r recipedb.Region) string {
+			return fmt.Sprintf("SELECT id, name, size FROM recipes WHERE region = '%s' AND has('%s') AND size >= %d LIMIT 20", r.Code(), a, 2+i%12)
+		}},
+		{"cold_group", cold, func(_ int, a, c string, _ recipedb.Region) string {
+			return fmt.Sprintf("SELECT region, count(*) FROM recipes WHERE has('%s') AND NOT has('%s') GROUP BY region", a, c)
+		}},
+		{"hot_group", hot, func(_ int, a, _ string, _ recipedb.Region) string {
+			return fmt.Sprintf("SELECT region, count(*) FROM recipes WHERE has('%s') GROUP BY region", a)
+		}},
+		{"hot_topk", hot, func(_ int, a, _ string, r recipedb.Region) string {
+			return fmt.Sprintf("SELECT name, size FROM recipes WHERE region = '%s' AND has('%s') ORDER BY size DESC LIMIT 10", r.Code(), a)
+		}},
+		{"hot_region_agg", hot, func(_ int, _, _ string, r recipedb.Region) string {
+			return fmt.Sprintf("SELECT count(*), avg(size) FROM recipes WHERE region = '%s'", r.Code())
+		}},
+		{"hot_not", hot, func(_ int, a, c string, _ recipedb.Region) string {
+			return fmt.Sprintf("SELECT id, name FROM recipes WHERE has('%s') AND NOT has('%s') LIMIT 20", a, c)
+		}},
+	}
+	for _, s := range shapes {
+		stmts := make([]string, s.n)
+		for i := range stmts {
+			a, c := names[(i*7)%len(names)], names[(i*13+5)%len(names)]
+			stmts[i] = s.stmt(i, a, c, regions[(i/4)%len(regions)])
+		}
+		b.Run(s.name, func(b *testing.B) {
+			engine := query.NewEngine(env.Store, env.Analyzer)
+			for _, stmt := range stmts {
+				if _, err := engine.Run(stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(stmts[i%len(stmts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblationIngredientIndex compares the planner's posting-list
 // scan for has() against the equivalent full scan (the planner cannot
 // use the index when has() sits under NOT(NOT ...)).

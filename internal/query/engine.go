@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,7 +29,7 @@ var (
 	ErrCanceled = errors.New("query: execution canceled")
 )
 
-// cancelCheckInterval is how many visited recipes pass between context
+// cancelCheckInterval is how many outer-list entries pass between context
 // checks during a scan — frequent enough that a canceled query aborts
 // within microseconds, rare enough to keep the per-row cost invisible.
 const cancelCheckInterval = 512
@@ -86,9 +87,12 @@ func (e *Engine) ResultCacheStats() ResultCacheStats {
 type Result struct {
 	Columns []string
 	Rows    [][]Value
-	// Scanned is the number of recipes the executor visited; with the
-	// region-index optimization this is less than the corpus size. A
-	// result-cache hit reports the scan count of the execution that
+	// Scanned is the number of outer-list entries the executor counted: the
+	// entries of the chosen index list (inside the pinned region when
+	// the list is an ingredient's), or every live recipe on a full scan.
+	// With a LIMIT and no ORDER BY the executor stops matching once the
+	// rows are in but still counts the rest of the outer list. A
+	// result-cache hit reports the count of the execution that
 	// populated the entry.
 	Scanned int
 	// Version is the corpus version the result was computed at. The
@@ -141,17 +145,17 @@ func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		c, err := e.bind(q)
+		b, err := e.bind(q)
 		if err != nil {
 			return nil, err
 		}
-		p = &cachedPlan{key: key, q: q, c: c}
+		p = &cachedPlan{key: key, b: b}
 		e.plans.put(p)
 	}
 	var res *Result
 	var execErr error
 	e.store.Read(func(v *recipedb.View) {
-		res, execErr = e.exec(ctx, p.q, p.c, v)
+		res, execErr = e.exec(ctx, p.b, v)
 	})
 	if execErr != nil {
 		return nil, execErr
@@ -162,26 +166,50 @@ func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) 
 	return res, nil
 }
 
-// compiledExpr is an expression with has()/category() arguments bound to
-// catalog IDs.
-type compiledExpr struct {
-	expr      Expr
-	hasIDs    map[string]flavor.ID
-	catIDs    map[string]flavor.Category
-	usesScore bool
+// boundQuery is a statement bound to the catalog and compiled, ready to
+// execute against any corpus version. It is immutable — execution keeps
+// its cursors and scratch state on its own stack — so one cached plan
+// serves concurrent runs.
+type boundQuery struct {
+	q      *Query
+	items  []SelectItem // '*' expanded
+	hasAgg bool
+	// aggIn reads each aggregated column's input; nil where the column
+	// counts 1 per row (count(*), count of a non-numeric field) or is
+	// not an aggregate.
+	aggIn []func(*recipedb.Recipe) float64
+	// groups is the key's domain when GROUP BY keys on region or
+	// source.
+	groups *enumDomain
+
+	// The top-level AND chain, split. has and not hold the ingredients
+	// of its bare has(x) and NOT has(x) conjuncts, each once, in chain
+	// order: the executor answers them with posting lists. region is
+	// the region the planner pins (World when none): the last
+	// region = 'CODE' conjunct whose code parses. residual is every
+	// other conjunct in chain order — a region equality true for
+	// exactly the pinned region is implied by the region's list and
+	// dropped — and nil when none is left.
+	has, not []flavor.ID
+	region   recipedb.Region
+	residual func(*recipedb.Recipe) bool
 }
 
-// bind resolves function arguments and detects score usage so execution
-// never fails on a per-row basis for static reasons.
-func (e *Engine) bind(q *Query) (*compiledExpr, error) {
-	c := &compiledExpr{
-		expr:   q.Where,
+// bind resolves function arguments, checks the select list, and
+// type-checks and compiles the WHERE clause, so that execution cannot
+// fail on any row. Errors come in the order execution used to meet
+// them: unknown functions and arguments, score without an analyzer, the
+// select list, then the first ill-typed WHERE node in evaluation order.
+func (e *Engine) bind(q *Query) (*boundQuery, error) {
+	c := &compiler{
+		e:      e,
 		hasIDs: make(map[string]flavor.ID),
 		catIDs: make(map[string]flavor.Category),
 	}
+	usesScore := false
 	for _, it := range q.Items {
 		if it.Field == FieldScore && !it.Star {
-			c.usesScore = true
+			usesScore = true
 		}
 	}
 	var walk func(Expr) error
@@ -203,7 +231,7 @@ func (e *Engine) bind(q *Query) (*compiledExpr, error) {
 			return walk(n.R)
 		case *FieldExpr:
 			if n.Field == FieldScore {
-				c.usesScore = true
+				usesScore = true
 			}
 			return nil
 		case *InExpr:
@@ -234,15 +262,174 @@ func (e *Engine) bind(q *Query) (*compiledExpr, error) {
 	if err := walk(q.Where); err != nil {
 		return nil, err
 	}
-	if c.usesScore && e.analyzer == nil {
+	if usesScore && e.analyzer == nil {
 		return nil, ErrNoScore
 	}
-	return c, nil
+
+	b := &boundQuery{q: q, region: recipedb.World}
+	var hasPlain bool
+	b.items, b.hasAgg, hasPlain = expandItems(q.Items)
+	if b.hasAgg && hasPlain && q.GroupBy == nil {
+		return nil, fmt.Errorf("%w: mixing aggregates with plain fields requires GROUP BY", ErrSemantic)
+	}
+	if q.GroupBy != nil {
+		for _, it := range b.items {
+			if it.Agg == nil && it.Field != *q.GroupBy {
+				return nil, fmt.Errorf("%w: column %s is neither aggregated nor the GROUP BY key", ErrSemantic, it.Label())
+			}
+		}
+		if f := *q.GroupBy; f == FieldRegion || f == FieldSource {
+			b.groups = domain(f)
+		}
+	}
+	if b.hasAgg {
+		b.aggIn = make([]func(*recipedb.Recipe) float64, len(b.items))
+		for i, it := range b.items {
+			if it.Agg != nil && !it.Star {
+				b.aggIn[i] = e.fieldNumber(it.Field) // nil for a non-numeric field
+			}
+		}
+	}
+	if q.Where != nil {
+		if err := b.splitWhere(c, q.Where); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
-// scanPlan describes how the executor will enumerate candidate recipes.
-// The full WHERE clause is still evaluated per candidate — indexes only
-// narrow the scan.
+// splitWhere compiles the WHERE clause conjunct by conjunct along its
+// top-level AND chain. Compiling the chain left to right meets type
+// errors in the order evaluating the whole tree does, and a conjunct
+// that is not boolean fails as an AND operand (or, alone, as the WHERE
+// clause). A region = 'CODE' conjunct cannot be ill-typed; it is
+// compiled only if the pinned region, known once the whole chain is
+// read, does not imply it.
+func (b *boundQuery) splitWhere(c *compiler, where Expr) error {
+	var buf [8]Expr
+	conjuncts := appendConjuncts(buf[:0], where)
+	type residual struct {
+		x    Expr
+		test func(*recipedb.Recipe) bool // nil for a region equality
+	}
+	rest := make([]residual, 0, len(conjuncts))
+	for _, x := range conjuncts {
+		if id, ok := c.hasArg(x); ok {
+			if !slices.Contains(b.has, id) {
+				b.has = append(b.has, id)
+			}
+			continue
+		}
+		if n, ok := x.(*NotExpr); ok {
+			if id, ok := c.hasArg(n.X); ok {
+				if !slices.Contains(b.not, id) {
+					b.not = append(b.not, id)
+				}
+				continue
+			}
+		}
+		if code, ok := regionEquality(x); ok {
+			if reg, err := recipedb.ParseRegion(strings.ToUpper(code)); err == nil {
+				b.region = reg
+			}
+			rest = append(rest, residual{x: x})
+			continue
+		}
+		o, err := c.expr(x)
+		if err != nil {
+			return err
+		}
+		if o.kind != KindBool {
+			if len(conjuncts) == 1 {
+				return semanticf("WHERE clause is %s, not boolean", Value{Kind: o.kind}.kindName())
+			}
+			return semanticf("AND needs boolean operands")
+		}
+		rest = append(rest, residual{x: x, test: o.test})
+	}
+
+	tests := make([]func(*recipedb.Recipe) bool, 0, len(rest))
+	for _, r := range rest {
+		if r.test == nil {
+			if code, _ := regionEquality(r.x); impliedByRegion(code, b.region) {
+				continue
+			}
+			o, _ := c.expr(r.x) // a region equality is well-typed
+			r.test = o.test
+		}
+		tests = append(tests, r.test)
+	}
+	switch len(tests) {
+	case 0:
+	case 1:
+		b.residual = tests[0]
+	default:
+		b.residual = func(rec *recipedb.Recipe) bool {
+			for _, t := range tests {
+				if !t(rec) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return nil
+}
+
+// appendConjuncts appends the conjuncts of x's top-level AND chain to
+// out, left to right.
+func appendConjuncts(out []Expr, x Expr) []Expr {
+	if n, ok := x.(*BinaryExpr); ok && n.Op == "and" {
+		return appendConjuncts(appendConjuncts(out, n.L), n.R)
+	}
+	return append(out, x)
+}
+
+// hasArg reports the ingredient of a bare has('x') call.
+func (c *compiler) hasArg(x Expr) (flavor.ID, bool) {
+	if f, ok := x.(*FuncExpr); ok && f.Name == "has" {
+		return c.hasIDs[f.Arg], true
+	}
+	return 0, false
+}
+
+// regionEquality reports the code of a region = 'CODE' or 'CODE' =
+// region comparison — the conjunct the planner reads.
+func regionEquality(x Expr) (string, bool) {
+	n, ok := x.(*CompareExpr)
+	if !ok || n.Op != "=" {
+		return "", false
+	}
+	fe, feOK := n.L.(*FieldExpr)
+	lit, litOK := n.R.(*LiteralExpr)
+	if !feOK || !litOK {
+		fe, feOK = n.R.(*FieldExpr)
+		lit, litOK = n.L.(*LiteralExpr)
+	}
+	if !feOK || !litOK || fe.Field != FieldRegion || lit.Val.Kind != KindString {
+		return "", false
+	}
+	return lit.Val.Str, true
+}
+
+// impliedByRegion reports whether region = 'code' holds for the recipes
+// of pinned and for no others, so membership in pinned's list answers
+// it. World has no list, and 'WORLD' matches no recipe's region.
+func impliedByRegion(code string, pinned recipedb.Region) bool {
+	if pinned == recipedb.World {
+		return false
+	}
+	want := strings.ToLower(code)
+	for r, code := range regionDomain.lower {
+		if (code == want) != (recipedb.Region(r) == pinned) {
+			return false
+		}
+	}
+	return true
+}
+
+// scanPlan describes how the executor will enumerate candidate recipes:
+// the outer list, and the region its entries must fall in.
 type scanPlan struct {
 	// region != recipedb.World pins the region index.
 	region recipedb.Region
@@ -252,7 +439,7 @@ type scanPlan struct {
 	useIngredient bool
 }
 
-// String renders the plan for EXPLAIN output.
+// describe renders the plan for EXPLAIN output.
 func (p scanPlan) describe(e *Engine, v *recipedb.View) string {
 	switch {
 	case p.useIngredient && p.region != recipedb.World:
@@ -268,194 +455,46 @@ func (p scanPlan) describe(e *Engine, v *recipedb.View) string {
 	}
 }
 
-// planScan inspects the top-level AND chain for indexable conjuncts: a
-// region equality and/or bare has() calls. Among available indexes the
-// executor picks the most selective candidate list. Selectivity is
-// judged against the view's snapshot, so a cached plan re-plans its
-// scan on every execution — index choice tracks corpus mutations.
-func (e *Engine) planScan(x Expr, c *compiledExpr, v *recipedb.View) scanPlan {
-	plan := scanPlan{region: recipedb.World}
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case *CompareExpr:
-			if n.Op != "=" {
-				return
-			}
-			fe, feOK := n.L.(*FieldExpr)
-			lit, litOK := n.R.(*LiteralExpr)
-			if !feOK || !litOK { // also accept 'CODE' = region
-				fe, feOK = n.R.(*FieldExpr)
-				lit, litOK = n.L.(*LiteralExpr)
-			}
-			if !feOK || !litOK || fe.Field != FieldRegion || lit.Val.Kind != KindString {
-				return
-			}
-			if r, err := recipedb.ParseRegion(strings.ToUpper(lit.Val.Str)); err == nil {
-				plan.region = r
-			}
-		case *FuncExpr:
-			// A bare has('x') conjunct implies membership: every match
-			// lies on the ingredient's posting list.
-			if n.Name != "has" {
-				return
-			}
-			id := c.hasIDs[n.Arg]
-			if !plan.useIngredient ||
-				len(v.IngredientRecipes(id)) < len(v.IngredientRecipes(plan.ingredient)) {
-				plan.ingredient, plan.useIngredient = id, true
-			}
-		case *BinaryExpr:
-			if n.Op != "and" {
-				return
-			}
-			walk(n.L)
-			walk(n.R)
+// plan picks the outer list: the rarest has() posting list (the first of
+// equals in chain order), unless the pinned region's list is strictly
+// shorter. Selectivity is judged against the view's snapshot, so a
+// cached plan re-plans its scan on every execution — index choice
+// tracks corpus mutations.
+func (b *boundQuery) plan(v *recipedb.View) scanPlan {
+	p := scanPlan{region: b.region}
+	for _, id := range b.has {
+		if !p.useIngredient || len(v.IngredientRecipes(id)) < len(v.IngredientRecipes(p.ingredient)) {
+			p.ingredient, p.useIngredient = id, true
 		}
 	}
-	walk(x)
-	// If both indexes apply, keep the ingredient index only when its
-	// posting list is smaller than the region bucket; region filtering
-	// still happens inside the WHERE evaluation either way.
-	if plan.useIngredient && plan.region != recipedb.World {
-		if v.RegionLen(plan.region) < len(v.IngredientRecipes(plan.ingredient)) {
-			plan.useIngredient = false
+	if p.useIngredient && p.region != recipedb.World {
+		if v.RegionLen(p.region) < len(v.IngredientRecipes(p.ingredient)) {
+			p.useIngredient = false
 		}
 	}
-	return plan
+	return p
 }
 
-// fieldValue materializes one recipe field.
-func (e *Engine) fieldValue(rec *recipedb.Recipe, f Field) (Value, error) {
+// fieldValue materializes one recipe field. bind has rejected 'score'
+// on an engine without an analyzer.
+func (e *Engine) fieldValue(rec *recipedb.Recipe, f Field) Value {
 	switch f {
 	case FieldID:
-		return intVal(int64(rec.ID)), nil
+		return intVal(int64(rec.ID))
 	case FieldName:
-		return stringVal(rec.Name), nil
+		return stringVal(rec.Name)
 	case FieldRegion:
-		return stringVal(rec.Region.Code()), nil
+		return stringVal(rec.Region.Code())
 	case FieldSource:
-		return stringVal(rec.Source.String()), nil
+		return stringVal(rec.Source.String())
 	case FieldSize:
-		return intVal(int64(rec.Size())), nil
-	case FieldScore:
-		if e.analyzer == nil {
-			return Value{}, ErrNoScore
-		}
-		s, ok := e.analyzer.RecipeScore(rec.Ingredients)
-		if !ok {
-			return floatVal(0), nil
-		}
-		return floatVal(s), nil
+		return intVal(int64(rec.Size()))
 	}
-	return Value{}, fmt.Errorf("%w: unknown field %d", ErrSemantic, f)
-}
-
-// eval evaluates an expression for one recipe.
-func (e *Engine) eval(c *compiledExpr, x Expr, rec *recipedb.Recipe) (Value, error) {
-	switch n := x.(type) {
-	case *LiteralExpr:
-		return n.Val, nil
-	case *FieldExpr:
-		return e.fieldValue(rec, n.Field)
-	case *FuncExpr:
-		switch n.Name {
-		case "has":
-			return boolVal(rec.Contains(c.hasIDs[n.Arg])), nil
-		case "category":
-			cat := c.catIDs[n.Arg]
-			count := 0
-			for _, id := range rec.Ingredients {
-				if e.catalog.Ingredient(id).Category == cat {
-					count++
-				}
-			}
-			return intVal(int64(count)), nil
-		}
-		return Value{}, fmt.Errorf("%w: unknown function %q", ErrSemantic, n.Name)
-	case *CompareExpr:
-		l, err := e.eval(c, n.L, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := e.eval(c, n.R, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		ok, err := compare(n.Op, l, r)
-		if err != nil {
-			return Value{}, fmt.Errorf("%w: %v", ErrSemantic, err)
-		}
-		return boolVal(ok), nil
-	case *InExpr:
-		v, err := e.eval(c, n.X, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		found := false
-		for _, lit := range n.Values {
-			ok, err := compare("=", v, lit)
-			if err != nil {
-				return Value{}, fmt.Errorf("%w: %v", ErrSemantic, err)
-			}
-			if ok {
-				found = true
-				break
-			}
-		}
-		return boolVal(found != n.Negate), nil
-	case *NotExpr:
-		v, err := e.eval(c, n.X, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Kind != KindBool {
-			return Value{}, fmt.Errorf("%w: NOT needs a boolean", ErrSemantic)
-		}
-		return boolVal(!v.Bool), nil
-	case *BinaryExpr:
-		l, err := e.eval(c, n.L, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		if l.Kind != KindBool {
-			return Value{}, fmt.Errorf("%w: %s needs boolean operands", ErrSemantic, strings.ToUpper(n.Op))
-		}
-		// Short-circuit.
-		if n.Op == "and" && !l.Bool {
-			return boolVal(false), nil
-		}
-		if n.Op == "or" && l.Bool {
-			return boolVal(true), nil
-		}
-		r, err := e.eval(c, n.R, rec)
-		if err != nil {
-			return Value{}, err
-		}
-		if r.Kind != KindBool {
-			return Value{}, fmt.Errorf("%w: %s needs boolean operands", ErrSemantic, strings.ToUpper(n.Op))
-		}
-		if n.Op == "and" {
-			return boolVal(l.Bool && r.Bool), nil
-		}
-		return boolVal(l.Bool || r.Bool), nil
+	s, ok := e.analyzer.RecipeScore(rec.Ingredients)
+	if !ok {
+		return floatVal(0)
 	}
-	return Value{}, fmt.Errorf("%w: unhandled node %T", ErrSemantic, x)
-}
-
-// matches applies the WHERE clause.
-func (e *Engine) matches(c *compiledExpr, rec *recipedb.Recipe) (bool, error) {
-	if c.expr == nil {
-		return true, nil
-	}
-	v, err := e.eval(c, c.expr, rec)
-	if err != nil {
-		return false, err
-	}
-	if v.Kind != KindBool {
-		return false, fmt.Errorf("%w: WHERE clause is %s, not boolean", ErrSemantic, v.kindName())
-	}
-	return v.Bool, nil
+	return floatVal(s)
 }
 
 // starFields is the '*' expansion (score excluded: it is derived and
@@ -464,7 +503,7 @@ var starFields = []Field{FieldID, FieldName, FieldRegion, FieldSource, FieldSize
 
 // expandItems resolves '*' markers and reports whether any aggregate is
 // present.
-func expandItems(items []SelectItem) (out []SelectItem, hasAgg, hasPlain bool, err error) {
+func expandItems(items []SelectItem) (out []SelectItem, hasAgg, hasPlain bool) {
 	for _, it := range items {
 		switch {
 		case it.Agg != nil:
@@ -480,70 +519,51 @@ func expandItems(items []SelectItem) (out []SelectItem, hasAgg, hasPlain bool, e
 			out = append(out, it)
 		}
 	}
-	return out, hasAgg, hasPlain, nil
+	return out, hasAgg, hasPlain
 }
 
 // Exec executes a parsed query, binding it first. Callers holding a
 // statement string should prefer Run, which caches the bound plan and
 // (when enabled) the materialized result.
 func (e *Engine) Exec(q *Query) (*Result, error) {
-	c, err := e.bind(q)
+	b, err := e.bind(q)
 	if err != nil {
 		return nil, err
 	}
 	var res *Result
 	var execErr error
 	e.store.Read(func(v *recipedb.View) {
-		res, execErr = e.exec(context.Background(), q, c, v)
+		res, execErr = e.exec(context.Background(), b, v)
 	})
 	return res, execErr
 }
 
-// exec executes a bound plan against one corpus view. q and c are
-// treated as immutable, so cached plans execute concurrently without
-// copying; v pins the (version, snapshot) pair for the whole run.
-func (e *Engine) exec(ctx context.Context, q *Query, c *compiledExpr, v *recipedb.View) (*Result, error) {
-	items, hasAgg, hasPlain, err := expandItems(q.Items)
-	if err != nil {
-		return nil, err
-	}
-	if hasAgg && hasPlain && q.GroupBy == nil {
-		return nil, fmt.Errorf("%w: mixing aggregates with plain fields requires GROUP BY", ErrSemantic)
-	}
-	if q.GroupBy != nil {
-		for _, it := range items {
-			if it.Agg == nil && it.Field != *q.GroupBy {
-				return nil, fmt.Errorf("%w: column %s is neither aggregated nor the GROUP BY key", ErrSemantic, it.Label())
-			}
-		}
-	}
-
-	res := &Result{Version: v.Version}
-	for _, it := range items {
+// exec executes a bound plan against one corpus view; v pins the
+// (version, snapshot) pair for the whole run.
+func (e *Engine) exec(ctx context.Context, b *boundQuery, v *recipedb.View) (*Result, error) {
+	q := b.q
+	res := &Result{Version: v.Version, Columns: make([]string, 0, len(b.items))}
+	for _, it := range b.items {
 		res.Columns = append(res.Columns, it.Label())
 	}
-
-	plan := scanPlan{region: recipedb.World}
-	if q.Where != nil {
-		plan = e.planScan(q.Where, c, v)
-	}
+	plan := b.plan(v)
 	if q.Explain {
 		res.Columns = []string{"plan"}
 		res.Rows = [][]Value{{stringVal(plan.describe(e, v))}}
 		return res, nil
 	}
 
-	var execErr error
+	var err error
 	switch {
 	case q.GroupBy != nil:
-		execErr = e.execGrouped(ctx, q, c, items, plan, res, v)
-	case hasAgg:
-		execErr = e.execAggregate(ctx, q, c, items, plan, res, v)
+		err = e.execGrouped(ctx, b, plan, res, v)
+	case b.hasAgg:
+		err = e.execAggregate(ctx, b, plan, res, v)
 	default:
-		execErr = e.execScan(ctx, q, c, items, plan, res, v)
+		err = e.execScan(ctx, b, plan, res, v)
 	}
-	if execErr != nil {
-		return nil, execErr
+	if err != nil {
+		return nil, err
 	}
 
 	if q.OrderBy != "" {
@@ -570,70 +590,136 @@ func (e *Engine) exec(ctx context.Context, q *Query, c *compiledExpr, v *reciped
 	return res, nil
 }
 
-// forEach visits candidate recipes, honoring the chosen index and
-// checking ctx every cancelCheckInterval visits so a slow scan aborts
-// promptly once its deadline passes.
-func (e *Engine) forEach(ctx context.Context, plan scanPlan, res *Result, v *recipedb.View, fn func(*recipedb.Recipe) error) error {
+// cursor walks one ascending ID list forward. want is whether a match
+// must be on the list (has) or off it (NOT has).
+type cursor struct {
+	list []int
+	pos  int
+	want bool
+}
+
+// seek moves the cursor to the first entry >= id — galloping, then a
+// binary search over the last stride — and reports whether that entry
+// is id. Successive seeks must not decrease.
+func (c *cursor) seek(id int) bool {
+	l, p := c.list, c.pos
+	if p < len(l) && l[p] < id {
+		lo, step := p, 1
+		for lo+step < len(l) && l[lo+step] < id {
+			lo += step
+			step <<= 1
+		}
+		hi := min(lo+step, len(l))
+		i, _ := slices.BinarySearch(l[lo+1:hi], id)
+		p = lo + 1 + i
+		c.pos = p
+	}
+	return p < len(l) && l[p] == id
+}
+
+// scan visits the plan's outer list — an ingredient's posting list, the
+// pinned region's list, or every live recipe — in ascending ID order.
+// It counts into res.Scanned each entry inside the pinned region and
+// calls fn for each the WHERE clause matches: every other has() list
+// holds it, no NOT has() list does, and the residual accepts it. The
+// other lists and the region are followed by forward cursors, so a
+// recipe is read only by the residual and by fn. After limit matches
+// (limit < 0: no limit) scan stops matching, counts the rest of the
+// outer list and returns.
+func (e *Engine) scan(ctx context.Context, b *boundQuery, plan scanPlan, v *recipedb.View, res *Result, limit int, fn func(*recipedb.Recipe)) error {
+	var buf [8]cursor
+	cur := buf[:0]
+	var region *cursor
+	var ids []int
+	full := false
+	switch {
+	case plan.useIngredient:
+		ids = v.IngredientRecipes(plan.ingredient)
+		if plan.region != recipedb.World {
+			region = &cursor{list: v.RegionRecipes(plan.region)}
+		}
+	case plan.region != recipedb.World:
+		ids = v.RegionRecipes(plan.region)
+	default:
+		full = true
+	}
+	for _, id := range b.has {
+		if !plan.useIngredient || id != plan.ingredient {
+			cur = append(cur, cursor{list: v.IngredientRecipes(id), want: true})
+		}
+	}
+	for _, id := range b.not {
+		cur = append(cur, cursor{list: v.IngredientRecipes(id)})
+	}
+
+	n := len(ids)
+	if full {
+		n = v.Slots()
+	}
 	done := ctx.Done()
-	if plan.useIngredient {
-		for i, rid := range v.IngredientRecipes(plan.ingredient) {
-			if done != nil && i%cancelCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("%w: %w", ErrCanceled, err)
+	matched := 0
+next:
+	for i := 0; i < n; i++ {
+		if done != nil && i%cancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("%w: %w", ErrCanceled, err)
+			}
+		}
+		id := i
+		if full {
+			if v.Recipe(i).Deleted {
+				continue
+			}
+		} else {
+			id = ids[i]
+			if region != nil && !region.seek(id) {
+				continue
+			}
+		}
+		if matched == limit {
+			switch {
+			case full:
+				res.Scanned = v.Len()
+			case region == nil:
+				res.Scanned += n - i
+			default:
+				for _, id := range ids[i:] {
+					if region.seek(id) {
+						res.Scanned++
+					}
 				}
 			}
-			rec := v.Recipe(rid)
-			if plan.region != recipedb.World && rec.Region != plan.region {
-				continue // region check is free; skip before counting
-			}
-			res.Scanned++
-			if err := fn(rec); err != nil {
-				return err
-			}
+			return nil
 		}
-		return nil
-	}
-	var visitErr error
-	visited := 0
-	v.ForEachInRegion(plan.region, func(rec *recipedb.Recipe) {
-		if visitErr != nil {
-			return
-		}
-		if done != nil && visited%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				visitErr = fmt.Errorf("%w: %w", ErrCanceled, err)
-				return
-			}
-		}
-		visited++
 		res.Scanned++
-		visitErr = fn(rec)
-	})
-	return visitErr
+		for k := range cur {
+			if cur[k].seek(id) != cur[k].want {
+				continue next
+			}
+		}
+		rec := v.Recipe(id)
+		if b.residual != nil && !b.residual(rec) {
+			continue
+		}
+		matched++
+		fn(rec)
+	}
+	return nil
 }
 
 // execScan streams plain projections.
-func (e *Engine) execScan(ctx context.Context, q *Query, c *compiledExpr, items []SelectItem, plan scanPlan, res *Result, v *recipedb.View) error {
-	// Fast path: with no ORDER BY the LIMIT can stop the scan early.
-	stopEarly := q.OrderBy == "" && q.Limit >= 0
-	return e.forEach(ctx, plan, res, v, func(rec *recipedb.Recipe) error {
-		if stopEarly && len(res.Rows) >= q.Limit {
-			return nil
-		}
-		ok, err := e.matches(c, rec)
-		if err != nil || !ok {
-			return err
-		}
-		row := make([]Value, len(items))
-		for i, it := range items {
-			v, err := e.fieldValue(rec, it.Field)
-			if err != nil {
-				return err
-			}
-			row[i] = v
+func (e *Engine) execScan(ctx context.Context, b *boundQuery, plan scanPlan, res *Result, v *recipedb.View) error {
+	// With no ORDER BY the LIMIT can stop the scan early.
+	limit := -1
+	if b.q.OrderBy == "" {
+		limit = b.q.Limit
+	}
+	return e.scan(ctx, b, plan, v, res, limit, func(rec *recipedb.Recipe) {
+		row := make([]Value, len(b.items))
+		for i, it := range b.items {
+			row[i] = e.fieldValue(rec, it.Field)
 		}
 		res.Rows = append(res.Rows, row)
-		return nil
 	})
 }
 
@@ -692,95 +778,98 @@ func (a *aggState) final(fn AggFunc, field Field) Value {
 }
 
 // accumulate feeds one matching recipe into a row of aggregate states.
-func (e *Engine) accumulate(items []SelectItem, states []aggState, rec *recipedb.Recipe) error {
-	for i, it := range items {
-		if it.Agg == nil {
-			continue
-		}
-		if it.Star { // count(*)
+func (b *boundQuery) accumulate(states []aggState, rec *recipedb.Recipe) {
+	for i, it := range b.items {
+		switch {
+		case it.Agg == nil:
+		case b.aggIn[i] == nil:
 			states[i].add(1)
-			continue
+		default:
+			states[i].add(b.aggIn[i](rec))
 		}
-		v, err := e.fieldValue(rec, it.Field)
-		if err != nil {
-			return err
-		}
-		f, ok := v.asFloat()
-		if !ok {
-			// count(name) etc.: count non-numeric presence.
-			f = 1
-			if *it.Agg != AggCount {
-				return fmt.Errorf("%w: %s over non-numeric field %s", ErrSemantic, it.Agg, it.Field)
-			}
-		}
-		states[i].add(f)
 	}
-	return nil
 }
 
 // execAggregate computes a single aggregate row.
-func (e *Engine) execAggregate(ctx context.Context, q *Query, c *compiledExpr, items []SelectItem, plan scanPlan, res *Result, v *recipedb.View) error {
-	states := make([]aggState, len(items))
-	err := e.forEach(ctx, plan, res, v, func(rec *recipedb.Recipe) error {
-		ok, err := e.matches(c, rec)
-		if err != nil || !ok {
-			return err
-		}
-		return e.accumulate(items, states, rec)
+func (e *Engine) execAggregate(ctx context.Context, b *boundQuery, plan scanPlan, res *Result, v *recipedb.View) error {
+	states := make([]aggState, len(b.items))
+	err := e.scan(ctx, b, plan, v, res, -1, func(rec *recipedb.Recipe) {
+		b.accumulate(states, rec)
 	})
 	if err != nil {
 		return err
 	}
-	row := make([]Value, len(items))
-	for i, it := range items {
+	row := make([]Value, len(b.items))
+	for i, it := range b.items {
 		row[i] = states[i].final(*it.Agg, it.Field)
 	}
 	res.Rows = append(res.Rows, row)
 	return nil
 }
 
-// execGrouped computes GROUP BY rows.
-func (e *Engine) execGrouped(ctx context.Context, q *Query, c *compiledExpr, items []SelectItem, plan scanPlan, res *Result, v *recipedb.View) error {
+// execGrouped computes GROUP BY rows, in the sort.Strings order of the
+// keys' text. A region or source key indexes an array over its domain;
+// other keys go through a map.
+func (e *Engine) execGrouped(ctx context.Context, b *boundQuery, plan scanPlan, res *Result, v *recipedb.View) error {
+	key := *b.q.GroupBy
+	emit := func(k Value, states []aggState) {
+		row := make([]Value, len(b.items))
+		for i, it := range b.items {
+			if it.Agg == nil {
+				row[i] = k
+				continue
+			}
+			row[i] = states[i].final(*it.Agg, it.Field)
+		}
+		res.Rows = append(res.Rows, row)
+	}
+
+	if b.groups != nil {
+		n := len(b.items)
+		states := make([]aggState, len(b.groups.text)*n)
+		seen := make([]bool, len(b.groups.text))
+		err := e.scan(ctx, b, plan, v, res, -1, func(rec *recipedb.Recipe) {
+			k := int(rec.Source)
+			if key == FieldRegion {
+				k = int(rec.Region)
+			}
+			seen[k] = true
+			b.accumulate(states[k*n:(k+1)*n], rec)
+		})
+		if err != nil {
+			return err
+		}
+		for _, k := range b.groups.order {
+			if seen[k] {
+				emit(stringVal(b.groups.text[k]), states[k*n:(k+1)*n])
+			}
+		}
+		return nil
+	}
+
 	type group struct {
 		key    Value
 		states []aggState
 	}
 	groups := make(map[string]*group)
 	var order []string
-
-	err := e.forEach(ctx, plan, res, v, func(rec *recipedb.Recipe) error {
-		ok, err := e.matches(c, rec)
-		if err != nil || !ok {
-			return err
-		}
-		keyVal, err := e.fieldValue(rec, *q.GroupBy)
-		if err != nil {
-			return err
-		}
+	err := e.scan(ctx, b, plan, v, res, -1, func(rec *recipedb.Recipe) {
+		keyVal := e.fieldValue(rec, key)
 		k := keyVal.String()
-		g, ok2 := groups[k]
-		if !ok2 {
-			g = &group{key: keyVal, states: make([]aggState, len(items))}
+		g, ok := groups[k]
+		if !ok {
+			g = &group{key: keyVal, states: make([]aggState, len(b.items))}
 			groups[k] = g
 			order = append(order, k)
 		}
-		return e.accumulate(items, g.states, rec)
+		b.accumulate(g.states, rec)
 	})
 	if err != nil {
 		return err
 	}
 	sort.Strings(order) // deterministic default order
 	for _, k := range order {
-		g := groups[k]
-		row := make([]Value, len(items))
-		for i, it := range items {
-			if it.Agg == nil {
-				row[i] = g.key
-				continue
-			}
-			row[i] = g.states[i].final(*it.Agg, it.Field)
-		}
-		res.Rows = append(res.Rows, row)
+		emit(groups[k].key, groups[k].states)
 	}
 	return nil
 }

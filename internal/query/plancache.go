@@ -11,15 +11,14 @@ import (
 // the working set while bounding memory.
 const DefaultPlanCacheCapacity = 256
 
-// cachedPlan is one fully-front-loaded statement: the parse tree plus
-// the bound expression (function arguments resolved to catalog IDs and
-// score usage checked). Both are immutable after construction — the
-// executor never mutates them — so one cached plan serves concurrent
-// Runs.
+// cachedPlan is one fully-front-loaded statement: the parse tree bound
+// and compiled (function arguments resolved to catalog IDs, select list
+// and WHERE types checked, WHERE compiled to a predicate). It is
+// immutable after construction — the executor keeps its cursors on its
+// own stack — so one cached plan serves concurrent Runs.
 type cachedPlan struct {
 	key string
-	q   *Query
-	c   *compiledExpr
+	b   *boundQuery
 }
 
 // planCache is a mutex-guarded LRU keyed by normalized statement text.

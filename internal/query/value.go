@@ -64,9 +64,9 @@ func (v Value) asFloat() (float64, bool) {
 func compare(op string, l, r Value) (bool, error) {
 	if op == "like" {
 		if l.Kind != KindString || r.Kind != KindString {
-			return false, fmt.Errorf("query: LIKE needs string operands, got %v and %v", l.Kind, r.Kind)
+			return false, fmt.Errorf("query: LIKE needs string operands, got %s and %s", l.kindName(), r.kindName())
 		}
-		return strings.Contains(strings.ToLower(l.Str), strings.ToLower(r.Str)), nil
+		return compareLowered(op, strings.ToLower(l.Str), strings.ToLower(r.Str))
 	}
 	if lf, lok := l.asFloat(); lok {
 		rf, rok := r.asFloat()
@@ -90,22 +90,7 @@ func compare(op string, l, r Value) (bool, error) {
 		return false, fmt.Errorf("query: unknown operator %q", op)
 	}
 	if l.Kind == KindString && r.Kind == KindString {
-		ls, rs := strings.ToLower(l.Str), strings.ToLower(r.Str)
-		switch op {
-		case "=":
-			return ls == rs, nil
-		case "!=":
-			return ls != rs, nil
-		case "<":
-			return ls < rs, nil
-		case "<=":
-			return ls <= rs, nil
-		case ">":
-			return ls > rs, nil
-		case ">=":
-			return ls >= rs, nil
-		}
-		return false, fmt.Errorf("query: unknown operator %q", op)
+		return compareLowered(op, strings.ToLower(l.Str), strings.ToLower(r.Str))
 	}
 	if l.Kind == KindBool && r.Kind == KindBool {
 		switch op {
@@ -117,6 +102,29 @@ func compare(op string, l, r Value) (bool, error) {
 		return false, fmt.Errorf("query: operator %q not defined on booleans", op)
 	}
 	return false, fmt.Errorf("query: cannot compare %s with %s", l.kindName(), r.kindName())
+}
+
+// compareLowered is compare's string case (LIKE included) on operands
+// already lower-cased, so a compiled predicate can lower a literal or a
+// region code once instead of per row.
+func compareLowered(op, ls, rs string) (bool, error) {
+	switch op {
+	case "like":
+		return strings.Contains(ls, rs), nil
+	case "=":
+		return ls == rs, nil
+	case "!=":
+		return ls != rs, nil
+	case "<":
+		return ls < rs, nil
+	case "<=":
+		return ls <= rs, nil
+	case ">":
+		return ls > rs, nil
+	case ">=":
+		return ls >= rs, nil
+	}
+	return false, fmt.Errorf("query: unknown operator %q", op)
 }
 
 func (v Value) kindName() string {

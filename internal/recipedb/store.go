@@ -287,6 +287,12 @@ func (v *View) Recipe(id int) *Recipe { return &v.s.recipes[id] }
 // in place: do not mutate it or retain it past the callback.
 func (v *View) IngredientRecipes(id flavor.ID) []int { return v.s.byIngredient[id] }
 
+// RegionRecipes returns the live recipe IDs of the region in
+// ascending-ID order; World has no list and returns nil. Like
+// IngredientRecipes it is the store's own list, patched in place by
+// mutations: do not mutate it or retain it past the callback.
+func (v *View) RegionRecipes(r Region) []int { return v.s.byRegion[r] }
+
 // RegionLen returns the number of live recipes in the region; World
 // counts every live recipe.
 func (v *View) RegionLen(r Region) int {
