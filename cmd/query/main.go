@@ -139,8 +139,8 @@ func formatStats(plan query.CacheStats, res query.ResultCacheStats) string {
 		b.WriteString("result cache: disabled\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "result cache: %d hits, %d misses, %d entries, %d/%d bytes, %d evicted, %d invalidated\n",
-		res.Hits, res.Misses, res.Entries, res.Bytes, res.Capacity, res.Evicted, res.Invalidated)
+	fmt.Fprintf(&b, "result cache: %d hits, %d misses, %d entries, %d/%d bytes, %d evicted, %d invalidated, %d rejected, %d first sight\n",
+		res.Hits, res.Misses, res.Entries, res.Bytes, res.Capacity, res.Evicted, res.Invalidated, res.Rejected, res.FirstSight)
 	return b.String()
 }
 

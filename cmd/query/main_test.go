@@ -37,10 +37,11 @@ func TestFormatStatsUnifiedView(t *testing.T) {
 	res := query.ResultCacheStats{
 		Enabled: true, Hits: 7, Misses: 8, Entries: 5,
 		Bytes: 4096, Capacity: 16777216, Evicted: 2, Invalidated: 1,
+		Rejected: 1, FirstSight: 4,
 	}
 	got := formatStats(plan, res)
 	want := "plan cache:   12 hits, 3 misses, 3 entries (cap 256)\n" +
-		"result cache: 7 hits, 8 misses, 5 entries, 4096/16777216 bytes, 2 evicted, 1 invalidated\n"
+		"result cache: 7 hits, 8 misses, 5 entries, 4096/16777216 bytes, 2 evicted, 1 invalidated, 1 rejected, 4 first sight\n"
 	if got != want {
 		t.Errorf("formatStats:\n got: %q\nwant: %q", got, want)
 	}
@@ -69,12 +70,13 @@ func TestStatsThroughEngine(t *testing.T) {
 		}
 	}
 	out := formatStats(engine.CacheStats(), engine.ResultCacheStats())
-	// First run misses both caches, the two replays hit the result
-	// cache without touching the plan cache.
-	if !strings.Contains(out, "plan cache:   0 hits, 1 misses") {
+	// The first run misses both caches and is not admitted; the second
+	// hits the plan cache and admits its result; the third hits the
+	// result cache without touching the plan cache.
+	if !strings.Contains(out, "plan cache:   1 hits, 1 misses") {
 		t.Errorf("plan line: %q", out)
 	}
-	if !strings.Contains(out, "result cache: 2 hits, 1 misses, 1 entries") {
+	if !strings.Contains(out, "result cache: 1 hits, 2 misses, 1 entries") {
 		t.Errorf("result line: %q", out)
 	}
 }

@@ -122,10 +122,13 @@ func (e *Engine) Run(input string) (*Result, error) {
 // RunContext executes a CQL statement. A result-cache hit (same
 // normalized statement, same corpus version) returns the shared
 // materialized Result without planning or scanning; a plan-cache hit
-// skips Parse and bind; misses plan from scratch and populate both
-// caches. Statements that fail to parse or bind are never cached.
-// Execution happens inside one corpus read epoch, so the returned
-// Result is a consistent snapshot stamped with its corpus version.
+// skips Parse and bind; a plan-cache miss plans from scratch and caches
+// the plan. A result is cached only when the statement's plan was
+// already cached — from its second execution on — so a statement asked
+// once never occupies the result cache (counted as FirstSight).
+// Statements that fail to parse or bind are never cached. Execution
+// happens inside one corpus read epoch, so the returned Result is a
+// consistent snapshot stamped with its corpus version.
 //
 // The scan checks ctx every cancelCheckInterval rows: when the context
 // is canceled or its deadline passes, execution aborts promptly with
@@ -139,8 +142,8 @@ func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) 
 			return res, nil
 		}
 	}
-	p, ok := e.plans.get(key)
-	if !ok {
+	p, seen := e.plans.get(key)
+	if !seen {
 		q, err := Parse(input)
 		if err != nil {
 			return nil, err
@@ -161,7 +164,11 @@ func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) 
 		return nil, execErr
 	}
 	if e.results != nil {
-		e.results.put(key, res.Version, res)
+		if seen {
+			e.results.put(key, res.Version, res)
+		} else {
+			e.results.skipFirstSight()
+		}
 	}
 	return res, nil
 }

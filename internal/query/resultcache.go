@@ -25,7 +25,9 @@ type cachedResult struct {
 // never be served again, so the first probe after a version bump drops
 // it (lazy invalidation) and recomputes. Entries for statements that
 // stop being asked age out through the LRU bound instead of an eager
-// sweep: a version bump costs O(1), not O(entries).
+// sweep: a version bump costs O(1), not O(entries). What is admitted is
+// the engine's choice: RunContext puts a result only when the
+// statement's plan was already cached.
 type resultCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -38,6 +40,7 @@ type resultCache struct {
 	evicted     int64 // dropped by the byte bound
 	invalidated int64 // stale-version entries dropped on probe
 	rejected    int64 // results larger than the whole budget
+	firstSight  int64 // executions not cached: the statement was new
 }
 
 func newResultCache(maxBytes int64) *resultCache {
@@ -52,8 +55,11 @@ func newResultCache(maxBytes int64) *resultCache {
 }
 
 // get returns the cached result for (key, version). A same-key entry
-// at any other version is dead — its version can never recur — so it
-// is evicted on the spot and the probe counts as a miss.
+// at an older version is dead — its version can never recur — so it
+// is evicted on the spot and the probe counts as a miss. An entry at a
+// newer version means the probe read the version before a write landed
+// and a racing Run cached the fresher result: a plain miss, and the
+// entry stays for the probes that follow.
 func (rc *resultCache) get(key string, version uint64) (*Result, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -64,8 +70,10 @@ func (rc *resultCache) get(key string, version uint64) (*Result, bool) {
 	}
 	e := el.Value.(*cachedResult)
 	if e.version != version {
-		rc.removeLocked(el, e)
-		rc.invalidated++
+		if e.version < version {
+			rc.removeLocked(el, e)
+			rc.invalidated++
+		}
 		rc.misses++
 		return nil, false
 	}
@@ -104,6 +112,15 @@ func (rc *resultCache) put(key string, version uint64, res *Result) {
 	}
 }
 
+// skipFirstSight counts an execution left uncached because its
+// statement had no cached plan: results are admitted from a
+// statement's second execution on.
+func (rc *resultCache) skipFirstSight() {
+	rc.mu.Lock()
+	rc.firstSight++
+	rc.mu.Unlock()
+}
+
 // removeLocked unlinks one entry; callers hold rc.mu.
 func (rc *resultCache) removeLocked(el *list.Element, e *cachedResult) {
 	rc.lru.Remove(el)
@@ -118,7 +135,7 @@ type ResultCacheStats struct {
 	// Hits counts Runs served without touching plan or corpus.
 	Hits int64
 	// Misses counts probes that had to execute (including probes that
-	// found only a stale-version entry).
+	// found only a stale-version entry, or one newer than the probe).
 	Misses int64
 	// Entries is the current cache population.
 	Entries int
@@ -133,6 +150,9 @@ type ResultCacheStats struct {
 	Invalidated int64
 	// Rejected counts results too large to cache at all.
 	Rejected int64
+	// FirstSight counts executions not cached because their statement
+	// was new: its plan was not in the plan cache.
+	FirstSight int64
 }
 
 func (rc *resultCache) stats() ResultCacheStats {
@@ -148,6 +168,7 @@ func (rc *resultCache) stats() ResultCacheStats {
 		Evicted:     rc.evicted,
 		Invalidated: rc.invalidated,
 		Rejected:    rc.rejected,
+		FirstSight:  rc.firstSight,
 	}
 }
 

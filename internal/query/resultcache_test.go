@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,9 +39,92 @@ func mutateOnce(t testing.TB, store *recipedb.Store) {
 	}
 }
 
+// primeRun executes stmt once so its plan is cached: the result cache
+// admits a statement's result from its second execution on.
+func primeRun(t testing.TB, e *Engine, stmt string) {
+	t.Helper()
+	if _, err := e.Run(stmt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResultCacheAdmitsOnSecondSight pins the admission rule: a result
+// is cached only when the statement's plan was already cached, so a
+// statement asked once never occupies the cache.
+func TestResultCacheAdmitsOnSecondSight(t *testing.T) {
+	e, store := newMutableEngine(t, 1<<20)
+	const stmt = "SELECT region, count(*) FROM recipes GROUP BY region"
+	run := func(s string) *Result {
+		t.Helper()
+		res, err := e.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	unique := func(n, from int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			run(fmt.Sprintf("SELECT id, name FROM recipes WHERE id >= %d LIMIT 5", from+i))
+		}
+	}
+
+	// Statements asked once leave nothing behind.
+	unique(2000, 0)
+	st := e.ResultCacheStats()
+	if st.Entries != 0 || st.Bytes != 0 || st.FirstSight != 2000 {
+		t.Fatalf("2000 unique statements retained: %+v", st)
+	}
+
+	before := e.ResultCacheStats()
+	run(stmt)
+	if st = e.ResultCacheStats(); st.Entries != 0 || st.FirstSight != before.FirstSight+1 {
+		t.Fatalf("first sight admitted: %+v", st)
+	}
+	second := run(stmt)
+	if st = e.ResultCacheStats(); st.Misses != before.Misses+2 || st.Hits != 0 || st.Entries != 1 {
+		t.Fatalf("second sight not admitted: %+v", st)
+	}
+	if third := run(stmt); third != second {
+		t.Fatal("third Run did not return the second Run's *Result")
+	}
+	if st = e.ResultCacheStats(); st.Hits != 1 {
+		t.Fatalf("third Run missed: %+v", st)
+	}
+
+	// Its plan still cached, the statement is re-admitted on its first
+	// execution after a version fence.
+	mutateOnce(t, store)
+	before = e.ResultCacheStats()
+	fenced := run(stmt)
+	st = e.ResultCacheStats()
+	if st.Invalidated != before.Invalidated+1 || st.FirstSight != before.FirstSight || st.Entries != 1 {
+		t.Fatalf("not re-admitted after the fence: before %+v, after %+v", before, st)
+	}
+	if again := run(stmt); again != fenced {
+		t.Fatal("re-admitted result not served")
+	}
+
+	// Once 256 other statements push its plan out, it is new again.
+	unique(DefaultPlanCacheCapacity, 10000)
+	mutateOnce(t, store)
+	before = e.ResultCacheStats()
+	run(stmt)
+	st = e.ResultCacheStats()
+	if st.FirstSight != before.FirstSight+1 || st.Invalidated != before.Invalidated+1 || st.Entries != 0 {
+		t.Fatalf("evicted plan not counted as first sight: before %+v, after %+v", before, st)
+	}
+	readmitted := run(stmt)
+	if again := run(stmt); again != readmitted {
+		t.Fatal("statement not re-admitted on its second execution")
+	}
+}
+
 func TestResultCacheHitReturnsSharedResult(t *testing.T) {
 	e, _ := newMutableEngine(t, 1<<20)
 	const stmt = "SELECT region, count(*) FROM recipes GROUP BY region"
+	primeRun(t, e, stmt)
 	first, err := e.Run(stmt)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +137,7 @@ func TestResultCacheHitReturnsSharedResult(t *testing.T) {
 		t.Error("second Run did not return the cached *Result")
 	}
 	st := e.ResultCacheStats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	// Whitespace-normalized replays share the entry.
@@ -68,6 +152,7 @@ func TestResultCacheHitReturnsSharedResult(t *testing.T) {
 func TestResultCacheVersionFencing(t *testing.T) {
 	e, store := newMutableEngine(t, 1<<20)
 	const stmt = "SELECT count(*) FROM recipes"
+	primeRun(t, e, stmt)
 	before, err := e.Run(stmt)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +204,9 @@ func TestResultCacheByteBoundEvicts(t *testing.T) {
 		"SELECT count(*) FROM recipes WHERE size > 4",
 	}
 	for _, s := range stmts {
+		primeRun(t, e, s)
+	}
+	for _, s := range stmts {
 		if _, err := e.Run(s); err != nil {
 			t.Fatal(err)
 		}
@@ -138,6 +226,7 @@ func TestResultCacheByteBoundEvicts(t *testing.T) {
 func TestResultCacheRejectsOversizedResult(t *testing.T) {
 	e, _ := newMutableEngine(t, 1<<20)
 	e.results = newResultCache(128) // smaller than any full projection
+	primeRun(t, e, "SELECT * FROM recipes LIMIT 50")
 	if _, err := e.Run("SELECT * FROM recipes LIMIT 50"); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +253,17 @@ func TestResultCachePutKeepsNewerVersion(t *testing.T) {
 	rc.put("k", 5, replacement)
 	if res, ok := rc.get("k", 5); !ok || res != replacement {
 		t.Fatalf("same-version put did not replace (ok=%v)", ok)
+	}
+	// A probe that read the version before a write landed, racing the
+	// Run that cached the fresher result: a plain miss that keeps it.
+	if _, ok := rc.get("k", 4); ok {
+		t.Fatal("late probe served a newer entry")
+	}
+	if st := rc.stats(); st.Entries != 1 || st.Invalidated != 0 {
+		t.Fatalf("late probe evicted the fresher entry: %+v", st)
+	}
+	if res, ok := rc.get("k", 5); !ok || res != replacement {
+		t.Fatalf("fresher entry lost after a late probe (ok=%v)", ok)
 	}
 }
 

@@ -418,6 +418,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"capacity":    rcs.Capacity,
 			"evicted":     rcs.Evicted,
 			"invalidated": rcs.Invalidated,
+			"rejected":    rcs.Rejected,
+			"firstSight":  rcs.FirstSight,
 		},
 	}
 	corpusVersion := s.cfg.Store.Version()

@@ -114,6 +114,43 @@ func TestQueryCacheCounters(t *testing.T) {
 	}
 }
 
+// TestResultCacheFirstSightHealth checks the result cache's admission
+// rule through the handler: statements asked once leave the cache empty
+// and are counted as first sight; a statement sent three times is
+// cached on its second request and served from the cache on its third.
+func TestResultCacheFirstSightHealth(t *testing.T) {
+	_, h := mutableServer(t)
+	query := func(q string) {
+		t.Helper()
+		if code, body := do(t, h, "POST", "/api/query", map[string]string{"q": q}); code != http.StatusOK {
+			t.Fatalf("query %q: %d %v", q, code, body)
+		}
+	}
+	resultCache := func() map[string]interface{} {
+		t.Helper()
+		_, body := do(t, h, "GET", "/api/health", nil)
+		rc, ok := body["resultCache"].(map[string]interface{})
+		if !ok {
+			t.Fatalf("health lacks resultCache block: %v", body)
+		}
+		return rc
+	}
+	for i := 0; i < 300; i++ {
+		query(fmt.Sprintf("SELECT id, name FROM recipes WHERE id >= %d LIMIT 5", i))
+	}
+	rc := resultCache()
+	if rc["entries"] != 0.0 || rc["bytes"] != 0.0 || rc["firstSight"] != 300.0 || rc["rejected"] != 0.0 {
+		t.Fatalf("after 300 unique statements: %v", rc)
+	}
+	for i := 0; i < 3; i++ {
+		query("SELECT region, count(*) FROM recipes GROUP BY region")
+	}
+	rc = resultCache()
+	if rc["entries"] != 1.0 || rc["hits"] != 1.0 || rc["firstSight"] != 301.0 {
+		t.Fatalf("after one statement sent three times: %v", rc)
+	}
+}
+
 func TestRegionsList(t *testing.T) {
 	h := testHandler(t)
 	code, body := do(t, h, "GET", "/api/regions", nil)

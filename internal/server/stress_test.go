@@ -176,8 +176,9 @@ func TestMutationStressRace(t *testing.T) {
 	// every query probed the result cache exactly once; the plan cache
 	// was probed exactly on result misses; and every entry that is
 	// resident, was evicted by the byte bound, or was dropped stale
-	// traces back to a miss that populated it (concurrent same-
-	// statement misses may replace each other, hence <=).
+	// traces back to a miss that populated it, and every first-sight
+	// execution to a miss that did not (concurrent same-statement
+	// misses may replace each other, hence <=).
 	rcs := srv.engine.ResultCacheStats()
 	pcs := srv.engine.CacheStats()
 	totalQueries := int64(readers * queriesPerGo)
@@ -187,9 +188,9 @@ func TestMutationStressRace(t *testing.T) {
 	if pcs.Hits+pcs.Misses != rcs.Misses {
 		t.Errorf("plan cache probes %d+%d != %d result misses", pcs.Hits, pcs.Misses, rcs.Misses)
 	}
-	if resident := int64(rcs.Entries) + rcs.Evicted + rcs.Invalidated; resident > rcs.Misses {
-		t.Errorf("entries %d + evicted %d + invalidated %d exceed misses %d",
-			rcs.Entries, rcs.Evicted, rcs.Invalidated, rcs.Misses)
+	if resident := int64(rcs.Entries) + rcs.Evicted + rcs.Invalidated + rcs.FirstSight; resident > rcs.Misses {
+		t.Errorf("entries %d + evicted %d + invalidated %d + first sight %d exceed misses %d",
+			rcs.Entries, rcs.Evicted, rcs.Invalidated, rcs.FirstSight, rcs.Misses)
 	}
 	if rcs.Hits == 0 {
 		t.Error("stress run never hit the result cache")
