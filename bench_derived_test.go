@@ -1,8 +1,6 @@
-// Derived-state maintenance benchmarks: the cost of bringing each
-// version-aware read model (classifier, recommender, search index) up
-// to the corpus head, and the incremental posting-list maintenance the
-// live search index does per mutation instead of a full rebuild. These
-// back the CI bench gate rows DerivedRebuild/* and
+// Search-index maintenance benchmark: the incremental posting-list
+// maintenance the live search index does per mutation instead of a
+// full rebuild (BenchmarkSearch/Build). It backs the CI bench gate row
 // SearchIncrementalUpsert in BENCH_baseline.json.
 package culinary
 
@@ -10,48 +8,10 @@ import (
 	"fmt"
 	"testing"
 
-	"culinary/internal/classify"
 	"culinary/internal/experiments"
 	"culinary/internal/recipedb"
-	"culinary/internal/recommend"
 	"culinary/internal/search"
 )
-
-// BenchmarkDerivedRebuild measures one full rebuild of each derived
-// model over the benchmark corpus — the work the background rebuild
-// loop pays per debounce interval while the corpus is mutating.
-func BenchmarkDerivedRebuild(b *testing.B) {
-	b.Run("classifier", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var err error
-			benchEnv.Store.Read(func(v *recipedb.View) {
-				c := classify.New()
-				err = c.TrainView(v, v.LiveIDs())
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("recommender", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var r *recommend.Recommender
-			benchEnv.Store.Read(func(v *recipedb.View) {
-				r = recommend.NewFromView(benchEnv.Analyzer, v)
-			})
-			if r.Version() != benchEnv.Store.Version() {
-				b.Fatal("rebuild landed at the wrong version")
-			}
-		}
-	})
-	b.Run("search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if search.Build(benchEnv.Store).DocCount() == 0 {
-				b.Fatal("empty index")
-			}
-		}
-	})
-}
 
 // BenchmarkSearchIncrementalUpsert measures the live index's per-
 // mutation maintenance: each store upsert re-tokenizes one recipe and

@@ -409,7 +409,6 @@ func BenchmarkClassify(b *testing.B) {
 // BenchmarkRecommend measures recipe completion and ingredient
 // substitution — the food-design kernels.
 func BenchmarkRecommend(b *testing.B) {
-	r := recommend.New(benchEnv.Analyzer, benchEnv.Store)
 	tomato, ok := benchEnv.Catalog.Lookup("tomato")
 	if !ok {
 		b.Fatal("no tomato")
@@ -417,16 +416,20 @@ func BenchmarkRecommend(b *testing.B) {
 	garlic, _ := benchEnv.Catalog.Lookup("garlic")
 	basil, _ := benchEnv.Catalog.Lookup("basil")
 	b.Run("Complete", func(b *testing.B) {
+		partial := []flavor.ID{tomato, garlic, basil}
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Complete(recipedb.Italy, []flavor.ID{tomato, garlic, basil},
-				recommend.CompleteOptions{K: 5}); err != nil {
+			var err error
+			benchEnv.Store.Read(func(v *recipedb.View) {
+				_, err = recommend.Complete(v, benchEnv.Analyzer, recipedb.Italy, partial, recommend.CompleteOptions{K: 5})
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Substitutes", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Substitutes(basil, recommend.SubstituteOptions{K: 5, RequireSameCategory: true}); err != nil {
+			if _, err := recommend.Substitutes(benchEnv.Catalog, basil, recommend.SubstituteOptions{K: 5, RequireSameCategory: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -441,11 +444,9 @@ func BenchmarkRecommend(b *testing.B) {
 // TestHandlerAllocationBudget pins the same requests' allocation counts.
 func BenchmarkServerHandler(b *testing.B) {
 	srv, err := server.New(server.Config{
-		Store:                      benchEnv.Store,
-		Analyzer:                   benchEnv.Analyzer,
-		ResultCacheBytes:           query.DefaultResultCacheBytes,
-		ClassifierRebuildInterval:  -1,
-		RecommenderRebuildInterval: -1,
+		Store:            benchEnv.Store,
+		Analyzer:         benchEnv.Analyzer,
+		ResultCacheBytes: query.DefaultResultCacheBytes,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -728,8 +728,8 @@ func (w *worker) probeSearch(shape, token string, minVersion uint64) ([]int, boo
 }
 
 // recommend issues one completion and asserts the stamped modelVersion
-// never moves backwards within this worker: background rebuilds must
-// install strictly newer model epochs. A 422 (the drawn region may
+// never moves backwards within this worker: the model reads the corpus
+// at the request, and the corpus version never regresses. A 422 (the drawn region may
 // have emptied out under mutation churn) carries no version to check.
 func (w *worker) recommend() {
 	status, raw, _ := w.doRead("POST", "/api/complete", map[string]interface{}{

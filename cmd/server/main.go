@@ -13,8 +13,7 @@
 //
 // Those 17 flags are the whole surface (main_test.go pins the list).
 // Fixed, not flags: the pairing endpoint's default null sample (2000),
-// the result cache budget (query.DefaultResultCacheBytes), the derived
-// models' rebuild debounce (derived.DefaultInterval), the batch cap
+// the result cache budget (query.DefaultResultCacheBytes), the batch cap
 // (server.DefaultMaxBatchItems), the scrub pacing (30s), the
 // write-recovery probe period (5s), and the replication log's backlog,
 // batch size and long-poll wait (internal/replica).
@@ -63,14 +62,13 @@
 // keyed by (normalized statement, corpus version), so a mutation fences
 // every older cached result.
 //
-// Every derived read model is version-aware. The full-text search
-// index is maintained synchronously inside the mutation path, so an
-// acked POST/DELETE is visible to the next /api/search. The cuisine
-// classifier and the recommender rebuild in the background, debounced
-// to at most one rebuild per derived.DefaultInterval; their responses
-// carry "modelVersion"
-// (the corpus version the model was trained at) and /api/health
-// reports per-model version, lag and rebuild counters under "derived".
+// No read model lags the corpus. The full-text search index is
+// maintained synchronously inside the mutation path, so an acked
+// POST/DELETE is visible to the next /api/search, and /api/health
+// reports its version and lag under "derived". The cuisine classifier
+// and the recommender read the corpus's per-region counters under
+// each request's own read; their responses carry "modelVersion", the
+// corpus version of that read.
 //
 // Endpoints (all JSON):
 //
@@ -283,7 +281,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer srv.Close()
 
 	// A configured http.Server instead of bare ListenAndServe: the
 	// read-header and idle timeouts close slowloris connections, and

@@ -232,7 +232,7 @@ func checkBootStages(t *testing.T, log string) {
 	t.Helper()
 	for _, line := range []struct{ re, stages string }{
 		{`corpus ready: \d+ recipes in (\S+) catalog=(\d+)ms open=(\d+)ms load=(\d+)ms\n`, "catalog+open+load"},
-		{`read models ready in (\S+) index=(\d+)ms classifier=(\d+)ms recommender=(\d+)ms\n`, "index+classifier+recommender"},
+		{`read models ready in (\S+) index=(\d+)ms\n`, "index"},
 	} {
 		m := regexp.MustCompile(line.re).FindStringSubmatch(log)
 		if m == nil {

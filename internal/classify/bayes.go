@@ -28,18 +28,25 @@ var (
 )
 
 // Classifier is a multinomial naive Bayes cuisine model over ingredient
-// occurrences. Immutable after Train; safe for concurrent Predict.
+// occurrences. It keeps integer counts, not log-probabilities: every
+// score is computed at Predict from the counts, so a classifier filled
+// from the store's live counters (TrainLive) needs no table built.
+// Immutable after training; safe for concurrent Predict.
 type Classifier struct {
 	// Alpha is the Laplace smoothing pseudo-count (default 1).
 	Alpha float64
 
-	regions   []recipedb.Region
-	regionIdx map[recipedb.Region]int
-	logPrior  []float64
-	// logLik[r][i] is log P(ingredient i | region r).
-	logLik  [][]float64
+	classes []class
+	total   int // training recipes over every class
 	nItems  int
-	trained bool
+}
+
+// class is one region's training counts.
+type class struct {
+	region recipedb.Region
+	docs   int     // training recipes
+	size   int     // Σ recipe size: the sum of uses
+	uses   []int32 // occurrences of each catalog ingredient, by ID
 }
 
 // New returns an untrained classifier with default smoothing.
@@ -55,69 +62,61 @@ func (c *Classifier) Train(store *recipedb.Store, recipeIDs []int) error {
 	return err
 }
 
-// TrainView is Train against an already-held corpus view — the entry
-// point for background rebuilds that must pin one (version, snapshot)
-// pair across the whole fit.
+// TrainView is Train against an already-held corpus view: it counts
+// the given recipes one by one.
 func (c *Classifier) TrainView(v *recipedb.View, recipeIDs []int) error {
-	if c.Alpha <= 0 {
-		return fmt.Errorf("classify: Alpha %g must be positive", c.Alpha)
-	}
 	nItems := v.Catalog().Len()
-	counts := make(map[recipedb.Region][]int)
-	docCount := make(map[recipedb.Region]int)
-	total := 0
+	byRegion := make(map[recipedb.Region]*class)
 	for _, rid := range recipeIDs {
 		rec := v.Recipe(rid)
-		row := counts[rec.Region]
-		if row == nil {
-			row = make([]int, nItems)
-			counts[rec.Region] = row
+		cl := byRegion[rec.Region]
+		if cl == nil {
+			cl = &class{region: rec.Region, uses: make([]int32, nItems)}
+			byRegion[rec.Region] = cl
 		}
 		for _, id := range rec.Ingredients {
-			row[id]++
+			cl.uses[id]++
 		}
-		docCount[rec.Region]++
-		total++
+		cl.docs++
+		cl.size += len(rec.Ingredients)
+	}
+	classes := make([]class, 0, len(byRegion))
+	for _, cl := range byRegion {
+		classes = append(classes, *cl)
+	}
+	sort.Slice(classes, func(i, j int) bool { return classes[i].region < classes[j].region })
+	return c.fit(classes, len(recipeIDs), nItems)
+}
+
+// TrainLive fits the model to every live recipe of v from the store's
+// per-region counters, visiting no recipe: the same classes and counts
+// as TrainView(v, v.LiveIDs()), so every score keeps its bits. The
+// classifier borrows the store's rows and is valid only inside the
+// enclosing Read.
+func (c *Classifier) TrainLive(v *recipedb.View) error {
+	regions := v.Regions()
+	classes := make([]class, len(regions))
+	for i, r := range regions {
+		size, uses := v.RegionUses(r)
+		classes[i] = class{region: r, docs: v.RegionLen(r), size: size, uses: uses}
+	}
+	return c.fit(classes, v.Len(), v.Catalog().Len())
+}
+
+// fit installs the classes, sorted by region, of a training set of
+// total recipes.
+func (c *Classifier) fit(classes []class, total, nItems int) error {
+	if c.Alpha <= 0 {
+		return fmt.Errorf("classify: Alpha %g must be positive", c.Alpha)
 	}
 	if total == 0 {
 		return ErrNoData
 	}
-	if len(counts) < 2 {
-		return fmt.Errorf("%w: need >= 2 regions to discriminate, have %d", ErrNoData, len(counts))
+	if len(classes) < 2 {
+		return fmt.Errorf("%w: need >= 2 regions to discriminate, have %d", ErrNoData, len(classes))
 	}
-
-	c.regions = make([]recipedb.Region, 0, len(counts))
-	for r := range counts {
-		c.regions = append(c.regions, r)
-	}
-	sort.Slice(c.regions, func(i, j int) bool { return c.regions[i] < c.regions[j] })
-	c.regionIdx = make(map[recipedb.Region]int, len(c.regions))
-	c.logPrior = make([]float64, len(c.regions))
-	c.logLik = make([][]float64, len(c.regions))
-	c.nItems = nItems
-
-	for ri, region := range c.regions {
-		c.regionIdx[region] = ri
-		c.logPrior[ri] = math.Log(float64(docCount[region]) / float64(total))
-		row := counts[region]
-		sum := 0
-		for _, n := range row {
-			sum += n
-		}
-		denom := float64(sum) + c.Alpha*float64(nItems)
-		lik := make([]float64, nItems)
-		for i, n := range row {
-			lik[i] = math.Log((float64(n) + c.Alpha) / denom)
-		}
-		c.logLik[ri] = lik
-	}
-	c.trained = true
+	c.classes, c.total, c.nItems = classes, total, nItems
 	return nil
-}
-
-// Regions returns the classes the model was trained on, sorted.
-func (c *Classifier) Regions() []recipedb.Region {
-	return append([]recipedb.Region(nil), c.regions...)
 }
 
 // Prediction is one region with its log-posterior (up to the shared
@@ -131,24 +130,29 @@ type Prediction struct {
 }
 
 // Predict scores an ingredient list against every class and returns
-// predictions sorted by decreasing posterior.
+// predictions sorted by decreasing posterior. A class scores log P(region)
+// = log(docs/total) plus, per ingredient, log P(ingredient | region) =
+// log((uses+α) / (size + α·catalog)).
 func (c *Classifier) Predict(ids []flavor.ID) ([]Prediction, error) {
-	if !c.trained {
+	if c.classes == nil {
 		return nil, ErrUntrained
 	}
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("%w: empty ingredient list", ErrNoData)
 	}
-	preds := make([]Prediction, len(c.regions))
-	for ri, region := range c.regions {
-		lp := c.logPrior[ri]
-		for _, id := range ids {
-			if int(id) < 0 || int(id) >= c.nItems {
-				return nil, fmt.Errorf("classify: ingredient ID %d outside catalog", id)
-			}
-			lp += c.logLik[ri][id]
+	for _, id := range ids {
+		if int(id) < 0 || int(id) >= c.nItems {
+			return nil, fmt.Errorf("classify: ingredient ID %d outside catalog", id)
 		}
-		preds[ri] = Prediction{Region: region, LogPosterior: lp}
+	}
+	preds := make([]Prediction, len(c.classes))
+	for ri, cl := range c.classes {
+		lp := math.Log(float64(cl.docs) / float64(c.total))
+		denom := float64(cl.size) + c.Alpha*float64(c.nItems)
+		for _, id := range ids {
+			lp += math.Log((float64(cl.uses[id]) + c.Alpha) / denom)
+		}
+		preds[ri] = Prediction{Region: cl.region, LogPosterior: lp}
 	}
 	// Softmax with max-shift for numerical stability.
 	maxLP := math.Inf(-1)
@@ -238,7 +242,7 @@ type ClassMetrics struct {
 
 // Evaluate runs the classifier over test recipe IDs.
 func Evaluate(c *Classifier, store *recipedb.Store, testIDs []int) (*Evaluation, error) {
-	if !c.trained {
+	if c.classes == nil {
 		return nil, ErrUntrained
 	}
 	ev := &Evaluation{
@@ -277,12 +281,12 @@ func Evaluate(c *Classifier, store *recipedb.Store, testIDs []int) (*Evaluation,
 	// Majority baseline from training priors: the class with the
 	// largest prior, scored against the test distribution.
 	best := 0
-	for ri := range c.logPrior {
-		if c.logPrior[ri] > c.logPrior[best] {
+	for ri, cl := range c.classes {
+		if cl.docs > c.classes[best].docs {
 			best = ri
 		}
 	}
-	ev.MajorityBaseline = float64(trueCount[c.regions[best]]) / float64(ev.Total)
+	ev.MajorityBaseline = float64(trueCount[c.classes[best].region]) / float64(ev.Total)
 
 	for region, support := range trueCount {
 		m := ClassMetrics{Support: support}

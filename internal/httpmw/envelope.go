@@ -35,11 +35,11 @@ const (
 	// Retry-After interval — the store recovers itself once the fault
 	// clears.
 	CodeStorageUnavailable = "storage_unavailable"
-	// CodeModelUnavailable marks a 503 caused by a derived model
-	// (classifier, recommender) having no successful build for the
-	// current corpus shape — e.g. an empty or one-region corpus. Reads
-	// and search still serve; the model returns once the corpus
-	// supports it again, so clients should honor Retry-After.
+	// CodeModelUnavailable marks a 503 caused by a corpus that cannot
+	// support a model (classifier, recommender) — e.g. an empty or
+	// one-region corpus. Reads and search still serve; the model
+	// returns once the corpus supports it again, so clients should
+	// honor Retry-After.
 	CodeModelUnavailable = "model_unavailable"
 	// CodeReplicaLagging marks a 503 from a read replica that has not
 	// yet replayed up to the version the request demanded via

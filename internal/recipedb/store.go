@@ -192,8 +192,8 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // the mutations that changed a slot, so they can stop short of the
 // primary's number). Subscribers receive one
 // content-free Mutation{Version: v} (nil Old and New) so derived state
-// that fences on the corpus version — the search index, the rebuild
-// debouncers — advances its version stamp with it. With a backend
+// that fences on the corpus version — the search index — advances its
+// version stamp with it. With a backend
 // attached the new version record is written through first, and a
 // failed write leaves the version where it was. Lower or equal v is a
 // no-op.
@@ -305,6 +305,16 @@ func (v *View) RegionLen(r Region) int {
 // RegionIngredients returns the number of distinct ingredients the
 // region's live recipes use (Table 1's unique-ingredient count).
 func (v *View) RegionIngredients(r Region) int { return v.s.counts[r].distinct }
+
+// RegionUses returns the region's Σ recipe size and the number of its
+// live recipes using each catalog ingredient, by ID; World pools every
+// region. The row is the store's own counter, patched in place by
+// mutations: do not mutate it or retain it past the callback. A region
+// that never held a recipe has a nil row.
+func (v *View) RegionUses(r Region) (size int, uses []int32) {
+	c := &v.s.counts[r]
+	return c.size, c.uses
+}
 
 // ForEachInRegion calls fn for every live recipe in the region (every
 // live recipe when r == World), in ascending-ID order.

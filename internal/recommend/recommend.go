@@ -21,50 +21,6 @@ import (
 // constraints.
 var ErrNoCandidates = errors.New("recommend: no candidates")
 
-// Recommender ranks completions and substitutions against one corpus
-// snapshot. It is immutable after construction and safe for concurrent
-// use; Version reports the corpus version it was built from, so serving
-// layers can rebuild it epoch-by-epoch and stamp responses with the
-// model's version.
-type Recommender struct {
-	analyzer *pairing.Analyzer
-	catalog  *flavor.Catalog
-	version  uint64
-	// cuisines holds the per-region analytical views (plus World) as of
-	// the snapshot; a region absent from the map had no live recipes.
-	cuisines map[recipedb.Region]*recipedb.Cuisine
-}
-
-// New builds a Recommender from the store's current state under one
-// read epoch.
-func New(analyzer *pairing.Analyzer, store *recipedb.Store) *Recommender {
-	var r *Recommender
-	store.Read(func(v *recipedb.View) { r = NewFromView(analyzer, v) })
-	return r
-}
-
-// NewFromView builds a Recommender against an already-held corpus view,
-// pinning every per-region cuisine to the same (version, snapshot)
-// pair — the entry point for background rebuilds.
-func NewFromView(analyzer *pairing.Analyzer, v *recipedb.View) *Recommender {
-	r := &Recommender{
-		analyzer: analyzer,
-		catalog:  v.Catalog(),
-		version:  v.Version,
-		cuisines: make(map[recipedb.Region]*recipedb.Cuisine),
-	}
-	for _, region := range v.Regions() {
-		r.cuisines[region] = v.BuildCuisine(region)
-	}
-	if v.Len() > 0 {
-		r.cuisines[recipedb.World] = v.BuildCuisine(recipedb.World)
-	}
-	return r
-}
-
-// Version returns the corpus version the recommender was built from.
-func (r *Recommender) Version() uint64 { return r.version }
-
 // Suggestion is one ranked completion candidate.
 type Suggestion struct {
 	Ingredient flavor.ID
@@ -94,10 +50,13 @@ type CompleteOptions struct {
 	SameCategoryPenalty float64
 }
 
-// Complete suggests ingredients to extend partial within the given
-// cuisine. Ingredients already present, profile-less entities and
-// ingredients unused by the cuisine are excluded.
-func (r *Recommender) Complete(region recipedb.Region, partial []flavor.ID, opts CompleteOptions) ([]Suggestion, error) {
+// Complete suggests ingredients to extend partial within the region's
+// cuisine as v holds it (World pools every region). It reads the
+// region's recipe count and per-ingredient use counts, so it must run
+// inside the Read that produced v. Ingredients already present,
+// profile-less entities and ingredients unused by the cuisine are
+// excluded.
+func Complete(v *recipedb.View, analyzer *pairing.Analyzer, region recipedb.Region, partial []flavor.ID, opts CompleteOptions) ([]Suggestion, error) {
 	if len(partial) == 0 {
 		return nil, fmt.Errorf("recommend: empty partial recipe")
 	}
@@ -117,18 +76,20 @@ func (r *Recommender) Complete(region recipedb.Region, partial []flavor.ID, opts
 	if sign == 0 {
 		sign = 1
 	}
-	c := r.cuisines[region]
-	if c == nil || c.NumRecipes() == 0 {
+	recipes := v.RegionLen(region)
+	if recipes == 0 {
 		return nil, fmt.Errorf("recommend: region %s has no recipes", region.Code())
 	}
+	_, uses := v.RegionUses(region)
+	catalog := v.Catalog()
 	present := make(map[flavor.ID]bool, len(partial))
 	catCount := make(map[flavor.Category]int)
 	for _, id := range partial {
-		if int(id) < 0 || int(id) >= r.catalog.Len() {
+		if int(id) < 0 || int(id) >= catalog.Len() {
 			return nil, fmt.Errorf("recommend: ingredient %d outside catalog", id)
 		}
 		present[id] = true
-		catCount[r.catalog.Ingredient(id).Category]++
+		catCount[catalog.Ingredient(id).Category]++
 	}
 
 	// Normalize flavor fit by the cuisine's own mean pair sharing so the
@@ -136,7 +97,7 @@ func (r *Recommender) Complete(region recipedb.Region, partial []flavor.ID, opts
 	meanShared, n := 0.0, 0
 	for i := 0; i < len(partial); i++ {
 		for j := i + 1; j < len(partial); j++ {
-			meanShared += float64(r.analyzer.Shared(partial[i], partial[j]))
+			meanShared += float64(analyzer.Shared(partial[i], partial[j]))
 			n++
 		}
 	}
@@ -145,27 +106,28 @@ func (r *Recommender) Complete(region recipedb.Region, partial []flavor.ID, opts
 		norm = meanShared / float64(n)
 	}
 
-	var out []Suggestion
-	for _, cand := range c.UniqueIngredients {
-		if present[cand] || !r.catalog.Ingredient(cand).HasProfile {
+	out := make([]Suggestion, 0, v.RegionIngredients(region))
+	for i, used := range uses {
+		cand := flavor.ID(i)
+		if used == 0 || present[cand] || !catalog.Ingredient(cand).HasProfile {
 			continue
 		}
 		var fit float64
 		profiled := 0
 		for _, id := range partial {
-			if !r.catalog.Ingredient(id).HasProfile {
+			if !catalog.Ingredient(id).HasProfile {
 				continue
 			}
-			fit += float64(r.analyzer.Shared(cand, id))
+			fit += float64(analyzer.Shared(cand, id))
 			profiled++
 		}
 		if profiled == 0 {
 			continue
 		}
 		fit = fit / float64(profiled) / norm * float64(sign)
-		pop := math.Log1p(float64(c.IngredientFreq[cand])) / math.Log1p(float64(c.NumRecipes()))
+		pop := math.Log1p(float64(used)) / math.Log1p(float64(recipes))
 		score := fit + opts.PopularityWeight*pop
-		score -= opts.SameCategoryPenalty * float64(catCount[r.catalog.Ingredient(cand).Category])
+		score -= opts.SameCategoryPenalty * float64(catCount[catalog.Ingredient(cand).Category])
 		out = append(out, Suggestion{
 			Ingredient: cand,
 			Score:      score,
@@ -213,19 +175,19 @@ type SubstituteOptions struct {
 
 // Substitutes ranks replacements for the given ingredient by flavor-
 // profile similarity. Candidates must carry a profile; the ingredient
-// itself is excluded.
-func (r *Recommender) Substitutes(id flavor.ID, opts SubstituteOptions) ([]Substitute, error) {
-	if int(id) < 0 || int(id) >= r.catalog.Len() {
+// itself is excluded. It reads the catalog only, never the corpus.
+func Substitutes(catalog *flavor.Catalog, id flavor.ID, opts SubstituteOptions) ([]Substitute, error) {
+	if int(id) < 0 || int(id) >= catalog.Len() {
 		return nil, fmt.Errorf("recommend: ingredient %d outside catalog", id)
 	}
-	orig := r.catalog.Ingredient(id)
+	orig := catalog.Ingredient(id)
 	if !orig.HasProfile {
 		return nil, fmt.Errorf("recommend: ingredient %q has no flavor profile", orig.Name)
 	}
 	if opts.K <= 0 {
 		opts.K = 5
 	}
-	origProfile := r.catalog.Profile(id)
+	origProfile := catalog.Profile(id)
 	origSize := origProfile.Count()
 
 	var out []Substitute
@@ -233,12 +195,12 @@ func (r *Recommender) Substitutes(id flavor.ID, opts SubstituteOptions) ([]Subst
 		if cand == id {
 			return
 		}
-		ing := r.catalog.Ingredient(cand)
+		ing := catalog.Ingredient(cand)
 		if !ing.HasProfile {
 			return
 		}
-		inter := origProfile.IntersectionCount(r.catalog.Profile(cand))
-		union := origSize + r.catalog.Profile(cand).Count() - inter
+		inter := origProfile.IntersectionCount(catalog.Profile(cand))
+		union := origSize + catalog.Profile(cand).Count() - inter
 		if union == 0 {
 			return
 		}
@@ -253,11 +215,11 @@ func (r *Recommender) Substitutes(id flavor.ID, opts SubstituteOptions) ([]Subst
 		})
 	}
 	if opts.RequireSameCategory {
-		for _, cand := range r.catalog.ByCategory(orig.Category) {
+		for _, cand := range catalog.ByCategory(orig.Category) {
 			consider(cand)
 		}
 	} else {
-		for i := 0; i < r.catalog.Len(); i++ {
+		for i := 0; i < catalog.Len(); i++ {
 			consider(flavor.ID(i))
 		}
 	}

@@ -39,10 +39,15 @@ func lookup(t *testing.T, name string) flavor.ID {
 	return id
 }
 
+// complete runs Complete under one read of the fixture corpus.
+func complete(region recipedb.Region, partial []flavor.ID, opts CompleteOptions) (sugs []Suggestion, err error) {
+	fixStore.Read(func(v *recipedb.View) { sugs, err = Complete(v, fixAnalyzer, region, partial, opts) })
+	return sugs, err
+}
+
 func TestCompleteBasics(t *testing.T) {
-	r := New(fixAnalyzer, fixStore)
 	partial := []flavor.ID{lookup(t, "tomato"), lookup(t, "garlic")}
-	sugs, err := r.Complete(recipedb.Italy, partial, CompleteOptions{K: 5})
+	sugs, err := complete(recipedb.Italy, partial, CompleteOptions{K: 5})
 	if err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
@@ -70,14 +75,13 @@ func TestCompleteBasics(t *testing.T) {
 }
 
 func TestCompleteSignFlipsRanking(t *testing.T) {
-	r := New(fixAnalyzer, fixStore)
 	partial := []flavor.ID{lookup(t, "tomato"), lookup(t, "basil")}
-	uniform, err := r.Complete(recipedb.Italy, partial,
+	uniform, err := complete(recipedb.Italy, partial,
 		CompleteOptions{K: 10, Sign: +1, PopularityWeight: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	contrast, err := r.Complete(recipedb.Italy, partial,
+	contrast, err := complete(recipedb.Italy, partial,
 		CompleteOptions{K: 10, Sign: -1, PopularityWeight: 1e-9})
 	if err != nil {
 		t.Fatal(err)
@@ -99,11 +103,10 @@ func TestCompleteSignFlipsRanking(t *testing.T) {
 }
 
 func TestCompletePopularityWeight(t *testing.T) {
-	r := New(fixAnalyzer, fixStore)
 	partial := []flavor.ID{lookup(t, "tomato")}
 	// With huge popularity weight, the top suggestion must be one of the
 	// cuisine's most frequent ingredients.
-	sugs, err := r.Complete(recipedb.Italy, partial,
+	sugs, err := complete(recipedb.Italy, partial,
 		CompleteOptions{K: 1, PopularityWeight: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -122,25 +125,23 @@ func TestCompletePopularityWeight(t *testing.T) {
 }
 
 func TestCompleteErrors(t *testing.T) {
-	r := New(fixAnalyzer, fixStore)
-	if _, err := r.Complete(recipedb.Italy, nil, CompleteOptions{}); err == nil {
+	if _, err := complete(recipedb.Italy, nil, CompleteOptions{}); err == nil {
 		t.Error("empty partial succeeded")
 	}
-	if _, err := r.Complete(recipedb.Italy, []flavor.ID{flavor.ID(fixCatalog.Len() + 1)}, CompleteOptions{}); err == nil {
+	if _, err := complete(recipedb.Italy, []flavor.ID{flavor.ID(fixCatalog.Len() + 1)}, CompleteOptions{}); err == nil {
 		t.Error("out-of-catalog partial succeeded")
 	}
 	// A minor region with no recipes in the test corpus errors cleanly.
 	if fixStore.RegionLen(recipedb.Portugal) == 0 {
-		if _, err := r.Complete(recipedb.Portugal, []flavor.ID{lookup(t, "tomato")}, CompleteOptions{}); err == nil {
+		if _, err := complete(recipedb.Portugal, []flavor.ID{lookup(t, "tomato")}, CompleteOptions{}); err == nil {
 			t.Error("empty region succeeded")
 		}
 	}
 }
 
 func TestSubstitutesSameCategory(t *testing.T) {
-	r := New(fixAnalyzer, fixStore)
 	id := lookup(t, "basil")
-	subs, err := r.Substitutes(id, SubstituteOptions{K: 5, RequireSameCategory: true})
+	subs, err := Substitutes(fixCatalog, id, SubstituteOptions{K: 5, RequireSameCategory: true})
 	if err != nil {
 		t.Fatalf("Substitutes: %v", err)
 	}
@@ -167,9 +168,8 @@ func TestSubstitutesSameCategory(t *testing.T) {
 }
 
 func TestSubstitutesCrossCategoryAndThreshold(t *testing.T) {
-	r := New(fixAnalyzer, fixStore)
 	id := lookup(t, "basil")
-	all, err := r.Substitutes(id, SubstituteOptions{K: 50, RequireSameCategory: false})
+	all, err := Substitutes(fixCatalog, id, SubstituteOptions{K: 50, RequireSameCategory: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +183,17 @@ func TestSubstitutesCrossCategoryAndThreshold(t *testing.T) {
 		t.Log("all top-50 substitutes share the category (plausible but unusual)")
 	}
 	// A similarity floor of 1.0 excludes everything.
-	if _, err := r.Substitutes(id, SubstituteOptions{K: 5, MinSimilarity: 1.01}); !errors.Is(err, ErrNoCandidates) {
+	if _, err := Substitutes(fixCatalog, id, SubstituteOptions{K: 5, MinSimilarity: 1.01}); !errors.Is(err, ErrNoCandidates) {
 		t.Errorf("impossible threshold err = %v", err)
 	}
 }
 
 func TestSubstitutesErrors(t *testing.T) {
-	r := New(fixAnalyzer, fixStore)
-	if _, err := r.Substitutes(flavor.ID(-1), SubstituteOptions{}); err == nil {
+	if _, err := Substitutes(fixCatalog, flavor.ID(-1), SubstituteOptions{}); err == nil {
 		t.Error("negative id succeeded")
 	}
 	if noProf, ok := fixCatalog.Lookup("cooking spray"); ok {
-		if _, err := r.Substitutes(noProf, SubstituteOptions{}); err == nil {
+		if _, err := Substitutes(fixCatalog, noProf, SubstituteOptions{}); err == nil {
 			t.Error("no-profile ingredient succeeded")
 		}
 	}
@@ -204,14 +203,13 @@ func TestSubstitutesSymmetryProperty(t *testing.T) {
 	// Jaccard similarity is symmetric: if b ranks among a's substitutes
 	// with similarity s, then a must appear in b's candidate set with
 	// the same similarity (category permitting).
-	r := New(fixAnalyzer, fixStore)
 	a := lookup(t, "basil")
-	subs, err := r.Substitutes(a, SubstituteOptions{K: 3, RequireSameCategory: true})
+	subs, err := Substitutes(fixCatalog, a, SubstituteOptions{K: 3, RequireSameCategory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := subs[0]
-	back, err := r.Substitutes(b.Ingredient, SubstituteOptions{K: fixCatalog.Len(), RequireSameCategory: true})
+	back, err := Substitutes(fixCatalog, b.Ingredient, SubstituteOptions{K: fixCatalog.Len(), RequireSameCategory: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -519,7 +519,6 @@ func (h *harness) openFollower() {
 	}
 	api, err := server.New(server.Config{
 		Store: h.f.Corpus(), Analyzer: h.analyzer, Follower: h.f.Follower,
-		ClassifierRebuildInterval: -1, RecommenderRebuildInterval: -1,
 	})
 	if err != nil {
 		h.fatalf("building the follower's API: %v", err)

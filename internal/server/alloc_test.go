@@ -26,7 +26,8 @@ func (d *discardResponse) WriteHeader(status int)      { d.status = status }
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestHandlerAllocationBudget pins the allocations of serve_read_hot's
-// four requests and of the region pages through the whole
+// four requests, of the region pages and of a classification and a
+// completion through the whole
 // Server.Handler() chain — routing, the version gate, the envelope
 // fallback, the handler's work and the encode — with the request and
 // writer reused, so each count is the server's own. Budgets are the
@@ -35,8 +36,9 @@ func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 // and the region list 671);
 // slack absorbs net/http differences between the toolchains CI runs. A
 // count above budget+slack is a regression to look at; one below the
-// budget should lower it. A region page reads counters, so its count
-// must not move when the region grows.
+// budget should lower it. A region page, a classification and a
+// completion read counters, so their counts must not move when the
+// region grows.
 func TestHandlerAllocationBudget(t *testing.T) {
 	const slack = 3
 	if raceEnabled {
@@ -62,12 +64,14 @@ func TestHandlerAllocationBudget(t *testing.T) {
 		}
 		return testing.AllocsPerRun(200, serve)
 	}
-	regionPages := []request{
+	counterReads := []request{
 		// The two pages differ by the categories each region uses: the
 		// encoder allocates per entry of the categoryUsage map.
 		{"region_usa", "GET", "/api/regions/USA", "", 59},
 		{"region_kor", "GET", "/api/regions/KOR", "", 39},
 		{"regions", "GET", "/api/regions", "", 10},
+		{"classify", "POST", "/api/classify", `{"ingredients":["tomato","garlic","basil"]}`, 36},
+		{"complete", "POST", "/api/complete", `{"region":"USA","ingredients":["tomato","garlic"]}`, 30},
 	}
 	measured := map[string]float64{}
 	for _, c := range append([]request{
@@ -75,7 +79,7 @@ func TestHandlerAllocationBudget(t *testing.T) {
 		{"search", "GET", "/api/search?q=tomato&limit=10", "", 31},
 		{"query_hit", "POST", "/api/query", `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`, 49},
 		{"pairings", "GET", "/api/ingredients/tomato/pairings", "", 15},
-	}, regionPages...) {
+	}, counterReads...) {
 		allocs := measure(c)
 		measured[c.name] = allocs
 		t.Logf("%s: %.0f allocs", c.name, allocs)
@@ -98,7 +102,7 @@ func TestHandlerAllocationBudget(t *testing.T) {
 	if got := store.RegionLen(recipedb.USA); got != before+len(recs) {
 		t.Fatalf("USA holds %d recipes after the load, want %d", got, before+len(recs))
 	}
-	for _, c := range regionPages {
+	for _, c := range counterReads {
 		if allocs := measure(c); allocs != measured[c.name] {
 			t.Errorf("%s %s: %.0f allocations after %d more USA recipes, %.0f before", c.method, c.path, allocs, len(recs), measured[c.name])
 		}

@@ -3,12 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"culinary/internal/classify"
 	"culinary/internal/experiments"
+	"culinary/internal/flavor"
 	"culinary/internal/recipedb"
+	"culinary/internal/recommend"
 )
 
 // ingredientNames harvests n resolvable ingredient names from a
@@ -103,10 +107,8 @@ func TestUpsertSearchableNextRequest(t *testing.T) {
 }
 
 // TestDeleteVanishesFromDerived pins the other half of the freshness
-// contract: an acked delete is gone from search on the next request,
-// and gone from the classifier and recommender after the (debounced in
-// production, explicit here) rebuild — with the response-stamped
-// modelVersion proving the models postdate the delete.
+// contract: an acked delete is gone from search, the classifier and the
+// recommender on the next request, whose modelVersion is the delete's.
 func TestDeleteVanishesFromDerived(t *testing.T) {
 	s, h := mutableServer(t)
 	ings := ingredientNames(t, s.cfg.Store, 3)
@@ -138,82 +140,166 @@ func TestDeleteVanishesFromDerived(t *testing.T) {
 		t.Fatalf("search version %d < delete version %d", version, deleteVersion)
 	}
 
-	// Classifier and recommender: gone after the rebuild, and the
-	// stamped modelVersion proves the models were trained at (or
-	// after) the delete — bounded staleness made visible.
-	s.RebuildDerived()
+	// Classifier and recommender: the stamped modelVersion is the
+	// delete's, so the counters they read no longer hold the recipe.
 	code, body = do(t, h, "POST", "/api/classify",
 		map[string]interface{}{"ingredients": ings})
 	if code != http.StatusOK {
 		t.Fatalf("classify: %d %v", code, body)
 	}
-	if mv := uint64(body["modelVersion"].(float64)); mv < deleteVersion {
-		t.Errorf("classifier modelVersion %d predates delete version %d", mv, deleteVersion)
+	if mv := uint64(body["modelVersion"].(float64)); mv != deleteVersion {
+		t.Errorf("classify modelVersion %d, delete version %d", mv, deleteVersion)
 	}
 	code, body = do(t, h, "POST", "/api/complete",
 		map[string]interface{}{"region": "ITA", "ingredients": ings[:2]})
 	if code != http.StatusOK {
 		t.Fatalf("complete: %d %v", code, body)
 	}
-	if mv := uint64(body["modelVersion"].(float64)); mv < deleteVersion {
-		t.Errorf("recommender modelVersion %d predates delete version %d", mv, deleteVersion)
+	if mv := uint64(body["modelVersion"].(float64)); mv != deleteVersion {
+		t.Errorf("complete modelVersion %d, delete version %d", mv, deleteVersion)
 	}
 }
 
-// TestHealthDerivedBlock asserts the monitoring surface: /api/health
-// carries a "derived" block with per-model version, saturating lag,
-// and rebuild counters.
-func TestHealthDerivedBlock(t *testing.T) {
+// TestModelsFreshOnNextRequest: after an insert, a replacement, a
+// delete and a batch, the next /api/classify and /api/complete each
+// answer at the acked write's version, with the scores of models built
+// from scratch at that version — a classifier trained by TrainView over
+// every live recipe, and Complete over the same read — bit for bit.
+func TestModelsFreshOnNextRequest(t *testing.T) {
 	s, h := mutableServer(t)
-	s.RebuildDerived()
+	store := s.cfg.Store
+	ings := ingredientNames(t, store, 6)
+	partial := ings[:2]
+	ids := make([]flavor.ID, len(partial))
+	for i, name := range partial {
+		ids[i], _ = store.Catalog().Lookup(name)
+	}
+	check := func(write string, ackVersion uint64) {
+		t.Helper()
+		var (
+			preds []classify.Prediction
+			sugs  []recommend.Suggestion
+			err   error
+		)
+		store.Read(func(v *recipedb.View) {
+			if v.Version != ackVersion {
+				t.Fatalf("%s: corpus at version %d, ack said %d", write, v.Version, ackVersion)
+			}
+			c := classify.New()
+			if err = c.TrainView(v, v.LiveIDs()); err == nil {
+				preds, err = c.Predict(ids)
+			}
+			if err == nil {
+				sugs, err = recommend.Complete(v, s.cfg.Analyzer, recipedb.Italy, ids, recommend.CompleteOptions{K: 5})
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", write, err)
+		}
 
-	code, body := do(t, h, "GET", "/api/health", nil)
-	if code != http.StatusOK {
-		t.Fatalf("health: %d %v", code, body)
-	}
-	corpusVersion := uint64(body["corpusVersion"].(float64))
-	derivedBlock, ok := body["derived"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("health lacks derived block: %v", body)
-	}
+		code, body := do(t, h, "POST", "/api/classify", map[string]interface{}{"ingredients": partial})
+		if code != http.StatusOK {
+			t.Fatalf("%s: classify: %d %v", write, code, body)
+		}
+		if mv := uint64(body["modelVersion"].(float64)); mv != ackVersion {
+			t.Errorf("%s: classify modelVersion %d, ack %d", write, mv, ackVersion)
+		}
+		got := body["predictions"].([]interface{})
+		if len(got) != min(5, len(preds)) {
+			t.Fatalf("%s: %d predictions, reference %d", write, len(got), len(preds))
+		}
+		for i, raw := range got {
+			p := raw.(map[string]interface{})
+			if p["region"] != preds[i].Region.Code() ||
+				math.Float64bits(p["probability"].(float64)) != math.Float64bits(preds[i].Probability) {
+				t.Errorf("%s: prediction %d = %v, reference %s %v", write, i, p, preds[i].Region.Code(), preds[i].Probability)
+			}
+		}
 
-	searchBlock := derivedBlock["search"].(map[string]interface{})
-	if searchBlock["mode"] != "synchronous" {
-		t.Errorf("search mode = %v", searchBlock["mode"])
-	}
-	if v := uint64(searchBlock["version"].(float64)); v != corpusVersion {
-		t.Errorf("search version %d != corpus version %d", v, corpusVersion)
-	}
-	if lag := searchBlock["lag"].(float64); lag != 0 {
-		t.Errorf("synchronous index reports lag %v", lag)
-	}
-
-	for _, model := range []string{"classifier", "recommender"} {
-		block, ok := derivedBlock[model].(map[string]interface{})
-		if !ok {
-			t.Fatalf("derived block lacks %s: %v", model, derivedBlock)
+		code, body = do(t, h, "POST", "/api/complete", map[string]interface{}{"region": "ITA", "ingredients": partial})
+		if code != http.StatusOK {
+			t.Fatalf("%s: complete: %d %v", write, code, body)
 		}
-		if block["available"] != true {
-			t.Errorf("%s unavailable after RebuildDerived: %v", model, block)
+		if mv := uint64(body["modelVersion"].(float64)); mv != ackVersion {
+			t.Errorf("%s: complete modelVersion %d, ack %d", write, mv, ackVersion)
 		}
-		if v := uint64(block["version"].(float64)); v != corpusVersion {
-			t.Errorf("%s version %d != corpus version %d", model, v, corpusVersion)
+		gotSugs := body["suggestions"].([]interface{})
+		if len(gotSugs) != len(sugs) {
+			t.Fatalf("%s: %d suggestions, reference %d", write, len(gotSugs), len(sugs))
 		}
-		if lag := block["lag"].(float64); lag != 0 {
-			t.Errorf("%s lag %v after quiesce", model, lag)
-		}
-		if rebuilds := block["rebuilds"].(float64); rebuilds < 1 {
-			t.Errorf("%s rebuilds = %v, want >= 1", model, rebuilds)
-		}
-		for _, key := range []string{"failures", "lastError", "lastBuildNs", "totalBuildNs", "intervalMs"} {
-			if _, ok := block[key]; !ok {
-				t.Errorf("%s block lacks %q: %v", model, key, block)
+		for i, raw := range gotSugs {
+			sg := raw.(map[string]interface{})
+			want := sugs[i]
+			if sg["ingredient"] != store.Catalog().Ingredient(want.Ingredient).Name ||
+				math.Float64bits(sg["score"].(float64)) != math.Float64bits(want.Score) ||
+				math.Float64bits(sg["flavorFit"].(float64)) != math.Float64bits(want.FlavorFit) ||
+				math.Float64bits(sg["popularity"].(float64)) != math.Float64bits(want.Popularity) {
+				t.Errorf("%s: suggestion %d = %v, reference %+v", write, i, sg, want)
 			}
 		}
 	}
+	recipe := func(name, region string, ingredients []string) map[string]interface{} {
+		return map[string]interface{}{"name": name, "region": region, "source": "Epicurious", "ingredients": ingredients}
+	}
+	ack := func(write string, code int, body map[string]interface{}, want int) uint64 {
+		t.Helper()
+		if code != want {
+			t.Fatalf("%s: %d %v", write, code, body)
+		}
+		return uint64(body["version"].(float64))
+	}
 
-	// A mutation without a rebuild shows up as lag on the async models
-	// and zero lag on the synchronous index.
+	code, body := do(t, h, "POST", "/api/recipes", recipe("fresh insert", "ITA", ings[:4]))
+	check("insert", ack("insert", code, body, http.StatusCreated))
+	id := int(body["id"].(float64))
+
+	replacement := recipe("fresh replacement", "FRA", ings[2:6])
+	replacement["id"] = id
+	code, body = do(t, h, "POST", "/api/recipes", replacement)
+	check("replacement", ack("replacement", code, body, http.StatusOK))
+
+	code, body = do(t, h, "DELETE", "/api/recipes/"+itoa(id), nil)
+	check("delete", ack("delete", code, body, http.StatusOK))
+
+	code, body = do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{"recipes": []interface{}{
+		recipe("fresh batch one", "ITA", ings[1:5]),
+		recipe("fresh batch two", "JPN", ings[:3]),
+	}})
+	check("batch", ack("batch", code, body, http.StatusOK))
+}
+
+// TestHealthDerivedBlock asserts the monitoring surface: /api/health
+// carries a "derived" block with only the search index's version and
+// lag, which stays zero across a mutation. The classifier and the
+// recommender read the corpus on every request and report nothing.
+func TestHealthDerivedBlock(t *testing.T) {
+	s, h := mutableServer(t)
+	checkSearch := func(when string) {
+		t.Helper()
+		code, body := do(t, h, "GET", "/api/health", nil)
+		if code != http.StatusOK {
+			t.Fatalf("health: %d %v", code, body)
+		}
+		corpusVersion := uint64(body["corpusVersion"].(float64))
+		derivedBlock, ok := body["derived"].(map[string]interface{})
+		if !ok {
+			t.Fatalf("health lacks derived block: %v", body)
+		}
+		if len(derivedBlock) != 1 {
+			t.Errorf("%s: derived block holds %v, want only search", when, derivedBlock)
+		}
+		searchBlock := derivedBlock["search"].(map[string]interface{})
+		if searchBlock["mode"] != "synchronous" {
+			t.Errorf("%s: search mode = %v", when, searchBlock["mode"])
+		}
+		if v := uint64(searchBlock["version"].(float64)); v != corpusVersion {
+			t.Errorf("%s: search version %d != corpus version %d", when, v, corpusVersion)
+		}
+		if lag := searchBlock["lag"].(float64); lag != 0 {
+			t.Errorf("%s: synchronous index reports lag %v", when, lag)
+		}
+	}
+	checkSearch("at boot")
 	ings := ingredientNames(t, s.cfg.Store, 2)
 	if code, body := do(t, h, "POST", "/api/recipes", map[string]interface{}{
 		"name": "lag probe dish", "region": "FRA", "source": "Epicurious",
@@ -221,27 +307,15 @@ func TestHealthDerivedBlock(t *testing.T) {
 	}); code != http.StatusCreated {
 		t.Fatalf("lag-probe upsert: %d %v", code, body)
 	}
-	_, body = do(t, h, "GET", "/api/health", nil)
-	derivedBlock = body["derived"].(map[string]interface{})
-	if lag := derivedBlock["search"].(map[string]interface{})["lag"].(float64); lag != 0 {
-		t.Errorf("search lag %v after mutation (must stay synchronous)", lag)
-	}
-	if lag := derivedBlock["classifier"].(map[string]interface{})["lag"].(float64); lag != 1 {
-		t.Errorf("classifier lag = %v after one unrebuild mutation, want 1", lag)
-	}
-	s.RebuildDerived()
-	_, body = do(t, h, "GET", "/api/health", nil)
-	derivedBlock = body["derived"].(map[string]interface{})
-	if lag := derivedBlock["classifier"].(map[string]interface{})["lag"].(float64); lag != 0 {
-		t.Errorf("classifier lag = %v after RebuildDerived, want 0", lag)
-	}
+	checkSearch("after a mutation")
 }
 
-// TestModelUnavailable503 pins the degradation satellite: a corpus
-// that cannot train a model (empty, then single-region) must not abort
-// server construction; the affected endpoints answer a structured 503
-// model_unavailable with a Retry-After hint, and the rebuild path
-// recovers the moment the corpus supports the model again.
+// TestModelUnavailable503 pins the degradation contract: a corpus that
+// cannot support a model (empty, then single-region) must not abort
+// server construction; classify and complete answer a structured 503
+// model_unavailable with a Retry-After hint, and answer 200 on the
+// first request after the write that makes the corpus support them.
+// Substitutes read the catalog only and answer even on an empty corpus.
 func TestModelUnavailable503(t *testing.T) {
 	env, err := experiments.NewEnv(experiments.TestOptions())
 	if err != nil {
@@ -249,17 +323,14 @@ func TestModelUnavailable503(t *testing.T) {
 	}
 	empty := recipedb.NewStore(env.Store.Catalog())
 	s, err := New(Config{
-		Store:                      empty,
-		Analyzer:                   env.Analyzer,
-		NullRecipes:                200,
-		Seed:                       5,
-		ClassifierRebuildInterval:  -1,
-		RecommenderRebuildInterval: -1,
+		Store:       empty,
+		Analyzer:    env.Analyzer,
+		NullRecipes: 200,
+		Seed:        5,
 	})
 	if err != nil {
 		t.Fatalf("construction over empty corpus must succeed, got %v", err)
 	}
-	t.Cleanup(s.Close)
 	h := s.Handler()
 	ings := ingredientNames(t, env.Store, 4)
 
@@ -276,6 +347,9 @@ func TestModelUnavailable503(t *testing.T) {
 	}
 	assert503("/api/classify", map[string]interface{}{"ingredients": ings[:2]})
 	assert503("/api/complete", map[string]interface{}{"region": "ITA", "ingredients": ings[:2]})
+	if code, body := do(t, h, "GET", "/api/ingredients/basil/substitutes", nil); code != http.StatusOK {
+		t.Fatalf("substitutes over an empty corpus: %d %v", code, body)
+	}
 
 	// The Retry-After hint must ride along on the 503.
 	raw, _ := json.Marshal(map[string]interface{}{"ingredients": ings[:2]})
@@ -290,7 +364,8 @@ func TestModelUnavailable503(t *testing.T) {
 	}
 
 	// One region is still not classifiable (nothing to discriminate),
-	// but the recommender only needs a non-empty corpus.
+	// but the recommender only needs a non-empty corpus; a region with
+	// no recipes is the request's fault (422), not the corpus's.
 	for i, name := range []string{"uno pasta", "due pasta"} {
 		if code, body := do(t, h, "POST", "/api/recipes", map[string]interface{}{
 			"name": name, "region": "ITA", "source": "Epicurious",
@@ -299,25 +374,27 @@ func TestModelUnavailable503(t *testing.T) {
 			t.Fatalf("seed upsert: %d %v", code, body)
 		}
 	}
-	s.RebuildDerived()
 	assert503("/api/classify", map[string]interface{}{"ingredients": ings[:2]})
 	if code, body := do(t, h, "POST", "/api/complete",
 		map[string]interface{}{"region": "ITA", "ingredients": ings[:2]}); code != http.StatusOK {
-		t.Fatalf("complete after non-empty rebuild: %d %v", code, body)
+		t.Fatalf("complete over a non-empty corpus: %d %v", code, body)
+	}
+	if code, body := do(t, h, "POST", "/api/complete",
+		map[string]interface{}{"region": "FRA", "ingredients": ings[:2]}); code != http.StatusUnprocessableEntity {
+		t.Fatalf("complete for an empty region: %d %v", code, body)
 	}
 
-	// A second region unlocks the classifier; its modelVersion matches
-	// the corpus version it was rebuilt at.
+	// A second region unlocks the classifier on the next request; its
+	// modelVersion is the corpus version.
 	if code, body := do(t, h, "POST", "/api/recipes", map[string]interface{}{
 		"name": "trois tarte", "region": "FRA", "source": "Epicurious",
 		"ingredients": ings[1:3],
 	}); code != http.StatusCreated {
 		t.Fatalf("second-region upsert: %d %v", code, body)
 	}
-	s.RebuildDerived()
 	code, body := do(t, h, "POST", "/api/classify", map[string]interface{}{"ingredients": ings[:2]})
 	if code != http.StatusOK {
-		t.Fatalf("classify after two-region rebuild: %d %v", code, body)
+		t.Fatalf("classify over two regions: %d %v", code, body)
 	}
 	if mv := uint64(body["modelVersion"].(float64)); mv != empty.Version() {
 		t.Errorf("classify modelVersion %d != corpus version %d", mv, empty.Version())

@@ -21,8 +21,8 @@ import (
 // result cache keys against — and notifying the mutation subscribers:
 // the search index applies the change synchronously inside the same
 // critical section (so an acked mutation is visible to the next
-// search), and the classifier/recommender rebuilders schedule a
-// debounced background rebuild. See internal/server/README.md for the
+// search); the classifier and the recommender read the counters the
+// same critical section patched. See internal/server/README.md for the
 // per-endpoint freshness contract.
 
 // upsertRequest is the POST /api/recipes body. ID is optional: absent

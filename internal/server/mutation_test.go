@@ -22,16 +22,10 @@ func mutableServer(t *testing.T) (*Server, http.Handler) {
 		NullRecipes:      200,
 		Seed:             3,
 		ResultCacheBytes: 1 << 20,
-		// Negative: no background rebuild loops — tests that need the
-		// models current after a mutation call RebuildDerived, keeping
-		// freshness deterministic instead of timing-dependent.
-		ClassifierRebuildInterval:  -1,
-		RecommenderRebuildInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s, s.Handler()
 }
 

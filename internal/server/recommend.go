@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -28,13 +29,17 @@ type completeEntry struct {
 }
 
 // completeResponse is the POST /api/complete body. ModelVersion is the
-// corpus version the recommender's cuisine snapshots were built at.
+// corpus version the region's counters were read at.
 type completeResponse struct {
 	ModelVersion       uint64          `json:"modelVersion"`
 	Region             string          `json:"region"`
 	Suggestions        []completeEntry `json:"suggestions"`
 	UnknownIngredients []string        `json:"unknownIngredients,omitempty"`
 }
+
+// errEmptyCorpus is the model_unavailable cause of a completion asked
+// of a corpus with no recipes.
+var errEmptyCorpus = errors.New("recommend: empty corpus")
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
@@ -58,12 +63,21 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if k > 50 {
 		k = 50
 	}
-	model, modelVersion, err := s.recommender.Get()
-	if err != nil {
-		s.writeModelUnavailable(w, err)
+	var (
+		modelVersion uint64
+		sugs         []recommend.Suggestion
+		empty        bool
+	)
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		modelVersion = v.Version
+		if empty = v.Len() == 0; !empty {
+			sugs, err = recommend.Complete(v, s.cfg.Analyzer, region, ids, recommend.CompleteOptions{K: k})
+		}
+	})
+	if empty {
+		s.writeModelUnavailable(w, errEmptyCorpus)
 		return
 	}
-	sugs, err := model.Complete(region, ids, recommend.CompleteOptions{K: k})
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
@@ -96,6 +110,8 @@ type substituteEntry struct {
 }
 
 // substituteResponse is the GET /api/ingredients/{name}/substitutes body.
+// Substitutes read the catalog only; ModelVersion is the corpus version
+// the request was served at.
 type substituteResponse struct {
 	Ingredient   string            `json:"ingredient"`
 	ModelVersion uint64            `json:"modelVersion"`
@@ -121,12 +137,7 @@ func (s *Server) handleSubstitute(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("anycategory"); raw == "1" || strings.EqualFold(raw, "true") {
 		opts.RequireSameCategory = false
 	}
-	model, modelVersion, err := s.recommender.Get()
-	if err != nil {
-		s.writeModelUnavailable(w, err)
-		return
-	}
-	subs, err := model.Substitutes(id, opts)
+	subs, err := recommend.Substitutes(s.catalog, id, opts)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
@@ -141,7 +152,7 @@ func (s *Server) handleSubstitute(w http.ResponseWriter, r *http.Request) {
 			SameCategory: sub.SameCategory,
 		}
 	}
-	s.writeJSON(w, r, http.StatusOK, substituteResponse{Ingredient: name, ModelVersion: modelVersion, Substitutes: out})
+	s.writeJSON(w, r, http.StatusOK, substituteResponse{Ingredient: name, ModelVersion: s.cfg.Store.Version(), Substitutes: out})
 }
 
 // tasteRequest is the POST /api/taste body.

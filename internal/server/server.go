@@ -20,13 +20,11 @@ import (
 	"time"
 
 	"culinary/internal/classify"
-	"culinary/internal/derived"
 	"culinary/internal/flavor"
 	"culinary/internal/httpmw"
 	"culinary/internal/pairing"
 	"culinary/internal/query"
 	"culinary/internal/recipedb"
-	"culinary/internal/recommend"
 	"culinary/internal/replica"
 	"culinary/internal/rng"
 	"culinary/internal/search"
@@ -60,13 +58,16 @@ type Config struct {
 	// mutations and Exempt passes /api/health. /api/health reports
 	// the stack's counters under "traffic".
 	Traffic *httpmw.Config
-	// ClassifierRebuildInterval debounces the classifier's background
-	// rebuilds: at most one per interval while the corpus is mutating.
-	// 0 selects derived.DefaultInterval; negative disables the
-	// background loop (rebuilds then happen only via explicit Rebuild
-	// calls — the deterministic mode tests use).
+	// ClassifierRebuildInterval is ignored: the classifier reads the
+	// corpus counters on every request, so there is nothing to rebuild.
+	//
+	// Deprecated: set only by bench/inproc.go; delete the field once
+	// that caller stops setting it.
 	ClassifierRebuildInterval time.Duration
-	// RecommenderRebuildInterval is the recommender's counterpart.
+	// RecommenderRebuildInterval is ignored, as ClassifierRebuildInterval.
+	//
+	// Deprecated: set only by bench/inproc.go; delete the field once
+	// that caller stops setting it.
 	RecommenderRebuildInterval time.Duration
 	// MaxBatchItems caps the number of recipes one POST
 	// /api/recipes/batch request may carry; <= 0 selects
@@ -95,35 +96,31 @@ type Config struct {
 // there is no way to switch it off.
 const DefaultMaxBatchItems = 256
 
-// Server routes API requests to the analysis stack. Every derived
-// read model is version-aware: the full-text search index is
-// maintained incrementally inside the mutation critical section (an
-// acked upsert is searchable by the next request), while the
-// classifier and recommender rebuild in the background, debounced by
-// corpus version, and stamp responses with the corpus version they
-// were built at. Construction still indexes the whole corpus, so
-// creating a Server is not free; reuse one instance and Close it when
-// done to stop the rebuild loops.
+// Server routes API requests to the analysis stack. No read model
+// lags the corpus: the full-text search index is maintained
+// incrementally inside the mutation critical section (an acked upsert
+// is searchable by the next request), and the classifier and the
+// recommender read the corpus's per-region counters under the
+// request's own Store.Read, stamping responses with that read's
+// version. Construction still indexes the whole corpus, so creating a
+// Server is not free; reuse one instance.
 type Server struct {
-	cfg         Config
-	catalog     *flavor.Catalog
-	index       *search.Index
-	engine      *query.Engine
-	classifier  *derived.Rebuilder[*classify.Classifier]
-	recommender *derived.Rebuilder[*recommend.Recommender]
-	traffic     *httpmw.Traffic
-	mux         *http.ServeMux
+	cfg     Config
+	catalog *flavor.Catalog
+	index   *search.Index
+	engine  *query.Engine
+	traffic *httpmw.Traffic
+	mux     *http.ServeMux
 	// storage503 counts storage_unavailable responses (one per queued
 	// mutation or whole batch request), reported under
 	// traffic.storageUnavailable503 in /api/health.
 	storage503 atomic.Int64
 }
 
-// New builds a Server and its derived indexes. A corpus that cannot
-// train a model (empty, or only one region) is not an error: the
-// affected endpoints serve structured 503 model_unavailable until the
-// corpus supports the model, and the rebuild loop keeps trying as the
-// corpus changes.
+// New builds a Server and its search index. A corpus that cannot
+// support a model (empty, or only one region) is not an error: the
+// affected endpoints serve structured 503 model_unavailable until a
+// write makes the corpus support it.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil || cfg.Analyzer == nil {
 		return nil, errors.New("server: Config needs Store and Analyzer")
@@ -141,29 +138,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ResultCacheBytes != 0 {
 		s.engine.EnableResultCache(cfg.ResultCacheBytes)
 	}
-	t1 := time.Now()
-	s.classifier = derived.New("classifier", cfg.Store, cfg.ClassifierRebuildInterval,
-		func(v *recipedb.View) (*classify.Classifier, error) {
-			c := classify.New()
-			if err := c.TrainView(v, v.LiveIDs()); err != nil {
-				return nil, err
-			}
-			return c, nil
-		})
-	t2 := time.Now()
-	s.recommender = derived.New("recommender", cfg.Store, cfg.RecommenderRebuildInterval,
-		func(v *recipedb.View) (*recommend.Recommender, error) {
-			if v.Len() == 0 {
-				return nil, errors.New("recommend: empty corpus")
-			}
-			return recommend.NewFromView(cfg.Analyzer, v), nil
-		})
-	t3 := time.Now()
 	if cfg.Logger != nil {
-		// The three builds New waits for, each over the whole corpus; with
+		// The one build New waits for, over the whole corpus; with
 		// cmd/server's "corpus ready" line this is the boot's stage budget.
-		cfg.Logger.Printf("read models ready in %v index=%dms classifier=%dms recommender=%dms",
-			t3.Sub(t0).Round(time.Millisecond), t1.Sub(t0).Milliseconds(), t2.Sub(t1).Milliseconds(), t3.Sub(t2).Milliseconds())
+		d := time.Since(t0)
+		cfg.Logger.Printf("read models ready in %v index=%dms", d.Round(time.Millisecond), d.Milliseconds())
 	}
 	if cfg.Traffic != nil {
 		tc := *cfg.Traffic
@@ -207,36 +186,26 @@ func isExemptRequest(r *http.Request) bool {
 // /api/health.
 func (s *Server) Traffic() *httpmw.Traffic { return s.traffic }
 
-// Close stops the background model-rebuild loops. Handlers keep
-// serving the last built epoch afterwards.
-func (s *Server) Close() {
-	s.classifier.Close()
-	s.recommender.Close()
-}
-
-// RebuildDerived synchronously brings the classifier and recommender
-// up to the current corpus version — the quiesce hook tests and
-// drain paths use instead of waiting out the debounce interval.
-func (s *Server) RebuildDerived() {
-	s.classifier.Rebuild()
-	s.recommender.Rebuild()
-}
+// Close releases nothing: the server runs no background work. It stays
+// for callers that pair New with Close.
+func (s *Server) Close() {}
 
 // Index exposes the live search index (for equivalence checks).
 func (s *Server) Index() *search.Index { return s.index }
 
 // modelRetryAfterSeconds is the Retry-After hint on model_unavailable
-// responses: the rebuild loop retries as soon as the corpus version
-// moves, so a short client backoff suffices.
+// responses: every request reads the live corpus, so the first request
+// after a write that gives the corpus enough recipes succeeds, and a
+// short client backoff suffices.
 const modelRetryAfterSeconds = 1
 
-// writeModelUnavailable maps a derived-model miss onto the structured
-// envelope: 503 model_unavailable with Retry-After. The build error
-// (e.g. "need >= 2 regions") is safe to surface — it describes corpus
-// shape, not internals.
+// writeModelUnavailable maps a corpus that cannot support a model onto
+// the structured envelope: 503 model_unavailable with Retry-After. The
+// cause (e.g. "need >= 2 regions") is safe to surface — it describes
+// corpus shape, not internals.
 func (s *Server) writeModelUnavailable(w http.ResponseWriter, err error) {
 	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("derived model unavailable: %v", err)
+		s.cfg.Logger.Printf("model unavailable: %v", err)
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(modelRetryAfterSeconds))
 	httpmw.WriteError(w, http.StatusServiceUnavailable, httpmw.CodeModelUnavailable,
@@ -423,20 +392,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	corpusVersion := s.cfg.Store.Version()
-	// derivedModelHealth shapes one rebuilder's stats.
-	derivedModelHealth := func(st derived.Stats) map[string]interface{} {
-		return map[string]interface{}{
-			"available":    st.Available,
-			"version":      st.Version,
-			"lag":          lagBehind(corpusVersion, st.Version),
-			"rebuilds":     st.Rebuilds,
-			"failures":     st.Failures,
-			"lastError":    st.LastError,
-			"lastBuildNs":  st.LastBuild.Nanoseconds(),
-			"totalBuildNs": st.TotalBuild.Nanoseconds(),
-			"intervalMs":   st.Interval.Milliseconds(),
-		}
-	}
 	body["derived"] = map[string]interface{}{
 		// The search index is maintained synchronously inside the
 		// mutation critical section, so its lag is zero by
@@ -447,8 +402,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"version": s.index.Version(),
 			"lag":     lagBehind(corpusVersion, s.index.Version()),
 		},
-		"classifier":  derivedModelHealth(s.classifier.Stats()),
-		"recommender": derivedModelHealth(s.recommender.Stats()),
 	}
 	// The traffic block always carries the mutation fan-in's coalescing
 	// telemetry and the storage_unavailable response count; the
@@ -975,8 +928,8 @@ type classifyResponseEntry struct {
 }
 
 // classifyResponse is the POST /api/classify body. ModelVersion is the
-// corpus version the model was trained at — the staleness fence clients
-// compare against query/search responses' "version".
+// corpus version the counters were read at, the same fence as
+// query/search responses' "version".
 type classifyResponse struct {
 	ModelVersion       uint64                  `json:"modelVersion"`
 	Predictions        []classifyResponseEntry `json:"predictions"`
@@ -997,12 +950,22 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	model, modelVersion, err := s.classifier.Get()
-	if err != nil {
-		s.writeModelUnavailable(w, err)
+	var (
+		modelVersion uint64
+		preds        []classify.Prediction
+		trainErr     error
+	)
+	s.cfg.Store.Read(func(v *recipedb.View) {
+		modelVersion = v.Version
+		c := classify.New()
+		if trainErr = c.TrainLive(v); trainErr == nil {
+			preds, err = c.Predict(ids)
+		}
+	})
+	if trainErr != nil {
+		s.writeModelUnavailable(w, trainErr)
 		return
 	}
-	preds, err := model.Predict(ids)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return

@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"sync"
 	"testing"
-	"time"
 
 	"culinary/internal/experiments"
 	"culinary/internal/recipedb"
@@ -303,26 +302,25 @@ func TestRecipeListingStressRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDerivedStressRace is the derived-state counterpart of
+// TestDerivedStressRace is the read-model counterpart of
 // TestMutationStressRace: writer goroutines churn the corpus through
-// the HTTP mutation endpoints while readers hammer the three derived
-// read models — full-text search (maintained synchronously inside the
-// mutation critical section), the classifier, and the recommender
-// (both rebuilding in the background on a short debounce). It asserts
+// the HTTP mutation endpoints while readers hammer the three read
+// models — full-text search (maintained synchronously inside the
+// mutation critical section), the classifier and the recommender (both
+// reading the corpus counters under the request's Store.Read). It
+// asserts
 //
-//   - search freshness: every /api/search response's version is >= the
+//   - freshness: every /api/search response's version and every
+//     /api/classify and /api/complete response's modelVersion is >= the
 //     corpus version sampled just before the request, and per-reader
-//     monotonic — the synchronous index never serves a stale epoch,
-//   - model-version monotonicity: /api/classify and /api/complete
-//     responses never report a modelVersion going backwards within a
-//     reader — background rebuilds install epochs in order, and
-//   - quiesced equivalence: after the storm (and a final explicit
-//     rebuild) the incrementally-maintained index is byte-identical to
-//     a fresh search.Build over the same corpus, and both models sit
-//     at exactly the corpus head with zero reported lag.
+//     monotonic — no read model serves a stale epoch, and
+//   - quiesced equivalence: after the storm the incrementally-maintained
+//     index is byte-identical to a fresh search.Build over the same
+//     corpus and reports zero lag, and both models answer at exactly
+//     the corpus head.
 //
-// Run under -race (CI does), it also proves the subscriber/rebuilder
-// plumbing adds no data races to the mutation path.
+// Run under -race (CI does), it also proves the subscriber plumbing and
+// the counter reads add no data races to the mutation path.
 func TestDerivedStressRace(t *testing.T) {
 	env, err := experiments.NewEnv(experiments.TestOptions())
 	if err != nil {
@@ -333,15 +331,10 @@ func TestDerivedStressRace(t *testing.T) {
 		Analyzer:    env.Analyzer,
 		NullRecipes: 200,
 		Seed:        13,
-		// Short debounce so background rebuilds actually interleave
-		// with the mutation storm instead of waiting it out.
-		ClassifierRebuildInterval:  2 * time.Millisecond,
-		RecommenderRebuildInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	h := srv.Handler()
 
 	const (
@@ -433,7 +426,8 @@ func TestDerivedStressRace(t *testing.T) {
 						return
 					}
 					lastSearch = got
-				case 1: // classify: background model, version must never regress
+				case 1: // classify: reads the counters, so >= the pre-request version
+					start := env.Store.Version()
 					code, body := post("/api/classify", map[string]interface{}{
 						"ingredients": ingredients[:2+(i%3)],
 					})
@@ -442,12 +436,17 @@ func TestDerivedStressRace(t *testing.T) {
 						return
 					}
 					got := uint64(body["modelVersion"].(float64))
+					if got < start {
+						errs <- fmt.Errorf("reader %d: STALE CLASSIFIER: modelVersion %d < %d at request start", r, got, start)
+						return
+					}
 					if got < lastClassify {
 						errs <- fmt.Errorf("reader %d: classifier version went backwards: %d after %d", r, got, lastClassify)
 						return
 					}
 					lastClassify = got
 				case 2: // complete: a region can transiently empty out mid-storm (422)
+					start := env.Store.Version()
 					code, body := post("/api/complete", map[string]interface{}{
 						"region":      regions[(r+i)%len(regions)],
 						"ingredients": ingredients[:2],
@@ -460,6 +459,10 @@ func TestDerivedStressRace(t *testing.T) {
 						continue
 					}
 					got := uint64(body["modelVersion"].(float64))
+					if got < start {
+						errs <- fmt.Errorf("reader %d: STALE RECOMMENDER: modelVersion %d < %d at request start", r, got, start)
+						return
+					}
 					if got < lastComplete {
 						errs <- fmt.Errorf("reader %d: recommender version went backwards: %d after %d", r, got, lastComplete)
 						return
@@ -486,9 +489,8 @@ func TestDerivedStressRace(t *testing.T) {
 		t.Errorf("live index diverged from fresh Build after stress:\nlive:\n%s\nfresh:\n%s", got, want)
 	}
 
-	// After an explicit rebuild both models sit at the corpus head and
-	// health reports zero lag everywhere.
-	srv.RebuildDerived()
+	// Quiesced, the index reports zero lag and both models answer at
+	// the corpus head.
 	req := httptest.NewRequest("GET", "/api/health", nil)
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, req)
@@ -496,14 +498,23 @@ func TestDerivedStressRace(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &health); err != nil {
 		t.Fatalf("health: %v", err)
 	}
-	derivedBlock := health["derived"].(map[string]interface{})
-	for _, model := range []string{"search", "classifier", "recommender"} {
-		block := derivedBlock[model].(map[string]interface{})
-		if v := uint64(block["version"].(float64)); v != env.Store.Version() {
-			t.Errorf("%s version %d != corpus head %d after quiesce", model, v, env.Store.Version())
+	block := health["derived"].(map[string]interface{})["search"].(map[string]interface{})
+	if v := uint64(block["version"].(float64)); v != env.Store.Version() {
+		t.Errorf("search version %d != corpus head %d after quiesce", v, env.Store.Version())
+	}
+	if lag := block["lag"].(float64); lag != 0 {
+		t.Errorf("search lag %v after quiesce", lag)
+	}
+	for path, body := range map[string]interface{}{
+		"/api/classify": map[string]interface{}{"ingredients": ingredients[:3]},
+		"/api/complete": map[string]interface{}{"region": "ITA", "ingredients": ingredients[:2]},
+	} {
+		code, resp := post(path, body)
+		if code != http.StatusOK {
+			t.Fatalf("%s after quiesce: %d %v", path, code, resp)
 		}
-		if lag := block["lag"].(float64); lag != 0 {
-			t.Errorf("%s lag %v after quiesce", model, lag)
+		if v := uint64(resp["modelVersion"].(float64)); v != env.Store.Version() {
+			t.Errorf("%s modelVersion %d != corpus head %d after quiesce", path, v, env.Store.Version())
 		}
 	}
 }
