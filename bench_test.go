@@ -9,10 +9,8 @@
 package culinary
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"culinary/internal/alias"
@@ -24,7 +22,6 @@ import (
 	"culinary/internal/recipedb"
 	"culinary/internal/rng"
 	"culinary/internal/stats"
-	"culinary/internal/storage"
 	"culinary/internal/synth"
 )
 
@@ -250,95 +247,6 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkStorageQPS tracks the storage engine's serving
-// throughput through the public API at 8 goroutines: concurrent point
-// reads, concurrent group-committed durable writes, and reads running
-// against a live durable writer. These numbers feed BENCH_storage.json
-// in CI, so the perf trajectory is visible across PRs.
-func BenchmarkStorageQPS(b *testing.B) {
-	const keyspace = 4096
-	val := bytes.Repeat([]byte("v"), 128)
-	key := func(i int) string { return fmt.Sprintf("key%09d", i%keyspace) }
-	open := func(b *testing.B, durable bool) *storage.Store {
-		b.Helper()
-		db, err := storage.Open(b.TempDir(), storage.Options{SyncEveryPut: durable})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { db.Close() })
-		for i := 0; i < keyspace; i++ {
-			if err := db.Put(key(i), val); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return db
-	}
-
-	b.Run("Reads", func(b *testing.B) {
-		db := open(b, false)
-		b.SetParallelism(8)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if _, err := db.Get(key(i * 31)); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-	b.Run("DurableWrites", func(b *testing.B) {
-		db := open(b, true)
-		var seq atomic.Int64
-		b.SetParallelism(8)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := db.Put(fmt.Sprintf("w%012d", seq.Add(1)), val); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-	b.Run("ReadsUnderWriteLoad", func(b *testing.B) {
-		db := open(b, true)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := db.Put(fmt.Sprintf("hot%06d", i%64), val); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-		b.SetParallelism(8)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if _, err := db.Get(key(i * 31)); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		close(stop)
-		<-done
-	})
 }
 
 // BenchmarkPlanCache measures the query engine's plan cache on a hot

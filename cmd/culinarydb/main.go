@@ -5,7 +5,7 @@
 //
 //	culinarydb -out corpus.csv [-format csv|json] [-scale f] [-seed s]
 //	culinarydb -stats [-region CODE]
-//	culinarydb -savedb DIR [-db-sync]   # persist a storage-engine snapshot
+//	culinarydb -savedb DIR              # persist a storage-engine snapshot
 //	culinarydb -dbinfo DIR              # inspect a snapshot directory (opened read-only)
 //
 // CQL statements against the corpus are cmd/query's job.
@@ -36,7 +36,6 @@ func main() {
 		region = flag.String("region", "", "restrict -stats to one region code")
 		savedb = flag.String("savedb", "", "persist the corpus into a storage snapshot directory")
 		dbinfo = flag.String("dbinfo", "", "print statistics of a snapshot directory and exit")
-		dbSync = flag.Bool("db-sync", false, "fsync every write while saving (group-committed)")
 	)
 	flag.Parse()
 
@@ -68,7 +67,7 @@ func main() {
 		store.Len(), time.Since(t0).Round(time.Millisecond))
 
 	if *savedb != "" {
-		db, err := storage.Open(*savedb, storage.Options{SyncEveryPut: *dbSync})
+		db, err := storage.Open(*savedb, storage.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -76,18 +75,12 @@ func main() {
 			db.Close()
 			fatal(err)
 		}
-		if db.NeedsCompaction() {
-			if err := db.Compact(); err != nil {
-				db.Close()
-				fatal(err)
-			}
-		}
 		st := db.Stats()
 		if err := db.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "saved %d keys (%d bytes live, %d segments) to %s\n",
-			st.Keys, st.LiveBytes, st.Segments, *savedb)
+		fmt.Fprintf(os.Stderr, "saved %d recipes at version %d (a %d-byte checkpoint) to %s\n",
+			store.Len(), st.CheckpointVersion, st.CheckpointBytes, *savedb)
 		if *out == "" && !*stats {
 			return
 		}
@@ -147,10 +140,10 @@ func giniOf(c *recipedb.Cuisine) float64 {
 	return stats.Gini(c.FrequencyVector())
 }
 
-// printDBInfo summarizes a snapshot directory: storage-level stats plus
-// the recorded catalog configuration. The directory may belong to a
-// running server, so it is opened read-only: a second read-write open
-// would truncate the owner's active segment (internal/storage/README.md).
+// printDBInfo summarizes a snapshot directory: the checkpoint and the
+// log after it, the recorded catalog configuration and the corpus they
+// load to. The directory may belong to a running server, so it is
+// opened read-only, which writes nothing (internal/storage/README.md).
 func printDBInfo(dir string) {
 	db, err := storage.Open(dir, storage.Options{ReadOnly: true})
 	if err != nil {
@@ -158,8 +151,8 @@ func printDBInfo(dir string) {
 	}
 	defer db.Close()
 	st := db.Stats()
-	fmt.Printf("snapshot %s: %d keys, %d segments, %d live bytes, %d dead bytes\n",
-		dir, st.Keys, st.Segments, st.LiveBytes, st.DeadBytes)
+	fmt.Printf("snapshot %s: checkpoint at version %d (%d bytes), log %d bytes in %d records\n",
+		dir, st.CheckpointVersion, st.CheckpointBytes, st.LogBytes, st.LogRecords)
 	cfg, err := storage.LoadCatalogConfig(db)
 	if err != nil {
 		fmt.Println("no corpus snapshot metadata:", err)
@@ -167,7 +160,15 @@ func printDBInfo(dir string) {
 	}
 	fmt.Printf("catalog: seed=%d molecules=%d themes=%d\n",
 		cfg.Seed, cfg.NumMolecules, cfg.NumThemes)
-	fmt.Printf("recipes: %d\n", len(db.KeysWithPrefix("recipe/")))
+	catalog, err := flavor.Build(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	corpus, err := storage.LoadCorpus(db, catalog)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("recipes: %d at version %d\n", corpus.Len(), corpus.Version())
 }
 
 func fatal(err error) {

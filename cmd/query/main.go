@@ -52,7 +52,7 @@ func main() {
 	var analyzer *pairing.Analyzer
 	if *dbDir != "" {
 		// Read-only: the directory may belong to a running server, and a
-		// second read-write open would truncate its active segment.
+		// read-only open writes nothing.
 		db, err := storage.Open(*dbDir, storage.Options{ReadOnly: true})
 		if err != nil {
 			fatal(err)

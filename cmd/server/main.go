@@ -4,19 +4,20 @@
 // Usage:
 //
 //	server [-addr :8080] [-scale f] [-seed s] [-db DIR]
-//	       [-db-sync] [-db-compact-interval d] [-db-compact-garbage-ratio f]
+//	       [-db-sync]
 //	       [-max-body-bytes n]
 //	       [-rate-limit-rps f] [-rate-limit-mutation-rps f]
 //	       [-max-inflight n] [-request-timeout d] [-shutdown-grace d]
 //	       [-trusted-proxies cidrs] [-replication-listen addr]
 //	       [-replica-of url] [-primary-url url]
 //
-// Those 17 flags are the whole surface (main_test.go pins the list).
+// Those 15 flags are the whole surface (main_test.go pins the list).
 // Fixed, not flags: the pairing endpoint's default null sample (2000),
 // the result cache budget (query.DefaultResultCacheBytes), the batch cap
 // (server.DefaultMaxBatchItems), the scrub pacing (30s), the
-// write-recovery probe period (5s), and the replication log's backlog,
-// batch size and long-poll wait (internal/replica).
+// write-recovery probe period (5s), the checkpoint trigger (the log as
+// large as the checkpoint, internal/storage), and the replication log's
+// backlog, batch size and long-poll wait (internal/replica).
 //
 // Replication: with -replication-listen, a -db primary serves its
 // corpus's mutation log and snapshots on a dedicated listener. A second
@@ -54,13 +55,12 @@
 // statistics, and recipe mutations (POST/DELETE /api/recipes) write
 // through to it, so they survive restarts. Requests are answered from
 // the in-memory corpus; the engine is read only at boot. -db-sync turns
-// on the per-write durability contract, served by the engine's
-// group-commit writer. -db-compact-interval runs the background
-// incremental compactor at that period (0 disables it), rewriting
-// segments whose garbage fraction reached -db-compact-garbage-ratio
-// without blocking reads or writes. The CQL engine's result cache is
-// keyed by (normalized statement, corpus version), so a mutation fences
-// every older cached result.
+// on the per-write durability contract: one fdatasync per coalesced
+// write group. Once the store's log has grown as large as its
+// checkpoint, a background checkpoint writes the corpus out afresh and
+// starts an empty log (writes wait for it). The CQL engine's result
+// cache is keyed by (normalized statement, corpus version), so a
+// mutation fences every older cached result.
 //
 // No read model lags the corpus. The full-text search index is
 // maintained synchronously inside the mutation path, so an acked
@@ -117,13 +117,11 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		scale     = flag.Float64("scale", 0.25, "corpus scale factor (1.0 = full 45,772 recipes)")
-		seed      = flag.Uint64("seed", 20180416, "master seed")
-		dbDir     = flag.String("db", "", "storage snapshot directory (load if present, else generate and save)")
-		dbSync    = flag.Bool("db-sync", false, "fsync every write (group-committed; durable but slower)")
-		dbCompact = flag.Duration("db-compact-interval", time.Minute, "background incremental compaction period (0 disables)")
-		dbGarbage = flag.Float64("db-compact-garbage-ratio", 0.5, "dead-byte fraction at which a sealed segment is compacted")
+		addr   = flag.String("addr", ":8080", "listen address")
+		scale  = flag.Float64("scale", 0.25, "corpus scale factor (1.0 = full 45,772 recipes)")
+		seed   = flag.Uint64("seed", 20180416, "master seed")
+		dbDir  = flag.String("db", "", "storage snapshot directory (load if present, else generate and save)")
+		dbSync = flag.Bool("db-sync", false, "fsync every write (group-committed; durable but slower)")
 
 		replListen = flag.String("replication-listen", "", "dedicated listener address for the replication feed (primary mode; requires -db)")
 		replicaOf  = flag.String("replica-of", "", "primary replication feed base URL; run as a read replica with -db as its own store")
@@ -155,11 +153,9 @@ func main() {
 		fatal(err)
 	}
 	dbOpts := storage.Options{
-		SyncEveryPut:        *dbSync,
-		CompactInterval:     *dbCompact,
-		CompactGarbageRatio: *dbGarbage,
-		ScrubInterval:       30 * time.Second, // one sealed segment per tick
-		WriteProbeInterval:  5 * time.Second,  // auto-recovery while degraded
+		SyncEveryPut:       *dbSync,
+		ScrubInterval:      30 * time.Second, // both files' checksums per tick
+		WriteProbeInterval: 5 * time.Second,  // auto-recovery while degraded
 	}
 
 	logger := log.New(os.Stderr, "server: ", log.LstdFlags)
@@ -180,7 +176,7 @@ func main() {
 		follower *replica.Follower
 		feed     *replica.Feed
 		// Where the corpus's share of the boot went: opening the engine
-		// (segment replay) and producing the corpus from it (snapshot
+		// (checkpoint check, log replay) and producing the corpus from it (snapshot
 		// load, generate and save, or a follower's snapshot install).
 		openTook, loadTook time.Duration
 	)
@@ -328,7 +324,7 @@ func main() {
 // loadOrGenerate restores the corpus from a snapshot directory when one
 // exists there, generating (and saving, if dbDir is set) otherwise. The
 // returned storage engine (nil without -db) stays open so the
-// background compactor keeps running and /api/health can report it.
+// background checkpointer keeps running and /api/health can report it.
 // The duration is the share of the call spent in storage.Open.
 func loadOrGenerate(logger *log.Logger, catalog *flavor.Catalog, analyzer *pairing.Analyzer,
 	dbDir string, dbOpts storage.Options, scale float64, seed uint64) (*recipedb.Store, *storage.Store, time.Duration, error) {

@@ -46,7 +46,7 @@ func TestMain(m *testing.M) {
 // removing one means editing this list — and the ledger in README.md.
 var flagLedger = []string{
 	"addr", "scale", "seed",
-	"db", "db-sync", "db-compact-interval", "db-compact-garbage-ratio",
+	"db", "db-sync",
 	"max-body-bytes", "rate-limit-rps", "rate-limit-mutation-rps",
 	"max-inflight", "request-timeout", "shutdown-grace", "trusted-proxies",
 	"replication-listen", "replica-of", "primary-url",
@@ -57,6 +57,7 @@ var removedFlags = []string{
 	"null", "db-scrub-interval", "db-write-probe-interval",
 	"query-result-cache-bytes", "classifier-rebuild-interval",
 	"recommender-rebuild-interval", "max-batch-items", "replica-poll-interval",
+	"db-compact-interval", "db-compact-garbage-ratio",
 }
 
 // runToExit runs the server with args until it exits by itself and

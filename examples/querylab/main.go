@@ -59,8 +59,8 @@ func main() {
 	defer db.Close()
 	check(storage.SaveCorpus(db, store))
 	st := db.Stats()
-	fmt.Printf("persisted snapshot: %d keys, %d live bytes, %d segments\n",
-		st.Keys, st.LiveBytes, st.Segments)
+	fmt.Printf("persisted snapshot: a %d-byte checkpoint at version %d\n",
+		st.CheckpointBytes, st.CheckpointVersion)
 
 	loaded, err := storage.LoadCorpus(db, catalog)
 	check(err)

@@ -26,24 +26,24 @@ func Fingerprints(store *recipedb.Store, k int) map[recipedb.Region][]Fingerprin
 	regions := recipedb.MajorRegions()
 	nItems := store.Catalog().Len()
 
-	// prevalence[region][ingredient]
+	// prevalence[region][ingredient], from the store's per-region
+	// counters under one read, so every region is counted at the same
+	// version.
 	prevalence := make(map[recipedb.Region][]float64, len(regions))
-	for _, region := range regions {
-		n := store.RegionLen(region)
-		if n == 0 {
-			continue
-		}
-		counts := make([]float64, nItems)
-		store.ForEachInRegion(region, func(rec *recipedb.Recipe) {
-			for _, id := range rec.Ingredients {
-				counts[id]++
+	store.Read(func(v *recipedb.View) {
+		for _, region := range regions {
+			n := v.RegionLen(region)
+			if n == 0 {
+				continue
 			}
-		})
-		for i := range counts {
-			counts[i] /= float64(n)
+			_, uses := v.RegionUses(region)
+			prev := make([]float64, nItems)
+			for i, u := range uses {
+				prev[i] = float64(u) / float64(n)
+			}
+			prevalence[region] = prev
 		}
-		prevalence[region] = counts
-	}
+	})
 
 	out := make(map[recipedb.Region][]FingerprintEntry, len(prevalence))
 	for region, prev := range prevalence {

@@ -2,14 +2,14 @@
 // protocol: concurrent callers each hand in a few items, one of them —
 // the leader — runs a function over everybody's items at once, and every
 // caller returns only after the run that covered its items has finished.
-// The storage engine groups log appends behind it (one WriteAt and one
-// fsync per group); the recipe corpus groups mutations behind it (one
-// backend batch, one write-lock section, one version publication).
+// The recipe corpus groups mutations behind it: one backend batch (one
+// log append and one fsync in storage), one write-lock section, one
+// version publication.
 //
 // Token. A one-slot channel; whoever sends into it is the only goroutine
 // running groups until it takes the slot back. Lock/Unlock are the same
-// send and receive, so an exclusive section (Sync, Close, a rotation)
-// never overlaps a run and needs no second mutex.
+// send and receive, so an exclusive section (a reload, a storage
+// checkpoint) never overlaps a run and needs no second mutex.
 //
 // Detach. A caller that finds the token taken appends its items to the
 // pending group, then waits for that group's done channel while also

@@ -19,7 +19,7 @@ import (
 // while a storage.Store absorbs concurrent writers and readers in the
 // same process. Run with -race; without it the test is a cheap smoke.
 func TestAnalyzerAndStoreConcurrent(t *testing.T) {
-	kv, err := storage.Open(t.TempDir(), storage.Options{MaxSegmentBytes: 4096})
+	kv, err := storage.Open(t.TempDir(), storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestAnalyzerAndStoreConcurrent(t *testing.T) {
 						return
 					}
 				}
-				kv.Has(fmt.Sprintf("g%d-k%d", (g+1)%3, i/2))
-				kv.Len()
+				kv.Get(fmt.Sprintf("g%d-k%d", (g+1)%3, i/2))
+				kv.Stats()
 			}
 		}(g)
 	}

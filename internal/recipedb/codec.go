@@ -26,7 +26,12 @@ const recipeKeyDigits = 8
 // RecipeKey renders the backend key for one recipe ID. Zero-padding
 // keeps lexicographic key order equal to ID order, so sorted key scans
 // reload recipes in ID order.
-func RecipeKey(id int) string { return fmt.Sprintf("%s%0*d", RecipePrefix, recipeKeyDigits, id) }
+func RecipeKey(id int) string { return string(AppendRecipeKey(nil, id)) }
+
+// AppendRecipeKey appends RecipeKey(id) to buf.
+func AppendRecipeKey(buf []byte, id int) []byte {
+	return fmt.Appendf(buf, "%s%0*d", RecipePrefix, recipeKeyDigits, id)
+}
 
 // ParseRecipeKey is the inverse of RecipeKey: it reports false for any
 // key RecipeKey would not have rendered (another namespace, trailing
@@ -93,8 +98,10 @@ func DecodeVersion(data []byte) (version uint64, slots int, err error) {
 //	name    uvarint length + bytes
 //	nIngr   uvarint
 //	ids     nIngr plain uvarints, original order preserved
-func EncodeRecipe(r *Recipe) []byte {
-	var buf []byte
+func EncodeRecipe(r *Recipe) []byte { return AppendRecipe(nil, r) }
+
+// AppendRecipe appends EncodeRecipe(r) to buf.
+func AppendRecipe(buf []byte, r *Recipe) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
 		n := binary.PutUvarint(tmp[:], v)

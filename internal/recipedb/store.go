@@ -170,10 +170,16 @@ func NewStore(catalog *flavor.Catalog) *Store {
 // write through to it before updating the in-memory corpus. Writers
 // that arrive concurrently coalesce into one WriteBatch call (see
 // batch.go).
+//
+// A backend that also has a Bind(*Store) method is told which corpus it
+// persists: storage's checkpoints image the corpus they are bound to.
 func (s *Store) SetBackend(b BatchBackend) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.persist = b
+	s.mu.Unlock()
+	if binder, ok := b.(interface{ Bind(*Store) }); ok {
+		binder.Bind(s)
+	}
 }
 
 // Catalog returns the ingredient catalog the store is bound to. The
@@ -235,6 +241,20 @@ func (s *Store) SyncSlots(n int) error {
 		s.recipes = append(s.recipes, Recipe{ID: len(s.recipes), Deleted: true})
 	}
 	return nil
+}
+
+// Quiesce runs fn on a view of the corpus while holding the write token,
+// so no write group plans, persists or applies until fn returns: every
+// record the backend has acknowledged is in the view, and nothing fn
+// sees changes under it. It is how storage images the corpus into a
+// checkpoint and starts an empty log after it. Reads proceed beside fn;
+// writers wait for it.
+func (s *Store) Quiesce(fn func(v *View) error) error {
+	s.writes.Lock()
+	defer s.writes.Unlock()
+	var err error
+	s.Read(func(v *View) { err = fn(v) })
+	return err
 }
 
 // persistVersion writes a version record through the backend, when one

@@ -96,9 +96,6 @@ var harnessSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 1
 const (
 	harnessSteps = 60
 	baseRecipes  = 12
-	// primarySegmentBytes keeps segments small, so the schedule's
-	// writes seal several and compaction and scrub have work.
-	primarySegmentBytes = 2048
 )
 
 var harnessRegions = []recipedb.Region{recipedb.Italy, recipedb.Japan, recipedb.Mexico, recipedb.France}
@@ -234,7 +231,7 @@ func newHarness(t *testing.T, seed uint64, faults bool) *harness {
 	for i := 0; i < baseRecipes; i++ {
 		h.insert()
 	}
-	db, err := storage.Open(h.pdir, storage.Options{MaxSegmentBytes: primarySegmentBytes})
+	db, err := storage.Open(h.pdir, storage.Options{})
 	if err != nil {
 		h.fatalf("opening the primary's store: %v", err)
 	}
@@ -427,20 +424,21 @@ func (h *harness) batch() {
 	h.record()
 }
 
+// compact checkpoints the primary's store: compaction is a checkpoint.
 func (h *harness) compact() {
-	if err := h.db.Compact(); err != nil {
-		h.fatalf("compact: %v", err)
+	if err := h.db.Checkpoint(); err != nil {
+		h.fatalf("checkpoint: %v", err)
 	}
 }
 
-// scrub flips one byte of one of the primary's segment files and runs a
-// scrub pass. A flip the scrubber does not walk over (the active
-// segment) is undone; records the salvage could not rescue are made
-// durable again by saving the corpus, as an operator would.
+// scrub flips one byte of the primary's checkpoint or log and runs a
+// scrub pass. A flip the scrubber does not read (the log's preallocated
+// tail) is undone; any other is salvaged by a fresh checkpoint from
+// memory, which the restarts and the final reload then read.
 func (h *harness) scrub() {
-	segs, err := filepath.Glob(filepath.Join(h.pdir, "*.seg"))
+	segs, err := filepath.Glob(filepath.Join(h.pdir, "[CL]*-*"))
 	if err != nil || len(segs) == 0 {
-		h.fatalf("listing segments: %v (%d found)", err, len(segs))
+		h.fatalf("listing the store's files: %v (%d found)", err, len(segs))
 	}
 	path := segs[h.sched.Intn(len(segs))]
 	info, err := os.Stat(path)
@@ -474,10 +472,8 @@ func (h *harness) scrub() {
 		flip(mask)
 		return
 	}
-	if after.RecordsLost > before.RecordsLost {
-		if err := storage.SaveCorpus(h.db, h.corpus); err != nil {
-			h.fatalf("saving the corpus after the scrub lost records: %v", err)
-		}
+	if after.Salvages == before.Salvages {
+		h.fatalf("scrub found a corruption and salvaged nothing: %+v", after)
 	}
 }
 
@@ -488,7 +484,7 @@ func (h *harness) restartPrimary() {
 	if err := h.db.Close(); err != nil {
 		h.fatalf("closing the primary: %v", err)
 	}
-	db, err := storage.Open(h.pdir, storage.Options{MaxSegmentBytes: primarySegmentBytes})
+	db, err := storage.Open(h.pdir, storage.Options{})
 	if err != nil {
 		h.fatalf("reopening the primary: %v", err)
 	}

@@ -3,7 +3,7 @@
 // whole-corpus snapshot for a follower the log cannot serve. What is
 // replicated is the corpus, not the disk: a follower at version V holds
 // the corpus the primary held at V, and how either side lays its store
-// out on disk — segments, compactions, scrub salvage — is its own
+// out on disk — checkpoints, the log, scrub salvage — is its own
 // business.
 //
 // Protocol. The primary's Feed subscribes to its corpus

@@ -52,8 +52,7 @@ var testRegions = []recipedb.Region{
 }
 
 // newPrimary builds a primary with baseRecipes recipes snapshotted into
-// storage before write-through begins, as cmd/server starts one. Small
-// segments make the primary's own compactions meaningful.
+// storage before write-through begins, as cmd/server starts one.
 func newPrimary(t *testing.T, inj *storage.ErrInjector, baseRecipes int) *primary {
 	t.Helper()
 	p := &primary{t: t, catalog: testCatalog(t)}
@@ -61,7 +60,7 @@ func newPrimary(t *testing.T, inj *storage.ErrInjector, baseRecipes int) *primar
 	for i := 0; i < baseRecipes; i++ {
 		p.addRecipe(fmt.Sprintf("base recipe %03d", i))
 	}
-	db, err := storage.Open(t.TempDir(), storage.Options{MaxSegmentBytes: 2048, FaultInjection: inj})
+	db, err := storage.Open(t.TempDir(), storage.Options{FaultInjection: inj})
 	if err != nil {
 		t.Fatalf("opening primary store: %v", err)
 	}
@@ -360,11 +359,11 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	}
 }
 
-// TestFollowerCompactionBetweenPolls mutates heavily and compacts the
-// primary's store entirely between two polls. Compaction rewrites the
-// primary's disk, not its corpus, so it is no event for the follower:
-// the log carries the mutations and the follower converges without a
-// resync.
+// TestFollowerCompactionBetweenPolls mutates heavily and checkpoints
+// the primary's store (compaction is a checkpoint) between two polls.
+// A checkpoint rewrites the primary's disk, not its corpus, so it is no
+// event for the follower: the log carries the mutations and the
+// follower converges without a resync.
 func TestFollowerCompactionBetweenPolls(t *testing.T) {
 	p := newPrimary(t, nil, 24)
 	f := newFollower(t, p)
@@ -376,13 +375,13 @@ func TestFollowerCompactionBetweenPolls(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p.addRecipe(fmt.Sprintf("post-compaction recipe %03d", i))
 	}
-	if err := p.db.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	syncFollower(t, f, p)
 	assertConverged(t, f, p)
 	if st := f.Stats(); st.Resyncs != 1 {
-		t.Errorf("compaction caused a resync: %+v", st)
+		t.Errorf("the checkpoint caused a resync: %+v", st)
 	}
 }
 

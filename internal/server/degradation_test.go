@@ -65,7 +65,7 @@ func upsertBody(env *experiments.Env, slot int, name string) map[string]interfac
 	}
 }
 
-// TestHealthStorageHealthBlock pins the /api/health storage.health
+// TestHealthStorageHealthBlock pins the /api/health storage block's
 // shape: operators and the load generator key on these field names, so
 // renaming any of them is a breaking change this test makes loud.
 func TestHealthStorageHealthBlock(t *testing.T) {
@@ -78,13 +78,30 @@ func TestHealthStorageHealthBlock(t *testing.T) {
 	if !ok {
 		t.Fatalf("health lacks storage block: %v", body)
 	}
+	for _, key := range []string{"liveBytes", "deadBytes", "checkpoint", "health"} {
+		if _, ok := st[key]; !ok {
+			t.Errorf("storage missing %q: %v", key, st)
+		}
+	}
+	cp, ok := st["checkpoint"].(map[string]interface{})
+	if !ok {
+		t.Fatalf("storage block lacks checkpoint: %v", st)
+	}
+	for _, key := range []string{"version", "bytes", "logBytes", "logRecords", "runs", "lastError"} {
+		if _, ok := cp[key]; !ok {
+			t.Errorf("storage.checkpoint missing %q: %v", key, cp)
+		}
+	}
+	if cp["bytes"] != st["liveBytes"] || cp["logBytes"] != st["deadBytes"] {
+		t.Errorf("liveBytes/deadBytes %v/%v, want the checkpoint's and the log's bytes %v/%v",
+			st["liveBytes"], st["deadBytes"], cp["bytes"], cp["logBytes"])
+	}
 	hb, ok := st["health"].(map[string]interface{})
 	if !ok {
 		t.Fatalf("storage block lacks health: %v", st)
 	}
 	for _, key := range []string{
-		"state", "lastWriteError", "degradations", "recoveries",
-		"salvagedRecords", "quarantinedSegments", "scrub",
+		"state", "lastWriteError", "degradations", "recoveries", "salvagedRecords", "scrub",
 	} {
 		if _, ok := hb[key]; !ok {
 			t.Errorf("storage.health missing %q: %v", key, hb)
@@ -98,8 +115,7 @@ func TestHealthStorageHealthBlock(t *testing.T) {
 		t.Fatalf("storage.health lacks scrub: %v", hb)
 	}
 	for _, key := range []string{
-		"running", "runs", "segmentsVerified", "bytesVerified",
-		"corruptionsFound", "recordsSalvaged", "recordsLost", "lastError",
+		"running", "runs", "bytesVerified", "corruptionsFound", "salvages", "lastError",
 	} {
 		if _, ok := scrub[key]; !ok {
 			t.Errorf("storage.health.scrub missing %q: %v", key, scrub)

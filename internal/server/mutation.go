@@ -145,8 +145,8 @@ const storageRetryAfterSeconds = 1
 
 // writePersistenceError maps a recipedb persistence failure onto the
 // structured envelope. Degraded-storage conditions — the store's write
-// path wedged by an I/O fault, a full or quota-limited disk, a wedged
-// compactor — are a retryable 503 with code storage_unavailable and a
+// path shut by an I/O fault, a full or quota-limited disk — are a
+// retryable 503 with code storage_unavailable and a
 // Retry-After hint: reads still serve and the store heals itself once
 // the fault clears, so clients should back off and retry rather than
 // treat the corpus as broken. Anything else is an opaque 500; the
@@ -165,7 +165,6 @@ func (s *Server) writePersistenceError(w http.ResponseWriter, err error) {
 		s.cfg.Logger.Printf("persistence failure: %v", err)
 	}
 	degraded := errors.Is(err, storage.ErrWriteWedged) ||
-		errors.Is(err, storage.ErrCompactorWedged) ||
 		errors.Is(err, syscall.ENOSPC) ||
 		errors.Is(err, syscall.EDQUOT)
 	if !degraded && s.cfg.DB != nil {

@@ -44,8 +44,7 @@ type Config struct {
 	// Logger receives request logs; nil disables logging.
 	Logger *log.Logger
 	// DB is the optional storage engine backing the corpus snapshot;
-	// when set, /api/health reports its segment and background
-	// compaction statistics.
+	// when set, /api/health reports its checkpoint, log and health.
 	DB *storage.Store
 	// ResultCacheBytes bounds the query engine's result cache (keyed
 	// by normalized statement and corpus version). 0 disables it;
@@ -440,36 +439,32 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.DB != nil {
 		st := s.cfg.DB.Stats()
-		comp := s.cfg.DB.CompactionStats()
 		hs := s.cfg.DB.HealthStats()
 		body["storage"] = map[string]interface{}{
-			"keys":      st.Keys,
-			"segments":  st.Segments,
-			"liveBytes": st.LiveBytes,
-			"deadBytes": st.DeadBytes,
-			"compaction": map[string]interface{}{
-				"running":           comp.Running,
-				"runs":              comp.Runs,
-				"segmentsCompacted": comp.SegmentsCompacted,
-				"bytesReclaimed":    comp.BytesReclaimed,
-				"wedged":            comp.Wedged,
-				"lastError":         comp.LastError,
+			// Their sum is the bytes on disk: the checkpoint is what a
+			// boot reads whole, the log what it replays over it.
+			"liveBytes": st.CheckpointBytes,
+			"deadBytes": st.LogBytes,
+			"checkpoint": map[string]interface{}{
+				"version":    st.CheckpointVersion,
+				"bytes":      st.CheckpointBytes,
+				"logBytes":   st.LogBytes,
+				"logRecords": st.LogRecords,
+				"runs":       st.Checkpoints,
+				"lastError":  st.LastCheckpointError,
 			},
 			"health": map[string]interface{}{
-				"state":               hs.State,
-				"lastWriteError":      hs.LastWriteError,
-				"degradations":        hs.Degradations,
-				"recoveries":          hs.Recoveries,
-				"salvagedRecords":     hs.SalvagedRecords,
-				"quarantinedSegments": hs.QuarantinedSegments,
+				"state":           hs.State,
+				"lastWriteError":  hs.LastWriteError,
+				"degradations":    hs.Degradations,
+				"recoveries":      hs.Recoveries,
+				"salvagedRecords": hs.SalvagedRecords,
 				"scrub": map[string]interface{}{
 					"running":          hs.Scrub.Running,
 					"runs":             hs.Scrub.Runs,
-					"segmentsVerified": hs.Scrub.SegmentsVerified,
 					"bytesVerified":    hs.Scrub.BytesVerified,
 					"corruptionsFound": hs.Scrub.CorruptionsFound,
-					"recordsSalvaged":  hs.Scrub.RecordsSalvaged,
-					"recordsLost":      hs.Scrub.RecordsLost,
+					"salvages":         hs.Scrub.Salvages,
 					"lastError":        hs.Scrub.LastError,
 				},
 			},

@@ -221,9 +221,12 @@ func TestMutationStressRace(t *testing.T) {
 	}
 
 	// The write-through backend must hold exactly the live corpus.
-	liveKeys := len(db.KeysWithPrefix("recipe/"))
-	if liveKeys != env.Store.Len() {
-		t.Errorf("backend holds %d recipe keys, corpus has %d live recipes", liveKeys, env.Store.Len())
+	reloaded, err := storage.LoadCorpus(db, env.Store.Catalog())
+	if err != nil {
+		t.Fatalf("reloading the backend: %v", err)
+	}
+	if reloaded.Len() != env.Store.Len() {
+		t.Errorf("backend holds %d live recipes, corpus has %d", reloaded.Len(), env.Store.Len())
 	}
 
 	// And the health endpoint reports the final corpus version.

@@ -63,11 +63,12 @@ func TestWriteBatchBasic(t *testing.T) {
 }
 
 // TestWriteBatchRedundantTombstone pins the no-op contract: deleting an
-// absent key inside a batch succeeds without logging anything, exactly
-// like Store.Delete.
+// absent key inside a batch succeeds and the key stays absent, before
+// and after a reopen. The tombstone is logged (no index decides that it
+// is redundant); it replays as nothing.
 func TestWriteBatchRedundantTombstone(t *testing.T) {
-	s, _ := openBatchStore(t, Options{})
-	before := s.Stats()
+	s, dir := openBatchStore(t, Options{})
+	before := s.Stats().LogRecords
 	errs := s.WriteBatch(
 		[]string{"ghost", "real"},
 		[][]byte{nil, []byte("v")},
@@ -76,13 +77,27 @@ func TestWriteBatchRedundantTombstone(t *testing.T) {
 	if errs[0] != nil || errs[1] != nil {
 		t.Fatalf("errs = %v", errs)
 	}
-	after := s.Stats()
-	if after.Keys != before.Keys+1 {
-		t.Fatalf("keys %d -> %d, want one new key", before.Keys, after.Keys)
+	if got := s.Stats().LogRecords; got != before+2 {
+		t.Fatalf("log records %d -> %d, want both logged", before, got)
 	}
-	if got, err := s.Get("real"); err != nil || !bytes.Equal(got, []byte("v")) {
-		t.Fatalf("Get(real) = %q, %v", got, err)
+	check := func(s *Store, label string) {
+		if got := keys(t, s); len(got) != 1 || got[0] != "real" {
+			t.Fatalf("%s: keys = %v, want [real]", label, got)
+		}
+		if got, err := s.Get("real"); err != nil || !bytes.Equal(got, []byte("v")) {
+			t.Fatalf("%s: Get(real) = %q, %v", label, got, err)
+		}
 	}
+	check(s, "live")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "reopened")
 }
 
 // TestWriteBatchEquivalentToSerialWrites proves one WriteBatch leaves

@@ -3,8 +3,6 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"sync"
 	"testing"
 
 	"culinary/internal/flavor"
@@ -12,304 +10,15 @@ import (
 	"culinary/internal/synth"
 )
 
-// singleMutexStore reimplements the pre-group-commit engine — one
-// RWMutex over one keydir held across one WriteAt and one optional
-// fsync per call — as the benchmark baseline the group-commit engine is
-// measured against. It shares the record framing and segment naming of
-// the real engine so the on-disk byte stream is identical. The "Sharded"
-// sub-benchmark names below are the engine's rows; they keep the name
-// the CI baseline is keyed by, from when its keydir was partitioned.
-type singleMutexStore struct {
-	mu       sync.RWMutex
-	f        *os.File
-	size     int64
-	keydir   map[string]keyLoc
-	syncEach bool
-	writeBuf []byte
-}
-
-func openSingleMutex(b *testing.B, dir string, syncEach bool) *singleMutexStore {
-	b.Helper()
-	f, err := os.OpenFile(segmentPath(dir, 1), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &singleMutexStore{f: f, keydir: make(map[string]keyLoc), syncEach: syncEach}
-}
-
-func (s *singleMutexStore) put(key string, value []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buf, err := appendRecord(s.writeBuf[:0], record{key: []byte(key), value: value})
-	if err != nil {
-		return err
-	}
-	s.writeBuf = buf[:0]
-	off := s.size
-	if _, err := s.f.WriteAt(buf, off); err != nil {
-		return err
-	}
-	s.size += int64(len(buf))
-	if s.syncEach {
-		if err := s.f.Sync(); err != nil {
-			return err
-		}
-	}
-	s.keydir[key] = keyLoc{segID: 1, offset: off, length: int64(len(buf)), valLen: len(value)}
-	return nil
-}
-
-func (s *singleMutexStore) get(key string) ([]byte, error) {
-	s.mu.RLock()
-	loc, ok := s.keydir[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	buf := make([]byte, loc.length)
-	if _, err := s.f.ReadAt(buf, loc.offset); err != nil {
-		return nil, err
-	}
-	return decodeFramedValue(buf, key)
-}
-
-func (s *singleMutexStore) close() { s.f.Close() }
-
-// benchParallelism is the goroutine count the ISSUE targets: the
-// engine must beat the single-mutex baseline by >=4x on writes and
-// >=8x on the mixed workload at 8 concurrent clients.
-const benchParallelism = 8
-
-// BenchmarkStoreConcurrentWrite measures write throughput at 8
-// goroutines: the group-commit engine against the single-mutex
-// per-call baseline, with and without the per-put durability contract.
-func BenchmarkStoreConcurrentWrite(b *testing.B) {
-	val := bytes.Repeat([]byte("v"), 128)
-	for _, durable := range []bool{false, true} {
-		mode := "syncOff"
-		if durable {
-			mode = "syncEveryPut"
-		}
-		b.Run("SingleMutex/"+mode, func(b *testing.B) {
-			s := openSingleMutex(b, b.TempDir(), durable)
-			defer s.close()
-			var seq int64
-			var seqMu sync.Mutex
-			b.SetParallelism(benchParallelism)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					seqMu.Lock()
-					n := seq
-					seq++
-					seqMu.Unlock()
-					if err := s.put(fmt.Sprintf("key%09d", n), val); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-		b.Run("Sharded/"+mode, func(b *testing.B) {
-			s, err := Open(b.TempDir(), Options{SyncEveryPut: durable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			var seq int64
-			var seqMu sync.Mutex
-			b.SetParallelism(benchParallelism)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					seqMu.Lock()
-					n := seq
-					seq++
-					seqMu.Unlock()
-					if err := s.Put(fmt.Sprintf("key%09d", n), val); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkStoreMixedReadWrite is the headline mixed workload: 8
-// reader goroutines measure point-read throughput while a background
-// writer streams durable puts to other keys. In the baseline every
-// fsync happens inside the global mutex, so all readers stall ~100us
-// per write cycle; the engine appends and fsyncs outside the keydir
-// lock and takes it only to apply a committed group, so this ratio
-// measures how far readers stay off the commit path.
-func BenchmarkStoreMixedReadWrite(b *testing.B) {
-	const keyspace = 4096
-	val := bytes.Repeat([]byte("v"), 128)
-	key := func(i int) string { return fmt.Sprintf("key%09d", i%keyspace) }
-
-	b.Run("SingleMutex", func(b *testing.B) {
-		s := openSingleMutex(b, b.TempDir(), true)
-		defer s.close()
-		for i := 0; i < keyspace; i++ {
-			if err := s.put(key(i), val); err != nil {
-				b.Fatal(err)
-			}
-		}
-		stop := make(chan struct{})
-		writerDone := make(chan struct{})
-		go func() {
-			defer close(writerDone)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := s.put(fmt.Sprintf("hot%06d", i%64), val); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-		b.SetParallelism(benchParallelism)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if _, err := s.get(key(i * 31)); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		close(stop)
-		<-writerDone
-	})
-	b.Run("Sharded", func(b *testing.B) {
-		s, err := Open(b.TempDir(), Options{SyncEveryPut: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		for i := 0; i < keyspace; i++ {
-			if err := s.Put(key(i), val); err != nil {
-				b.Fatal(err)
-			}
-		}
-		stop := make(chan struct{})
-		writerDone := make(chan struct{})
-		go func() {
-			defer close(writerDone)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := s.Put(fmt.Sprintf("hot%06d", i%64), val); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-		b.SetParallelism(benchParallelism)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if _, err := s.Get(key(i * 31)); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		close(stop)
-		<-writerDone
-	})
-}
-
-// BenchmarkStoreBlendedOps is the secondary mixed shape: every
-// goroutine interleaves 15 durable-store reads with one write, so the
-// metric blends read and amortized-fsync cost (bounded on a single
-// CPU by the fsync floor; see README.md).
-func BenchmarkStoreBlendedOps(b *testing.B) {
-	const keyspace = 4096
-	val := bytes.Repeat([]byte("v"), 128)
-	key := func(i int) string { return fmt.Sprintf("key%09d", i%keyspace) }
-
-	b.Run("SingleMutex", func(b *testing.B) {
-		s := openSingleMutex(b, b.TempDir(), true)
-		defer s.close()
-		for i := 0; i < keyspace; i++ {
-			if err := s.put(key(i), val); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetParallelism(benchParallelism)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if i%16 == 0 {
-					if err := s.put(key(i), val); err != nil {
-						b.Error(err)
-						return
-					}
-					continue
-				}
-				if _, err := s.get(key(i * 31)); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-	b.Run("Sharded", func(b *testing.B) {
-		s, err := Open(b.TempDir(), Options{SyncEveryPut: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		for i := 0; i < keyspace; i++ {
-			if err := s.Put(key(i), val); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetParallelism(benchParallelism)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if i%16 == 0 {
-					if err := s.Put(key(i), val); err != nil {
-						b.Error(err)
-						return
-					}
-					continue
-				}
-				if _, err := s.Get(key(i * 31)); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkStoreOpenReplay measures recovering a store: a multi-segment
-// log of overwritten keys, and the directory `cmd/server -db` actually
-// boots from — the paper-scale corpus as SaveCorpus leaves it, 45 772
-// recipe records in one segment.
+// BenchmarkStoreOpenReplay measures Open, the first stage of a boot: on
+// the directory `cmd/server -db` boots from — the paper-scale corpus as
+// SaveCorpus leaves it, a 45 772-recipe checkpoint and an empty log,
+// whose checksums Open verifies ("snapshot") — and on a log of 20 000
+// records Open replays to find its end ("log"); and a checkpoint of the
+// paper-scale corpus ("checkpoint").
 func BenchmarkStoreOpenReplay(b *testing.B) {
-	churned := b.TempDir()
-	s, err := Open(churned, Options{MaxSegmentBytes: 1 << 18})
+	logDir := b.TempDir()
+	s, err := Open(logDir, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,7 +28,6 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	nseg := s.Stats().Segments
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -339,18 +47,36 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 	if err := SaveCorpus(s, corpus); err != nil {
 		b.Fatal(err)
 	}
-	snapshotKeys := s.Len()
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
 
+	b.Run("checkpoint", func(b *testing.B) {
+		// The stall a full-scale checkpoint puts on writers: it runs
+		// under the corpus's write token.
+		s, err := Open(b.TempDir(), Options{SyncEveryPut: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		if err := SaveCorpus(s, corpus); err != nil {
+			b.Fatal(err)
+		}
+		corpus.SetBackend(s)
+		defer corpus.SetBackend(nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, c := range []struct {
 		name string
 		dir  string
-		keys int
 	}{
-		{fmt.Sprintf("segments%d", nseg), churned, 8000},
-		{"snapshot", snapshot, snapshotKeys},
+		{"snapshot", snapshot},
+		{"log", logDir},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -358,52 +84,8 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if s.Len() != c.keys {
-					b.Fatal("bad replay")
-				}
 				s.Close()
 			}
 		})
 	}
-}
-
-// BenchmarkStoreFold measures the sequential-I/O fold against the
-// per-key Get loop it replaced.
-func BenchmarkStoreFold(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{MaxSegmentBytes: 1 << 18})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := bytes.Repeat([]byte("v"), 256)
-	for i := 0; i < 5000; i++ {
-		if err := s.Put(fmt.Sprintf("key%09d", i), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("SnapshotFold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := s.Fold(func(string, []byte) error { n++; return nil }); err != nil {
-				b.Fatal(err)
-			}
-			if n != 5000 {
-				b.Fatal("short fold")
-			}
-		}
-	})
-	b.Run("KeysThenGet", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, k := range s.Keys() {
-				if _, err := s.Get(k); err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-			if n != 5000 {
-				b.Fatal("short scan")
-			}
-		}
-	})
 }

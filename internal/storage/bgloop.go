@@ -7,7 +7,7 @@ import (
 )
 
 // bgLoop is the lifecycle of one background goroutine of a Store — the
-// compactor, the scrubber, the write-recovery probe: a ticker loop that
+// checkpointer, the scrubber, the write-recovery probe: a ticker loop that
 // is started at most once at a time and whose stop waits for the pass
 // in flight.
 type bgLoop struct {
@@ -17,9 +17,7 @@ type bgLoop struct {
 }
 
 // start launches a goroutine that calls pass every interval until stop
-// is called or a tick finds closed set (Close stops the loops before it
-// sets it; the crash tests freeze a store without Close). No-op if
-// already running.
+// is called or a tick finds closed set. No-op if already running.
 func (l *bgLoop) start(interval time.Duration, closed *atomic.Bool, pass func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -1,17 +1,22 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"culinary/internal/recipedb"
 )
 
 // TestConcurrentReadersSingleWriter exercises the documented concurrency
 // contract under the race detector: one writer streams puts and deletes
-// while readers hammer Get/Has/Keys/Stats.
+// while readers hammer Get (every write drops the index the next Get
+// rebuilds) and Stats.
 func TestConcurrentReadersSingleWriter(t *testing.T) {
-	s := openTemp(t, Options{MaxSegmentBytes: 4096})
+	s := openTemp(t, Options{})
 	// Seed some stable keys readers can always find.
 	for i := 0; i < 50; i++ {
 		if err := s.Put(fmt.Sprintf("stable%02d", i), []byte("v")); err != nil {
@@ -36,10 +41,12 @@ func TestConcurrentReadersSingleWriter(t *testing.T) {
 					readErrs <- fmt.Errorf("Get(%s): %w", key, err)
 					return
 				}
-				s.Has("volatile")
-				if s.Len() < 50 {
-					readErrs <- errors.New("stable keys disappeared")
-					return
+				has(s, "volatile")
+				if i%16 == 0 {
+					if ks, err := liveKeys(s); err != nil || len(ks) < 50 {
+						readErrs <- fmt.Errorf("stable keys disappeared: %d, %v", len(ks), err)
+						return
+					}
 				}
 				_ = s.Stats()
 			}
@@ -63,17 +70,19 @@ func TestConcurrentReadersSingleWriter(t *testing.T) {
 	}
 }
 
-// TestConcurrentStressThroughCompaction mixes Get/Put/Delete/Keys/
-// Stats/Len/Fold while segments rotate and a compactor
-// loops, under the race detector. Stable keys must stay visible and
-// internally consistent through every compaction cycle.
+// TestConcurrentStressThroughCompaction mixes point reads of recipes
+// no writer touches with corpus writers and checkpoints (compaction is
+// a checkpoint), under the race detector: every Get of a stable recipe
+// answers its bytes whichever file holds it at the moment, and the
+// directory reloads as the corpus at the end.
 func TestConcurrentStressThroughCompaction(t *testing.T) {
-	s := openTemp(t, Options{MaxSegmentBytes: 2048, CompactionFloorBytes: 1})
-	const stable = 64
-	for i := 0; i < stable; i++ {
-		if err := s.Put(fmt.Sprintf("stable/%03d", i), []byte("anchor")); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	s, corpus := boundCorpus(t, dir, Options{})
+	const stable = 4 // churn and the writers below leave slots 0-3 alone
+	want := make([][]byte, stable)
+	for id := range want {
+		r := corpus.Recipe(id)
+		want[id] = recipedb.EncodeRecipe(&r)
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -84,8 +93,6 @@ func TestConcurrentStressThroughCompaction(t *testing.T) {
 		default:
 		}
 	}
-
-	// Readers: point reads, membership, consistent-view scans.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -96,61 +103,16 @@ func TestConcurrentStressThroughCompaction(t *testing.T) {
 					return
 				default:
 				}
-				key := fmt.Sprintf("stable/%03d", (i*7+r)%stable)
-				if v, err := s.Get(key); err != nil || string(v) != "anchor" {
-					report(fmt.Errorf("Get(%s) = %q, %v", key, v, err))
+				id := (i + r) % stable
+				if v, err := s.Get(recipedb.RecipeKey(id)); err != nil || !bytes.Equal(v, want[id]) {
+					report(fmt.Errorf("Get(recipe %d) = %q, %v", id, v, err))
 					return
 				}
-				if n := s.Len(); n < stable {
-					report(fmt.Errorf("Len = %d < %d stable keys", n, stable))
-					return
-				}
-				if st := s.Stats(); st.Keys < stable {
-					report(fmt.Errorf("Stats.Keys = %d < %d", st.Keys, stable))
-					return
-				}
-				if i%32 == 0 {
-					if ks := s.KeysWithPrefix("stable/"); len(ks) != stable {
-						report(fmt.Errorf("KeysWithPrefix(stable/) = %d keys, want %d", len(ks), stable))
-						return
-					}
-				}
+				_ = s.Stats()
 			}
 		}(r)
 	}
-
-	// Folder: every consistent snapshot must contain all stable keys.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			seen := 0
-			err := s.Fold(func(k string, v []byte) error {
-				if len(k) >= 7 && k[:7] == "stable/" {
-					if string(v) != "anchor" {
-						return fmt.Errorf("fold saw %s = %q", k, v)
-					}
-					seen++
-				}
-				return nil
-			})
-			if err != nil {
-				report(fmt.Errorf("Fold: %w", err))
-				return
-			}
-			if seen != stable {
-				report(fmt.Errorf("Fold snapshot saw %d stable keys, want %d", seen, stable))
-				return
-			}
-		}
-	}()
-
-	// Writers: churn volatile keys.
+	r0 := corpus.Recipe(0)
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -161,26 +123,17 @@ func TestConcurrentStressThroughCompaction(t *testing.T) {
 					return
 				default:
 				}
-				key := fmt.Sprintf("volatile/w%d/%03d", w, i%97)
-				if err := s.Put(key, []byte(fmt.Sprintf("gen%d", i))); err != nil {
-					report(fmt.Errorf("Put(%s): %w", key, err))
+				id := stable + w + 3*(i%10)
+				if _, _, _, err := corpus.Upsert(id, fmt.Sprintf("gen %d", i), recipedb.Japan, recipedb.AllRecipes, r0.Ingredients); err != nil {
+					report(fmt.Errorf("Upsert(%d): %w", id, err))
 					return
-				}
-				if i%5 == 4 {
-					if err := s.Delete(key); err != nil {
-						report(fmt.Errorf("Delete(%s): %w", key, err))
-						return
-					}
 				}
 			}
 		}(w)
 	}
-
-	// Compactor: force the stop-the-world path repeatedly while traffic
-	// is in flight.
-	for c := 0; c < 6; c++ {
-		if err := s.Compact(); err != nil {
-			t.Fatalf("Compact #%d: %v", c, err)
+	for c := 0; c < 20; c++ {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint #%d: %v", c, err)
 		}
 	}
 	close(stop)
@@ -189,39 +142,38 @@ func TestConcurrentStressThroughCompaction(t *testing.T) {
 	for err := range fail {
 		t.Error(err)
 	}
-	// Final invariants: stable keys intact, stats coherent.
-	if n := len(s.KeysWithPrefix("stable/")); n != stable {
-		t.Errorf("final stable count = %d, want %d", n, stable)
+	s.Close()
+	if got := reloadDump(t, dir, Options{}); got != corpus.CanonicalDump() {
+		t.Error("the directory does not reload as the corpus")
 	}
 }
 
-// TestConcurrentDeletesLogOneTombstone races many deleters of one key:
-// the serialized commit check must let exactly one tombstone through.
+// TestConcurrentDeletesLogOneTombstone races many deleters of one
+// recipe through the corpus: recipedb's fan-in, the store's only
+// serving-path writer, lets exactly one of them succeed, so the log
+// holds exactly one tombstone.
 func TestConcurrentDeletesLogOneTombstone(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("contested", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	s, corpus := boundCorpus(t, dir, Options{})
 	var wg sync.WaitGroup
+	var removed atomic.Int32
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.Delete("contested"); err != nil {
+			if _, err := corpus.Remove(5); err == nil {
+				removed.Add(1)
+			} else if !errors.Is(err, recipedb.ErrNoRecipe) {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if s.Has("contested") {
-		t.Error("key survived deletion")
+	if removed.Load() != 1 || has(s, recipedb.RecipeKey(5)) {
+		t.Errorf("%d deletes succeeded; key live = %v", removed.Load(), has(s, recipedb.RecipeKey(5)))
 	}
 	s.Close()
-	if n := countTombstones(t, dir, "contested"); n != 1 {
+	if n := countTombstones(t, dir, recipedb.RecipeKey(5)); n != 1 {
 		t.Errorf("log has %d tombstones, want exactly 1", n)
 	}
 }
@@ -229,7 +181,7 @@ func TestConcurrentDeletesLogOneTombstone(t *testing.T) {
 // TestConcurrentWriters verifies that parallel writers to distinct keys
 // serialize safely and nothing is lost.
 func TestConcurrentWriters(t *testing.T) {
-	s := openTemp(t, Options{MaxSegmentBytes: 2048})
+	s := openTemp(t, Options{})
 	var wg sync.WaitGroup
 	const writers, perWriter = 8, 100
 	errs := make(chan error, writers)
@@ -251,8 +203,8 @@ func TestConcurrentWriters(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s.Len() != writers*perWriter {
-		t.Fatalf("Len = %d, want %d", s.Len(), writers*perWriter)
+	if n := len(keys(t, s)); n != writers*perWriter {
+		t.Fatalf("%d live keys, want %d", n, writers*perWriter)
 	}
 	// Spot-check values landed intact.
 	for w := 0; w < writers; w++ {

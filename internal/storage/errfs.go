@@ -1,77 +1,109 @@
 package storage
 
 import (
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 )
 
-// Runtime I/O error injection. The crash harness in fault_test.go
-// simulates power loss: after N operations everything fails forever and
-// the process is assumed dead. ErrInjector simulates the other failure
-// family — EIO, ENOSPC, EDQUOT, short writes — where the operation
-// fails but the process keeps running and must degrade gracefully
-// instead of corrupting itself. It has two modes:
-//
-//   - FailOp(n, err, short): exactly the nth filesystem operation fails
-//     with err (optionally tearing a write); every other operation
-//     succeeds. TestIOFaultMatrix sweeps n over the whole write/rotate/
-//     compact/manifest sequence.
-//   - Arm(err, ops...): every matching operation fails with err until
-//     Clear — a disk that stays full. The server's injected-ENOSPC soak
-//     phase and the degradation tests use this.
-//
-// An injector is handed to Open via Options.FaultInjection; the store
-// then routes the active-segment file operations and the compaction/
-// manifest fsOps through it. Wrapped files expose their underlying
-// *os.File (see osFile), so preallocation, fdatasync and truncation
-// keep working while the injector is idle.
+// The filesystem seam. Every file operation of the write path and of
+// checkpoints goes through fsOps and segfile, so an error injector
+// (Options.FaultInjection) or the crash sweep's budget (fault_test.go)
+// can fail any one of them.
+
+// segfile is the seam for the log and checkpoint files.
+type segfile interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Close() error
+}
+
+// fsOps are the directory operations of the seam.
+type fsOps struct {
+	create  func(path string) (segfile, error) // create or truncate, read-write
+	open    func(path string) (segfile, error) // an existing file, read-write
+	rename  func(oldpath, newpath string) error
+	remove  func(path string) error
+	syncDir func(dir string) error
+}
+
+// osFS is the production seam.
+func osFS() fsOps {
+	return fsOps{
+		create: func(path string) (segfile, error) {
+			return os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		},
+		open:   func(path string) (segfile, error) { return os.OpenFile(path, os.O_RDWR, 0) },
+		rename: os.Rename,
+		remove: os.Remove,
+		syncDir: func(dir string) error {
+			d, err := os.Open(dir)
+			if err != nil {
+				return err
+			}
+			defer d.Close()
+			return d.Sync()
+		},
+	}
+}
+
+// syncData flushes a log's appended bytes: fdatasync for a real file
+// (with the log preallocated it skips the metadata journal), after the
+// injector has seen the operation; Sync for the crash sweep's files.
+func syncData(f segfile) error {
+	if ef, ok := f.(*errFile); ok {
+		if err, _ := ef.i.check(FaultSync); err != nil {
+			return err
+		}
+	}
+	if of := osFile(f); of != nil {
+		return datasync(of)
+	}
+	return f.Sync()
+}
+
+// osFile unwraps a segfile to its *os.File, or nil for the crash
+// sweep's files, whose process is dead.
+func osFile(f segfile) *os.File {
+	switch v := f.(type) {
+	case *os.File:
+		return v
+	case *errFile:
+		return v.f
+	}
+	return nil
+}
 
 // FaultOp names one injectable filesystem operation class.
 type FaultOp uint8
 
 const (
-	// FaultCreate covers segment/manifest file creation.
-	FaultCreate FaultOp = iota
-	// FaultWrite covers WriteAt on segment and manifest files.
-	FaultWrite
-	// FaultSync covers fsync/fdatasync of segment and manifest files.
-	FaultSync
-	// FaultRename covers the manifest and compaction-output renames.
-	FaultRename
-	// FaultRemove covers segment unlinks.
-	FaultRemove
-	// FaultSyncDir covers directory fsyncs.
-	FaultSyncDir
+	FaultCreate  FaultOp = iota // creating a log or checkpoint file
+	FaultWrite                  // WriteAt on one
+	FaultSync                   // fsync or fdatasync of one
+	FaultRename                 // the rename that puts one in place
+	FaultRemove                 // unlinking a superseded one
+	FaultSyncDir                // fsync of the directory
 	numFaultOps
 )
 
-var faultOpNames = [numFaultOps]string{"create", "write", "sync", "rename", "remove", "syncdir"}
-
-// String names the operation class.
-func (op FaultOp) String() string {
-	if int(op) < len(faultOpNames) {
-		return faultOpNames[op]
-	}
-	return "unknown"
-}
-
-// ErrInjector injects filesystem errors into a live store. Safe for
-// concurrent use; the zero value injects nothing and only counts.
+// ErrInjector injects filesystem errors into a live store — EIO,
+// ENOSPC, EDQUOT, torn writes — where, unlike the crash sweep's power
+// loss, the process keeps running and must degrade instead of
+// corrupting itself. Safe for concurrent use.
 type ErrInjector struct {
-	mu sync.Mutex
-	// seq counts operations attempted since the last FailOp/Reset, so a
-	// dry run sizes the fault matrix.
-	seq int
-	// One-shot schedule: operation number failAt fails with failErr.
+	mu  sync.Mutex
+	seq int // operations attempted since the last FailOp
+	// One-shot schedule (FailOp); failOp records what it hit.
 	failAt  int
 	failErr error
-	failOp  FaultOp // recorded when the shot fires, for diagnostics
-	tear    bool    // the failing write persists half its bytes first
-	// Persistent fault: matching ops fail with armed until Clear.
+	failOp  FaultOp
+	tear    bool
+	// Persistent fault (Arm): matching operations fail until Clear.
 	armed    error
 	armedOps [numFaultOps]bool
-
 	injected atomic.Uint64
 }
 
@@ -82,7 +114,7 @@ func NewErrInjector() *ErrInjector {
 
 // FailOp schedules exactly the nth operation (0-based, counted from
 // this call) to fail with err; short additionally tears the write,
-// persisting half its bytes. Every other operation succeeds.
+// persisting half its bytes.
 func (i *ErrInjector) FailOp(n int, err error, short bool) {
 	i.mu.Lock()
 	i.seq = 0
@@ -90,19 +122,16 @@ func (i *ErrInjector) FailOp(n int, err error, short bool) {
 	i.mu.Unlock()
 }
 
-// Arm makes every matching operation fail with err until Clear. With
-// no ops listed, every operation class fails.
+// Arm makes every matching operation (all, with none listed) fail with
+// err until Clear: a disk that stays full.
 func (i *ErrInjector) Arm(err error, ops ...FaultOp) {
 	i.mu.Lock()
-	if len(ops) == 0 {
-		for o := range i.armedOps {
-			i.armedOps[o] = true
-		}
-	} else {
-		i.armedOps = [numFaultOps]bool{}
-		for _, o := range ops {
-			i.armedOps[o] = true
-		}
+	i.armedOps = [numFaultOps]bool{}
+	for o := range i.armedOps {
+		i.armedOps[o] = len(ops) == 0
+	}
+	for _, o := range ops {
+		i.armedOps[o] = true
 	}
 	i.armed = err
 	i.mu.Unlock()
@@ -113,12 +142,10 @@ func (i *ErrInjector) Clear() {
 	i.mu.Lock()
 	i.failAt, i.failErr, i.tear = -1, nil, false
 	i.armed = nil
-	i.armedOps = [numFaultOps]bool{}
 	i.mu.Unlock()
 }
 
-// Ops reports operations counted since the last FailOp (dry-run matrix
-// sizing).
+// Ops reports operations counted since the last FailOp.
 func (i *ErrInjector) Ops() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -135,28 +162,28 @@ func (i *ErrInjector) check(op FaultOp) (err error, tear bool) {
 	defer i.mu.Unlock()
 	n := i.seq
 	i.seq++
-	if i.armed != nil && i.armedOps[op] {
-		i.injected.Add(1)
-		return i.armed, false
+	switch {
+	case i.armed != nil && i.armedOps[op]:
+		err = i.armed
+	case n == i.failAt:
+		err, tear, i.failOp = i.failErr, op == FaultWrite && i.tear, op
+	default:
+		return nil, false
 	}
-	if i.failAt >= 0 && n == i.failAt {
-		i.injected.Add(1)
-		i.failOp = op
-		return i.failErr, op == FaultWrite && i.tear
-	}
-	return nil, false
+	i.injected.Add(1)
+	return err, tear
 }
 
 // errFile wraps an *os.File, routing writes and syncs through the
-// injector. Reads and closes never fail: I/O errors on the read path
-// are a different failure domain (scrub/quarantine handle latent
-// corruption; see scrub.go).
+// injector. Reads and closes never fail: latent corruption on the read
+// path is the scrubber's domain (scrub.go).
 type errFile struct {
 	f *os.File
 	i *ErrInjector
 }
 
 func (e *errFile) ReadAt(p []byte, off int64) (int, error) { return e.f.ReadAt(p, off) }
+func (e *errFile) Close() error                            { return e.f.Close() }
 
 func (e *errFile) WriteAt(p []byte, off int64) (int, error) {
 	if err, tear := e.i.check(FaultWrite); err != nil {
@@ -176,67 +203,38 @@ func (e *errFile) Sync() error {
 	return e.f.Sync()
 }
 
-func (e *errFile) Close() error { return e.f.Close() }
-
-// underlyingFile exposes the wrapped descriptor so preallocation,
-// fdatasync and truncation still reach the real file.
-func (e *errFile) underlyingFile() *os.File { return e.f }
-
-// fileUnwrapper is implemented by seam wrappers that are still backed
-// by a real descriptor. The crash harness's faultFile deliberately does
-// NOT implement it: a crashed process gets no further use of the fd.
-type fileUnwrapper interface{ underlyingFile() *os.File }
-
-// osFile unwraps a segfile to its *os.File, or nil for pure test seams.
-func osFile(f segfile) *os.File {
-	switch v := f.(type) {
-	case *os.File:
-		return v
-	case fileUnwrapper:
-		return v.underlyingFile()
-	}
-	return nil
-}
-
-// wrapFile routes a segment file's writes through the injector.
-func (i *ErrInjector) wrapFile(f *os.File) segfile {
-	return &errFile{f: f, i: i}
-}
-
-// wrapFS routes the compaction/manifest filesystem seam through the
-// injector.
+// wrapFS routes the seam through the injector. Opening the existing
+// log at boot is not an injectable operation; everything after it is.
 func (i *ErrInjector) wrapFS(real fsOps) fsOps {
+	wrap := func(f segfile, err error) (segfile, error) {
+		if of, ok := f.(*os.File); ok && err == nil {
+			return &errFile{f: of, i: i}, nil
+		}
+		return f, err
+	}
+	gate := func(op FaultOp, fn func(string) error) func(string) error {
+		return func(path string) error {
+			if err, _ := i.check(op); err != nil {
+				return err
+			}
+			return fn(path)
+		}
+	}
 	return fsOps{
 		create: func(path string) (segfile, error) {
 			if err, _ := i.check(FaultCreate); err != nil {
 				return nil, err
 			}
-			f, err := real.create(path)
-			if err != nil {
-				return nil, err
-			}
-			if of, ok := f.(*os.File); ok {
-				return i.wrapFile(of), nil
-			}
-			return f, nil
+			return wrap(real.create(path))
 		},
+		open: func(path string) (segfile, error) { return wrap(real.open(path)) },
 		rename: func(oldpath, newpath string) error {
 			if err, _ := i.check(FaultRename); err != nil {
 				return err
 			}
 			return real.rename(oldpath, newpath)
 		},
-		remove: func(path string) error {
-			if err, _ := i.check(FaultRemove); err != nil {
-				return err
-			}
-			return real.remove(path)
-		},
-		syncDir: func(dir string) error {
-			if err, _ := i.check(FaultSyncDir); err != nil {
-				return err
-			}
-			return real.syncDir(dir)
-		},
+		remove:  gate(FaultRemove, real.remove),
+		syncDir: gate(FaultSyncDir, real.syncDir),
 	}
 }

@@ -10,9 +10,8 @@ import (
 // datasync flushes f's appended bytes plus the minimum metadata needed
 // to read them back (notably the file size), skipping the full inode
 // journal commit an fsync pays for timestamps and the block map. With
-// preallocated segments the block map never changes between group
-// commits, so the durable-write hot path is reduced to the data flush
-// alone.
+// the log preallocated the block map never changes between writes, so
+// the durable-write hot path is reduced to the data flush alone.
 func datasync(f *os.File) error {
 	for {
 		err := syscall.Fdatasync(int(f.Fd()))
@@ -22,14 +21,11 @@ func datasync(f *os.File) error {
 	}
 }
 
-// preallocate reserves and extends f to size bytes up front, so
-// appends inside the region change neither the block map nor the file
-// size — the metadata that would otherwise still hit the journal on
-// every fdatasync. The zero-filled tail past the logical end is
-// invisible to readers (the keydir never points there) and is trimmed
-// at seal/Close; after a crash, tail repair truncates it away instead
-// of replaying it (zero bytes never decode as a record: the key length
-// is zero, which framing rejects).
+// preallocate extends f to size bytes up front, so appends inside the
+// region change neither the block map nor the file size, the metadata
+// that would otherwise hit the journal on every fdatasync. Nothing reads
+// the zeros past the log's acknowledged length; Close trims them, and
+// after a crash tail repair does (zeros never decode as a record).
 func preallocate(f *os.File, size int64) error {
 	if size <= 0 {
 		return nil
@@ -39,16 +35,9 @@ func preallocate(f *os.File, size int64) error {
 		switch err {
 		case syscall.EINTR:
 			continue
-		case syscall.EOPNOTSUPP, syscall.ENOSYS, syscall.EINVAL:
-			// Filesystems without fallocate (some tmpfs/network
-			// mounts): preallocation is an optimization only, appends
-			// still extend the file exactly as before.
-			return nil
-		case syscall.ENOSPC, syscall.EDQUOT:
-			// Not enough room to reserve the whole segment up front.
-			// The records about to be appended may still fit fine, so
-			// degrade to unpreallocated appends rather than failing
-			// writes a fuller-featured disk would have taken.
+		case syscall.EOPNOTSUPP, syscall.ENOSYS, syscall.EINVAL, syscall.ENOSPC, syscall.EDQUOT:
+			// No fallocate here, or no room for the whole chunk: the
+			// appends may still fit, and extend the file as they go.
 			return nil
 		}
 		return err

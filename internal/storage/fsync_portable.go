@@ -9,6 +9,6 @@ import "os"
 // File.Sync already issues F_FULLFSYNC).
 func datasync(f *os.File) error { return f.Sync() }
 
-// preallocate is a no-op off linux: segments grow by appending, the
+// preallocate is a no-op off linux: the log grows by appending, the
 // pre-preallocation behavior, and replay never sees zero tails.
 func preallocate(f *os.File, size int64) error { return nil }

@@ -101,3 +101,44 @@ func assertReaderSane(t *testing.T, raw []byte) {
 		}
 	}
 }
+
+// FuzzParseCheckpoint drives the checkpoint parser: arbitrary bytes
+// must never panic or yield a record outside the framing bounds; a
+// well-formed image must parse to its generation and records; and any
+// single-bit flip or any truncation of it must be rejected — every
+// byte is under a record's CRC32C, and the header's record count rules
+// out a short image.
+func FuzzParseCheckpoint(f *testing.F) {
+	f.Add(uint64(1), []byte("tomato basil"), uint16(0), uint16(0), []byte{})
+	f.Add(uint64(1<<40), []byte{}, uint16(77), uint16(5), checkpointImage(2, record{key: []byte("k"), value: []byte("v")}))
+	f.Fuzz(func(t *testing.T, gen uint64, value []byte, flip, cut uint16, raw []byte) {
+		parseCheckpoint(bytes.NewReader(raw), func(rec record) error {
+			if len(rec.key) == 0 || len(rec.key) > MaxKeyLen || len(rec.value) > MaxValueLen {
+				t.Fatalf("parseCheckpoint yielded out-of-bounds record: key %d bytes, value %d bytes", len(rec.key), len(rec.value))
+			}
+			return nil
+		})
+
+		if len(value) > 1<<16 {
+			return
+		}
+		img := checkpointImage(gen,
+			record{key: []byte(flavorCfgKey), value: value},
+			record{key: []byte("recipe/00000007"), value: append([]byte("r"), value...)})
+		n := 0
+		got, err := parseCheckpoint(bytes.NewReader(img), func(rec record) error { n++; return nil })
+		if err != nil || got != gen || n != 2 {
+			t.Fatalf("parseCheckpoint of its own image = gen %d, %d records, %v; want gen %d, 2 records", got, n, err, gen)
+		}
+		nop := func(record) error { return nil }
+		corrupt := append([]byte(nil), img...)
+		bit := int(flip) % (len(corrupt) * 8)
+		corrupt[bit/8] ^= 1 << (bit % 8)
+		if _, err := parseCheckpoint(bytes.NewReader(corrupt), nop); err == nil {
+			t.Fatalf("parseCheckpoint accepted an image with bit %d flipped", bit)
+		}
+		if _, err := parseCheckpoint(bytes.NewReader(img[:int(cut)%len(img)]), nop); err == nil {
+			t.Fatalf("parseCheckpoint accepted an image cut to %d of %d bytes", int(cut)%len(img), len(img))
+		}
+	})
+}

@@ -5,195 +5,52 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"culinary/internal/recipedb"
 )
 
-// Runtime I/O fault matrix. Unlike the crash harness (fault_test.go),
+// Runtime I/O fault matrix. Unlike the crash sweep (fault_test.go),
 // where the process dies at the fault, these tests inject exactly one
 // failing filesystem operation into a live store and assert the
 // degradation contract:
 //
-//   - every acknowledged write stays readable, in process and across
-//     reopen;
-//   - no failed write's value is ever served to a reader in process;
+//   - every acknowledged write stays on disk: a reader that opens the
+//     directory read-only while the owner is degraded, and the owner's
+//     own reopen, reload a corpus at a version no lower than the last
+//     acknowledged write, equal to the corpus at that version;
+//   - a failed write is never half there: unacknowledged records are
+//     either absent or replay whole (the group is one frame);
 //   - after a failed fsync the store never silently retries it — Sync
-//     fails until TryRecoverWrites rotates to a fresh segment;
-//   - reopen reconciles file bytes against the keydir: unacknowledged
-//     bytes are either trimmed or consistently replayed, never served
-//     half-visible.
+//     fails until TryRecoverWrites writes a fresh log.
 
 var errInjectedIO = errors.New("injected io error")
 
-// ioOp records one operation of the canonical fault sequence along
-// with the error the caller observed.
-type ioOp struct {
-	kind string // "put", "del", "compact", "sync"
-	key  string
-	val  string
-	err  error
-}
-
-// runFaultSequence drives the canonical write/rotate/compact/manifest
-// sequence. MaxSegmentBytes is small enough that the puts rotate
-// several times, the deletes create garbage, and Compact rewrites
-// through the fs seam (staging, manifest, renames, unlinks, dir
-// fsyncs). Every mutation's error is recorded; once a fault lands,
-// later mutations fail fast with ErrWriteWedged, which is part of the
-// contract under test.
-func runFaultSequence(s *Store) []ioOp {
-	var ops []ioOp
-	val := func(i, gen int) string {
-		return fmt.Sprintf("value-%02d-gen%d-%s", i, gen, strings.Repeat("x", 120))
-	}
-	for gen := 0; gen < 2; gen++ {
-		for i := 0; i < 12; i++ {
-			k := fmt.Sprintf("key-%02d", i)
-			v := val(i, gen)
-			ops = append(ops, ioOp{"put", k, v, s.Put(k, []byte(v))})
-		}
-	}
-	for i := 0; i < 4; i++ {
-		k := fmt.Sprintf("key-%02d", i)
-		ops = append(ops, ioOp{"del", k, "", s.Delete(k)})
-	}
-	ops = append(ops, ioOp{"compact", "", "", s.Compact()})
-	for i := 6; i < 12; i++ {
-		k := fmt.Sprintf("key-%02d", i)
-		v := val(i, 2)
-		ops = append(ops, ioOp{"put", k, v, s.Put(k, []byte(v))})
-	}
-	ops = append(ops, ioOp{"sync", "", "", s.Sync()})
-	return ops
-}
-
-// ackedState folds the acknowledged mutations into the state the
-// caller was promised: key -> value for live keys.
-func ackedState(ops []ioOp) map[string]string {
-	state := make(map[string]string)
-	for _, op := range ops {
-		if op.err != nil {
-			continue
-		}
-		switch op.kind {
-		case "put":
-			state[op.key] = op.val
-		case "del":
-			delete(state, op.key)
-		}
-	}
-	return state
-}
-
-// sequenceKeys is every key the canonical sequence touches.
-func sequenceKeys() []string {
-	keys := make([]string, 0, 12)
-	for i := 0; i < 12; i++ {
-		keys = append(keys, fmt.Sprintf("key-%02d", i))
-	}
-	return keys
-}
-
-// verifyAcked asserts the store serves exactly the acknowledged state:
-// acked values readable and correct, everything else absent. Readers
-// must keep working while the write path is degraded, so this runs
-// before recovery.
-func verifyAcked(t *testing.T, s *Store, expected map[string]string, when string) {
-	t.Helper()
-	for _, k := range sequenceKeys() {
-		got, err := s.Get(k)
-		want, live := expected[k]
-		switch {
-		case live && err != nil:
-			t.Fatalf("%s: Get(%q) = error %v, want acked value", when, k, err)
-		case live && string(got) != want:
-			t.Fatalf("%s: Get(%q) = %q, want acked %q", when, k, got, want)
-		case !live && !errors.Is(err, ErrNotFound):
-			t.Fatalf("%s: Get(%q) = (%q, %v), want ErrNotFound — a failed or deleted write is visible", when, k, got, err)
-		}
-	}
-}
-
-// verifyReopened asserts the reopened store's state is explainable:
-// for each key, either the acknowledged state, or — only for the
-// single operation that failed at the disk (not gated by
-// ErrWriteWedged, so its bytes may have reached the file) — the state
-// that operation would have produced. Unacknowledged bytes replaying
-// consistently is allowed; anything else is corruption or data loss.
-func verifyReopened(t *testing.T, s *Store, ops []ioOp, extra map[string]string) {
-	t.Helper()
-	acked := ackedState(ops)
-	for k, v := range extra {
-		acked[k] = v
-	}
-	// The one mutation whose bytes may have hit the file before the
-	// error: the first failure not short-circuited by the write gate.
-	resurrect := make(map[string]ioOp)
-	for _, op := range ops {
-		if op.err == nil || errors.Is(op.err, ErrWriteWedged) {
-			continue
-		}
-		if op.kind == "put" || op.kind == "del" {
-			resurrect[op.key] = op
-		}
-	}
-	keys := sequenceKeys()
-	for k := range extra {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		got, err := s.Get(k)
-		want, live := acked[k]
-		if err == nil && live && string(got) == want {
-			continue // acked state
-		}
-		if r, ok := resurrect[k]; ok {
-			if r.kind == "put" && err == nil && string(got) == r.val {
-				continue // failed put's bytes replayed consistently
-			}
-			if r.kind == "del" && errors.Is(err, ErrNotFound) {
-				continue // failed delete's tombstone replayed consistently
-			}
-		}
-		if !live && errors.Is(err, ErrNotFound) {
-			continue
-		}
-		t.Fatalf("reopen: Get(%q) = (%q, %v), want acked %q (live=%v) or the failed op's result", k, got, err, want, live)
-	}
-}
-
-// matrixPoint runs the canonical sequence against a store whose nth
-// filesystem operation fails, then checks the full contract: degraded
-// reads, recovery, post-recovery writes, clean close, and reopen
-// reconciliation.
+// matrixPoint plays the crash sweep's script against a store whose nth
+// filesystem operation (counted from the script's start) fails, then
+// checks the contract: reads while degraded, recovery, a write after
+// it, clean close, and the reload.
 func matrixPoint(t *testing.T, n int, injErr error, short bool) (degraded bool) {
 	t.Helper()
 	dir := t.TempDir()
 	inj := NewErrInjector()
-	s, err := Open(dir, Options{
-		MaxSegmentBytes: 1 << 10,
-		SyncEveryPut:    true,
-		FaultInjection:  inj,
-	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s, corpus := boundCorpus(t, dir, Options{SyncEveryPut: true, FaultInjection: inj})
 	defer s.Close()
 
+	sw := &sweep{seed: *sweepSeed, mode: "full"}
 	inj.FailOp(n, injErr, short)
-	ops := runFaultSequence(s)
+	sw.play(t, s, corpus)
 	if inj.Injected() == 0 {
 		t.Fatalf("fault point %d never fired", n)
 	}
-	expected := ackedState(ops)
-
-	// Readers serve the acknowledged state even while degraded.
-	verifyAcked(t, s, expected, "in-process")
-
 	inj.Clear()
-	extra := map[string]string{}
+	// Readers of the directory see the acknowledged state even while the
+	// owner is degraded.
+	if msg := sw.checkReload(t, dir, Options{ReadOnly: true}, sw.acked); msg != "" {
+		t.Fatalf("read-only reload beside the owner: %s", msg)
+	}
 	if s.Health() != HealthHealthy {
 		degraded = true
 		// The fault is gone, but a degraded store must not silently
@@ -202,8 +59,8 @@ func matrixPoint(t *testing.T, n int, injErr error, short bool) (degraded bool) 
 		if err := s.Sync(); err == nil {
 			t.Fatalf("Sync succeeded while degraded: a failed fsync was silently retried")
 		}
-		if err := s.Put("gated", []byte("x")); !errors.Is(err, ErrWriteWedged) {
-			t.Fatalf("degraded Put error = %v, want ErrWriteWedged", err)
+		if _, err := corpus.Remove(0); !errors.Is(err, ErrWriteWedged) {
+			t.Fatalf("degraded write error = %v, want ErrWriteWedged", err)
 		}
 		if err := s.TryRecoverWrites(); err != nil {
 			t.Fatalf("TryRecoverWrites after clearing fault: %v", err)
@@ -213,9 +70,9 @@ func matrixPoint(t *testing.T, n int, injErr error, short bool) (degraded bool) 
 		}
 	}
 	// Post-recovery (or never-degraded) writes must work and be durable.
-	extra["post/recovery"] = "back-in-business"
-	if err := s.Put("post/recovery", []byte(extra["post/recovery"])); err != nil {
-		t.Fatalf("post-recovery Put: %v", err)
+	sw.apply(t, s, corpus, func(c *recipedb.Store) { c.Remove(0) })
+	if !corpus.Recipe(0).Deleted {
+		t.Fatal("post-recovery write failed")
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatalf("post-recovery Sync: %v", err)
@@ -223,42 +80,27 @@ func matrixPoint(t *testing.T, n int, injErr error, short bool) (degraded bool) 
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after recovery: %v", err)
 	}
-
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+	if msg := sw.checkReload(t, dir, Options{}, sw.acked); msg != "" {
+		t.Fatalf("reopen: %s", msg)
 	}
-	defer s2.Close()
-	verifyReopened(t, s2, ops, extra)
 	return degraded
 }
 
 // TestIOFaultMatrix sweeps one injected error over every filesystem
-// operation in the write/rotate/compact/manifest sequence. A dry run
-// with an unreachable fault point counts the operations; each matrix
-// point then replays the identical (deterministic) sequence with
-// exactly that operation failing.
+// operation of the crash sweep's script (write groups and two
+// checkpoints). A dry run with an unreachable fault point counts the
+// operations; each matrix point then replays the identical
+// (deterministic) script with exactly that operation failing.
 func TestIOFaultMatrix(t *testing.T) {
-	dir := t.TempDir()
 	inj := NewErrInjector()
-	s, err := Open(dir, Options{
-		MaxSegmentBytes: 1 << 10,
-		SyncEveryPut:    true,
-		FaultInjection:  inj,
-	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s, corpus := boundCorpus(t, t.TempDir(), Options{SyncEveryPut: true, FaultInjection: inj})
 	inj.FailOp(1<<30, nil, false) // unreachable: count only
-	for _, op := range runFaultSequence(s) {
-		if op.err != nil {
-			t.Fatalf("dry run: %s %q failed: %v", op.kind, op.key, op.err)
-		}
-	}
+	sw := &sweep{seed: *sweepSeed, mode: "full"}
+	sw.play(t, s, corpus)
 	total := inj.Ops()
 	s.Close()
-	if total < 20 {
-		t.Fatalf("dry run counted only %d fs operations; sequence too small for a meaningful matrix", total)
+	if total < 96 {
+		t.Fatalf("dry run counted only %d fs operations; script too small for a meaningful matrix", total)
 	}
 
 	sweeps := []struct {
@@ -279,7 +121,6 @@ func TestIOFaultMatrix(t *testing.T) {
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) {
 			for n := 0; n < total; n++ {
-				n := n
 				t.Run(fmt.Sprintf("op%03d", n), func(t *testing.T) {
 					degraded := matrixPoint(t, n, sw.err, sw.short)
 					counters.Points++
@@ -302,8 +143,8 @@ func TestIOFaultMatrix(t *testing.T) {
 
 // TestFailedFsyncNeverRetried pins the fsyncgate rule in isolation:
 // after an fsync fails, the store must not fsync that file again —
-// not via Sync, not via rotation, not at Close. Durability comes back
-// only through a fresh segment.
+// not via Sync, not at Close. Durability comes back only through a
+// fresh log.
 func TestFailedFsyncNeverRetried(t *testing.T) {
 	dir := t.TempDir()
 	inj := NewErrInjector()
@@ -323,24 +164,27 @@ func TestFailedFsyncNeverRetried(t *testing.T) {
 	if got := s.Health(); got != HealthReadOnly {
 		t.Fatalf("Health = %v, want readOnly", got)
 	}
-	poisoned := s.active
-	if !poisoned.syncFailed.Load() {
-		t.Fatal("active segment not marked syncFailed")
+	poisoned := s.log
+	if !s.logSyncFailed {
+		t.Fatal("the log is not marked as failed to fsync")
 	}
 	inj.Clear()
 
 	// The poisoned file's fsync must not be retried even though the
-	// fault is gone: recovery rotates away from it instead.
+	// fault is gone: Sync refuses, and recovery writes a fresh log.
+	if err := s.Sync(); !errors.Is(err, ErrWriteWedged) {
+		t.Fatalf("Sync after a failed fsync = %v, want ErrWriteWedged", err)
+	}
 	if err := s.TryRecoverWrites(); err != nil {
 		t.Fatalf("TryRecoverWrites: %v", err)
 	}
-	if s.active == poisoned {
-		t.Fatal("recovery kept the poisoned segment active instead of rotating")
+	if s.log == poisoned || s.logSyncFailed {
+		t.Fatal("recovery kept the log whose fsync failed")
 	}
-	if !poisoned.syncFailed.Load() {
-		t.Fatal("recovery cleared syncFailed: the file could be fsynced again")
+	if v, err := s.Get("durable"); err != nil || string(v) != "v1" {
+		t.Fatalf("Get(durable) after recovery = %q, %v", v, err)
 	}
-	// Durability is live again on the fresh segment.
+	// Durability is live again on the fresh log.
 	if err := s.Put("victim", []byte("v3")); err != nil {
 		t.Fatalf("post-recovery Put: %v", err)
 	}
@@ -412,9 +256,8 @@ func TestDegradedServesReadsAndAutoRecovers(t *testing.T) {
 
 // TestRecoverySalvagesAckedUnsyncedTail covers the !SyncEveryPut
 // window: records acknowledged but not yet fsynced live only in the
-// poisoned segment's unsynced tail. Recovery must copy them to the
-// fresh segment before truncating, or acknowledged writes would be
-// lost.
+// log's unsynced tail. Recovery must copy them into the fresh log, or
+// acknowledged writes would be lost.
 func TestRecoverySalvagesAckedUnsyncedTail(t *testing.T) {
 	dir := t.TempDir()
 	inj := NewErrInjector()
@@ -424,7 +267,7 @@ func TestRecoverySalvagesAckedUnsyncedTail(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Acked but unsynced: no rotation, no Sync call.
+	// Acked but unsynced: no Sync call.
 	want := make(map[string]string)
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("tail-%d", i)

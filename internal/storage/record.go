@@ -1,15 +1,15 @@
-// Package storage is an embedded, log-structured key-value store used to
-// persist the CulinaryDB corpus and derived artifacts on disk. The paper
-// publishes its datasets as an online database
-// (http://cosylab.iiitd.edu.in/culinarydb); this package is the durable
-// substrate behind our equivalent: append-only data segments with CRC32C
-// framing, one in-memory key directory, group-commit batched appends
-// (fdatasync into preallocated segments on linux), pread point reads and
-// coalesced folds, serial segment replay at Open, tail-truncation crash
-// recovery and background incremental compaction with a crash-safe
-// manifest, in the style of bitcask. See README.md for the key
-// directory, the group-commit protocol, the read and durability paths,
-// the recovery ordering invariant and the compaction crash matrix.
+// Package storage persists the CulinaryDB corpus: the paper publishes
+// its datasets as an online database
+// (http://cosylab.iiitd.edu.in/culinarydb), and this package is the
+// durable substrate behind our equivalent. A store directory holds one
+// checkpoint — the corpus image at a version, CRC32C-framed, written
+// by temp file, fsync and rename — and one append-only log of the
+// records written after it, fdatasynced into a preallocated file. Boot
+// reads the checkpoint and replays the log; a checkpoint from memory
+// replaces both once the log has grown as large as the checkpoint.
+// No request reads storage: the server answers from the in-memory
+// corpus. See README.md for the file layout, the lock order and the
+// crash invariants.
 package storage
 
 import (
@@ -20,36 +20,39 @@ import (
 	"io"
 )
 
-// Framing errors.
+// Framing errors: a record whose checksum or structure is invalid, a
+// key or value above the framing limits.
 var (
-	// ErrCorrupt marks a record whose checksum or structure is invalid.
-	ErrCorrupt = errors.New("storage: corrupt record")
-	// ErrTooLarge marks keys or values above the framing limits.
+	ErrCorrupt  = errors.New("storage: corrupt record")
 	ErrTooLarge = errors.New("storage: key or value too large")
 )
 
 // Framing limits. Keys index recipes and metadata, so they are short;
-// values hold encoded recipes or serialized tables and stay well under a
-// segment.
+// values hold encoded recipes, version records and write batches.
 const (
-	// MaxKeyLen bounds key size.
-	MaxKeyLen = 1 << 10
-	// MaxValueLen bounds value size.
+	MaxKeyLen   = 1 << 10
 	MaxValueLen = 1 << 26
 )
 
 // record flags.
 const (
 	flagTombstone byte = 1 << 0
+	// flagBatch marks a frame whose value is a whole WriteBatch: the
+	// concatenated frames of its records. One checksum covers the
+	// group, so a torn group replays as nothing, never as a prefix.
+	flagBatch byte = 1 << 1
 )
+
+// batchKey keys a batch frame.
+const batchKey = "batch"
 
 // castagnoli is the CRC32C table used for record checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// record is one framed entry in a segment file:
+// record is one framed entry in a checkpoint or log file:
 //
 //	crc32c  uint32 LE  over everything after the checksum field
-//	flags   byte       bit0 = tombstone
+//	flags   byte       bit0 = tombstone, bit1 = batch
 //	keyLen  uvarint
 //	valLen  uvarint
 //	key     keyLen bytes
@@ -58,6 +61,7 @@ type record struct {
 	key       []byte
 	value     []byte
 	tombstone bool
+	batch     bool
 }
 
 // appendRecord serializes rec into buf and returns the extended slice.
@@ -68,12 +72,13 @@ func appendRecord(buf []byte, rec record) ([]byte, error) {
 	if len(rec.value) > MaxValueLen {
 		return buf, fmt.Errorf("%w: value length %d", ErrTooLarge, len(rec.value))
 	}
-	var flags byte
-	if rec.tombstone {
-		flags |= flagTombstone
-	}
 	var hdr [1 + 2*binary.MaxVarintLen32]byte
-	hdr[0] = flags
+	if rec.tombstone {
+		hdr[0] |= flagTombstone
+	}
+	if rec.batch {
+		hdr[0] |= flagBatch
+	}
 	n := 1
 	n += binary.PutUvarint(hdr[n:], uint64(len(rec.key)))
 	n += binary.PutUvarint(hdr[n:], uint64(len(rec.value)))
@@ -92,23 +97,17 @@ func appendRecord(buf []byte, rec record) ([]byte, error) {
 	return buf, nil
 }
 
-// parseFrame decodes the framed record at the front of buf. It is the
-// only frame parser in the package: the chunked replay reader
-// (recordReader.next) and the point-read and fold path
-// (decodeFramedValue) both go through it, so they agree on what a valid
-// frame is by construction. rec's key and value alias buf. The outcomes:
+// parseFrame decodes the framed record at the front of buf; every
+// reader in the package goes through it, so they agree on what a valid
+// frame is. rec's key and value alias buf. The outcomes:
 //
-//	err != nil     the frame is invalid within the bytes available
-//	               (bad lengths, checksum mismatch, tombstone with a
-//	               value); err wraps ErrCorrupt
+//	err != nil     the frame is invalid (bad lengths, checksum mismatch,
+//	               tombstone with a value); err wraps ErrCorrupt
 //	n == 0         buf ends inside the header; nothing is known yet
-//	n > len(buf)   the header is sound but buf ends inside the body; n is
-//	               the frame's full length
+//	n > len(buf)   buf ends inside the body; n is the frame's length
 //	otherwise      rec is the record and the frame is buf[:n]
 func parseFrame(buf []byte) (rec record, n int, err error) {
-	// checksum(4) + flags(1); the shortest header also needs two varint
-	// bytes, but Uvarint reports those.
-	if len(buf) < 5 {
+	if len(buf) < 5 { // checksum and flags; Uvarint reports the rest
 		return record{}, 0, nil
 	}
 	p := 5
@@ -142,6 +141,7 @@ func parseFrame(buf []byte) (rec record, n int, err error) {
 		key:       buf[p : p+int(keyLen) : p+int(keyLen)],
 		value:     buf[p+int(keyLen) : n : n],
 		tombstone: buf[4]&flagTombstone != 0,
+		batch:     buf[4]&flagBatch != 0,
 	}
 	if rec.tombstone && valLen != 0 {
 		return record{}, 0, fmt.Errorf("%w: tombstone with value", ErrCorrupt)
@@ -149,11 +149,32 @@ func parseFrame(buf []byte) (rec record, n int, err error) {
 	return rec, n, nil
 }
 
-// decodeFramedValue validates buf as exactly one complete framed record
-// for wantKey and returns its value without copying (the value aliases
-// buf, which the caller owns, and is capped at the record's end).
-// wantKey guards against keydir/log skew. This is the allocation-free
-// point-read and fold path.
+// eachRecord calls fn on rec, or on every record inside rec when it is
+// a batch frame, with each one's offset and length inside rec's value
+// (0 and the value's length for a plain record).
+func eachRecord(rec record, fn func(rec record, off, n int) error) error {
+	if !rec.batch {
+		return fn(rec, 0, len(rec.value))
+	}
+	for off := 0; off < len(rec.value); {
+		inner, n, err := parseFrame(rec.value[off:])
+		if err == nil && (n == 0 || n > len(rec.value)-off || inner.batch) {
+			err = fmt.Errorf("%w: bad record inside a batch", ErrCorrupt)
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(inner, off, n); err != nil {
+			return err
+		}
+		off += n
+	}
+	return nil
+}
+
+// decodeFramedValue validates buf as exactly one live record for
+// wantKey (a guard against index/file skew) and returns its value,
+// which aliases buf.
 func decodeFramedValue(buf []byte, wantKey string) ([]byte, error) {
 	rec, n, err := parseFrame(buf)
 	if err != nil {
@@ -163,10 +184,10 @@ func decodeFramedValue(buf []byte, wantKey string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame of %d bytes in a %d-byte read", ErrCorrupt, n, len(buf))
 	}
 	if rec.tombstone {
-		return nil, fmt.Errorf("%w: keydir points at a tombstone", ErrCorrupt)
+		return nil, fmt.Errorf("%w: index points at a tombstone", ErrCorrupt)
 	}
 	if string(rec.key) != wantKey {
-		return nil, fmt.Errorf("%w: keydir points at record for %q, want %q", ErrCorrupt, rec.key, wantKey)
+		return nil, fmt.Errorf("%w: index points at record for %q, want %q", ErrCorrupt, rec.key, wantKey)
 	}
 	return rec.value, nil
 }
@@ -175,38 +196,30 @@ func decodeFramedValue(buf []byte, wantKey string) ([]byte, error) {
 // Read. A frame larger than this grows the buffer to the frame's size.
 const replayChunkBytes = 64 << 10
 
-// recordReader decodes consecutive records from a segment stream. It
-// reads the source in replayChunkBytes chunks and parses frames in place,
-// so a scan costs one Read per chunk, not several per record, and copies
-// nothing out of the chunk.
+// recordReader decodes consecutive records from a file. It reads the
+// source in replayChunkBytes chunks and parses frames in place, so a
+// scan costs one Read per chunk, not several per record.
 type recordReader struct {
-	src io.Reader
-	// buf[pos:end] is fetched but not yet consumed by a decoded record.
+	src      io.Reader
 	buf      []byte
-	pos, end int
-	// consumed is the stream offset of buf[pos]: the bytes covered by the
-	// records next has returned, never the bytes fetched.
-	consumed int64
-	// srcErr is the first error src returned (io.EOF at a clean end);
-	// nothing is read after it.
-	srcErr error
+	pos, end int   // buf[pos:end] is fetched but not yet decoded
+	consumed int64 // the stream offset of buf[pos]
+	srcErr   error // the first error src returned (io.EOF at a clean end)
 }
 
-// newRecordReader wraps an io.Reader positioned at a segment start.
+// newRecordReader wraps an io.Reader positioned at a file's start.
 func newRecordReader(r io.Reader) *recordReader {
 	return &recordReader{src: r}
 }
 
-// offset returns the stream offset of the next record: the total length
-// of the frames decoded so far. A failed next leaves it at the start of
-// the frame that failed — the torn-tail truncation point — however far
-// past it the reader has fetched.
+// offset returns the stream offset of the next record. A failed next
+// leaves it at the start of the frame that failed — the torn-tail
+// truncation point — however far past it the reader has fetched.
 func (rr *recordReader) offset() int64 { return rr.consumed }
 
-// next decodes one record. It returns io.EOF at a clean end of stream and
-// ErrCorrupt (possibly wrapped) for torn or damaged entries, a source
-// that fails mid-record included. The record's key and value alias the
-// reader's buffer and are valid until the following call.
+// next decodes one record: io.EOF at a clean end of stream, ErrCorrupt
+// for a torn or damaged frame (a source failing mid-record included).
+// The record aliases the reader's buffer until the following call.
 func (rr *recordReader) next() (record, error) {
 	for {
 		avail := rr.buf[rr.pos:rr.end]

@@ -5,71 +5,79 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime/debug"
-	"slices"
-	"sort"
 	"testing"
+
+	"culinary/internal/recipedb"
 )
 
-// serialReplayState is the reference recovery: a record-by-record,
-// segment-by-segment replay of the log.
-type serialReplayState struct {
-	keydir map[string]keyLoc
-	// dead is the garbage charged to each segment: a superseded record
-	// to the segment holding it, a tombstone to its own.
-	dead map[uint64]int64
-}
-
-// replayOrder returns dir's segment IDs in the manifest's (rank, id)
-// order, the order Open replays them in.
-func replayOrder(t *testing.T, dir string) []uint64 {
+// referenceReplay is the reference recovery: the newest checkpoint's
+// records and then the log's, parsed frame by frame from whole-file
+// reads and applied to a map, stopping at the log's first bad frame. It
+// returns the live values and the log's valid length and record count.
+func referenceReplay(t *testing.T, dir string) (live map[string]string, logBytes int64, logRecords int) {
 	t.Helper()
-	ids, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := loadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.SliceStable(ids, func(i, j int) bool { return man.rankOf(ids[i]) < man.rankOf(ids[j]) })
-	return ids
-}
-
-// serialReplay rebuilds keydir state and per-segment garbage record by
-// record. It repairs a torn tail on the last segment as a side effect,
-// just like Open.
-func serialReplay(t *testing.T, dir string) serialReplayState {
-	t.Helper()
-	ids := replayOrder(t, dir)
-	st := serialReplayState{keydir: make(map[string]keyLoc), dead: make(map[uint64]int64)}
-	for i, id := range ids {
-		last := i == len(ids)-1
-		st.dead[id] = 0
-		_, err := scanSegment(segmentPath(dir, id), last, func(rec record, off, length int64) {
-			key := string(rec.key)
-			if prev, ok := st.keydir[key]; ok {
-				st.dead[prev.segID] += prev.length
+	live = make(map[string]string)
+	apply := func(buf []byte, stopAtBad bool) (int64, int) {
+		off, n := 0, 0
+		for off < len(buf) {
+			rec, size, err := parseFrame(buf[off:])
+			if err != nil || size == 0 || size > len(buf)-off {
+				if !stopAtBad {
+					t.Fatalf("bad frame at %d", off)
+				}
+				break
 			}
-			if rec.tombstone {
-				delete(st.keydir, key)
-				st.dead[id] += length
-				return
+			recs := []record{rec}
+			if rec.batch { // a batch frame's value is its records' frames
+				recs = nil
+				for in := rec.value; len(in) > 0; {
+					inner, size, err := parseFrame(in)
+					if err != nil || size == 0 || size > len(in) {
+						t.Fatalf("bad record inside the batch at %d", off)
+					}
+					recs, in = append(recs, inner), in[size:]
+				}
 			}
-			st.keydir[key] = keyLoc{segID: id, offset: off, length: length, valLen: len(rec.value)}
-		})
-		if err != nil {
-			t.Fatalf("serial replay of segment %d: %v", id, err)
+			for _, rec := range recs {
+				if rec.tombstone {
+					delete(live, string(rec.key))
+				} else {
+					live[string(rec.key)] = string(rec.value)
+				}
+				n++
+			}
+			off += size
 		}
+		return int64(off), n
 	}
-	return st
+	var gen uint64
+	ckpts, _ := filepath.Glob(filepath.Join(dir, checkpointPrefix+"*"))
+	if len(ckpts) > 1 {
+		t.Fatalf("%d checkpoints in a cleanly closed directory", len(ckpts))
+	}
+	if len(ckpts) == 1 {
+		buf, err := os.ReadFile(ckpts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply(buf, false)
+		gen, _ = parseCheckpoint(bytes.NewReader(buf), func(record) error { return nil })
+	}
+	buf, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s%d", logPrefix, gen)))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	logBytes, logRecords = apply(buf, true)
+	return live, logBytes, logRecords
 }
 
-// buildRecoveryFixture writes a multi-segment store with overwrites and
-// tombstones, then closes it.
+// buildRecoveryFixture writes a log with overwrites and tombstones,
+// then closes the store.
 func buildRecoveryFixture(t *testing.T, dir string) {
 	t.Helper()
-	s, err := Open(dir, Options{MaxSegmentBytes: 512})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,71 +98,40 @@ func buildRecoveryFixture(t *testing.T, dir string) {
 			}
 		}
 	}
-	if st := s.Stats(); st.Segments < 4 {
-		t.Fatalf("fixture built only %d segments, want >= 4", st.Segments)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// buildPartialCompactionFixture writes a log whose replay order is not
-// its id order: a partial compaction rewrites every sealed segment but
-// the oldest into outputs ranked below the active segment, and later
-// puts — the first of them into that lower-id active segment —
-// supersede some of the copies while a tombstone deletes another.
+// buildPartialCompactionFixture writes a corpus whose mutations are
+// split by a checkpoint (compaction is a checkpoint): the first half is
+// in the checkpoint, the second half — replacements of recipes the
+// checkpoint holds and deletes of others — in the log after it.
 func buildPartialCompactionFixture(t *testing.T, dir string) {
 	t.Helper()
-	s, err := Open(dir, Options{MaxSegmentBytes: 512})
-	if err != nil {
+	s, corpus := boundCorpus(t, dir, Options{})
+	churn(t, corpus, 2)
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for gen := 0; gen < 3; gen++ {
-		for i := 0; i < 40; i++ {
-			if err := s.Put(fmt.Sprintf("key%03d", i), bytes.Repeat([]byte{byte('a' + gen)}, 20+i%30)); err != nil {
-				t.Fatal(err)
-			}
+	r0 := corpus.Recipe(0)
+	for id := 10; id < 30; id += 3 {
+		if _, _, _, err := corpus.Upsert(id, fmt.Sprintf("after the checkpoint %d", id), recipedb.Korea, recipedb.AllRecipes, r0.Ingredients); err != nil {
+			t.Fatal(err)
 		}
-		// Tombstones in the victims; the oldest segment survives, so
-		// the compaction must copy them.
-		if err := s.Delete(fmt.Sprintf("key%03d", 30+gen)); err != nil {
+		if _, err := corpus.Remove(id + 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.compactSegments(sealedExceptOldest(s)); err != nil {
-		t.Fatalf("partial compaction: %v", err)
-	}
-	var compacted []string
-	for _, k := range s.Keys() {
-		s.segMu.RLock()
-		seg := s.segments[s.keydir[k].segID]
-		s.segMu.RUnlock()
-		if seg.rank != seg.id {
-			compacted = append(compacted, k)
-		}
-	}
-	if len(compacted) < 4 {
-		t.Fatalf("partial compaction left %d keys in its outputs, want >= 4", len(compacted))
-	}
-	for i, k := range compacted {
-		if i%3 == 0 {
-			if err := s.Put(k, []byte("after-compaction")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := s.Delete(compacted[1]); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestReplayMatchesReference asserts that Open rebuilds exactly the
-// reference serial replay's key directory and per-segment garbage, on
-// a churned log and on one whose compaction outputs rank below newer
-// segments, each intact and with a torn tail on its last segment.
+// TestReplayMatchesReference asserts that Open and Get see exactly what
+// the reference replay of the checkpoint and the log sees — every live
+// value, the log's length and record count — on a churned log and on a
+// checkpoint with a log after it, each intact and with a torn tail.
 func TestReplayMatchesReference(t *testing.T) {
 	fixtures := []struct {
 		name  string
@@ -172,94 +149,65 @@ func TestReplayMatchesReference(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
 				fx.build(t, dir)
-				order := replayOrder(t, dir)
-				if fx.name == "partialCompaction" && slices.IsSorted(order) {
-					t.Fatalf("replay order %v is id order; the fixture does not exercise ranks", order)
+				logs, _ := filepath.Glob(filepath.Join(dir, logPrefix+"*"))
+				if len(logs) != 1 {
+					t.Fatalf("logs %v, want one", logs)
 				}
 				if tear {
-					path := segmentPath(dir, order[len(order)-1])
-					fi, err := os.Stat(path)
+					fi, err := os.Stat(logs[0])
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := os.Truncate(path, fi.Size()-5); err != nil {
+					if err := os.Truncate(logs[0], fi.Size()-5); err != nil {
 						t.Fatal(err)
 					}
 				}
-
-				want := serialReplay(t, dir) // also repairs the torn tail
+				want, logBytes, logRecords := referenceReplay(t, dir)
+				if logRecords == 0 {
+					t.Fatal("the fixture left an empty log")
+				}
 
 				s, err := Open(dir, Options{})
 				if err != nil {
 					t.Fatalf("Open: %v", err)
 				}
 				defer s.Close()
-				if len(s.keydir) != len(want.keydir) {
-					t.Errorf("%d keys, want %d", len(s.keydir), len(want.keydir))
+				if st := s.Stats(); st.LogBytes != logBytes || st.LogRecords != logRecords {
+					t.Errorf("log %d bytes in %d records, reference %d in %d", st.LogBytes, st.LogRecords, logBytes, logRecords)
 				}
-				for k, wloc := range want.keydir {
-					if gloc, ok := s.keydir[k]; !ok || gloc != wloc {
-						t.Errorf("keydir[%q] = %+v (present=%v), want %+v", k, gloc, ok, wloc)
+				got := keys(t, s)
+				if len(got) != len(want) {
+					t.Errorf("%d keys, want %d", len(got), len(want))
+				}
+				for k, wv := range want {
+					if gv, err := s.Get(k); err != nil || string(gv) != wv {
+						t.Errorf("Get(%q) = %q, %v; want %q", k, gv, err, wv)
 					}
-				}
-				for k := range s.keydir {
-					if _, ok := want.keydir[k]; !ok {
-						t.Errorf("extra key %q", k)
-					}
-				}
-				if len(s.segments) != len(want.dead) {
-					t.Errorf("%d segments, want %d", len(s.segments), len(want.dead))
-				}
-				var wantTotal int64
-				for id, wdead := range want.dead {
-					wantTotal += wdead
-					seg := s.segments[id]
-					if seg == nil {
-						t.Errorf("segment %d not registered", id)
-					} else if got := seg.dead.Load(); got != wdead {
-						t.Errorf("segment %d: dead = %d, want %d", id, got, wdead)
-					}
-				}
-				if dead := s.Stats().DeadBytes; dead != wantTotal {
-					t.Errorf("Stats().DeadBytes = %d, want %d", dead, wantTotal)
 				}
 			})
 		}
 	}
 }
 
-// TestFailedOpenClosesItsSegments corrupts a sealed segment in the
-// middle of the replay order and fails Open on it repeatedly: the
-// segments each attempt opened before the corrupt one must be closed
-// by Open, not left for finalizers (which the test switches off).
+// TestFailedOpenClosesItsSegments fails Open after it has opened the
+// checkpoint — the log of its generation is a directory — repeatedly,
+// read-write and read-only: the files each attempt opened must be
+// closed by Open, not left for finalizers (which the test switches
+// off).
 func TestFailedOpenClosesItsSegments(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
 	}
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; s.Stats().Segments < 14; i++ {
-		if err := s.Put(fmt.Sprintf("key%03d", i), bytes.Repeat([]byte("v"), 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s, _ := boundCorpus(t, dir, Options{})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := listSegments(dir)
-	if err != nil {
+	log := filepath.Join(dir, logPrefix+"1")
+	if err := os.Remove(log); err != nil {
 		t.Fatal(err)
 	}
-	path := segmentPath(dir, ids[7])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.Mkdir(log, 0o755); err != nil {
 		t.Fatal(err)
 	}
 
@@ -273,8 +221,8 @@ func TestFailedOpenClosesItsSegments(t *testing.T) {
 	}
 	before := fds()
 	for i := 0; i < 20; i++ {
-		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Open over a corrupt sealed segment = %v, want ErrCorrupt", err)
+		if _, err := Open(dir, Options{ReadOnly: i%2 == 1}); err == nil {
+			t.Fatal("Open over a log that is a directory succeeded")
 		}
 	}
 	if after := fds(); after != before {
@@ -282,58 +230,23 @@ func TestFailedOpenClosesItsSegments(t *testing.T) {
 	}
 }
 
-// TestDeleteSkipsRedundantTombstone is the regression test for the
-// delete TOCTOU: a second delete of an already-absent key must not log
-// a second tombstone.
-func TestDeleteSkipsRedundantTombstone(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	afterFirst := s.Stats()
-	sizeAfterFirst := s.active.size
-	for i := 0; i < 5; i++ {
-		if err := s.Delete("k"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.DeadBytes != afterFirst.DeadBytes {
-		t.Errorf("redundant deletes grew DeadBytes: %d -> %d", afterFirst.DeadBytes, st.DeadBytes)
-	}
-	if s.active.size != sizeAfterFirst {
-		t.Errorf("redundant deletes appended bytes: %d -> %d", sizeAfterFirst, s.active.size)
-	}
-	s.Close()
-
-	// The log must contain exactly one tombstone for k.
-	tombstones := countTombstones(t, dir, "k")
-	if tombstones != 1 {
-		t.Errorf("log has %d tombstones for k, want 1", tombstones)
-	}
-}
-
-// countTombstones scans every segment counting tombstone records for
-// key.
+// countTombstones counts the tombstones for key in dir's log.
 func countTombstones(t *testing.T, dir, key string) int {
 	t.Helper()
-	ids, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logs, _ := filepath.Glob(filepath.Join(dir, logPrefix+"*"))
 	n := 0
-	for i, id := range ids {
-		_, err := scanSegment(segmentPath(dir, id), i == len(ids)-1, func(rec record, _, _ int64) {
+	for _, path := range logs {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = scanFile(f, func(rec record, _, _ int64) error {
 			if rec.tombstone && string(rec.key) == key {
 				n++
 			}
+			return nil
 		})
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,11 +275,7 @@ func TestReopenAfterPoison(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			inj := NewErrInjector()
-			s, err := Open(dir, Options{
-				MaxSegmentBytes: 1 << 10,
-				SyncEveryPut:    tc.sync,
-				FaultInjection:  inj,
-			})
+			s, err := Open(dir, Options{SyncEveryPut: tc.sync, FaultInjection: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,19 +339,19 @@ func TestReopenAfterPoison(t *testing.T) {
 				t.Fatalf("reopened Get(poisoned) = (%q, %v): failed write is half-visible", got, err)
 			}
 			// The replay reconciled cleanly: writes work on the reopened
-			// store and a full fold sees no decode errors.
+			// store and indexing every record sees no decode errors.
 			if err := s2.Put("after-crash", []byte("ok")); err != nil {
 				t.Fatalf("Put on reopened store: %v", err)
 			}
-			if err := s2.Fold(func(string, []byte) error { return nil }); err != nil {
-				t.Fatalf("Fold over reopened store: %v", err)
+			if !has(s2, "after-crash") || len(keys(t, s2)) < len(acked)+1 {
+				t.Fatalf("reopened store holds %v", keys(t, s2))
 			}
 		})
 	}
 }
 
 // TestReopenAfterRecoveredPoison: degrade, recover in-process (which
-// salvages the acked unsynced tail onto a fresh segment), then crash
+// rewrites the acked unsynced tail into a fresh log), then crash
 // WITHOUT a clean Close. The salvaged records were fsynced by recovery,
 // so they must survive the crash.
 func TestReopenAfterRecoveredPoison(t *testing.T) {

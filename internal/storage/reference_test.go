@@ -217,8 +217,9 @@ func (f *failingReader) Read(p []byte) (int, error) {
 // every way one byte can — each truncation, each flip, a source error
 // after each byte — and feeds it whole, a byte per read and seven bytes
 // per read, so a fetch boundary lands on every byte of every frame. The
-// chunked reader must agree with the reference throughout, and
-// scanSegment's tail repair must cut the file where the reference says
+// chunked reader must agree with the reference throughout, and the
+// log's tail repair (scanFile, then a truncate where it says the valid
+// prefix ends, as Open does) must cut the file where the reference says
 // the first bad frame starts.
 func TestRecordReaderMatchesReferenceExhaustive(t *testing.T) {
 	seg := referenceSegment(t, 30)
@@ -240,15 +241,23 @@ func TestRecordReaderMatchesReferenceExhaustive(t *testing.T) {
 		if want.class != "eof" {
 			wantSize = want.failAt
 		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
 		n := 0
-		size, err := scanSegment(path, true, func(record, int64, int64) { n++ })
-		if err != nil || size != wantSize || n != len(want.recs) {
-			t.Fatalf("%s: scanSegment(repairTail) = %d, %v after %d records; reference %d after %d", what, size, err, n, wantSize, len(want.recs))
+		size, records, torn, err := scanFile(f, func(record, int64, int64) error { n++; return nil })
+		if err == nil && torn {
+			err = f.Truncate(size)
+		}
+		if err != nil || size != wantSize || n != len(want.recs) || records != n {
+			t.Fatalf("%s: scanFile = %d, %v after %d records; reference %d after %d", what, size, err, n, wantSize, len(want.recs))
 		}
 		if fi, err := os.Stat(path); err != nil || fi.Size() != wantSize {
 			t.Fatalf("%s: file is %d bytes after repair (%v), want %d", what, fi.Size(), err, wantSize)
 		}
-		if _, err := scanSegment(path, false, func(record, int64, int64) {}); err != nil {
+		if _, _, torn, err := scanFile(f, func(record, int64, int64) error { return nil }); err != nil || torn {
 			t.Fatalf("%s: repaired file does not scan clean: %v", what, err)
 		}
 	}
@@ -364,9 +373,12 @@ func (c *readCounter) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestScanReadBudget pins what the chunked reader is for: walking a
-// segment costs one read per chunk (plus the one cut short by a frame
-// carried over and the one that finds the end), not several per record.
-// The reference reader issues five per record on the same file.
+// file of framed records — a segment of the log, replayed by Open and
+// the scrubber ("scanSegment"), or a checkpoint, which Open and the
+// scrubber verify with one read ("verifySegment") — costs one read per
+// chunk (plus the one cut short by a frame carried over and the one
+// that finds the end), not several per record. The reference reader
+// issues five per record on the same file.
 func TestScanReadBudget(t *testing.T) {
 	const records = 10_000
 	var seg []byte
@@ -395,24 +407,36 @@ func TestScanReadBudget(t *testing.T) {
 	}
 
 	t.Run("scanSegment", func(t *testing.T) {
-		// scanSegment is os.Open plus this call.
 		src, n := open(t), 0
-		size, err := scanRecords(src, func(record, int64, int64) { n++ })
-		if err != nil || size != int64(len(seg)) || n != records {
-			t.Fatalf("scanRecords = %d, %v after %d records; want %d after %d", size, err, n, len(seg), records)
+		size, _, torn, err := scanFile(src, func(record, int64, int64) error { n++; return nil })
+		if err != nil || torn || size != int64(len(seg)) || n != records {
+			t.Fatalf("scanFile = %d, %v after %d records; want %d after %d", size, err, n, len(seg), records)
 		}
 		if src.reads > budget {
 			t.Errorf("%d reads for %d records in %d bytes, budget %d", src.reads, records, len(seg), budget)
 		}
 	})
 	t.Run("verifySegment", func(t *testing.T) {
-		src := open(t)
-		covered, err := new(Store).verifySegment(&segment{f: src, size: int64(len(seg))})
-		if err != nil || covered != int64(len(seg)) {
-			t.Fatalf("verifySegment = %d, %v; want %d", covered, err, len(seg))
+		hdr := binary.AppendUvarint(binary.AppendUvarint(nil, 1), records)
+		img, _ := appendRecord(nil, record{key: []byte(formatKey), value: []byte(checkpointFormat)})
+		img, _ = appendRecord(img, record{key: []byte(headerKey), value: hdr})
+		img = append(img, seg...)
+		ckpt := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.WriteFile(ckpt, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		src := &readCounter{File: f}
+		info, err := verifyCheckpoint(src, int64(len(img)))
+		if err != nil || info.gen != 1 || info.bytes != int64(len(img)) {
+			t.Fatalf("verifyCheckpoint = %+v, %v", info, err)
 		}
 		if src.reads > budget {
-			t.Errorf("%d reads for %d records in %d bytes, budget %d", src.reads, records, len(seg), budget)
+			t.Errorf("%d reads for %d records in %d bytes, budget %d", src.reads, records, len(img), budget)
 		}
 	})
 	t.Run("reference", func(t *testing.T) {

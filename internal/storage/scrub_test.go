@@ -2,268 +2,97 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"os"
-	"strings"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
 
-// segOf returns the segment currently holding key's live record.
-func segOf(t *testing.T, s *Store, key string) uint64 {
+// flipByte flips the byte at off of a file in dir.
+func flipByte(t *testing.T, dir, name string, off int64) {
 	t.Helper()
-	s.keyMu.RLock()
-	loc, ok := s.keydir[key]
-	s.keyMu.RUnlock()
-	if !ok {
-		t.Fatalf("segOf: %q not in keydir", key)
-	}
-	return loc.segID
-}
-
-// flipFrameByte corrupts key's on-disk frame by inverting the last
-// byte of its value region, breaking the frame CRC.
-func flipFrameByte(t *testing.T, s *Store, key string) {
-	t.Helper()
-	s.keyMu.RLock()
-	loc, ok := s.keydir[key]
-	s.keyMu.RUnlock()
-	if !ok {
-		t.Fatalf("flipFrameByte: %q not in keydir", key)
-	}
-	path := segmentPath(s.dir, loc.segID)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR, 0)
 	if err != nil {
-		t.Fatalf("opening segment for corruption: %v", err)
+		t.Fatal(err)
 	}
 	defer f.Close()
 	b := make([]byte, 1)
-	pos := loc.offset + loc.length - 1
-	if _, err := f.ReadAt(b, pos); err != nil {
-		t.Fatalf("reading byte to flip: %v", err)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
 	}
-	b[0] ^= 0xFF
-	if _, err := f.WriteAt(b, pos); err != nil {
-		t.Fatalf("flipping byte: %v", err)
+	b[0] ^= 0x5A
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func activeSegID(s *Store) uint64 {
-	s.segMu.RLock()
-	defer s.segMu.RUnlock()
-	return s.active.id
-}
-
-// TestScrubQuarantinesAndSalvagesBitFlip is the tentpole integration
-// test: a bit flip in a cold sealed segment is detected by a scrub
-// pass, the segment is quarantined and salvaged — intact live records
-// rewritten, the clobbered record's key dropped and counted — and the
-// corrupt file is retired so reopen never sees it.
+// TestScrubQuarantinesAndSalvagesBitFlip: a bit flip in the checkpoint
+// is found by the next scrub and salvaged by a fresh checkpoint from
+// memory, which replaces the damaged file: the directory reloads as the
+// corpus and the next scrub is clean.
 func TestScrubQuarantinesAndSalvagesBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s, corpus := boundCorpus(t, dir, Options{})
 	defer s.Close()
-
-	val := func(i int) string {
-		return fmt.Sprintf("scrub-value-%02d-%s", i, strings.Repeat("v", 120))
-	}
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := s.Put(fmt.Sprintf("scrub-%02d", i), []byte(val(i))); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-
-	// Pick a victim key living in a sealed segment and flip a byte of
-	// its frame on disk.
-	victim := ""
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("scrub-%02d", i)
-		if segOf(t, s, k) != activeSegID(s) {
-			victim = k
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no key landed in a sealed segment; MaxSegmentBytes too large for fixture")
-	}
-	corruptSeg := segOf(t, s, victim)
-	flipFrameByte(t, s, victim)
-
+	churn(t, corpus, 1)
+	st := s.Stats()
+	flipByte(t, dir, checkpointPrefix+strconv.FormatUint(st.CheckpointVersion, 10), st.CheckpointBytes/2)
 	if err := s.Scrub(); err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	st := s.ScrubStats()
-	if st.CorruptionsFound != 1 {
-		t.Fatalf("CorruptionsFound = %d, want 1", st.CorruptionsFound)
+	if st := s.ScrubStats(); st.CorruptionsFound != 1 || st.Salvages != 1 {
+		t.Fatalf("ScrubStats = %+v, want one corruption found and salvaged", st)
 	}
-	if st.RecordsLost != 1 {
-		t.Fatalf("RecordsLost = %d, want 1 (only the flipped frame)", st.RecordsLost)
+	if st := s.Stats(); st.CheckpointVersion != corpus.Version() || st.LogBytes != 0 {
+		t.Fatalf("after the salvage %+v, want a checkpoint at version %d", st, corpus.Version())
 	}
-	if st.RecordsSalvaged == 0 {
-		t.Fatal("RecordsSalvaged = 0, want the segment's intact records rewritten")
+	if err := s.Scrub(); err != nil || s.ScrubStats().CorruptionsFound != 1 {
+		t.Fatalf("scrub after the salvage: %v, %+v", err, s.ScrubStats())
 	}
-	if q := s.HealthStats().QuarantinedSegments; q != 0 {
-		t.Fatalf("QuarantinedSegments = %d after salvage, want 0 (segment retired)", q)
-	}
-	if _, err := os.Stat(segmentPath(dir, corruptSeg)); !os.IsNotExist(err) {
-		t.Fatalf("corrupt segment file still on disk (stat err %v)", err)
-	}
-
-	// The clobbered record is lost, not half-served; every other record
-	// survives byte-for-byte.
-	if _, err := s.Get(victim); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(%s) err = %v, want ErrNotFound after losing its frame", victim, err)
-	}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("scrub-%02d", i)
-		if k == victim {
-			continue
-		}
-		got, err := s.Get(k)
-		if err != nil || string(got) != val(i) {
-			t.Fatalf("post-salvage Get(%q) = (%q, %v), want %q", k, got, err, val(i))
-		}
-	}
-
-	// A second pass finds nothing new.
-	if err := s.Scrub(); err != nil {
-		t.Fatalf("second Scrub: %v", err)
-	}
-	if got := s.ScrubStats().CorruptionsFound; got != 1 {
-		t.Fatalf("CorruptionsFound after clean re-scrub = %d, want still 1", got)
-	}
-
-	// Reopen: the salvaged state replays cleanly.
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen after salvage: %v", err)
-	}
-	defer s2.Close()
-	if _, err := s2.Get(victim); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("reopened Get(%s) err = %v, want ErrNotFound", victim, err)
-	}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("scrub-%02d", i)
-		if k == victim {
-			continue
-		}
-		got, err := s2.Get(k)
-		if err != nil || string(got) != val(i) {
-			t.Fatalf("reopened Get(%q) = (%q, %v), want %q", k, got, err, val(i))
-		}
+	if got := reloadDump(t, dir, Options{ReadOnly: true}); got != corpus.CanonicalDump() {
+		t.Fatal("the salvaged directory does not reload as the corpus")
 	}
 }
 
-// TestScrubRescuesTombstones: salvaging a corrupt segment must carry
-// its tombstones forward when an older segment still holds a put for
-// the same key — dropping them would resurrect deleted keys at the
-// next replay.
+// TestScrubRescuesTombstones: a bit flip in the log, after a delete the
+// log alone holds. The salvage writes the corpus from memory, where the
+// recipe is deleted, so the delete survives although its tombstone was
+// in the damaged file.
 func TestScrubRescuesTombstones(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s, corpus := boundCorpus(t, dir, Options{})
 	defer s.Close()
-
-	filler := strings.Repeat("f", 150)
-	put := func(k string) {
-		t.Helper()
-		if err := s.Put(k, []byte(filler)); err != nil {
-			t.Fatalf("Put(%q): %v", k, err)
-		}
+	if _, err := corpus.Remove(2); err != nil {
+		t.Fatal(err)
 	}
-
-	// Segment A: the doomed puts, then fill until rotation.
-	put("dead-key")
-	put("dead-after-damage")
-	segA := segOf(t, s, "dead-key")
-	i := 0
-	for activeSegID(s) == segA {
-		put(fmt.Sprintf("fill-a-%02d", i))
-		i++
-	}
-	// Segment B, from the top: tombstone for dead-key, a sacrificial
-	// record to corrupt, a live record the rescue walk resyncs at, the
-	// second tombstone, then fill until B seals.
-	segB := activeSegID(s)
-	if err := s.Delete("dead-key"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	put("sacrificial")
-	put("resync-anchor")
-	if err := s.Delete("dead-after-damage"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if got := segOf(t, s, "resync-anchor"); got != segB {
-		t.Fatalf("fixture: resync-anchor landed in segment %d, want %d (with the tombstones)", got, segB)
-	}
-	i = 0
-	for activeSegID(s) == segB {
-		put(fmt.Sprintf("fill-b-%02d", i))
-		i++
-	}
-
-	flipFrameByte(t, s, "sacrificial")
+	churn(t, corpus, 1)
+	flipByte(t, dir, logPrefix+"1", s.Stats().LogBytes/3)
 	if err := s.Scrub(); err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if got := s.ScrubStats().CorruptionsFound; got != 1 {
-		t.Fatalf("CorruptionsFound = %d, want 1", got)
+	if st := s.ScrubStats(); st.CorruptionsFound != 1 || st.Salvages != 1 {
+		t.Fatalf("ScrubStats = %+v, want one corruption found and salvaged", st)
 	}
-	if _, err := s.Get("sacrificial"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(sacrificial) err = %v, want ErrNotFound", err)
-	}
-	if _, err := s.Get("dead-key"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(dead-key) err = %v, want ErrNotFound", err)
-	}
-
-	// The replay is the real referee: without the rescued tombstone,
-	// segment A's put would resurrect dead-key here.
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	if _, err := s2.Get("dead-key"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("reopened Get(dead-key) err = %v, want ErrNotFound — tombstone lost in salvage", err)
-	}
-	if _, err := s2.Get("dead-after-damage"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("reopened Get(dead-after-damage) err = %v, want ErrNotFound — tombstone past the damage lost in salvage", err)
-	}
-	if _, err := s2.Get("sacrificial"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("reopened Get(sacrificial) err = %v, want ErrNotFound", err)
-	}
-	if got, err := s2.Get("resync-anchor"); err != nil || string(got) != filler {
-		t.Fatalf("reopened Get(resync-anchor) = (%q, %v), want filler", got, err)
-	}
-	if got, err := s2.Get("fill-a-00"); err != nil || string(got) != filler {
-		t.Fatalf("reopened Get(fill-a-00) = (%q, %v), want filler", got, err)
+	s.Close()
+	if got := reloadDump(t, dir, Options{}); got != corpus.CanonicalDump() {
+		t.Fatal("the salvaged directory does not reload as the corpus")
 	}
 }
 
-// TestScrubCleanThenFlipped: a full pass over clean multi-segment data
-// verifies every sealed byte and finds nothing; a bit flipped afterwards
-// in a segment the walk already passed once is caught by the next pass.
+// TestScrubCleanThenFlipped: a pass over clean files verifies every
+// byte and finds nothing; a bit flipped afterwards is caught by the
+// next pass. Without a corpus bound there is nothing to salvage from:
+// the scrub says so and the store keeps its files.
 func TestScrubCleanThenFlipped(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 1 << 10})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Close()
 	for i := 0; i < 30; i++ {
-		if err := s.Put(fmt.Sprintf("m-%02d", i), []byte(strings.Repeat("m", 128))); err != nil {
+		if err := s.Put("m-"+strconv.Itoa(i), make([]byte, 128)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -271,54 +100,35 @@ func TestScrubCleanThenFlipped(t *testing.T) {
 		t.Fatalf("Scrub: %v", err)
 	}
 	st := s.ScrubStats()
-	if st.SegmentsVerified == 0 || st.BytesVerified == 0 {
-		t.Fatalf("ScrubStats = %+v, want verified segments and bytes", st)
+	if st.BytesVerified != uint64(s.Stats().LogBytes) || st.CorruptionsFound != 0 {
+		t.Fatalf("ScrubStats = %+v on %d clean log bytes", st, s.Stats().LogBytes)
 	}
-	if st.CorruptionsFound != 0 {
-		t.Fatalf("CorruptionsFound = %d on clean data", st.CorruptionsFound)
+	flipByte(t, dir, logPrefix+"0", s.Stats().LogBytes/2)
+	if err := s.Scrub(); !errors.Is(err, ErrNoCorpus) {
+		t.Fatalf("Scrub after flip = %v, want ErrNoCorpus", err)
 	}
-
-	victim := ""
-	for i := 0; i < 30; i++ {
-		k := fmt.Sprintf("m-%02d", i)
-		if segOf(t, s, k) != activeSegID(s) {
-			victim = k
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no sealed key")
-	}
-	flipFrameByte(t, s, victim)
-	if err := s.Scrub(); err != nil {
-		t.Fatalf("Scrub after flip: %v", err)
-	}
-	if got := s.ScrubStats().CorruptionsFound; got != 1 {
-		t.Fatalf("CorruptionsFound = %d, want 1", got)
-	}
-	if q := s.HealthStats().QuarantinedSegments; q != 0 {
-		t.Fatalf("QuarantinedSegments = %d, want 0 after salvage", q)
+	if st := s.ScrubStats(); st.CorruptionsFound != 1 || st.Salvages != 0 || st.LastError == "" {
+		t.Fatalf("ScrubStats = %+v, want one corruption, no salvage and the reason", st)
 	}
 }
 
-// TestScrubBackgroundLoop: the paced goroutine walks sealed segments
-// round-robin without any explicit call.
+// TestScrubBackgroundLoop: the paced goroutine verifies the files
+// without any explicit call, and stops with the store.
 func TestScrubBackgroundLoop(t *testing.T) {
-	s := openTemp(t, Options{MaxSegmentBytes: 1 << 10, ScrubInterval: 2 * time.Millisecond})
-	for i := 0; i < 30; i++ {
-		if err := s.Put(fmt.Sprintf("bg-%02d", i), []byte(strings.Repeat("b", 128))); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
+	dir := t.TempDir()
+	s, _ := boundCorpus(t, dir, Options{ScrubInterval: 2 * time.Millisecond})
 	if !s.ScrubStats().Running {
 		t.Fatal("scrubber not running despite ScrubInterval")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ScrubStats().SegmentsVerified < 3 {
+	for s.ScrubStats().Runs < 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("background scrub verified %d segments, want >= 3", s.ScrubStats().SegmentsVerified)
+			t.Fatalf("background scrub ran %d passes, want >= 3", s.ScrubStats().Runs)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	if st := s.ScrubStats(); st.BytesVerified < uint64(s.Stats().CheckpointBytes) || st.CorruptionsFound != 0 {
+		t.Fatalf("ScrubStats = %+v", st)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"culinary/internal/flavor"
@@ -12,17 +15,20 @@ import (
 	"culinary/internal/search"
 )
 
-// testCatalog builds a small deterministic catalog shared by snapshot
-// tests.
+// testCatalog returns the default catalog, built once and shared by
+// the tests (a catalog is immutable).
 func testCatalog(t *testing.T) *flavor.Catalog {
 	t.Helper()
-	cfg := flavor.DefaultConfig()
-	catalog, err := flavor.Build(cfg)
+	catalog, err := sharedCatalog()
 	if err != nil {
 		t.Fatalf("building catalog: %v", err)
 	}
 	return catalog
 }
+
+var sharedCatalog = sync.OnceValues(func() (*flavor.Catalog, error) {
+	return flavor.Build(flavor.DefaultConfig())
+})
 
 // testCorpus assembles a tiny corpus by hand.
 func testCorpus(t *testing.T, catalog *flavor.Catalog) *recipedb.Store {
@@ -50,7 +56,7 @@ func testCorpus(t *testing.T, catalog *flavor.Catalog) *recipedb.Store {
 }
 
 // largeTestCorpus is testCorpus plus 40 filler recipes: enough records
-// to span several small segments and to leave gaps when thinned.
+// to leave gaps when thinned.
 func largeTestCorpus(t *testing.T, catalog *flavor.Catalog) *recipedb.Store {
 	t.Helper()
 	corpus := testCorpus(t, catalog)
@@ -68,7 +74,7 @@ func TestRecipeEncodeDecodeRoundTrip(t *testing.T) {
 	corpus := testCorpus(t, catalog)
 	for i := 0; i < corpus.Len(); i++ {
 		r := corpus.Recipe(i)
-		name, region, source, ids, err := decodeRecipe(recipedb.EncodeRecipe(&r))
+		name, region, source, ids, err := recipedb.DecodeRecipe(recipedb.EncodeRecipe(&r))
 		if err != nil {
 			t.Fatalf("decode recipe %d: %v", i, err)
 		}
@@ -93,18 +99,22 @@ func TestDecodeRecipeRejectsGarbage(t *testing.T) {
 		{1, 1, 200}, // name length far beyond remaining bytes
 		{1, 1, 1, 'x', 250},
 	}
-	for i, data := range cases {
-		if _, _, _, _, err := decodeRecipe(data); !errors.Is(err, ErrSnapshot) {
-			t.Errorf("case %d: err = %v, want ErrSnapshot", i, err)
-		}
-	}
 	// Trailing bytes after a valid body must be rejected.
 	catalog := testCatalog(t)
 	corpus := testCorpus(t, catalog)
 	first := corpus.Recipe(0)
-	good := recipedb.EncodeRecipe(&first)
-	if _, _, _, _, err := decodeRecipe(append(good, 0)); !errors.Is(err, ErrSnapshot) {
-		t.Errorf("trailing byte: err = %v, want ErrSnapshot", err)
+	cases = append(cases, append(recipedb.EncodeRecipe(&first), 0))
+	for i, data := range cases {
+		db := openTemp(t, Options{})
+		if err := SaveCorpus(db, corpus); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(recipedb.RecipeKey(1), data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCorpus(db, catalog); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("case %d: LoadCorpus = %v, want ErrSnapshot", i, err)
+		}
 	}
 }
 
@@ -179,15 +189,24 @@ func TestLoadCorpusCatalogMismatch(t *testing.T) {
 func TestLoadCorpusRequiresSnapshot(t *testing.T) {
 	catalog := testCatalog(t)
 	db := openTemp(t, Options{})
-	if _, err := LoadCorpus(db, catalog); err == nil {
-		t.Fatal("LoadCorpus on empty store succeeded")
+	if _, err := LoadCorpus(db, catalog); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("LoadCorpus on empty store = %v, want ErrNotFound", err)
 	}
-	// A wrong format marker is also rejected.
-	if err := db.Put(formatKey, []byte("bogus/9")); err != nil {
+	// Records in the log do not make a snapshot: only a checkpoint does.
+	if err := db.Put(formatKey, []byte(checkpointFormat)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCorpus(db, catalog); !errors.Is(err, ErrSnapshot) {
-		t.Fatalf("err = %v, want ErrSnapshot", err)
+	if _, err := LoadCorpus(db, catalog); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("LoadCorpus with no checkpoint = %v, want ErrNotFound", err)
+	}
+	// A checkpoint in a wrong format fails Open.
+	dir := t.TempDir()
+	bogus, _ := appendRecord(nil, record{key: []byte(formatKey), value: []byte("bogus/9")})
+	if err := os.WriteFile(filepath.Join(dir, checkpointPrefix+"1"), bogus, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with a bogus checkpoint = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -195,17 +214,18 @@ func TestSnapshotSurvivesReopenAndCompact(t *testing.T) {
 	catalog := testCatalog(t)
 	corpus := testCorpus(t, catalog)
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MaxSegmentBytes: 1024})
+	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveCorpus(db, corpus); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCorpus(db, corpus); err != nil { // double save creates dead bytes
+	if err := SaveCorpus(db, corpus); err != nil { // a second save at the same version
 		t.Fatal(err)
 	}
-	if err := db.Compact(); err != nil {
+	corpus.SetBackend(db)
+	if err := db.Checkpoint(); err != nil { // compaction is a checkpoint
 		t.Fatal(err)
 	}
 	db.Close()
@@ -246,9 +266,11 @@ func replayLive(t *testing.T, corpus *recipedb.Store) *recipedb.Store {
 // corpus: save a snapshot, bind the store to the engine, mutate
 // through the write-through path (upsert, delete, insert), reopen and
 // reload — the reloaded corpus must match slot for slot, including the
-// tombstoned gaps. The cases vary what the reload's Fold reads through:
-// one segment, many segments with a Compact between the mutations, and
-// a ReadOnly reopen (the mode inspection tools reload in).
+// tombstoned gaps. The cases vary what the reload reads: the save's
+// checkpoint with every mutation in the log ("oneSegment"), a
+// checkpoint taken between the mutations with the rest in the log
+// ("multiSegmentCompacted"), and a ReadOnly reopen (the mode inspection
+// tools reload in).
 func TestMutatedCorpusRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -257,8 +279,8 @@ func TestMutatedCorpusRoundTrip(t *testing.T) {
 		reopen  Options
 	}{
 		{name: "oneSegment"},
-		{name: "multiSegmentCompacted", open: Options{MaxSegmentBytes: 256}, compact: true},
-		{name: "readOnlyReopen", open: Options{MaxSegmentBytes: 256}, reopen: Options{ReadOnly: true}},
+		{name: "multiSegmentCompacted", compact: true},
+		{name: "readOnlyReopen", reopen: Options{ReadOnly: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { testMutatedCorpusRoundTrip(t, tc.open, tc.compact, tc.reopen) })
 	}
@@ -289,7 +311,7 @@ func testMutatedCorpusRoundTrip(t *testing.T, open Options, compact bool, reopen
 		}
 	}
 	if compact {
-		if err := db.Compact(); err != nil {
+		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,8 +319,8 @@ func testMutatedCorpusRoundTrip(t *testing.T, open Options, compact bool, reopen
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open.MaxSegmentBytes > 0 && db.Stats().Segments < 3 {
-		t.Fatalf("snapshot spans %d segments, want a multi-segment log", db.Stats().Segments)
+	if st := db.Stats(); st.LogRecords == 0 || compact != (st.CheckpointVersion > 0 && st.Checkpoints == 2) {
+		t.Fatalf("stats %+v: want mutations in the log, and a second checkpoint exactly when compacted", st)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -352,9 +374,7 @@ func testMutatedCorpusRoundTrip(t *testing.T, open Options, compact bool, reopen
 // ones), reopens the directory the way a restarted process would, and
 // requires LoadCorpus to report "no usable snapshot" or return one of
 // the complete corpora — never a prefix of the interrupted save. Both a
-// first save and a save over a larger prior snapshot are swept, in
-// chunks of 8 records so the faults land on both sides of the
-// boundaries between the save's WriteBatch calls.
+// first save and a save over a larger prior snapshot are swept.
 func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
 	catalog := testCatalog(t)
 	small := testCorpus(t, catalog)
@@ -375,7 +395,7 @@ func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
 			run := func(failAt int) (dir string, ops int) {
 				dir = t.TempDir()
 				inj := NewErrInjector()
-				db, err := Open(dir, Options{MaxSegmentBytes: 512, FaultInjection: inj})
+				db, err := Open(dir, Options{FaultInjection: inj})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -386,14 +406,16 @@ func TestInterruptedSaveNeverLoadsShort(t *testing.T) {
 					}
 				}
 				inj.FailOp(failAt, errInjectedIO, failAt%2 == 1)
-				serr := saveCorpus(db, tc.save, 8)
-				if inj.Injected() > 0 && serr == nil {
-					t.Fatalf("op %d failed but SaveCorpus reported success", failAt)
+				serr := SaveCorpus(db, tc.save)
+				// Removing the superseded files comes after the save is
+				// complete, and the next Open retries it.
+				if inj.Injected() > 0 && serr == nil && inj.failOp != FaultRemove {
+					t.Fatalf("op %d (%v) failed but SaveCorpus reported success", failAt, inj.failOp)
 				}
 				return dir, inj.Ops()
 			}
 			_, total := run(1 << 30) // unreachable: count only
-			if total < 20 {
+			if total < 8 {
 				t.Fatalf("save took only %d fs operations; too few for a meaningful sweep", total)
 			}
 			for k := 0; k < total; k++ {
@@ -432,7 +454,7 @@ func TestReloadNeverRegressesTheVersion(t *testing.T) {
 	run := func(failAt int) (dir string, version uint64, slots, ops int) {
 		dir = t.TempDir()
 		inj := NewErrInjector()
-		db, err := Open(dir, Options{MaxSegmentBytes: 512, SyncEveryPut: true, FaultInjection: inj})
+		db, err := Open(dir, Options{SyncEveryPut: true, FaultInjection: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +483,7 @@ func TestReloadNeverRegressesTheVersion(t *testing.T) {
 		return dir, version, slots, inj.Ops()
 	}
 	_, _, _, total := run(1 << 30) // unreachable: count only
-	if total < 20 {
+	if total < 16 {
 		t.Fatalf("the workload took only %d fs operations; too few for a meaningful sweep", total)
 	}
 	for k := 0; k < total; k++ {
@@ -483,31 +505,35 @@ func TestReloadNeverRegressesTheVersion(t *testing.T) {
 }
 
 // referenceLoadCorpus is LoadCorpus's install step as it stood before
-// recipedb.Load: every recipe the fold delivers goes through an Upsert
-// write group of its own, and the version record, when there is one,
-// then raises the slot bound and version. It defines the store a reload
-// must produce.
+// recipedb.Load: every live recipe key, in key order, goes through an
+// Upsert write group of its own (its value read with Get), and the
+// version record, when there is one, then raises the slot bound and
+// version. It defines the store a reload must produce.
 func referenceLoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, error) {
 	corpus := recipedb.NewStore(catalog)
-	err := db.Fold(func(key string, raw []byte) error {
+	live, err := liveKeys(db)
+	if err != nil {
+		return corpus, err
+	}
+	for _, key := range live {
 		if !strings.HasPrefix(key, recipePrefix) {
-			return nil
+			continue
 		}
 		id, ok := recipedb.ParseRecipeKey(key)
 		if !ok {
-			return fmt.Errorf("%w: recipe key %q", ErrSnapshot, key)
+			return corpus, fmt.Errorf("%w: recipe key %q", ErrSnapshot, key)
 		}
-		name, region, source, ids, err := decodeRecipe(raw)
+		raw, err := db.Get(key)
 		if err != nil {
-			return fmt.Errorf("storage: recipe %s: %w", key, err)
+			return corpus, err
+		}
+		name, region, source, ids, err := recipedb.DecodeRecipe(raw)
+		if err != nil {
+			return corpus, fmt.Errorf("storage: recipe %s: %w: %v", key, ErrSnapshot, err)
 		}
 		if _, _, _, err := corpus.Upsert(id, name, region, source, ids); err != nil {
-			return fmt.Errorf("storage: recipe %s: %w", key, err)
+			return corpus, fmt.Errorf("storage: recipe %s: %w", key, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return corpus, err
 	}
 	if raw, err := db.Get(recipedb.VersionKey); err == nil {
 		version, slots, err := recipedb.DecodeVersion(raw)
@@ -525,8 +551,8 @@ func referenceLoadCorpus(db *Store, catalog *flavor.Catalog) (*recipedb.Store, e
 // (slots, tombstones, posting lists), version, slot bound, live count,
 // and the search index built from it. The snapshots are fresh ones long
 // enough to cross install-chunk boundaries, ones with deleted slots and
-// gaps, multi-segment ones, and ones mutated through the write-through
-// path and then compacted.
+// gaps, and ones mutated through the write-through path (checkpoint
+// plus log: "several segments") and then checkpointed ("compacted").
 func TestLoadCorpusMatchesPerRecordUpserts(t *testing.T) {
 	catalog := testCatalog(t)
 	check := func(t *testing.T, db *Store) {
@@ -599,15 +625,12 @@ func TestLoadCorpusMatchesPerRecordUpserts(t *testing.T) {
 		corpus := largeTestCorpus(t, catalog)
 		r0 := corpus.Recipe(0)
 		dir := t.TempDir()
-		db, err := Open(dir, Options{MaxSegmentBytes: 256})
+		db, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := SaveCorpus(db, corpus); err != nil {
 			t.Fatal(err)
-		}
-		if db.Stats().Segments < 3 {
-			t.Fatalf("snapshot spans %d segments, want several", db.Stats().Segments)
 		}
 		check(t, db)
 		corpus.SetBackend(db)
@@ -618,9 +641,15 @@ func TestLoadCorpusMatchesPerRecordUpserts(t *testing.T) {
 		if _, _, _, err := corpus.Upsert(corpus.Slots()+7, "far dish", recipedb.Korea, recipedb.TarlaDalal, r0.Ingredients); err != nil {
 			t.Fatal(err)
 		}
+		if db.Stats().LogRecords == 0 {
+			t.Fatal("the mutations left the log empty")
+		}
 		check(t, db)
-		if err := db.Compact(); err != nil {
+		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
+		}
+		if st := db.Stats(); st.LogRecords != 0 || st.CheckpointVersion != corpus.Version() {
+			t.Fatalf("after the checkpoint: %+v, want an empty log and version %d", st, corpus.Version())
 		}
 		check(t, db)
 		if err := db.Close(); err != nil {

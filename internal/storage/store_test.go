@@ -7,11 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"culinary/internal/recipedb"
 	"culinary/internal/rng"
 )
 
@@ -47,8 +50,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Errorf("Get(%q) = %q, want %q", k, got, want)
 		}
 	}
-	if s.Len() != len(cases) {
-		t.Errorf("Len = %d, want %d", s.Len(), len(cases))
+	if n := len(keys(t, s)); n != len(cases) {
+		t.Errorf("%d live keys, want %d", n, len(cases))
 	}
 }
 
@@ -73,11 +76,11 @@ func TestOverwriteKeepsLatest(t *testing.T) {
 	if string(got) != "v9" {
 		t.Errorf("Get = %q, want v9", got)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if n := len(keys(t, s)); n != 1 {
+		t.Errorf("%d live keys, want 1", n)
 	}
-	if st := s.Stats(); st.DeadBytes == 0 {
-		t.Error("overwrites should accumulate dead bytes")
+	if st := s.Stats(); st.LogRecords != 10 {
+		t.Errorf("log holds %d records, want every overwrite until a checkpoint", st.LogRecords)
 	}
 }
 
@@ -92,35 +95,12 @@ func TestDelete(t *testing.T) {
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after Delete: %v, want ErrNotFound", err)
 	}
-	if s.Has("k") {
-		t.Error("Has after Delete = true")
+	if has(s, "k") {
+		t.Error("key live after Delete")
 	}
 	// Deleting an absent key is a no-op.
 	if err := s.Delete("never-existed"); err != nil {
 		t.Fatalf("Delete absent: %v", err)
-	}
-}
-
-func TestKeysSortedAndPrefixed(t *testing.T) {
-	s := openTemp(t, Options{})
-	for _, k := range []string{"b/2", "a/1", "b/1", "c"} {
-		if err := s.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Keys()
-	want := []string{"a/1", "b/1", "b/2", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("Keys = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys = %v, want %v", got, want)
-		}
-	}
-	bs := s.KeysWithPrefix("b/")
-	if len(bs) != 2 || bs[0] != "b/1" || bs[1] != "b/2" {
-		t.Errorf("KeysWithPrefix(b/) = %v", bs)
 	}
 }
 
@@ -147,10 +127,10 @@ func TestReopenRecoversState(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != 99 {
-		t.Errorf("Len after reopen = %d, want 99", s2.Len())
+	if n := len(keys(t, s2)); n != 99 {
+		t.Errorf("%d live keys after reopen, want 99", n)
 	}
-	if s2.Has("key050") {
+	if has(s2, "key050") {
 		t.Error("deleted key survived reopen")
 	}
 	v, err := s2.Get("key099")
@@ -165,8 +145,7 @@ func TestReopenRecoversState(t *testing.T) {
 // owner acked — before the inspector opened, while it was open and
 // after it closed — must reload. A second read-write open is
 // unsupported: its tail repair and its Close both truncate the owner's
-// active segment, and this same sequence then reloads 10 of the 30 keys
-// (the last 10 land behind a hole and replay as a torn tail).
+// log, and its Open removes what it takes for a crash's leftovers.
 func TestReadOnlyOpenOfALiveDirectoryLosesNothing(t *testing.T) {
 	dir := t.TempDir()
 	owner, err := Open(dir, Options{SyncEveryPut: true})
@@ -186,8 +165,8 @@ func TestReadOnlyOpenOfALiveDirectoryLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read-only open beside the owner: %v", err)
 	}
-	if inspector.Len() != 10 {
-		t.Errorf("inspector sees %d keys, want the 10 written before it opened", inspector.Len())
+	if n := len(keys(t, inspector)); n != 10 {
+		t.Errorf("inspector sees %d keys, want the 10 written before it opened", n)
 	}
 	put(10, 20)
 	if err := inspector.Close(); err != nil {
@@ -203,32 +182,13 @@ func TestReadOnlyOpenOfALiveDirectoryLosesNothing(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer reopened.Close()
-	if reopened.Len() != 30 {
-		t.Errorf("reloaded %d keys, want all 30 acked writes", reopened.Len())
+	if n := len(keys(t, reopened)); n != 30 {
+		t.Errorf("reloaded %d keys, want all 30 acked writes", n)
 	}
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("key%02d", i)
 		if v, err := reopened.Get(k); err != nil || string(v) != fmt.Sprintf("val%02d", i) {
 			t.Errorf("Get(%s) = %q, %v", k, v, err)
-		}
-	}
-}
-
-func TestSegmentRotation(t *testing.T) {
-	s := openTemp(t, Options{MaxSegmentBytes: 256})
-	val := bytes.Repeat([]byte("x"), 64)
-	for i := 0; i < 50; i++ {
-		if err := s.Put(fmt.Sprintf("k%02d", i), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.Segments < 5 {
-		t.Errorf("Segments = %d, want >= 5 with 256-byte rotation", st.Segments)
-	}
-	// Every key must still be readable across segments.
-	for i := 0; i < 50; i++ {
-		if _, err := s.Get(fmt.Sprintf("k%02d", i)); err != nil {
-			t.Fatalf("Get(k%02d): %v", i, err)
 		}
 	}
 }
@@ -246,8 +206,8 @@ func TestTornTailIsTruncated(t *testing.T) {
 	}
 	s.Close()
 
-	// Simulate a crash mid-append: chop bytes off the active segment.
-	path := segmentPath(dir, 1)
+	// Simulate a crash mid-append: chop bytes off the log.
+	path := filepath.Join(dir, logPrefix+"0")
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +221,8 @@ func TestTornTailIsTruncated(t *testing.T) {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != 9 {
-		t.Errorf("Len = %d, want 9 (torn record dropped)", s2.Len())
+	if n := len(keys(t, s2)); n != 9 {
+		t.Errorf("%d live keys, want 9 (torn record dropped)", n)
 	}
 	// The store must accept appends after repair.
 	if err := s2.Put("k9", []byte("rewritten")); err != nil {
@@ -274,21 +234,23 @@ func TestTornTailIsTruncated(t *testing.T) {
 	}
 }
 
+// TestCorruptionInSealedSegmentFailsOpen: the checkpoint is the one
+// sealed file, complete when it was renamed into place, so damage to it
+// fails Open — nothing falls back to an older image whose log is gone.
 func TestCorruptionInSealedSegmentFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 128})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		if err := s.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte("v"), 32)); err != nil {
-			t.Fatal(err)
-		}
+	if err := SaveCorpus(s, largeTestCorpus(t, testCatalog(t))); err != nil {
+		t.Fatal(err)
 	}
+	name := checkpointPrefix + strconv.FormatUint(s.Stats().CheckpointVersion, 10)
 	s.Close()
 
-	// Flip a byte in the middle of the first (sealed) segment.
-	path := segmentPath(dir, 1)
+	// Flip a byte in the middle of the checkpoint.
+	path := filepath.Join(dir, name)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -299,95 +261,122 @@ func TestCorruptionInSealedSegmentFailsOpen(t *testing.T) {
 	}
 
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on corrupted sealed segment = %v, want ErrCorrupt", err)
+		t.Fatalf("Open on a corrupted checkpoint = %v, want ErrCorrupt", err)
+	}
+	if _, err := Open(dir, Options{ReadOnly: true}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read-only Open on a corrupted checkpoint = %v, want ErrCorrupt", err)
 	}
 }
 
-func TestCompactReclaimsSpace(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 1024, CompactionFloorBytes: 1024})
+// boundCorpus opens a store in dir, saves largeTestCorpus into it and
+// makes the store the corpus's backend, as cmd/server does.
+func boundCorpus(t *testing.T, dir string, opts Options) (*Store, *recipedb.Store) {
+	t.Helper()
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	corpus := largeTestCorpus(t, testCatalog(t))
+	if err := SaveCorpus(s, corpus); err != nil {
+		t.Fatal(err)
+	}
+	corpus.SetBackend(s)
+	return s, corpus
+}
+
+// reloadDump reopens dir and returns the reloaded corpus's dump.
+func reloadDump(t *testing.T, dir string, opts Options) string {
+	t.Helper()
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
 	defer s.Close()
-	// Write each key many times so most bytes are dead.
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 20; i++ {
-			if err := s.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(round)}, 50)); err != nil {
+	loaded, err := LoadCorpus(s, testCatalog(t))
+	if err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	return loaded.CanonicalDump()
+}
+
+// churn replaces and deletes recipes of corpus through its backend.
+func churn(t *testing.T, corpus *recipedb.Store, rounds int) {
+	t.Helper()
+	r0 := corpus.Recipe(0)
+	for round := 0; round < rounds; round++ {
+		for id := 4; id < 24; id++ {
+			name := fmt.Sprintf("round %d dish %d", round, id)
+			if _, _, _, err := corpus.Upsert(id, name, recipedb.France, recipedb.Epicurious, r0.Ingredients); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for i := 0; i < 5; i++ {
-		if err := s.Delete(fmt.Sprintf("k%02d", i)); err != nil {
+	for id := 4; id < 9; id++ {
+		if _, err := corpus.Remove(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := s.Stats()
-	if !s.NeedsCompaction() {
-		t.Fatalf("expected NeedsCompaction with stats %+v", before)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after := s.Stats()
-	if after.DeadBytes != 0 {
-		t.Errorf("DeadBytes after compact = %d, want 0", after.DeadBytes)
-	}
-	if after.Keys != 15 {
-		t.Errorf("Keys after compact = %d, want 15", after.Keys)
-	}
-	// All live values readable with final contents.
-	for i := 5; i < 20; i++ {
-		v, err := s.Get(fmt.Sprintf("k%02d", i))
-		if err != nil {
-			t.Fatalf("Get after compact: %v", err)
-		}
-		if len(v) != 50 || v[0] != 9 {
-			t.Errorf("k%02d = round %d value, want round 9", i, v[0])
-		}
-	}
-	// Old segment files must be gone.
-	ids, err := listSegments(dir)
+}
+
+// dirNames lists the files in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != after.Segments {
-		t.Errorf("on-disk segments %d != stats %d", len(ids), after.Segments)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestCompactReclaimsSpace: compaction is a checkpoint. It folds the
+// log into a fresh checkpoint of the corpus, starts an empty log, and
+// leaves exactly those two files in the directory.
+func TestCompactReclaimsSpace(t *testing.T) {
+	dir := t.TempDir()
+	s, corpus := boundCorpus(t, dir, Options{})
+	defer s.Close()
+	churn(t, corpus, 10)
+	before := s.Stats()
+	if before.LogBytes <= before.CheckpointBytes {
+		t.Fatalf("churn left %+v: want a log larger than the checkpoint", before)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	after := s.Stats()
+	if after.LogBytes != 0 || after.LogRecords != 0 || after.CheckpointVersion != corpus.Version() {
+		t.Errorf("after the checkpoint %+v: want an empty log and version %d", after, corpus.Version())
+	}
+	want := []string{checkpointPrefix + strconv.FormatUint(corpus.Version(), 10), logPrefix + "2"}
+	if got := dirNames(t, dir); !slices.Equal(got, want) {
+		t.Errorf("directory holds %v, want %v", got, want)
+	}
+	if got := reloadDump(t, dir, Options{ReadOnly: true}); got != corpus.CanonicalDump() {
+		t.Error("the checkpoint does not reload as the corpus")
 	}
 }
 
 func TestCompactThenReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 512})
-	if err != nil {
+	s, corpus := boundCorpus(t, dir, Options{})
+	churn(t, corpus, 3)
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
-		if err := s.Put(fmt.Sprintf("k%02d", i%10), []byte(fmt.Sprintf("gen%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
+	// Post-checkpoint writes land in the new log.
+	if _, err := corpus.Remove(30); err != nil {
 		t.Fatal(err)
 	}
-	// Post-compact writes land in the new active segment.
-	if err := s.Put("extra", []byte("post-compact")); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.LogRecords != 2 {
+		t.Errorf("the log holds %d records, want the delete and its version record", st.LogRecords)
 	}
 	s.Close()
-
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen after compact: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 11 {
-		t.Errorf("Len = %d, want 11", s2.Len())
-	}
-	v, err := s2.Get("k05")
-	if err != nil || string(v) != "gen25" {
-		t.Errorf("Get(k05) = %q, %v; want gen25", v, err)
+	if got := reloadDump(t, dir, Options{}); got != corpus.CanonicalDump() {
+		t.Error("reopen after a checkpoint does not reload the corpus")
 	}
 }
 
@@ -403,8 +392,11 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := s.Sync(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Sync on closed = %v", err)
 	}
-	if err := s.Compact(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Compact on closed = %v", err)
+	if err := s.Checkpoint(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Checkpoint on closed = %v", err)
+	}
+	if err := s.Scrub(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Scrub on closed = %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double Close = %v", err)
@@ -412,10 +404,10 @@ func TestClosedStoreErrors(t *testing.T) {
 }
 
 // waitBlocked polls the goroutine dump until n goroutines are blocked in
-// the given state ("chan send", "select") with fn on their stack. It is
-// how the test below orders goroutines behind the commit token without a
-// hook in the engine: blocked senders on a channel are served first come,
-// first served.
+// the given state ("sync.Mutex.Lock") with fn on their stack. It is how
+// the test below orders goroutines behind the log mutex without a hook
+// in the engine: a mutex's parked waiters are woken first come, first
+// served.
 func waitBlocked(t *testing.T, n int, state, fn string) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
@@ -434,11 +426,10 @@ func waitBlocked(t *testing.T, n int, state, fn string) {
 	t.Fatalf("never saw %d goroutines blocked in %s under %s", n, state, fn)
 }
 
-// TestCloseFailsWritersParkedBehindToken: writers queued in the commit
-// queue when Close takes the token are not drained by Close; the first of
-// them to get the token afterwards runs the group, finds the store
-// closed, and fails every one with ErrClosed. None hangs and none of
-// their records reaches the log.
+// TestCloseFailsWritersParkedBehindToken: writers waiting for the log
+// mutex behind Close are not drained by Close; each gets the mutex
+// afterwards, finds the store closed, and fails with ErrClosed. None
+// hangs and none of their records reaches the log.
 func TestCloseFailsWritersParkedBehindToken(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{SyncEveryPut: true})
@@ -449,10 +440,10 @@ func TestCloseFailsWritersParkedBehindToken(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.commits.Lock()
+	s.mu.Lock()
 	closeErr := make(chan error, 1)
 	go func() { closeErr <- s.Close() }()
-	waitBlocked(t, 1, "chan send", "storage.(*Store).Close") // Close is first in line
+	waitBlocked(t, 1, "sync.Mutex.Lock", "storage.(*Store).Close") // Close is first in line
 
 	const puts, batches = 3, 2
 	errs := make(chan error, puts+2*batches)
@@ -468,8 +459,8 @@ func TestCloseFailsWritersParkedBehindToken(t *testing.T) {
 			}
 		}()
 	}
-	waitBlocked(t, puts+batches, "select", "fanin.(*Queue")
-	s.commits.Unlock()
+	waitBlocked(t, puts+batches, "sync.Mutex.Lock", "storage.(*Store).appendBatch")
+	s.mu.Unlock()
 
 	timeout := time.After(10 * time.Second)
 	for i := 0; i < cap(errs); i++ {
@@ -491,7 +482,7 @@ func TestCloseFailsWritersParkedBehindToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Keys(); len(got) != 1 || got[0] != "before" {
+	if got := keys(t, s2); len(got) != 1 || got[0] != "before" {
 		t.Errorf("reopened keys = %v, want only the write acknowledged before Close", got)
 	}
 }
@@ -507,34 +498,6 @@ func TestKeyLimits(t *testing.T) {
 	}
 }
 
-func TestFoldVisitsAllSorted(t *testing.T) {
-	s := openTemp(t, Options{})
-	for i := 9; i >= 0; i-- {
-		if err := s.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var visited []string
-	err := s.Fold(func(k string, v []byte) error {
-		visited = append(visited, k)
-		if int(v[0]) != int(k[1]-'0') {
-			t.Errorf("value mismatch for %s: %v", k, v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(visited) != 10 || visited[0] != "k0" || visited[9] != "k9" {
-		t.Errorf("Fold order = %v", visited)
-	}
-	// Early-exit propagates the error.
-	sentinel := errors.New("stop")
-	if err := s.Fold(func(string, []byte) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("Fold error = %v, want sentinel", err)
-	}
-}
-
 func TestSyncEveryPut(t *testing.T) {
 	s := openTemp(t, Options{SyncEveryPut: true})
 	for i := 0; i < 5; i++ {
@@ -542,8 +505,11 @@ func TestSyncEveryPut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 5 {
-		t.Errorf("Len = %d", s.Len())
+	if n := len(keys(t, s)); n != 5 {
+		t.Errorf("%d live keys, want 5", n)
+	}
+	if st := s.Stats(); st.LogRecords != 5 {
+		t.Errorf("log holds %d records, want 5", st.LogRecords)
 	}
 }
 
@@ -556,7 +522,7 @@ func TestPropertyModelEquivalence(t *testing.T) {
 	check := func(seed uint64, nOps uint8) bool {
 		seq++
 		dir := filepath.Join(dirBase, fmt.Sprintf("case%d", seq))
-		s, err := Open(dir, Options{MaxSegmentBytes: 512})
+		s, err := Open(dir, Options{})
 		if err != nil {
 			t.Logf("Open: %v", err)
 			return false
@@ -601,8 +567,8 @@ func TestPropertyModelEquivalence(t *testing.T) {
 
 func storeMatchesModel(t *testing.T, s *Store, model map[string]string) bool {
 	t.Helper()
-	if s.Len() != len(model) {
-		t.Logf("Len = %d, model %d", s.Len(), len(model))
+	if n := len(keys(t, s)); n != len(model) {
+		t.Logf("%d live keys, model %d", n, len(model))
 		return false
 	}
 	for k, want := range model {
