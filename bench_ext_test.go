@@ -438,22 +438,29 @@ func BenchmarkRecommend(b *testing.B) {
 
 // BenchmarkServerHandler measures serve_read_hot's four requests and
 // the region pages through Server.Handler() in process — routing, the
-// version gate, the handler's work and the JSON encode, no transport.
-// The request and the response writer are reused, so -benchmem's
-// columns are the server's own; internal/server's
-// TestHandlerAllocationBudget pins the same requests' allocation counts.
+// version gate, the handler's work and the JSON encode, no transport —
+// on a server without a response cache, so every request runs its
+// handler (query_plan_hit runs a statement whose plan is cached). The
+// hit/ rows send the four hot requests to a server with the response
+// cache, after a first sight and the admitted request that stores the
+// answer: the gate, the key and one replayed Write. The request and the
+// response writer are reused, so -benchmem's columns are the server's
+// own; internal/server's TestHandlerAllocationBudget pins the same
+// requests' allocation counts.
 func BenchmarkServerHandler(b *testing.B) {
-	srv, err := server.New(server.Config{
-		Store:            benchEnv.Store,
-		Analyzer:         benchEnv.Analyzer,
-		ResultCacheBytes: query.DefaultResultCacheBytes,
-	})
-	if err != nil {
-		b.Fatal(err)
+	handler := func(cacheBytes int64) http.Handler {
+		srv, err := server.New(server.Config{
+			Store:            benchEnv.Store,
+			Analyzer:         benchEnv.Analyzer,
+			ResultCacheBytes: cacheBytes,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return srv.Handler()
 	}
-	defer srv.Close()
-	h := srv.Handler()
-	run := func(method, path, body string) func(*testing.B) {
+	uncached, cached := handler(0), handler(server.DefaultResponseCacheBytes)
+	run := func(h http.Handler, method, path, body string) func(*testing.B) {
 		return func(b *testing.B) {
 			rd := strings.NewReader(body)
 			req := httptest.NewRequest(method, path, rd)
@@ -466,7 +473,8 @@ func BenchmarkServerHandler(b *testing.B) {
 					b.Fatalf("%s %s -> %d", method, path, w.status)
 				}
 			}
-			serve() // warm: the query's result-cache entry, the response buffer pool
+			serve() // warm: the plan cache, the response buffer pool, a first sight
+			serve() // stores the answer where there is a response cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -474,13 +482,18 @@ func BenchmarkServerHandler(b *testing.B) {
 			}
 		}
 	}
-	b.Run("recipe", run("GET", "/api/recipes/0", ""))
-	b.Run("search", run("GET", "/api/search?q=tomato&limit=10", ""))
-	b.Run("query_hit", run("POST", "/api/query", `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`))
-	b.Run("pairings", run("GET", "/api/ingredients/tomato/pairings", ""))
-	b.Run("region_usa", run("GET", "/api/regions/USA", ""))
-	b.Run("region_kor", run("GET", "/api/regions/KOR", ""))
-	b.Run("regions", run("GET", "/api/regions", ""))
+	const query = `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`
+	b.Run("recipe", run(uncached, "GET", "/api/recipes/0", ""))
+	b.Run("search", run(uncached, "GET", "/api/search?q=tomato&limit=10", ""))
+	b.Run("query_plan_hit", run(uncached, "POST", "/api/query", query))
+	b.Run("pairings", run(uncached, "GET", "/api/ingredients/tomato/pairings", ""))
+	b.Run("region_usa", run(uncached, "GET", "/api/regions/USA", ""))
+	b.Run("region_kor", run(uncached, "GET", "/api/regions/KOR", ""))
+	b.Run("regions", run(uncached, "GET", "/api/regions", ""))
+	b.Run("hit/recipe", run(cached, "GET", "/api/recipes/0", ""))
+	b.Run("hit/search", run(cached, "GET", "/api/search?q=tomato&limit=10", ""))
+	b.Run("hit/query", run(cached, "POST", "/api/query", query))
+	b.Run("hit/pairings", run(cached, "GET", "/api/ingredients/tomato/pairings", ""))
 }
 
 // statusWriter is a reusable http.ResponseWriter that keeps only the

@@ -13,7 +13,7 @@
 //
 // Those 15 flags are the whole surface (main_test.go pins the list).
 // Fixed, not flags: the pairing endpoint's default null sample (2000),
-// the result cache budget (query.DefaultResultCacheBytes), the batch cap
+// the response cache budget (server.DefaultResponseCacheBytes), the batch cap
 // (server.DefaultMaxBatchItems), the scrub pacing (30s), the
 // write-recovery probe period (5s), the checkpoint trigger (the log as
 // large as the checkpoint, internal/storage), and the replication log's
@@ -58,9 +58,9 @@
 // on the per-write durability contract: one fdatasync per coalesced
 // write group. Once the store's log has grown as large as its
 // checkpoint, a background checkpoint writes the corpus out afresh and
-// starts an empty log (writes wait for it). The CQL engine's result
-// cache is keyed by (normalized statement, corpus version), so a
-// mutation fences every older cached result.
+// starts an empty log (writes wait for it). A read asked twice at one
+// corpus version is answered from then on from the bytes of its last
+// answer, until a mutation moves the version on.
 //
 // No read model lags the corpus. The full-text search index is
 // maintained synchronously inside the mutation path, so an acked
@@ -107,7 +107,6 @@ import (
 	"culinary/internal/flavor"
 	"culinary/internal/httpmw"
 	"culinary/internal/pairing"
-	"culinary/internal/query"
 	"culinary/internal/recipedb"
 	"culinary/internal/replica"
 	"culinary/internal/server"
@@ -258,7 +257,7 @@ func main() {
 		Seed:             *seed,
 		Logger:           logger,
 		DB:               db,
-		ResultCacheBytes: query.DefaultResultCacheBytes,
+		ResultCacheBytes: server.DefaultResponseCacheBytes,
 		Follower:         follower,
 		PrimaryURL:       *primaryURL,
 		Feed:             feed,

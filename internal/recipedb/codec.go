@@ -26,11 +26,27 @@ const recipeKeyDigits = 8
 // RecipeKey renders the backend key for one recipe ID. Zero-padding
 // keeps lexicographic key order equal to ID order, so sorted key scans
 // reload recipes in ID order.
-func RecipeKey(id int) string { return string(AppendRecipeKey(nil, id)) }
+func RecipeKey(id int) string {
+	var b [len(RecipePrefix) + 20]byte
+	return string(AppendRecipeKey(b[:0], id))
+}
 
-// AppendRecipeKey appends RecipeKey(id) to buf.
+// AppendRecipeKey appends RecipeKey(id) to buf: the prefix, then the ID
+// zero-padded to recipeKeyDigits (a sign counts toward the width), the
+// bytes fmt's "%s%08d" gives, without boxing either argument.
 func AppendRecipeKey(buf []byte, id int) []byte {
-	return fmt.Appendf(buf, "%s%0*d", RecipePrefix, recipeKeyDigits, id)
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(id), 10)
+	buf = append(buf, RecipePrefix...)
+	width := recipeKeyDigits
+	if id < 0 {
+		buf = append(buf, '-')
+		digits, width = digits[1:], width-1
+	}
+	for i := len(digits); i < width; i++ {
+		buf = append(buf, '0')
+	}
+	return append(buf, digits...)
 }
 
 // ParseRecipeKey is the inverse of RecipeKey: it reports false for any

@@ -30,26 +30,32 @@ func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 // completion through the whole
 // Server.Handler() chain — routing, the version gate, the envelope
 // fallback, the handler's work and the encode — with the request and
-// writer reused, so each count is the server's own. Budgets are the
-// counts measured with go1.24 (with map-built, indented bodies the first
-// four were 23, 52, 70 and 30; walking the region, USA's page was 105
-// and the region list 671);
+// writer reused, so each count is the server's own. The server has no
+// response cache, so every request runs its handler; a repeated
+// statement runs from its cached plan. Budgets are the counts measured
+// with go1.24 (with map-built, indented bodies the recipe, search and
+// pairings were 23, 52 and 30; walking the region, USA's page was 105
+// and the region list 671; query_plan_hit was query_hit, 49, while the
+// server enabled the query engine's result cache; every count fell by
+// one, search's by four, when the version gate stopped parsing query
+// strings that name no minVersion);
 // slack absorbs net/http differences between the toolchains CI runs. A
 // count above budget+slack is a regression to look at; one below the
 // budget should lower it. A region page, a classification and a
 // completion read counters, so their counts must not move when the
-// region grows.
+// region grows. The hit/ cases are the same four reads answered from
+// the response cache: the gate, the key and one replayed Write.
 func TestHandlerAllocationBudget(t *testing.T) {
 	const slack = 3
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	s, h := mutableServer(t)
+	s, h := mutableServerCache(t, 0)
 	type request struct {
 		name, method, path, body string
 		budget                   float64
 	}
-	measure := func(c request) float64 {
+	measureOn := func(h http.Handler, c request) float64 {
 		body := strings.NewReader(c.body)
 		req := httptest.NewRequest(c.method, c.path, body)
 		w := &discardResponse{hdr: http.Header{}}
@@ -58,34 +64,47 @@ func TestHandlerAllocationBudget(t *testing.T) {
 			w.status = 0
 			h.ServeHTTP(w, req)
 		}
-		serve() // warm: the query's result-cache entry, the response buffer pool
+		serve() // warm: the plan cache, the response buffer pool, a first sight
+		serve() // stores the answer where there is a response cache
 		if w.status != http.StatusOK {
 			t.Fatalf("%s: status %d", c.name, w.status)
 		}
 		return testing.AllocsPerRun(200, serve)
 	}
+	measure := func(c request) float64 { return measureOn(h, c) }
 	counterReads := []request{
 		// The two pages differ by the categories each region uses: the
 		// encoder allocates per entry of the categoryUsage map.
-		{"region_usa", "GET", "/api/regions/USA", "", 59},
-		{"region_kor", "GET", "/api/regions/KOR", "", 39},
-		{"regions", "GET", "/api/regions", "", 10},
-		{"classify", "POST", "/api/classify", `{"ingredients":["tomato","garlic","basil"]}`, 36},
-		{"complete", "POST", "/api/complete", `{"region":"USA","ingredients":["tomato","garlic"]}`, 30},
+		{"region_usa", "GET", "/api/regions/USA", "", 58},
+		{"region_kor", "GET", "/api/regions/KOR", "", 38},
+		{"regions", "GET", "/api/regions", "", 9},
+		{"classify", "POST", "/api/classify", `{"ingredients":["tomato","garlic","basil"]}`, 35},
+		{"complete", "POST", "/api/complete", `{"region":"USA","ingredients":["tomato","garlic"]}`, 29},
 	}
-	measured := map[string]float64{}
-	for _, c := range append([]request{
-		{"recipe", "GET", "/api/recipes/0", "", 11},
-		{"search", "GET", "/api/search?q=tomato&limit=10", "", 31},
-		{"query_hit", "POST", "/api/query", `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`, 49},
-		{"pairings", "GET", "/api/ingredients/tomato/pairings", "", 15},
-	}, counterReads...) {
-		allocs := measure(c)
-		measured[c.name] = allocs
+	hot := []request{
+		{"recipe", "GET", "/api/recipes/0", "", 10},
+		{"search", "GET", "/api/search?q=tomato&limit=10", "", 27},
+		{"query_plan_hit", "POST", "/api/query", `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`, 86},
+		{"pairings", "GET", "/api/ingredients/tomato/pairings", "", 14},
+	}
+	check := func(c request, allocs float64) {
+		t.Helper()
 		t.Logf("%s: %.0f allocs", c.name, allocs)
 		if allocs > c.budget+slack {
-			t.Errorf("%s %s: %.0f allocations, budget %.0f (+%d slack)", c.method, c.path, allocs, c.budget, slack)
+			t.Errorf("%s %s %s: %.0f allocations, budget %.0f (+%d slack)", c.name, c.method, c.path, allocs, c.budget, slack)
 		}
+	}
+	measured := map[string]float64{}
+	for _, c := range append(hot, counterReads...) {
+		allocs := measure(c)
+		measured[c.name] = allocs
+		check(c, allocs)
+	}
+	_, cached := mutableServerCache(t, DefaultResponseCacheBytes)
+	for i, name := range []string{"hit/recipe", "hit/search", "hit/query", "hit/pairings"} {
+		c := hot[i]
+		c.name, c.budget = name, 3
+		check(c, measureOn(cached, c))
 	}
 
 	store := s.cfg.Store

@@ -11,6 +11,12 @@ import (
 // mutableServer builds a private server instance (the shared srvOnce
 // corpus must stay immutable for the other endpoint tests).
 func mutableServer(t *testing.T) (*Server, http.Handler) {
+	return mutableServerCache(t, 1<<20)
+}
+
+// mutableServerCache is mutableServer with a response cache of
+// cacheBytes (0: none).
+func mutableServerCache(t *testing.T, cacheBytes int64) (*Server, http.Handler) {
 	t.Helper()
 	env, err := experiments.NewEnv(experiments.TestOptions())
 	if err != nil {
@@ -21,7 +27,7 @@ func mutableServer(t *testing.T) (*Server, http.Handler) {
 		Analyzer:         env.Analyzer,
 		NullRecipes:      200,
 		Seed:             3,
-		ResultCacheBytes: 1 << 20,
+		ResultCacheBytes: cacheBytes,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,9 @@ const replicaRetryAfterSeconds = 1
 // whether one was supplied; a malformed value is reported as an error.
 func minVersion(r *http.Request) (v uint64, ok bool, err error) {
 	raw := r.Header.Get(MinVersionHeader)
-	if raw == "" {
+	if q := r.URL.RawQuery; raw == "" && (strings.Contains(q, MinVersionParam) || strings.Contains(q, "%")) {
+		// Parsing the query allocates a map; a query that names no
+		// minVersion, even percent-encoded, has none to parse for.
 		raw = r.URL.Query().Get(MinVersionParam)
 	}
 	if raw == "" {
@@ -53,9 +55,9 @@ func minVersion(r *http.Request) (v uint64, ok bool, err error) {
 	return v, true, nil
 }
 
-// versionGate enforces the freshness floor and stamps every response
-// with the serving corpus version. One atomic load per request when no
-// floor is supplied.
+// versionGate enforces the freshness floor, stamps every response with
+// the serving corpus version and hands reads to the response cache at
+// that version. One atomic load per request when no floor is supplied.
 func (s *Server) versionGate(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cur := s.cfg.Store.Version()
@@ -71,6 +73,10 @@ func (s *Server) versionGate(next http.Handler) http.Handler {
 			return
 		}
 		w.Header().Set(CorpusVersionHeader, strconv.FormatUint(cur, 10))
+		if s.cache != nil && cacheable(r) {
+			s.serveCached(w, r, cur, next)
+			return
+		}
 		next.ServeHTTP(w, r)
 	})
 }

@@ -46,9 +46,10 @@ type Config struct {
 	// DB is the optional storage engine backing the corpus snapshot;
 	// when set, /api/health reports its checkpoint, log and health.
 	DB *storage.Store
-	// ResultCacheBytes bounds the query engine's result cache (keyed
-	// by normalized statement and corpus version). 0 disables it;
-	// negative selects query.DefaultResultCacheBytes.
+	// ResultCacheBytes bounds the response cache, which replays a
+	// read's encoded answer while the corpus stays at the version it was
+	// computed at (respcache.go). 0 disables it; negative selects
+	// DefaultResponseCacheBytes.
 	ResultCacheBytes int64
 	// Traffic, when non-nil, arms the httpmw production-traffic stack
 	// (rate limiting, body caps, per-request deadlines, load
@@ -108,6 +109,7 @@ type Server struct {
 	catalog *flavor.Catalog
 	index   *search.Index
 	engine  *query.Engine
+	cache   *respCache // nil when Config.ResultCacheBytes is 0
 	traffic *httpmw.Traffic
 	mux     *http.ServeMux
 	// storage503 counts storage_unavailable responses (one per queued
@@ -134,8 +136,11 @@ func New(cfg Config) (*Server, error) {
 		index:   search.NewLive(cfg.Store),
 		engine:  query.NewEngine(cfg.Store, cfg.Analyzer),
 	}
-	if cfg.ResultCacheBytes != 0 {
-		s.engine.EnableResultCache(cfg.ResultCacheBytes)
+	switch {
+	case cfg.ResultCacheBytes > 0:
+		s.cache = newRespCache(cfg.ResultCacheBytes)
+	case cfg.ResultCacheBytes < 0:
+		s.cache = newRespCache(DefaultResponseCacheBytes)
 	}
 	if cfg.Logger != nil {
 		// The one build New waits for, over the whole corpus; with
@@ -353,6 +358,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 		h.Set("Content-Length", strconv.Itoa(buf.Len()))
 		w.WriteHeader(status)
 		w.Write(buf.Bytes()) // fails only once the client is gone: nobody left to tell
+		capture(w, status, buf.Bytes())
 	}
 	if buf.Cap() <= maxPooledRespBuf {
 		buf.Reset()
@@ -364,7 +370,10 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	cs := s.engine.CacheStats()
-	rcs := s.engine.ResultCacheStats()
+	var rcs respCacheStats
+	if s.cache != nil {
+		rcs = s.cache.stats()
+	}
 	body := map[string]interface{}{
 		"status":        "ok",
 		"recipes":       s.cfg.Store.Len(),
@@ -378,13 +387,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"entries": int64(cs.Entries),
 		},
 		"resultCache": map[string]interface{}{
-			"enabled":     rcs.Enabled,
+			"enabled":     s.cache != nil,
 			"hits":        rcs.Hits,
 			"misses":      rcs.Misses,
 			"entries":     rcs.Entries,
 			"bytes":       rcs.Bytes,
 			"capacity":    rcs.Capacity,
-			"evicted":     rcs.Evicted,
+			"evicted":     0, // a full cache refuses; it never evicts
 			"invalidated": rcs.Invalidated,
 			"rejected":    rcs.Rejected,
 			"firstSight":  rcs.FirstSight,

@@ -97,10 +97,12 @@ func TestHealth(t *testing.T) {
 	}
 }
 
-// TestQueryCacheCounters checks the plan cache wired through the HTTP
-// layer: repeating one statement must raise the health hit counter.
+// TestQueryCacheCounters checks the plan cache and the response cache
+// wired through the HTTP layer: a statement sent three times is planned
+// once, run from its cached plan once, and answered from the response
+// cache the third time, and every request probed the response cache.
 func TestQueryCacheCounters(t *testing.T) {
-	h := testHandler(t)
+	_, h := mutableServer(t)
 	stmt := map[string]string{"q": "SELECT count(*) FROM recipes"}
 	for i := 0; i < 3; i++ {
 		if code, _ := do(t, h, "POST", "/api/query", stmt); code != http.StatusOK {
@@ -109,15 +111,20 @@ func TestQueryCacheCounters(t *testing.T) {
 	}
 	_, body := do(t, h, "GET", "/api/health", nil)
 	qc := body["queryCache"].(map[string]interface{})
-	if hits := qc["hits"].(float64); hits < 2 {
-		t.Errorf("hits = %v after 3 identical queries, want >= 2", hits)
+	if qc["hits"] != 1.0 || qc["misses"] != 1.0 {
+		t.Errorf("plan cache %v after 3 identical queries, want 1 hit and 1 miss", qc)
+	}
+	rc := body["resultCache"].(map[string]interface{})
+	if rc["hits"] != 1.0 || rc["misses"] != 2.0 || rc["firstSight"] != 1.0 {
+		t.Errorf("response cache %v after 3 identical queries, want 1 hit, 2 misses, 1 first sight", rc)
 	}
 }
 
-// TestResultCacheFirstSightHealth checks the result cache's admission
-// rule through the handler: statements asked once leave the cache empty
-// and are counted as first sight; a statement sent three times is
-// cached on its second request and served from the cache on its third.
+// TestResultCacheFirstSightHealth checks the response cache's admission
+// rule through the handler and /api/health: requests sent once leave
+// the cache empty and are counted as first sights; a request sent three
+// times is stored on its second sight and answered from the cache on
+// its third; every request is a hit or a miss.
 func TestResultCacheFirstSightHealth(t *testing.T) {
 	_, h := mutableServer(t)
 	query := func(q string) {
@@ -146,7 +153,7 @@ func TestResultCacheFirstSightHealth(t *testing.T) {
 		query("SELECT region, count(*) FROM recipes GROUP BY region")
 	}
 	rc = resultCache()
-	if rc["entries"] != 1.0 || rc["hits"] != 1.0 || rc["firstSight"] != 301.0 {
+	if rc["entries"] != 1.0 || rc["hits"] != 1.0 || rc["firstSight"] != 301.0 || rc["hits"].(float64)+rc["misses"].(float64) != 303 {
 		t.Fatalf("after one statement sent three times: %v", rc)
 	}
 }

@@ -17,18 +17,19 @@ import (
 )
 
 // TestMutationStressRace is the corpus-mutation race battery the
-// result cache's coherence argument rests on: writer goroutines
+// response cache's coherence argument rests on: writer goroutines
 // upsert/delete recipes through the HTTP mutation endpoints (writing
 // through to a real storage engine) while reader goroutines hammer a
-// fixed query mix through POST /api/query with the result cache on.
+// fixed query mix through POST /api/query with the response cache on.
 // It asserts
 //
 //   - zero stale reads: every response's embedded corpus version is >=
 //     the version observed just before the request was issued,
 //   - monotonic version observation per reader, and
-//   - the cache counters reconcile: every query probed the result
-//     cache exactly once, the plan cache exactly on result misses, and
-//     every resident/evicted/invalidated entry traces back to a miss.
+//   - the cache counters reconcile: every query probed the response
+//     cache exactly once, the plan cache exactly on cache misses, and
+//     every resident or invalidated entry and every first sight traces
+//     back to a miss of its own.
 //
 // Run under -race (CI does), the test also proves the store's epoch
 // locking: readers never observe a half-applied mutation.
@@ -171,38 +172,44 @@ func TestMutationStressRace(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Counter reconciliation. Readers are the only Run callers, so:
-	// every query probed the result cache exactly once; the plan cache
-	// was probed exactly on result misses; and every entry that is
-	// resident, was evicted by the byte bound, or was dropped stale
-	// traces back to a miss that populated it, and every first-sight
-	// execution to a miss that did not (concurrent same-statement
-	// misses may replace each other, hence <=).
-	rcs := srv.engine.ResultCacheStats()
+	// Counter reconciliation. Readers send the only cacheable requests
+	// and the only Run calls, so: every query probed the response cache
+	// exactly once; the plan cache was probed exactly on cache misses;
+	// and every entry that is resident or was dropped when the version
+	// moved traces back to an admitted miss that stored it, and every
+	// first sight to a miss that was not admitted (concurrent misses of
+	// one key may both be admitted and store once, hence <=).
+	rcs := srv.cache.stats()
 	pcs := srv.engine.CacheStats()
 	totalQueries := int64(readers * queriesPerGo)
 	if rcs.Hits+rcs.Misses != totalQueries {
-		t.Errorf("result cache probes %d+%d != %d queries", rcs.Hits, rcs.Misses, totalQueries)
+		t.Errorf("response cache probes %d+%d != %d queries", rcs.Hits, rcs.Misses, totalQueries)
 	}
 	if pcs.Hits+pcs.Misses != rcs.Misses {
-		t.Errorf("plan cache probes %d+%d != %d result misses", pcs.Hits, pcs.Misses, rcs.Misses)
+		t.Errorf("plan cache probes %d+%d != %d cache misses", pcs.Hits, pcs.Misses, rcs.Misses)
 	}
-	if resident := int64(rcs.Entries) + rcs.Evicted + rcs.Invalidated + rcs.FirstSight; resident > rcs.Misses {
-		t.Errorf("entries %d + evicted %d + invalidated %d + first sight %d exceed misses %d",
-			rcs.Entries, rcs.Evicted, rcs.Invalidated, rcs.FirstSight, rcs.Misses)
+	if resident := int64(rcs.Entries) + rcs.Invalidated + rcs.FirstSight; resident > rcs.Misses {
+		t.Errorf("entries %d + invalidated %d + first sight %d exceed misses %d",
+			rcs.Entries, rcs.Invalidated, rcs.FirstSight, rcs.Misses)
 	}
 	if rcs.Hits == 0 {
-		t.Error("stress run never hit the result cache")
+		t.Error("stress run never hit the response cache")
 	}
 
 	// Deterministic invalidation check (the concurrent phase may or may
-	// not interleave a mutation between a put and the next probe):
-	// cache a result, mutate, probe again — the stale entry must be
-	// dropped and the recomputed result must carry the new version.
-	if code, _ := post("/api/query", map[string]string{"q": queryMix[0]}); code != http.StatusOK {
-		t.Fatalf("pre-invalidation query: %d", code)
+	// not interleave a mutation between a store and the next probe):
+	// cache an answer (first sight, admitted, hit), mutate, probe again —
+	// every entry of the old version must be dropped at once and the
+	// recomputed answer must carry the new version.
+	for i := 0; i < 3; i++ {
+		if code, _ := post("/api/query", map[string]string{"q": queryMix[0]}); code != http.StatusOK {
+			t.Fatalf("pre-invalidation query: %d", code)
+		}
 	}
-	invBefore := srv.engine.ResultCacheStats().Invalidated
+	before := srv.cache.stats()
+	if before.Entries == 0 {
+		t.Fatalf("a statement sent three times left no entry: %+v", before)
+	}
 	if code, body := post("/api/recipes", map[string]interface{}{
 		"id": 0, "name": "final invalidation probe", "region": "ITA",
 		"source": "Epicurious", "ingredients": ingredients[:2],
@@ -216,8 +223,9 @@ func TestMutationStressRace(t *testing.T) {
 	if got := uint64(body["version"].(float64)); got != env.Store.Version() {
 		t.Errorf("post-mutation query version %d, store %d", got, env.Store.Version())
 	}
-	if after := srv.engine.ResultCacheStats().Invalidated; after != invBefore+1 {
-		t.Errorf("invalidations %d -> %d, want exactly one lazy drop", invBefore, after)
+	if after := srv.cache.stats(); after.Invalidated != before.Invalidated+int64(before.Entries) || after.Entries != 0 {
+		t.Errorf("invalidated %d -> %d with %d entries resident, now %d entries; want all dropped at once",
+			before.Invalidated, after.Invalidated, before.Entries, after.Entries)
 	}
 
 	// The write-through backend must hold exactly the live corpus.

@@ -72,28 +72,22 @@ func appendRecord(buf []byte, rec record) ([]byte, error) {
 	if len(rec.value) > MaxValueLen {
 		return buf, fmt.Errorf("%w: value length %d", ErrTooLarge, len(rec.value))
 	}
-	var hdr [1 + 2*binary.MaxVarintLen32]byte
+	var flags byte
 	if rec.tombstone {
-		hdr[0] |= flagTombstone
+		flags |= flagTombstone
 	}
 	if rec.batch {
-		hdr[0] |= flagBatch
+		flags |= flagBatch
 	}
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(len(rec.key)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(rec.value)))
-
-	crc := crc32.New(castagnoli)
-	crc.Write(hdr[:n])
-	crc.Write(rec.key)
-	crc.Write(rec.value)
-
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	buf = append(buf, sum[:]...)
-	buf = append(buf, hdr[:n]...)
+	// The frame is built in place and its CRC (over everything after
+	// the CRC itself) filled in last: no header array escapes to the heap.
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, flags)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.key)))
+	buf = binary.AppendUvarint(buf, uint64(len(rec.value)))
 	buf = append(buf, rec.key...)
 	buf = append(buf, rec.value...)
+	binary.LittleEndian.PutUint32(buf[start:], crc32.Checksum(buf[start+4:], castagnoli))
 	return buf, nil
 }
 
