@@ -285,104 +285,6 @@ func BenchmarkPlanCache(b *testing.B) {
 	})
 }
 
-// BenchmarkResultCacheHotQuery measures the two-tier query cache on
-// the dashboard aggregate statement across its three service tiers —
-// cold (parse+bind+scan), plan-hit (cached plan, full scan), and
-// result-hit (cached materialized result, no scan) — plus a mixed
-// workload where 10% of operations are corpus mutations, each of which
-// version-fences the cached result and forces a recompute, and a cold
-// stream of statements each asked once. A result is admitted on its
-// statement's second execution, so the hit rows prime twice; coldStream
-// reports the bytes the cache retains at the end (retained-B).
-func BenchmarkResultCacheHotQuery(b *testing.B) {
-	const stmt = "SELECT region, count(*), avg(size) FROM recipes GROUP BY region"
-	// The write mix re-upserts recipe 0 with its own contents: a
-	// semantic no-op (benchEnv is shared), but a version bump all the
-	// same.
-	rec0 := benchEnv.Store.Recipe(0)
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			engine := query.NewEngine(benchEnv.Store, benchEnv.Analyzer)
-			if _, err := engine.Run(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("planHit", func(b *testing.B) {
-		engine := query.NewEngine(benchEnv.Store, benchEnv.Analyzer)
-		if _, err := engine.Run(stmt); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("resultHit", func(b *testing.B) {
-		engine := query.NewEngine(benchEnv.Store, benchEnv.Analyzer)
-		engine.EnableResultCache(query.DefaultResultCacheBytes)
-		for i := 0; i < 2; i++ {
-			if _, err := engine.Run(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		rs := engine.ResultCacheStats()
-		b.ReportMetric(float64(rs.Hits)/float64(rs.Hits+rs.Misses), "hit-ratio")
-	})
-	b.Run("writeMix10pct", func(b *testing.B) {
-		engine := query.NewEngine(benchEnv.Store, benchEnv.Analyzer)
-		engine.EnableResultCache(query.DefaultResultCacheBytes)
-		for i := 0; i < 2; i++ {
-			if _, err := engine.Run(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%10 == 9 {
-				if _, _, _, err := benchEnv.Store.Upsert(0, rec0.Name, rec0.Region, rec0.Source, rec0.Ingredients); err != nil {
-					b.Fatal(err)
-				}
-				continue
-			}
-			if _, err := engine.Run(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		rs := engine.ResultCacheStats()
-		if probes := rs.Hits + rs.Misses; probes > 0 {
-			b.ReportMetric(float64(rs.Hits)/float64(probes), "hit-ratio")
-		}
-		b.ReportMetric(float64(rs.Invalidated), "invalidations")
-	})
-	b.Run("coldStream", func(b *testing.B) {
-		engine := query.NewEngine(benchEnv.Store, benchEnv.Analyzer)
-		engine.EnableResultCache(query.DefaultResultCacheBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := fmt.Sprintf("SELECT id, name, size FROM recipes WHERE id != %d LIMIT 20", i)
-			if _, err := engine.Run(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(engine.ResultCacheStats().Bytes), "retained-B")
-	})
-}
-
 // --- Ablation benches ---
 
 // BenchmarkAblationIntersection compares bitset popcount intersection

@@ -7,8 +7,8 @@
 //	query -db DIR ...   # load the corpus from a storage snapshot (opened read-only)
 //
 // Interactive sessions accept meta commands alongside statements:
-// ":stats" prints one unified view of the plan cache and the result
-// cache. The same view is printed when the session ends.
+// ":stats" prints the plan cache's counters. The same line is printed
+// when the session ends.
 //
 // The grammar is documented in internal/query; examples:
 //
@@ -93,7 +93,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "corpus: %d recipes (built in %v)\n",
 		store.Len(), time.Since(t0).Round(time.Millisecond))
 	engine := query.NewEngine(store, analyzer)
-	engine.EnableResultCache(query.DefaultResultCacheBytes)
 
 	if !*interactive {
 		run(engine, strings.Join(flag.Args(), " "))
@@ -113,35 +112,26 @@ func main() {
 		}
 		fmt.Fprint(os.Stderr, "cql> ")
 	}
-	// Repeated dashboard statements skip Parse+bind via the plan cache
-	// and — when the result cache is on — the corpus scan entirely;
-	// report how often both paid off for this session.
-	fmt.Fprintf(os.Stderr, "\n%s", formatStats(engine.CacheStats(), engine.ResultCacheStats()))
+	// Repeated dashboard statements skip Parse+bind via the plan cache;
+	// report how often that paid off for this session.
+	fmt.Fprintf(os.Stderr, "\n%s", formatStats(engine.CacheStats()))
 }
 
 // metaCommand handles ":"-prefixed interactive commands.
 func metaCommand(engine *query.Engine, cmd string) {
 	switch cmd {
 	case ":stats":
-		fmt.Fprint(os.Stderr, formatStats(engine.CacheStats(), engine.ResultCacheStats()))
+		fmt.Fprint(os.Stderr, formatStats(engine.CacheStats()))
 	default:
 		fmt.Fprintf(os.Stderr, "query: unknown command %s (try :stats)\n", cmd)
 	}
 }
 
-// formatStats renders the unified cache view the interactive ":stats"
-// command and the session summary share: one line per cache tier.
-func formatStats(plan query.CacheStats, res query.ResultCacheStats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan cache:   %d hits, %d misses, %d entries (cap %d)\n",
+// formatStats renders the plan-cache line the interactive ":stats"
+// command and the session summary share.
+func formatStats(plan query.CacheStats) string {
+	return fmt.Sprintf("plan cache:   %d hits, %d misses, %d entries (cap %d)\n",
 		plan.Hits, plan.Misses, plan.Entries, plan.Capacity)
-	if !res.Enabled {
-		b.WriteString("result cache: disabled\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "result cache: %d hits, %d misses, %d entries, %d/%d bytes, %d evicted, %d invalidated, %d rejected, %d first sight\n",
-		res.Hits, res.Misses, res.Entries, res.Bytes, res.Capacity, res.Evicted, res.Invalidated, res.Rejected, res.FirstSight)
-	return b.String()
 }
 
 // run executes one statement, printing the result table or the error

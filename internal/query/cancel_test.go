@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -14,7 +15,7 @@ import (
 // surfaces the structured ErrCanceled (still distinguishable as a
 // deadline vs an explicit cancel via errors.Is).
 func TestRunContextCanceledBeforeScan(t *testing.T) {
-	e, _ := newMutableEngine(t, 1<<20)
+	e, _ := newMutableEngine(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -34,11 +35,12 @@ func TestRunContextCanceledBeforeScan(t *testing.T) {
 	}
 }
 
-// TestCanceledExecutionIsNeverCached asserts that an aborted partial
-// result cannot poison the result cache: the same statement re-run
-// with a live context executes for real and succeeds.
+// TestCanceledExecutionIsNeverCached asserts that an aborted run
+// leaves nothing behind but its plan: the same statement re-run with a
+// live context executes from that plan and returns the full answer, the
+// one a fresh engine gives.
 func TestCanceledExecutionIsNeverCached(t *testing.T) {
-	e, _ := newMutableEngine(t, 1<<20)
+	e, store := newMutableEngine(t)
 	const stmt = "SELECT region, count(*) FROM recipes GROUP BY region"
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -46,19 +48,21 @@ func TestCanceledExecutionIsNeverCached(t *testing.T) {
 	if _, err := e.RunContext(ctx, stmt); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if st := e.ResultCacheStats(); st.Entries != 0 {
-		t.Fatalf("canceled execution left %d cache entries", st.Entries)
-	}
 
 	res, err := e.RunContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 {
-		t.Fatal("re-run after cancellation returned no rows")
+	if st := e.CacheStats(); st.Hits != 1 {
+		t.Fatalf("re-run after cancellation: %d plan-cache hits, want 1", st.Hits)
 	}
-	if st := e.ResultCacheStats(); st.Entries != 1 {
-		t.Fatalf("successful re-run cached %d entries, want 1", st.Entries)
+	want, err := NewEngine(store, e.analyzer).Run(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 || !bytes.Equal(resultFingerprint(t, res), resultFingerprint(t, want)) {
+		t.Fatalf("re-run after cancellation:\n got %s\nwant %s",
+			resultFingerprint(t, res), resultFingerprint(t, want))
 	}
 }
 
@@ -69,7 +73,7 @@ func TestCanceledExecutionIsNeverCached(t *testing.T) {
 // goroutine count settles back to its starting point: execution
 // spawns nothing, so a canceled query cannot leak workers.
 func TestCancelMidScanReturnsPromptlyAndLeaksNothing(t *testing.T) {
-	e, _ := newMutableEngine(t, 0) // no result cache: every run scans
+	e, _ := newMutableEngine(t) // every run scans
 	before := runtime.NumGoroutine()
 
 	for round := 0; round < 8; round++ {

@@ -23,9 +23,9 @@ var (
 	ErrNoScore = errors.New("query: score requires a pairing analyzer")
 	// ErrCanceled wraps a context cancellation or deadline expiry
 	// observed mid-execution: the scan aborted and the partial result
-	// was discarded (and never cached). Callers map it to a structured
-	// timeout error; errors.Is(err, context.DeadlineExceeded) still
-	// distinguishes deadlines from explicit cancels.
+	// was discarded. Callers map it to a structured timeout error;
+	// errors.Is(err, context.DeadlineExceeded) still distinguishes
+	// deadlines from explicit cancels.
 	ErrCanceled = errors.New("query: execution canceled")
 )
 
@@ -36,20 +36,17 @@ const cancelCheckInterval = 512
 
 // Engine executes parsed queries against a recipe corpus. It is safe
 // for concurrent use; hot statements are served from an internal plan
-// cache keyed by normalized statement text, and — when enabled — whole
-// materialized results are served from a (statement, corpus version)
-// result cache in front of execution.
+// cache keyed by normalized statement text. Every Run executes: results
+// are not cached here (the server caches its encoded answers instead).
 type Engine struct {
 	store    *recipedb.Store
 	catalog  *flavor.Catalog
 	analyzer *pairing.Analyzer // optional; enables the 'score' field
 	plans    *planCache
-	results  *resultCache // nil until EnableResultCache
 }
 
 // NewEngine builds an engine. analyzer may be nil, in which case queries
-// touching the 'score' field fail with ErrNoScore. The result cache
-// starts disabled; call EnableResultCache to add it.
+// touching the 'score' field fail with ErrNoScore.
 func NewEngine(store *recipedb.Store, analyzer *pairing.Analyzer) *Engine {
 	return &Engine{
 		store:    store,
@@ -59,31 +56,26 @@ func NewEngine(store *recipedb.Store, analyzer *pairing.Analyzer) *Engine {
 	}
 }
 
-// EnableResultCache adds a byte-bounded result cache keyed by
-// (normalized statement, corpus version) in front of execution.
-// maxBytes <= 0 selects DefaultResultCacheBytes. Call before the
-// engine is shared between goroutines.
-func (e *Engine) EnableResultCache(maxBytes int64) {
-	e.results = newResultCache(maxBytes)
-}
+// DefaultResultCacheBytes was the engine's result-cache budget.
+//
+// Deprecated: the engine has no result cache. Read only by
+// bench/inproc.go:196 and bench/workload_test.go:117; delete it once
+// they stop reading it.
+const DefaultResultCacheBytes = 16 << 20
+
+// EnableResultCache does nothing: the engine has no result cache, and
+// every Run executes from the plan cache.
+//
+// Deprecated: called only by the benchmark's traced twin engine
+// (bench/inproc.go:214); delete it once that caller stops calling it.
+func (e *Engine) EnableResultCache(maxBytes int64) {}
 
 // CacheStats reports the plan cache's hit/miss counters.
 func (e *Engine) CacheStats() CacheStats {
 	return e.plans.stats()
 }
 
-// ResultCacheStats reports the result cache's counters; the zero value
-// (Enabled == false) when the cache was never enabled.
-func (e *Engine) ResultCacheStats() ResultCacheStats {
-	if e.results == nil {
-		return ResultCacheStats{}
-	}
-	return e.results.stats()
-}
-
-// Result is a materialized query result. Results returned by Run may
-// be shared with other callers through the result cache: treat every
-// field as read-only.
+// Result is a materialized query result.
 type Result struct {
 	Columns []string
 	Rows    [][]Value
@@ -91,9 +83,7 @@ type Result struct {
 	// entries of the chosen index list (inside the pinned region when
 	// the list is an ingredient's), or every live recipe on a full scan.
 	// With a LIMIT and no ORDER BY the executor stops matching once the
-	// rows are in but still counts the rest of the outer list. A
-	// result-cache hit reports the count of the execution that
-	// populated the entry.
+	// rows are in but still counts the rest of the outer list.
 	Scanned int
 	// Version is the corpus version the result was computed at. The
 	// executor runs inside one corpus read epoch, so the result is
@@ -119,31 +109,21 @@ func (e *Engine) Run(input string) (*Result, error) {
 	return e.RunContext(context.Background(), input)
 }
 
-// RunContext executes a CQL statement. A result-cache hit (same
-// normalized statement, same corpus version) returns the shared
-// materialized Result without planning or scanning; a plan-cache hit
-// skips Parse and bind; a plan-cache miss plans from scratch and caches
-// the plan. A result is cached only when the statement's plan was
-// already cached — from its second execution on — so a statement asked
-// once never occupies the result cache (counted as FirstSight).
+// RunContext executes a CQL statement. A plan-cache hit skips Parse
+// and bind; a plan-cache miss plans from scratch and caches the plan.
 // Statements that fail to parse or bind are never cached. Execution
 // happens inside one corpus read epoch, so the returned Result is a
 // consistent snapshot stamped with its corpus version.
 //
 // The scan checks ctx every cancelCheckInterval rows: when the context
 // is canceled or its deadline passes, execution aborts promptly with
-// an error wrapping ErrCanceled (and the context's cause), the read
-// epoch is released, and nothing is cached. No goroutines are spawned,
-// so a canceled query leaks nothing.
+// an error wrapping ErrCanceled (and the context's cause) and the read
+// epoch is released. No goroutines are spawned, so a canceled query
+// leaks nothing.
 func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) {
 	key := normalizeStatement(input)
-	if e.results != nil {
-		if res, ok := e.results.get(key, e.store.Version()); ok {
-			return res, nil
-		}
-	}
-	p, seen := e.plans.get(key)
-	if !seen {
+	p, ok := e.plans.get(key)
+	if !ok {
 		q, err := Parse(input)
 		if err != nil {
 			return nil, err
@@ -156,21 +136,11 @@ func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) 
 		e.plans.put(p)
 	}
 	var res *Result
-	var execErr error
+	var err error
 	e.store.Read(func(v *recipedb.View) {
-		res, execErr = e.exec(ctx, p.b, v)
+		res, err = e.exec(ctx, p.b, v)
 	})
-	if execErr != nil {
-		return nil, execErr
-	}
-	if e.results != nil {
-		if seen {
-			e.results.put(key, res.Version, res)
-		} else {
-			e.results.skipFirstSight()
-		}
-	}
-	return res, nil
+	return res, err
 }
 
 // boundQuery is a statement bound to the catalog and compiled, ready to

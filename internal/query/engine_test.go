@@ -8,7 +8,24 @@ import (
 	"culinary/internal/flavor"
 	"culinary/internal/pairing"
 	"culinary/internal/recipedb"
+	"culinary/internal/synth"
 )
+
+// newMutableEngine builds a fresh synthetic corpus (never shared —
+// tests mutate it) and an engine over it.
+func newMutableEngine(t testing.TB) (*Engine, *recipedb.Store) {
+	t.Helper()
+	catalog, err := flavor.Build(flavor.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzer := pairing.NewAnalyzer(catalog)
+	store, err := synth.Generate(analyzer, synth.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewEngine(store, analyzer), store
+}
 
 // fixture builds a deterministic four-region corpus with hand-chosen
 // recipes so query assertions are exact.

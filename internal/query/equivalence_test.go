@@ -95,26 +95,36 @@ func resultFingerprint(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestEquivalenceCachedVsUncached is the result-cache correctness
+// TestEquivalenceCachedVsUncached is the plan-cache correctness
 // battery: for every statement in the committed fuzz seed corpus, the
-// inline fuzz seeds and the generated property statements, an engine
-// with the result cache enabled must return byte-identical Results to
-// a cache-disabled engine over the same corpus — across interleaved
-// corpus mutations, each of which bumps the version and must fence off
-// every previously cached result. Cached statements are run twice per
-// round so round N's second run is served from the cache populated at
-// round N's version, and round N+1's first run probes an entry that is
-// now stale.
+// inline fuzz seeds and the generated property statements, one engine
+// kept warm across the whole test must return byte-identical Results
+// to a fresh engine that plans the statement from scratch — across
+// interleaved corpus mutations, each of which bumps the version while
+// the warm engine keeps executing the plans it bound before. Each
+// statement runs twice per round on the warm engine, so the second run
+// is a plan-cache hit even in round 0. Two statements whose normalized
+// keys collide would be answered from one plan, and one of them wrongly.
 func TestEquivalenceCachedVsUncached(t *testing.T) {
-	// The budget must hold the whole statement battery: if eviction
-	// churns entries out between rounds, stale-version probes (the
-	// Invalidated assertion below) can never happen.
-	cached, store := newMutableEngine(t, 64<<20)
-	plain := NewEngine(store, cached.analyzer)
+	cached, store := newMutableEngine(t)
+	plain := func() *Engine { return NewEngine(store, cached.analyzer) }
 
 	statements := append([]string{}, fuzzSeedStatements...)
 	statements = append(statements, loadFuzzCorpusStatements(t)...)
 	statements = append(statements, generatedPropertyStatements()...)
+	// Pairs that differ only inside a string literal: normalization
+	// must keep each pair on two plans.
+	statements = append(statements,
+		"SELECT count(*) FROM recipes WHERE has('chicken stock')",
+		"SELECT count(*) FROM recipes WHERE has('chicken  stock')",
+		"SELECT id FROM recipes WHERE name = 'revived dish'",
+		"SELECT id FROM recipes WHERE name = 'revived  dish'",
+	)
+	// The plan cache must hold the whole battery, or plans would be
+	// evicted between rounds instead of surviving the mutations.
+	if len(statements) > DefaultPlanCacheCapacity {
+		t.Fatalf("%d statements overflow the %d-plan cache", len(statements), DefaultPlanCacheCapacity)
+	}
 
 	garlic, ok := store.Catalog().Lookup("garlic")
 	if !ok {
@@ -146,11 +156,11 @@ func TestEquivalenceCachedVsUncached(t *testing.T) {
 		},
 	}
 
-	countBefore := runCount(t, plain)
+	countBefore := runCount(t, plain())
 	for round := 0; ; round++ {
 		for _, stmt := range statements {
-			want, wantErr := plain.Run(stmt)
-			for pass := 0; pass < 2; pass++ { // second pass = cache hit
+			want, wantErr := plain().Run(stmt)
+			for pass := 0; pass < 2; pass++ { // second pass = plan-cache hit
 				got, gotErr := cached.Run(stmt)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("round %d stmt %q pass %d: err %v vs %v", round, stmt, pass, gotErr, wantErr)
@@ -159,7 +169,7 @@ func TestEquivalenceCachedVsUncached(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(resultFingerprint(t, got), resultFingerprint(t, want)) {
-					t.Fatalf("round %d stmt %q pass %d:\ncached   %s\nuncached %s",
+					t.Fatalf("round %d stmt %q pass %d:\nwarm  %s\nfresh %s",
 						round, stmt, pass, resultFingerprint(t, got), resultFingerprint(t, want))
 				}
 				if got.Version != store.Version() {
@@ -182,15 +192,11 @@ func TestEquivalenceCachedVsUncached(t *testing.T) {
 
 	// The mutations must have been visible: net one insert (insert +
 	// delete + replace + revive) relative to the starting corpus.
-	if got := runCount(t, plain); got != countBefore+1 {
+	if got := runCount(t, plain()); got != countBefore+1 {
 		t.Errorf("final count(*) = %d, want %d", got, countBefore+1)
 	}
-	st := cached.ResultCacheStats()
-	if st.Invalidated == 0 {
-		t.Error("interleaved mutations never triggered lazy invalidation")
-	}
-	if st.Hits == 0 {
-		t.Error("second passes never hit the result cache")
+	if st := cached.CacheStats(); st.Hits == 0 {
+		t.Error("the warm engine never hit its plan cache")
 	}
 }
 

@@ -4,8 +4,8 @@ import "testing"
 
 // fuzzSeedStatements are FuzzParseStatement's inline seeds. The
 // equivalence property test replays every parseable one against a
-// result-cached and an uncached engine, so the statements the fuzzer
-// anchors on are exactly the ones the cache must never corrupt.
+// warm-plan and a fresh engine, so the statements the fuzzer anchors
+// on are exactly the ones the plan cache must never corrupt.
 var fuzzSeedStatements = []string{
 	"SELECT * FROM recipes",
 	"select count(*) from recipes",

@@ -26,7 +26,7 @@ import (
 )
 
 // referenceRun executes a statement with the reference interpreter,
-// without the plan or result cache.
+// without the plan cache.
 func referenceRun(e *Engine, stmt string) (*Result, error) {
 	q, err := Parse(stmt)
 	if err != nil {
@@ -747,7 +747,7 @@ func mutateForReference(t *testing.T, store *recipedb.Store, phase int, rng *ran
 // interpreter it replaced, statement by statement, on the 5 %-scale
 // corpus before and after each phase of a write script.
 func TestCompiledMatchesReference(t *testing.T) {
-	cached, store := newMutableEngine(t, 0)
+	cached, store := newMutableEngine(t)
 	e := NewEngine(store, cached.analyzer)
 	stmts := referenceStatements(t, store.Catalog())
 	rng := rand.New(rand.NewSource(7))
@@ -808,7 +808,7 @@ func TestTypeErrorsAtBind(t *testing.T) {
 // aggregate and a cold scan: the compiled predicates allocate nothing
 // per row, so 1 000 more recipes in the region change neither.
 func TestQueryAllocationBudget(t *testing.T) {
-	cached, store := newMutableEngine(t, 0)
+	cached, store := newMutableEngine(t)
 	e := NewEngine(store, cached.analyzer)
 	garlic, ok := store.Catalog().Lookup("garlic")
 	if !ok {
@@ -863,7 +863,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 // reference interpreter inside one read epoch, so both see the same
 // corpus and must agree. Run it with -race -count=10.
 func TestCompiledPlanConcurrentRuns(t *testing.T) {
-	cached, store := newMutableEngine(t, 0)
+	cached, store := newMutableEngine(t)
 	e := NewEngine(store, cached.analyzer)
 	stmts := referenceStatements(t, store.Catalog())
 	stmts = stmts[len(stmts)-48:] // 8 of each serving shape

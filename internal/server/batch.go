@@ -59,13 +59,9 @@ func (s *Server) handleBatchUpsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "batch is empty")
 		return
 	}
-	max := s.cfg.MaxBatchItems
-	if max <= 0 {
-		max = DefaultMaxBatchItems
-	}
-	if len(req.Recipes) > max {
+	if len(req.Recipes) > DefaultMaxBatchItems {
 		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("batch holds %d recipes, limit is %d", len(req.Recipes), max))
+			fmt.Sprintf("batch holds %d recipes, limit is %d", len(req.Recipes), DefaultMaxBatchItems))
 		return
 	}
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"syscall"
@@ -33,17 +34,16 @@ func decodeBody(rr *httptest.ResponseRecorder, into interface{}) error {
 
 // freshMutableEnv builds an isolated in-memory server (no storage
 // backend) for tests that mutate the corpus over HTTP.
-func freshMutableEnv(t *testing.T, maxBatch int) (http.Handler, *experiments.Env) {
+func freshMutableEnv(t *testing.T) (http.Handler, *experiments.Env) {
 	t.Helper()
 	env, err := experiments.NewEnv(experiments.TestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Store:         env.Store,
-		Analyzer:      env.Analyzer,
-		Seed:          11,
-		MaxBatchItems: maxBatch,
+		Store:    env.Store,
+		Analyzer: env.Analyzer,
+		Seed:     11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func results(t *testing.T, body map[string]interface{}) []map[string]interface{}
 }
 
 func TestBatchEndpointShape(t *testing.T) {
-	h, env := freshMutableEnv(t, 0)
+	h, env := freshMutableEnv(t)
 	baseVersion := env.Store.Version()
 
 	code, body := do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{
@@ -141,7 +141,7 @@ func TestBatchEndpointShape(t *testing.T) {
 }
 
 func TestBatchEndpointPerItemCodes(t *testing.T) {
-	h, env := freshMutableEnv(t, 0)
+	h, env := freshMutableEnv(t)
 	code, body := do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{
 		"recipes": []interface{}{
 			map[string]interface{}{ // missing name -> bad_request
@@ -170,22 +170,27 @@ func TestBatchEndpointPerItemCodes(t *testing.T) {
 }
 
 func TestBatchEndpointRequestLimits(t *testing.T) {
-	h, _ := freshMutableEnv(t, 2)
+	h, _ := freshMutableEnv(t)
 	code, body := do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{
 		"recipes": []interface{}{},
 	})
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("empty batch: status = %d body = %v", code, body)
 	}
-	code, body = do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{
-		"recipes": []interface{}{
-			batchItem("a", "tomato", "basil"),
-			batchItem("b", "tomato", "basil"),
-			batchItem("c", "tomato", "basil"),
-		},
-	})
+	items := make([]interface{}, DefaultMaxBatchItems+1)
+	for i := range items {
+		items[i] = batchItem(fmt.Sprintf("limit %d", i), "tomato", "basil")
+	}
+	code, body = do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{"recipes": items})
 	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("oversized batch: status = %d body = %v", code, body)
+		t.Fatalf("batch of %d: status = %d body = %v", len(items), code, body)
+	}
+	code, body = do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{"recipes": items[:DefaultMaxBatchItems]})
+	if code != http.StatusOK {
+		t.Fatalf("batch of %d: status = %d body = %v", DefaultMaxBatchItems, code, body)
+	}
+	if res := results(t, body); len(res) != DefaultMaxBatchItems || res[DefaultMaxBatchItems-1]["status"] != "created" {
+		t.Fatalf("batch of %d: %d results, last %v", DefaultMaxBatchItems, len(res), res[len(res)-1])
 	}
 }
 
@@ -240,7 +245,7 @@ func TestBatchWedgedStorageSingle503(t *testing.T) {
 // coalescing counters, present whether or not traffic accounting is
 // armed.
 func TestHealthMutationBatchesBlock(t *testing.T) {
-	h, _ := freshMutableEnv(t, 0)
+	h, _ := freshMutableEnv(t)
 	if code, _ := do(t, h, "POST", "/api/recipes/batch", map[string]interface{}{
 		"recipes": []interface{}{
 			batchItem("stats a", "tomato", "basil"),

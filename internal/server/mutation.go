@@ -17,8 +17,8 @@ import (
 // Corpus mutation endpoints. Upserts and deletes flow through the
 // recipedb store, which persists each mutation to the attached storage
 // backend (when one is bound) before updating the in-memory indexes,
-// bumping the corpus version — the version fence the query engine's
-// result cache keys against — and notifying the mutation subscribers:
+// bumping the corpus version — the version fence the response cache
+// keys against — and notifying the mutation subscribers:
 // the search index applies the change synchronously inside the same
 // critical section (so an acked mutation is visible to the next
 // search); the classifier and the recommender read the counters the

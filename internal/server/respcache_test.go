@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -297,6 +299,73 @@ func TestResponseCacheStalledHandlerStoresNothing(t *testing.T) {
 	var body map[string]int
 	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil || body["before"] != body["after"] {
 		t.Fatalf("answer after the write: %s (%v)", rr.Body, err)
+	}
+}
+
+// stallBody is a request body whose first Read blocks until release
+// is closed, after telling stall it got there.
+type stallBody struct {
+	r       io.Reader
+	once    sync.Once
+	stall   chan<- struct{}
+	release <-chan struct{}
+}
+
+func (b *stallBody) Read(p []byte) (int, error) {
+	b.once.Do(func() {
+		b.stall <- struct{}{}
+		<-b.release
+	})
+	return b.r.Read(p)
+}
+
+// TestCorpusVersionHeaderIsALowerBound: a read's X-Corpus-Version is
+// the version the gate read before the handler ran, so a query stalled
+// (here, in reading its body) across a write answers at the newer
+// version under the older header. The header never exceeds the body's
+// version, with the response cache or without it.
+func TestCorpusVersionHeaderIsALowerBound(t *testing.T) {
+	env, cached, plain := cacheTwins(t, 1<<20)
+	for _, c := range []struct {
+		name string
+		s    *Server
+	}{{"cached", cached}, {"plain", plain}} {
+		t.Run(c.name, func(t *testing.T) {
+			before := env.Store.Version()
+			stall, release := make(chan struct{}), make(chan struct{})
+			body := &stallBody{r: strings.NewReader(`{"q":"SELECT count(*) FROM recipes"}`), stall: stall, release: release}
+			req := httptest.NewRequest("POST", "/api/query", body)
+			rr := httptest.NewRecorder()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				c.s.Handler().ServeHTTP(rr, req)
+			}()
+			<-stall
+			_, err := env.Store.Add("header stew", recipedb.Italy, recipedb.Epicurious, env.Store.Recipe(0).Ingredients)
+			close(release)
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rr.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rr.Code, rr.Body)
+			}
+			header, err := strconv.ParseUint(rr.Header().Get(CorpusVersionHeader), 10, 64)
+			if err != nil {
+				t.Fatalf("bad %s: %v", CorpusVersionHeader, err)
+			}
+			var resp queryResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("body %s: %v", rr.Body, err)
+			}
+			if resp.Version != before+1 {
+				t.Fatalf("body version %d, want %d: the query did not run after the write", resp.Version, before+1)
+			}
+			if header > resp.Version {
+				t.Fatalf("%s %d exceeds the body's version %d", CorpusVersionHeader, header, resp.Version)
+			}
+		})
 	}
 }
 

@@ -69,10 +69,6 @@ type Config struct {
 	// Deprecated: set only by bench/inproc.go; delete the field once
 	// that caller stops setting it.
 	RecommenderRebuildInterval time.Duration
-	// MaxBatchItems caps the number of recipes one POST
-	// /api/recipes/batch request may carry; <= 0 selects
-	// DefaultMaxBatchItems.
-	MaxBatchItems int
 	// Follower switches the server into read-replica mode: Store must
 	// be the follower's corpus, mutation endpoints answer 403
 	// not_primary (with a Location redirect when PrimaryURL is set),
@@ -89,11 +85,11 @@ type Config struct {
 	Feed *replica.Feed
 }
 
-// DefaultMaxBatchItems bounds a bulk-ingest request when
-// Config.MaxBatchItems is unset. A batch holds the fan-in token for its
-// whole plan/persist/apply cycle, so the cap is what keeps one huge
-// ingest from stalling interactive mutations behind it — which is why
-// there is no way to switch it off.
+// DefaultMaxBatchItems bounds the recipes one POST /api/recipes/batch
+// request may carry. A batch holds the fan-in token for its whole
+// plan/persist/apply cycle, so the cap is what keeps one huge ingest
+// from stalling interactive mutations behind it — which is why there
+// is no way to switch it off.
 const DefaultMaxBatchItems = 256
 
 // Server routes API requests to the analysis stack. No read model
