@@ -134,10 +134,10 @@ func BenchmarkQueryEngine(b *testing.B) {
 
 // BenchmarkQueryShapes measures the statement shapes the HTTP
 // benchmark sends, at the scale the server runs at (benchEnv's 5 %
-// corpus has none of the long posting lists): the two cold shapes, each
-// statement new to the plan cache, and the four hot ones, plan-cached
-// but re-executed as they are after every write fences the result
-// cache. Statements are built as bench/workload.go builds them; run
+// corpus has none of the long posting lists): the two cold shapes and
+// the four hot ones, re-executed as they are after every write fences
+// the response cache. Every run parses, binds and executes its
+// statement. Statements are built as bench/workload.go builds them; run
 // with -benchmem, the allocation columns are part of the contract.
 func BenchmarkQueryShapes(b *testing.B) {
 	env := fullScaleEnv()
@@ -148,9 +148,10 @@ func BenchmarkQueryShapes(b *testing.B) {
 		}
 	}
 	regions := recipedb.MajorRegions()
-	// cold statements outnumber the plan cache, so cycling them always
-	// misses it; hot ones fit in it.
-	const cold, hot = 4 * query.DefaultPlanCacheCapacity, 16
+	// 1 024 cold statements (four times the plan cache the engine once
+	// had) and 16 hot ones, so the statement sets stay the ones earlier
+	// rows were measured on.
+	const cold, hot = 1024, 16
 	shapes := []struct {
 		name string
 		n    int
@@ -440,7 +441,7 @@ func BenchmarkRecommend(b *testing.B) {
 // the region pages through Server.Handler() in process — routing, the
 // version gate, the handler's work and the JSON encode, no transport —
 // on a server without a response cache, so every request runs its
-// handler (query_plan_hit runs a statement whose plan is cached). The
+// handler (query parses, binds and executes its statement). The
 // hit/ rows send the four hot requests to a server with the response
 // cache, after a first sight and the admitted request that stores the
 // answer: the gate, the key and one replayed Write. The request and the
@@ -473,7 +474,7 @@ func BenchmarkServerHandler(b *testing.B) {
 					b.Fatalf("%s %s -> %d", method, path, w.status)
 				}
 			}
-			serve() // warm: the plan cache, the response buffer pool, a first sight
+			serve() // warm: the response buffer pool, a first sight
 			serve() // stores the answer where there is a response cache
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -485,7 +486,7 @@ func BenchmarkServerHandler(b *testing.B) {
 	const query = `{"q":"SELECT region, count(*) FROM recipes GROUP BY region"}`
 	b.Run("recipe", run(uncached, "GET", "/api/recipes/0", ""))
 	b.Run("search", run(uncached, "GET", "/api/search?q=tomato&limit=10", ""))
-	b.Run("query_plan_hit", run(uncached, "POST", "/api/query", query))
+	b.Run("query", run(uncached, "POST", "/api/query", query))
 	b.Run("pairings", run(uncached, "GET", "/api/ingredients/tomato/pairings", ""))
 	b.Run("region_usa", run(uncached, "GET", "/api/regions/USA", ""))
 	b.Run("region_kor", run(uncached, "GET", "/api/regions/KOR", ""))

@@ -18,7 +18,6 @@ import (
 	"culinary/internal/experiments"
 	"culinary/internal/flavor"
 	"culinary/internal/pairing"
-	"culinary/internal/query"
 	"culinary/internal/recipedb"
 	"culinary/internal/rng"
 	"culinary/internal/stats"
@@ -247,42 +246,6 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkPlanCache measures the query engine's plan cache on a hot
-// dashboard statement: Run (cached Parse+bind) against re-planning the
-// same statement on every call.
-func BenchmarkPlanCache(b *testing.B) {
-	const stmt = "SELECT name FROM recipes WHERE region = 'ITA' AND size >= 3 LIMIT 1"
-	b.Run("CachedRun", func(b *testing.B) {
-		engine := query.NewEngine(benchEnv.Store, benchEnv.Analyzer)
-		if _, err := engine.Run(stmt); err != nil { // warm the cache
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		cs := engine.CacheStats()
-		b.ReportMetric(float64(cs.Hits)/float64(cs.Hits+cs.Misses), "hit-rate")
-	})
-	b.Run("ReplanEachCall", func(b *testing.B) {
-		engine := query.NewEngine(benchEnv.Store, benchEnv.Analyzer)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q, err := query.Parse(stmt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := engine.Exec(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // --- Ablation benches ---

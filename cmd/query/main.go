@@ -6,9 +6,8 @@
 //	query -i            # interactive: one statement per line on stdin
 //	query -db DIR ...   # load the corpus from a storage snapshot (opened read-only)
 //
-// Interactive sessions accept meta commands alongside statements:
-// ":stats" prints the plan cache's counters. The same line is printed
-// when the session ends.
+// An interactive session skips blank lines and "--" comments; every
+// other line is a statement, parsed and run afresh.
 //
 // The grammar is documented in internal/query; examples:
 //
@@ -21,6 +20,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -95,57 +95,39 @@ func main() {
 	engine := query.NewEngine(store, analyzer)
 
 	if !*interactive {
-		run(engine, strings.Join(flag.Args(), " "))
+		run(engine, strings.Join(flag.Args(), " "), os.Stdout, os.Stderr)
 		return
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	interact(engine, os.Stdin, os.Stdout, os.Stderr)
+}
+
+// interact runs one statement per line of in: result tables go to out,
+// prompts and errors to errw.
+func interact(engine *query.Engine, in io.Reader, out, errw io.Writer) {
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	fmt.Fprint(os.Stderr, "cql> ")
+	fmt.Fprint(errw, "cql> ")
 	for sc.Scan() {
-		stmt := strings.TrimSpace(sc.Text())
-		switch {
-		case stmt == "" || strings.HasPrefix(stmt, "--"):
-		case strings.HasPrefix(stmt, ":"):
-			metaCommand(engine, stmt)
-		default:
-			run(engine, stmt)
+		if stmt := strings.TrimSpace(sc.Text()); stmt != "" && !strings.HasPrefix(stmt, "--") {
+			run(engine, stmt, out, errw)
 		}
-		fmt.Fprint(os.Stderr, "cql> ")
+		fmt.Fprint(errw, "cql> ")
 	}
-	// Repeated dashboard statements skip Parse+bind via the plan cache;
-	// report how often that paid off for this session.
-	fmt.Fprintf(os.Stderr, "\n%s", formatStats(engine.CacheStats()))
-}
-
-// metaCommand handles ":"-prefixed interactive commands.
-func metaCommand(engine *query.Engine, cmd string) {
-	switch cmd {
-	case ":stats":
-		fmt.Fprint(os.Stderr, formatStats(engine.CacheStats()))
-	default:
-		fmt.Fprintf(os.Stderr, "query: unknown command %s (try :stats)\n", cmd)
-	}
-}
-
-// formatStats renders the plan-cache line the interactive ":stats"
-// command and the session summary share.
-func formatStats(plan query.CacheStats) string {
-	return fmt.Sprintf("plan cache:   %d hits, %d misses, %d entries (cap %d)\n",
-		plan.Hits, plan.Misses, plan.Entries, plan.Capacity)
+	fmt.Fprintln(errw)
 }
 
 // run executes one statement, printing the result table or the error
 // without exiting (so interactive sessions survive typos).
-func run(engine *query.Engine, stmt string) {
+func run(engine *query.Engine, stmt string, out, errw io.Writer) {
 	t0 := time.Now()
 	res, err := engine.Run(stmt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "query:", err)
+		fmt.Fprintln(errw, "query:", err)
 		return
 	}
 	title := fmt.Sprintf("%d rows (scanned %d recipes in %v)",
 		len(res.Rows), res.Scanned, time.Since(t0).Round(time.Microsecond))
-	if err := res.Table(title).Render(os.Stdout); err != nil {
+	if err := res.Table(title).Render(out); err != nil {
 		fatal(err)
 	}
 }

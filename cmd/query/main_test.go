@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"culinary/internal/flavor"
@@ -24,20 +26,30 @@ func testEngine(t *testing.T) *query.Engine {
 	return query.NewEngine(store, analyzer)
 }
 
-// TestFormatStatsUnifiedView pins the ":stats" output format: the
-// plan-cache line the interactive command and the session summary
-// share. Dashboards scrape it, so the shape is a contract.
+// TestFormatStatsUnifiedView pins an interactive session's output:
+// tables on stdout, and on stderr one prompt per line read, the errors
+// and nothing else — no cache summary at the end. ":stats" is no longer
+// a command, so it reaches the parser like any other line.
 func TestFormatStatsUnifiedView(t *testing.T) {
-	got := formatStats(query.CacheStats{Hits: 12, Misses: 3, Entries: 3, Capacity: 256})
-	want := "plan cache:   12 hits, 3 misses, 3 entries (cap 256)\n"
-	if got != want {
-		t.Errorf("formatStats:\n got: %q\nwant: %q", got, want)
+	engine := testEngine(t)
+	_, parseErr := engine.Run(":stats")
+	if parseErr == nil {
+		t.Fatal(":stats parsed as a statement")
+	}
+	in := "-- a comment\n\n:stats\nSELECT count(*) FROM recipes\n"
+	var out, errw strings.Builder
+	interact(engine, strings.NewReader(in), &out, &errw)
+	if want := "cql> cql> cql> query: " + parseErr.Error() + "\ncql> cql> \n"; errw.String() != want {
+		t.Errorf("stderr:\n got: %q\nwant: %q", errw.String(), want)
+	}
+	if !strings.Contains(out.String(), "1 rows (scanned ") {
+		t.Errorf("stdout lacks the count(*) table:\n%s", out.String())
 	}
 }
 
 // TestFormatStatsDisabledResultCache checks that the deprecated
 // EnableResultCache adds no cache: every run executes and returns its
-// own Result, and the view is the plan-cache line alone.
+// own Result.
 func TestFormatStatsDisabledResultCache(t *testing.T) {
 	engine := testEngine(t)
 	engine.EnableResultCache(query.DefaultResultCacheBytes)
@@ -53,31 +65,34 @@ func TestFormatStatsDisabledResultCache(t *testing.T) {
 		}
 		seen[res] = true
 	}
-	got := formatStats(engine.CacheStats())
-	if want := "plan cache:   2 hits, 1 misses, 1 entries (cap 256)\n"; got != want {
-		t.Errorf("formatStats:\n got: %q\nwant: %q", got, want)
-	}
 }
 
-// TestStatsThroughEngine runs real statements through an engine and
-// checks the rendered line reflects the plan cache's counters: a
-// statement that fails to parse misses and is not cached.
+// TestStatsThroughEngine runs real statements through an engine: a
+// repeated statement answers as it did the first time, and a statement
+// that fails to parse is an error.
 func TestStatsThroughEngine(t *testing.T) {
 	engine := testEngine(t)
-	for _, stmt := range []string{
+	var first string
+	for i, stmt := range []string{
 		"SELECT region, count(*) FROM recipes GROUP BY region",
 		"SELECT region, count(*) FROM recipes GROUP BY region",
 		"SELECT count(*) FROM recipes WHERE size > 4",
 	} {
-		if _, err := engine.Run(stmt); err != nil {
+		res, err := engine.Run(stmt)
+		if err != nil {
 			t.Fatal(err)
+		}
+		got := fmt.Sprint(res.Columns, res.Rows)
+		switch i {
+		case 0:
+			first = got
+		case 1:
+			if got != first {
+				t.Errorf("repeated statement:\n got: %s\nwant: %s", got, first)
+			}
 		}
 	}
 	if _, err := engine.Run("SELEC nothing"); err == nil {
 		t.Fatal("malformed statement ran")
-	}
-	got := formatStats(engine.CacheStats())
-	if want := "plan cache:   1 hits, 3 misses, 2 entries (cap 256)\n"; got != want {
-		t.Errorf("formatStats:\n got: %q\nwant: %q", got, want)
 	}
 }

@@ -36,9 +36,8 @@ func TestRunContextCanceledBeforeScan(t *testing.T) {
 }
 
 // TestCanceledExecutionIsNeverCached asserts that an aborted run
-// leaves nothing behind but its plan: the same statement re-run with a
-// live context executes from that plan and returns the full answer, the
-// one a fresh engine gives.
+// leaves nothing behind: the same statement re-run with a live context
+// returns the full answer, the one a fresh engine gives.
 func TestCanceledExecutionIsNeverCached(t *testing.T) {
 	e, store := newMutableEngine(t)
 	const stmt = "SELECT region, count(*) FROM recipes GROUP BY region"
@@ -52,9 +51,6 @@ func TestCanceledExecutionIsNeverCached(t *testing.T) {
 	res, err := e.RunContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st := e.CacheStats(); st.Hits != 1 {
-		t.Fatalf("re-run after cancellation: %d plan-cache hits, want 1", st.Hits)
 	}
 	want, err := NewEngine(store, e.analyzer).Run(stmt)
 	if err != nil {

@@ -35,14 +35,13 @@ var (
 const cancelCheckInterval = 512
 
 // Engine executes parsed queries against a recipe corpus. It is safe
-// for concurrent use; hot statements are served from an internal plan
-// cache keyed by normalized statement text. Every Run executes: results
-// are not cached here (the server caches its encoded answers instead).
+// for concurrent use. Every Run parses, binds and executes its
+// statement: nothing is cached here (the server caches its encoded
+// answers instead).
 type Engine struct {
 	store    *recipedb.Store
 	catalog  *flavor.Catalog
 	analyzer *pairing.Analyzer // optional; enables the 'score' field
-	plans    *planCache
 }
 
 // NewEngine builds an engine. analyzer may be nil, in which case queries
@@ -52,9 +51,15 @@ func NewEngine(store *recipedb.Store, analyzer *pairing.Analyzer) *Engine {
 		store:    store,
 		catalog:  store.Catalog(),
 		analyzer: analyzer,
-		plans:    newPlanCache(DefaultPlanCacheCapacity),
 	}
 }
+
+// DefaultPlanCacheCapacity was the engine's plan-cache bound.
+//
+// Deprecated: the engine has no plan cache. Read only by
+// bench/workload.go:82 (a comment) and bench/workload_test.go:81;
+// delete it once they stop naming it.
+const DefaultPlanCacheCapacity = 256
 
 // DefaultResultCacheBytes was the engine's result-cache budget.
 //
@@ -64,16 +69,11 @@ func NewEngine(store *recipedb.Store, analyzer *pairing.Analyzer) *Engine {
 const DefaultResultCacheBytes = 16 << 20
 
 // EnableResultCache does nothing: the engine has no result cache, and
-// every Run executes from the plan cache.
+// every Run executes.
 //
 // Deprecated: called only by the benchmark's traced twin engine
 // (bench/inproc.go:214); delete it once that caller stops calling it.
 func (e *Engine) EnableResultCache(maxBytes int64) {}
-
-// CacheStats reports the plan cache's hit/miss counters.
-func (e *Engine) CacheStats() CacheStats {
-	return e.plans.stats()
-}
 
 // Result is a materialized query result.
 type Result struct {
@@ -109,9 +109,7 @@ func (e *Engine) Run(input string) (*Result, error) {
 	return e.RunContext(context.Background(), input)
 }
 
-// RunContext executes a CQL statement. A plan-cache hit skips Parse
-// and bind; a plan-cache miss plans from scratch and caches the plan.
-// Statements that fail to parse or bind are never cached. Execution
+// RunContext parses, binds and executes a CQL statement. Execution
 // happens inside one corpus read epoch, so the returned Result is a
 // consistent snapshot stamped with its corpus version.
 //
@@ -121,32 +119,25 @@ func (e *Engine) Run(input string) (*Result, error) {
 // epoch is released. No goroutines are spawned, so a canceled query
 // leaks nothing.
 func (e *Engine) RunContext(ctx context.Context, input string) (*Result, error) {
-	key := normalizeStatement(input)
-	p, ok := e.plans.get(key)
-	if !ok {
-		q, err := Parse(input)
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.bind(q)
-		if err != nil {
-			return nil, err
-		}
-		p = &cachedPlan{key: key, b: b}
-		e.plans.put(p)
+	q, err := Parse(input)
+	if err != nil {
+		return nil, err
+	}
+	b, err := e.bind(q)
+	if err != nil {
+		return nil, err
 	}
 	var res *Result
-	var err error
 	e.store.Read(func(v *recipedb.View) {
-		res, err = e.exec(ctx, p.b, v)
+		res, err = e.exec(ctx, b, v)
 	})
 	return res, err
 }
 
 // boundQuery is a statement bound to the catalog and compiled, ready to
 // execute against any corpus version. It is immutable — execution keeps
-// its cursors and scratch state on its own stack — so one cached plan
-// serves concurrent runs.
+// its cursors and scratch state on its own stack — so one bound plan
+// can serve concurrent runs.
 type boundQuery struct {
 	q      *Query
 	items  []SelectItem // '*' expanded
@@ -434,9 +425,8 @@ func (p scanPlan) describe(e *Engine, v *recipedb.View) string {
 
 // plan picks the outer list: the rarest has() posting list (the first of
 // equals in chain order), unless the pinned region's list is strictly
-// shorter. Selectivity is judged against the view's snapshot, so a
-// cached plan re-plans its scan on every execution — index choice
-// tracks corpus mutations.
+// shorter. Selectivity is judged against the view's snapshot, so index
+// choice tracks corpus mutations.
 func (b *boundQuery) plan(v *recipedb.View) scanPlan {
 	p := scanPlan{region: b.region}
 	for _, id := range b.has {
@@ -497,22 +487,6 @@ func expandItems(items []SelectItem) (out []SelectItem, hasAgg, hasPlain bool) {
 		}
 	}
 	return out, hasAgg, hasPlain
-}
-
-// Exec executes a parsed query, binding it first. Callers holding a
-// statement string should prefer Run, which caches the bound plan and
-// (when enabled) the materialized result.
-func (e *Engine) Exec(q *Query) (*Result, error) {
-	b, err := e.bind(q)
-	if err != nil {
-		return nil, err
-	}
-	var res *Result
-	var execErr error
-	e.store.Read(func(v *recipedb.View) {
-		res, execErr = e.exec(context.Background(), b, v)
-	})
-	return res, execErr
 }
 
 // exec executes a bound plan against one corpus view; v pins the

@@ -95,16 +95,15 @@ func resultFingerprint(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestEquivalenceCachedVsUncached is the plan-cache correctness
+// TestEquivalenceCachedVsUncached is the engine-reuse correctness
 // battery: for every statement in the committed fuzz seed corpus, the
 // inline fuzz seeds and the generated property statements, one engine
 // kept warm across the whole test must return byte-identical Results
-// to a fresh engine that plans the statement from scratch — across
-// interleaved corpus mutations, each of which bumps the version while
-// the warm engine keeps executing the plans it bound before. Each
-// statement runs twice per round on the warm engine, so the second run
-// is a plan-cache hit even in round 0. Two statements whose normalized
-// keys collide would be answered from one plan, and one of them wrongly.
+// to a fresh engine per statement — across interleaved corpus
+// mutations, each of which bumps the version. Each statement runs twice
+// per round on the warm engine: no state an engine kept between runs,
+// and no two statements that differ only inside a string literal, may
+// change an answer.
 func TestEquivalenceCachedVsUncached(t *testing.T) {
 	cached, store := newMutableEngine(t)
 	plain := func() *Engine { return NewEngine(store, cached.analyzer) }
@@ -112,19 +111,14 @@ func TestEquivalenceCachedVsUncached(t *testing.T) {
 	statements := append([]string{}, fuzzSeedStatements...)
 	statements = append(statements, loadFuzzCorpusStatements(t)...)
 	statements = append(statements, generatedPropertyStatements()...)
-	// Pairs that differ only inside a string literal: normalization
-	// must keep each pair on two plans.
+	// Pairs that differ only inside a string literal: each statement of
+	// a pair has its own answer.
 	statements = append(statements,
 		"SELECT count(*) FROM recipes WHERE has('chicken stock')",
 		"SELECT count(*) FROM recipes WHERE has('chicken  stock')",
 		"SELECT id FROM recipes WHERE name = 'revived dish'",
 		"SELECT id FROM recipes WHERE name = 'revived  dish'",
 	)
-	// The plan cache must hold the whole battery, or plans would be
-	// evicted between rounds instead of surviving the mutations.
-	if len(statements) > DefaultPlanCacheCapacity {
-		t.Fatalf("%d statements overflow the %d-plan cache", len(statements), DefaultPlanCacheCapacity)
-	}
 
 	garlic, ok := store.Catalog().Lookup("garlic")
 	if !ok {
@@ -160,7 +154,7 @@ func TestEquivalenceCachedVsUncached(t *testing.T) {
 	for round := 0; ; round++ {
 		for _, stmt := range statements {
 			want, wantErr := plain().Run(stmt)
-			for pass := 0; pass < 2; pass++ { // second pass = plan-cache hit
+			for pass := 0; pass < 2; pass++ {
 				got, gotErr := cached.Run(stmt)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("round %d stmt %q pass %d: err %v vs %v", round, stmt, pass, gotErr, wantErr)
@@ -194,9 +188,6 @@ func TestEquivalenceCachedVsUncached(t *testing.T) {
 	// delete + replace + revive) relative to the starting corpus.
 	if got := runCount(t, plain()); got != countBefore+1 {
 		t.Errorf("final count(*) = %d, want %d", got, countBefore+1)
-	}
-	if st := cached.CacheStats(); st.Hits == 0 {
-		t.Error("the warm engine never hit its plan cache")
 	}
 }
 

@@ -4,8 +4,8 @@ import "testing"
 
 // fuzzSeedStatements are FuzzParseStatement's inline seeds. The
 // equivalence property test replays every parseable one against a
-// warm-plan and a fresh engine, so the statements the fuzzer anchors
-// on are exactly the ones the plan cache must never corrupt.
+// long-lived and a fresh engine, so the statements the fuzzer anchors
+// on are exactly the ones engine reuse must never corrupt.
 var fuzzSeedStatements = []string{
 	"SELECT * FROM recipes",
 	"select count(*) from recipes",
@@ -29,8 +29,8 @@ var fuzzSeedStatements = []string{
 // text: the parser never panics, and for every statement it accepts,
 // printing is canonical — Parse(q.String()) succeeds and reprints to
 // the same text (print∘parse is a fixpoint). Together they guarantee
-// the AST and its textual form cannot drift, which the plan cache's
-// normalized keys and the HTTP query endpoint both depend on.
+// the AST and its textual form cannot drift, which the HTTP query
+// endpoint depends on.
 func FuzzParseStatement(f *testing.F) {
 	for _, s := range fuzzSeedStatements {
 		f.Add(s)

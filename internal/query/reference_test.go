@@ -25,8 +25,7 @@ import (
 	"culinary/internal/recipedb"
 )
 
-// referenceRun executes a statement with the reference interpreter,
-// without the plan cache.
+// referenceRun executes a statement with the reference interpreter.
 func referenceRun(e *Engine, stmt string) (*Result, error) {
 	q, err := Parse(stmt)
 	if err != nil {
@@ -747,8 +746,7 @@ func mutateForReference(t *testing.T, store *recipedb.Store, phase int, rng *ran
 // interpreter it replaced, statement by statement, on the 5 %-scale
 // corpus before and after each phase of a write script.
 func TestCompiledMatchesReference(t *testing.T) {
-	cached, store := newMutableEngine(t)
-	e := NewEngine(store, cached.analyzer)
+	e, store := newMutableEngine(t)
 	stmts := referenceStatements(t, store.Catalog())
 	rng := rand.New(rand.NewSource(7))
 	checkReference(t, e, stmts, "loaded")
@@ -808,8 +806,7 @@ func TestTypeErrorsAtBind(t *testing.T) {
 // aggregate and a cold scan: the compiled predicates allocate nothing
 // per row, so 1 000 more recipes in the region change neither.
 func TestQueryAllocationBudget(t *testing.T) {
-	cached, store := newMutableEngine(t)
-	e := NewEngine(store, cached.analyzer)
+	e, store := newMutableEngine(t)
 	garlic, ok := store.Catalog().Lookup("garlic")
 	if !ok {
 		t.Fatal("catalog lacks garlic")
@@ -821,7 +818,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 	measure := func() []float64 {
 		out := make([]float64, len(stmts))
 		for i, stmt := range stmts {
-			res, err := e.Run(stmt) // warms the plan cache
+			res, err := e.Run(stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -857,33 +854,29 @@ func TestQueryAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestCompiledPlanConcurrentRuns shares plan-cached statements between
-// eight readers while a writer upserts and deletes: a compiled plan must
-// hold no per-run state. Each reader runs the cached plan and the
-// reference interpreter inside one read epoch, so both see the same
-// corpus and must agree. Run it with -race -count=10.
+// TestCompiledPlanConcurrentRuns shares bound statements between eight
+// readers while a writer upserts and deletes: a compiled plan must hold
+// no per-run state. Each reader runs the shared plan and the reference
+// interpreter inside one read epoch, so both see the same corpus and
+// must agree. Run it with -race -count=10.
 func TestCompiledPlanConcurrentRuns(t *testing.T) {
-	cached, store := newMutableEngine(t)
-	e := NewEngine(store, cached.analyzer)
+	e, store := newMutableEngine(t)
 	stmts := referenceStatements(t, store.Catalog())
 	stmts = stmts[len(stmts)-48:] // 8 of each serving shape
 	stmts = append(stmts, referenceEdgeCases...)
-	plans := make([]*cachedPlan, len(stmts))
+	plans := make([]*boundQuery, len(stmts))
 	refs := make([]*compiledExpr, len(stmts))
 	for i, stmt := range stmts {
-		if _, err := e.Run(stmt); err != nil {
-			t.Fatal(err)
-		}
-		p, ok := e.plans.get(normalizeStatement(stmt))
-		if !ok {
-			t.Fatalf("%q: not plan-cached", stmt)
-		}
-		plans[i] = p
-		c, err := e.refBind(p.b.q)
+		q, err := Parse(stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[i] = c
+		if plans[i], err = e.bind(q); err != nil {
+			t.Fatalf("%q: %v", stmt, err)
+		}
+		if refs[i], err = e.refBind(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	stop := make(chan struct{})
@@ -927,8 +920,8 @@ func TestCompiledPlanConcurrentRuns(t *testing.T) {
 					var got, want *Result
 					var gotErr, wantErr error
 					store.Read(func(v *recipedb.View) {
-						got, gotErr = e.exec(context.Background(), plans[k].b, v)
-						want, wantErr = e.refExec(context.Background(), plans[k].b.q, refs[k], v)
+						got, gotErr = e.exec(context.Background(), plans[k], v)
+						want, wantErr = e.refExec(context.Background(), plans[k].q, refs[k], v)
 					})
 					if gotErr != nil || wantErr != nil {
 						t.Errorf("%q: err %v, reference %v", stmts[k], gotErr, wantErr)

@@ -529,8 +529,10 @@ func TestLoadEquivalenceRandomized(t *testing.T) {
 		return fmt.Sprintf("%d %q %d %d %v %v", r.ID, r.Name, r.Region, r.Source, r.Ingredients, r.Deleted)
 	}
 	record := func(s *Store, log *[]seen) {
-		s.Subscribe(nil, func(m Mutation) {
-			*log = append(*log, seen{m.Version, m.ID, render(m.Old), render(m.New)})
+		s.SubscribeBatch(nil, func(ms []Mutation) {
+			for _, m := range ms {
+				*log = append(*log, seen{m.Version, m.ID, render(m.Old), render(m.New)})
+			}
 		})
 	}
 	for seed := int64(1); seed <= 5; seed++ {

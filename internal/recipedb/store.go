@@ -69,32 +69,18 @@ type Mutation struct {
 	New *Recipe
 }
 
-// Subscribe registers fn to observe every subsequent mutation. Both
-// init and the registration happen atomically under the write lock:
-// init sees a consistent corpus snapshot and no mutation between that
-// snapshot and the first fn delivery can be missed — the gap a
-// derived index would otherwise have to re-scan for. Subscribers run
-// synchronously inside the mutation critical section, so fn must be
-// fast, must not call back into the Store, and must do its own locking
-// against the subscriber's readers. init may be nil.
+// SubscribeBatch registers fn to observe every subsequent mutation.
+// Both init and the registration happen atomically under the write
+// lock: init sees a consistent corpus snapshot and no mutation between
+// that snapshot and the first fn delivery can be missed — the gap a
+// derived index would otherwise have to re-scan for. init may be nil.
 //
-// When a write batch coalesces several mutations, fn is called once
-// per mutation in version order; subscribers that can amortize
-// per-batch work (one lock acquisition, one rebuild nudge) should use
-// SubscribeBatch instead.
-func (s *Store) Subscribe(init func(v *View), fn func(Mutation)) {
-	s.SubscribeBatch(init, func(ms []Mutation) {
-		for _, m := range ms {
-			fn(m)
-		}
-	})
-}
-
-// SubscribeBatch is Subscribe for batch-aware consumers: fn receives
-// every mutation of one coalesced write batch in a single call, still
-// synchronously inside the mutation critical section and in version
-// order (ms is sorted by Version, and successive calls never overlap
-// or reorder). A single-item write delivers a one-element batch.
+// fn receives every mutation of one coalesced write batch in a single
+// call, in version order (ms is sorted by Version, and successive calls
+// never overlap or reorder); a single-item write delivers a one-element
+// batch. Subscribers run synchronously inside the mutation critical
+// section, so fn must be fast, must not call back into the Store, and
+// must do its own locking against the subscriber's readers.
 func (s *Store) SubscribeBatch(init func(v *View), fn func(ms []Mutation)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

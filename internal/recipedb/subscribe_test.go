@@ -14,10 +14,10 @@ func TestSubscribeObservesUpsertAndRemove(t *testing.T) {
 	var got []Mutation
 	var initLen int
 	var initVersion uint64
-	s.Subscribe(func(v *View) {
+	s.SubscribeBatch(func(v *View) {
 		initLen = v.Len()
 		initVersion = v.Version
-	}, func(m Mutation) { got = append(got, m) })
+	}, func(ms []Mutation) { got = append(got, ms...) })
 	if initLen != 1 || initVersion != s.Version() {
 		t.Fatalf("init saw (%d, %d), want (1, %d)", initLen, initVersion, s.Version())
 	}
@@ -65,7 +65,7 @@ func TestSubscribeObservesUpsertAndRemove(t *testing.T) {
 func TestSubscribeFailedMutationsDoNotNotify(t *testing.T) {
 	s := NewStore(testCatalog)
 	n := 0
-	s.Subscribe(nil, func(Mutation) { n++ })
+	s.SubscribeBatch(nil, func(ms []Mutation) { n += len(ms) })
 	if _, err := s.Add("bad", Italy, AllRecipes, []flavor.ID{mustID(t, "tomato")}); err == nil {
 		t.Fatal("single-ingredient recipe validated")
 	}

@@ -365,7 +365,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 // --- handlers ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	cs := s.engine.CacheStats()
 	var rcs respCacheStats
 	if s.cache != nil {
 		rcs = s.cache.stats()
@@ -377,11 +376,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"ingredients":   s.catalog.Len(),
 		"molecules":     s.catalog.NumMolecules(),
 		"vocabulary":    s.index.Vocabulary(),
-		"queryCache": map[string]int64{
-			"hits":    cs.Hits,
-			"misses":  cs.Misses,
-			"entries": int64(cs.Entries),
-		},
 		"resultCache": map[string]interface{}{
 			"enabled":     s.cache != nil,
 			"hits":        rcs.Hits,
