@@ -214,6 +214,7 @@ func TestExtTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchExtGolden(t, "tuples", res)
 	if len(res) != 3 { // k = 2, 3, 4
 		t.Fatalf("results = %d", len(res))
 	}
@@ -236,6 +237,7 @@ func TestExtRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchExtGolden(t, "robustness", rows)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -254,6 +256,7 @@ func TestExtEvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchExtGolden(t, "evolution", points)
 	if len(points) != 3 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -272,6 +275,7 @@ func TestExtEvolution(t *testing.T) {
 
 func TestExtAliasing(t *testing.T) {
 	res := testEnv.ExtAliasing(1500)
+	matchExtGolden(t, "aliasing", res)
 	if res.Phrases != 1500 {
 		t.Fatalf("phrases = %d", res.Phrases)
 	}
@@ -295,6 +299,7 @@ func TestExtPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchExtGolden(t, "perturbation", rows)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -315,6 +320,7 @@ func TestExtPerturbation(t *testing.T) {
 
 func TestExtNetwork(t *testing.T) {
 	s := testEnv.ExtNetwork(5, 7)
+	matchExtGolden(t, "network", s)
 	if s.Nodes == 0 || s.Edges == 0 {
 		t.Fatalf("degenerate network summary: %+v", s)
 	}
@@ -338,6 +344,7 @@ func TestAuthenticityReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchExtGolden(t, "authenticity", authenticityGolden(t, testEnv, 3))
 	if len(tbl.Rows) != recipedb.NumMajorRegions {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

@@ -15,6 +15,7 @@ func TestExtClusterCoversAllRegions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtCluster: %v", err)
 	}
+	matchExtGolden(t, "cluster", res)
 	if len(res.Regions) != recipedb.NumMajorRegions {
 		t.Fatalf("clustered %d regions", len(res.Regions))
 	}
@@ -76,6 +77,7 @@ func TestExtRulesInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtRules: %v", err)
 	}
+	matchExtGolden(t, "rules", res)
 	if len(res.Levels) == 0 || len(res.Levels[0]) == 0 {
 		t.Fatal("no frequent singletons")
 	}
