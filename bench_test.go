@@ -43,6 +43,26 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildCuisine measures assembling a region's analytical view
+// at paper scale (fullScaleEnv): USA is the largest region, World pools
+// every live recipe. The paper's Table 1 and Fig 3–5 drivers build one
+// per region.
+func BenchmarkBuildCuisine(b *testing.B) {
+	store := fullScaleEnv().Store
+	for _, bc := range []struct {
+		name   string
+		region recipedb.Region
+	}{{"USA", recipedb.USA}, {"World", recipedb.World}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if store.BuildCuisine(bc.region).NumRecipes() == 0 {
+					b.Fatal("empty cuisine")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig2 measures the category-usage heatmap computation.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -333,7 +353,7 @@ func BenchmarkAblationWeightedSampling(b *testing.B) {
 	weights := make([]float64, len(c.UniqueIngredients))
 	var total float64
 	for i, id := range c.UniqueIngredients {
-		weights[i] = float64(c.IngredientFreq[id])
+		weights[i] = float64(c.Uses(id))
 		total += weights[i]
 	}
 	b.Run("VoseAlias", func(b *testing.B) {

@@ -117,12 +117,13 @@ func interact(engine *query.Engine, in io.Reader, out, errw io.Writer) {
 }
 
 // run executes one statement, printing the result table or the error
-// without exiting (so interactive sessions survive typos).
+// without exiting (so interactive sessions survive typos). Every engine
+// error already reads "query: ...", so it is printed as it is.
 func run(engine *query.Engine, stmt string, out, errw io.Writer) {
 	t0 := time.Now()
 	res, err := engine.Run(stmt)
 	if err != nil {
-		fmt.Fprintln(errw, "query:", err)
+		fmt.Fprintln(errw, err)
 		return
 	}
 	title := fmt.Sprintf("%d rows (scanned %d recipes in %v)",

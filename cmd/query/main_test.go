@@ -28,8 +28,9 @@ func testEngine(t *testing.T) *query.Engine {
 
 // TestFormatStatsUnifiedView pins an interactive session's output:
 // tables on stdout, and on stderr one prompt per line read, the errors
-// and nothing else — no cache summary at the end. ":stats" is no longer
-// a command, so it reaches the parser like any other line.
+// as the engine words them (one "query:" prefix) and nothing else — no
+// cache summary at the end. ":stats" is no longer a command, so it
+// reaches the parser like any other line.
 func TestFormatStatsUnifiedView(t *testing.T) {
 	engine := testEngine(t)
 	_, parseErr := engine.Run(":stats")
@@ -39,7 +40,7 @@ func TestFormatStatsUnifiedView(t *testing.T) {
 	in := "-- a comment\n\n:stats\nSELECT count(*) FROM recipes\n"
 	var out, errw strings.Builder
 	interact(engine, strings.NewReader(in), &out, &errw)
-	if want := "cql> cql> cql> query: " + parseErr.Error() + "\ncql> cql> \n"; errw.String() != want {
+	if want := "cql> cql> cql> " + parseErr.Error() + "\ncql> cql> \n"; errw.String() != want {
 		t.Errorf("stderr:\n got: %q\nwant: %q", errw.String(), want)
 	}
 	if !strings.Contains(out.String(), "1 rows (scanned ") {

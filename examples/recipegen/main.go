@@ -72,7 +72,7 @@ func main() {
 			score := sign * total / float64(len(recipe))
 			// Mild popularity prior: frequently used ingredients are more
 			// culturally plausible.
-			score += 0.08 * float64(cuisine.IngredientFreq[cand])
+			score += 0.08 * float64(cuisine.Uses(cand))
 			if best == flavor.Invalid || score > bestScore {
 				best, bestScore = cand, score
 			}

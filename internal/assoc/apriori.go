@@ -101,7 +101,7 @@ func Mine(store *recipedb.Store, c *recipedb.Cuisine, cfg Config) ([][]ItemSet, 
 	// Level 1: singletons from the cuisine frequency index.
 	var level []ItemSet
 	for _, id := range c.UniqueIngredients {
-		if cnt := c.IngredientFreq[id]; cnt >= minCount {
+		if cnt := c.Uses(id); cnt >= minCount {
 			level = append(level, ItemSet{
 				Items:   []flavor.ID{id},
 				Count:   cnt,
@@ -294,7 +294,7 @@ func Rules(levels [][]ItemSet, c *recipedb.Cuisine, cfg Config) []Rule {
 				if conf < cfg.MinConfidence {
 					continue
 				}
-				sc := float64(c.IngredientFreq[consequent]) / n
+				sc := float64(c.Uses(consequent)) / n
 				lift := 0.0
 				if sc > 0 {
 					lift = conf / sc

@@ -70,7 +70,7 @@ func TestMineSingletons(t *testing.T) {
 		if is.Support < 0.5 {
 			t.Fatalf("infrequent singleton: %+v", is)
 		}
-		if is.Count != c.IngredientFreq[is.Items[0]] {
+		if is.Count != c.Uses(is.Items[0]) {
 			t.Fatalf("count mismatch: %+v", is)
 		}
 	}

@@ -214,7 +214,7 @@ func (e *Env) TopIngredientsReport(k int) *report.Table {
 		top := c.TopIngredients(k)
 		names := make([]string, len(top))
 		for i, id := range top {
-			names[i] = fmt.Sprintf("%s(%d)", e.Catalog.Ingredient(id).Name, c.IngredientFreq[id])
+			names[i] = fmt.Sprintf("%s(%d)", e.Catalog.Ingredient(id).Name, c.Uses(id))
 		}
 		t.AddRow(r.Code(), joinComma(names))
 	}

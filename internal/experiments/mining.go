@@ -38,8 +38,8 @@ func (e *Env) ExtCluster() (*ClusterResult, error) {
 			continue
 		}
 		vec := make([]float64, n)
-		for id, freq := range c.IngredientFreq {
-			vec[id] = float64(freq) / float64(c.NumRecipes())
+		for _, id := range c.UniqueIngredients {
+			vec[id] = float64(c.Uses(id)) / float64(c.NumRecipes())
 		}
 		vectors = append(vectors, vec)
 		used = append(used, r)

@@ -258,8 +258,8 @@ func Prevalence(store *recipedb.Store, c *recipedb.Cuisine) map[flavor.ID]float6
 	if total == 0 {
 		return out
 	}
-	for id, freq := range c.IngredientFreq {
-		out[id] = float64(freq) / total
+	for _, id := range c.UniqueIngredients {
+		out[id] = float64(c.Uses(id)) / total
 	}
 	return out
 }

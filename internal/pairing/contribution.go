@@ -75,7 +75,7 @@ func (a *Analyzer) contributionOf(c *recipedb.Cuisine, id flavor.ID,
 		return Contribution{
 			Ingredient: id,
 			Name:       a.catalog.Ingredient(id).Name,
-			Freq:       c.IngredientFreq[id],
+			Freq:       c.Uses(id),
 			DeltaPct:   0,
 		}
 	}
@@ -108,7 +108,7 @@ func (a *Analyzer) contributionOf(c *recipedb.Cuisine, id flavor.ID,
 	return Contribution{
 		Ingredient: id,
 		Name:       a.catalog.Ingredient(id).Name,
-		Freq:       c.IngredientFreq[id],
+		Freq:       c.Uses(id),
 		DeltaPct:   deltaPct,
 	}
 }

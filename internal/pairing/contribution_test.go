@@ -61,7 +61,7 @@ func TestContributionMetadata(t *testing.T) {
 		if ct.Name != testCatalog.Ingredient(ct.Ingredient).Name {
 			t.Fatalf("name mismatch for %d", ct.Ingredient)
 		}
-		if ct.Freq != c.IngredientFreq[ct.Ingredient] {
+		if ct.Freq != c.Uses(ct.Ingredient) {
 			t.Fatalf("freq mismatch for %s", ct.Name)
 		}
 	}

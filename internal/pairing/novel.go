@@ -56,12 +56,12 @@ func NovelPairs(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, sign, k
 	ids := c.UniqueIngredients
 	for i := 0; i < len(ids); i++ {
 		x := ids[i]
-		if !catalog.Ingredient(x).HasProfile || c.IngredientFreq[x] < minSupport {
+		if !catalog.Ingredient(x).HasProfile || c.Uses(x) < minSupport {
 			continue
 		}
 		for j := i + 1; j < len(ids); j++ {
 			y := ids[j]
-			if !catalog.Ingredient(y).HasProfile || c.IngredientFreq[y] < minSupport {
+			if !catalog.Ingredient(y).HasProfile || c.Uses(y) < minSupport {
 				continue
 			}
 			n := co[[2]flavor.ID{x, y}]
@@ -72,8 +72,8 @@ func NovelPairs(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine, sign, k
 				A: x, B: y,
 				Shared:        a.Shared(x, y),
 				CoOccurrences: n,
-				SupportA:      c.IngredientFreq[x],
-				SupportB:      c.IngredientFreq[y],
+				SupportA:      c.Uses(x),
+				SupportB:      c.Uses(y),
 			})
 		}
 	}

@@ -165,7 +165,7 @@ func NewNullPool(a *Analyzer, store *recipedb.Store, c *recipedb.Cuisine) (*Null
 	p.weight = make([]float64, p.npool)
 	p.catPool = make([][]int32, flavor.NumCategories)
 	for l, id := range c.UniqueIngredients {
-		p.weight[l] = float64(c.IngredientFreq[id])
+		p.weight[l] = float64(c.Uses(id))
 		cat := p.category[l]
 		p.catPool[cat] = append(p.catPool[cat], int32(l))
 	}

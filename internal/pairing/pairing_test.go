@@ -240,10 +240,7 @@ func TestNullSamplerErrors(t *testing.T) {
 
 func TestNullSamplerPreservesSizeDistribution(t *testing.T) {
 	store, c := buildTestStore(t)
-	sizes := map[int]bool{}
-	for _, sz := range c.Sizes {
-		sizes[sz] = true
-	}
+	sizes := c.SizeHistogram()
 	for _, m := range AllModels() {
 		s, err := NewNullSampler(testAnalyzer, store, c, m, rng.New(uint64(m)+3))
 		if err != nil {
@@ -251,8 +248,8 @@ func TestNullSamplerPreservesSizeDistribution(t *testing.T) {
 		}
 		for i := 0; i < 500; i++ {
 			r := s.Draw()
-			if !sizes[len(r)] {
-				t.Fatalf("%s: drew size %d not in cuisine size set %v", m, len(r), c.Sizes)
+			if sizes.Count(len(r)) == 0 {
+				t.Fatalf("%s: drew size %d not in cuisine size set %v", m, len(r), sizes.Support())
 			}
 		}
 	}

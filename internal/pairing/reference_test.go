@@ -44,7 +44,7 @@ func newRefSampler(t testing.TB, a *Analyzer, store *recipedb.Store, c *recipedb
 	case FrequencyModel:
 		weights := make([]float64, len(s.pool))
 		for i, id := range s.pool {
-			weights[i] = float64(c.IngredientFreq[id])
+			weights[i] = float64(c.Uses(id))
 		}
 		w, err := rng.NewWeighted(weights)
 		if err != nil {
@@ -66,7 +66,7 @@ func newRefSampler(t testing.TB, a *Analyzer, store *recipedb.Store, c *recipedb
 				}
 				weights := make([]float64, len(ids))
 				for i, id := range ids {
-					weights[i] = float64(c.IngredientFreq[id])
+					weights[i] = float64(c.Uses(id))
 				}
 				w, err := rng.NewWeighted(weights)
 				if err != nil {

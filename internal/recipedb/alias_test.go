@@ -93,8 +93,8 @@ func TestPostingListAliasSafety(t *testing.T) {
 				})
 			case 1:
 				c := store.BuildCuisine(region)
-				if !ascending(c.RecipeIDs) || len(c.Sizes) != len(c.RecipeIDs) {
-					fail("BuildCuisine(%v): %d ids, %d sizes", region, len(c.RecipeIDs), len(c.Sizes))
+				if !ascending(c.RecipeIDs) || c.SizeHistogram().Total() != len(c.RecipeIDs) {
+					fail("BuildCuisine(%v): %d ids, %d sizes", region, len(c.RecipeIDs), c.SizeHistogram().Total())
 				}
 			case 2:
 				name := catalog.Ingredient(ing).Name

@@ -5,16 +5,81 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"culinary/internal/flavor"
+	"culinary/internal/stats"
 )
 
+// walkedCuisine is the Cuisine that BuildCuisine built by walking the
+// region's recipes before it copied the counters, kept with its walk,
+// SizeHistogram and TopIngredients verbatim as the reference the
+// counter-built Cuisine and RegionStats are held to.
+type walkedCuisine struct {
+	Region Region
+	// RecipeIDs indexes into the parent store.
+	RecipeIDs []int
+	// Sizes[i] is the ingredient count of recipe RecipeIDs[i].
+	Sizes []int
+	// IngredientFreq maps each used ingredient to its recipe count.
+	IngredientFreq map[flavor.ID]int
+	// UniqueIngredients is the sorted set of ingredients used.
+	UniqueIngredients []flavor.ID
+}
+
+func walkCuisine(s *Store, r Region) *walkedCuisine {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c := &walkedCuisine{
+		Region:         r,
+		IngredientFreq: make(map[flavor.ID]int),
+	}
+	s.forEachInRegionLocked(r, func(rec *Recipe) {
+		c.RecipeIDs = append(c.RecipeIDs, rec.ID)
+		c.Sizes = append(c.Sizes, rec.Size())
+		for _, id := range rec.Ingredients {
+			c.IngredientFreq[id]++
+		}
+	})
+	c.UniqueIngredients = make([]flavor.ID, 0, len(c.IngredientFreq))
+	for id := range c.IngredientFreq {
+		c.UniqueIngredients = append(c.UniqueIngredients, id)
+	}
+	sort.Slice(c.UniqueIngredients, func(i, j int) bool {
+		return c.UniqueIngredients[i] < c.UniqueIngredients[j]
+	})
+	return c
+}
+
+func (c *walkedCuisine) SizeHistogram() *stats.Histogram {
+	h := stats.NewHistogram()
+	for _, sz := range c.Sizes {
+		h.Add(sz, 1)
+	}
+	return h
+}
+
+func (c *walkedCuisine) TopIngredients(k int) []flavor.ID {
+	ids := append([]flavor.ID(nil), c.UniqueIngredients...)
+	sort.Slice(ids, func(i, j int) bool {
+		fi, fj := c.IngredientFreq[ids[i]], c.IngredientFreq[ids[j]]
+		if fi != fj {
+			return fi > fj
+		}
+		return ids[i] < ids[j]
+	})
+	if k > len(ids) {
+		k = len(ids)
+	}
+	return ids[:k]
+}
+
 // regionStatsReference is the recipe walk the counters replaced: the
-// region's Cuisine for the counts, SizeHistogram().Mean() and
+// walked Cuisine for the counts, SizeHistogram().Mean() and
 // TopIngredients, and CategoryUsage's loop over every ingredient slot.
 func regionStatsReference(s *Store, r Region, k int) RegionStats {
-	c := s.BuildCuisine(r)
+	c := walkCuisine(s, r)
 	counts := make([]int, flavor.NumCategories)
 	total := 0
 	s.ForEachInRegion(r, func(rec *Recipe) {
@@ -30,8 +95,8 @@ func regionStatsReference(s *Store, r Region, k int) RegionStats {
 		}
 	}
 	return RegionStats{
-		Recipes:       c.NumRecipes(),
-		Ingredients:   c.NumUniqueIngredients(),
+		Recipes:       len(c.RecipeIDs),
+		Ingredients:   len(c.UniqueIngredients),
 		MeanSize:      c.SizeHistogram().Mean(),
 		Top:           c.TopIngredients(k),
 		CategoryUsage: usage,
@@ -91,14 +156,20 @@ func checkCounters(t *testing.T, s *Store, step string) {
 }
 
 // TestRegionCountersMatchRecipeWalk is the counters' equivalence
-// battery: after every step of a seeded script of inserts, same- and
-// cross-region replacements, deletes, tombstone revivals, ApplyBatch
-// groups with mixed outcomes, Loads and SyncSlots, every region's
-// statistics must equal the walk's bit for bit. The script draws from a
-// small ingredient pool over every region, so use counts tie, regions
-// empty out and fill again, and a replacement often shares ingredients
-// with the recipe it displaces.
+// battery: after every step of regionWriteScript, every region's
+// statistics must equal the walk's bit for bit.
 func TestRegionCountersMatchRecipeWalk(t *testing.T) {
+	regionWriteScript(t, func(s *Store, step string) { checkCounters(t, s, step) })
+}
+
+// regionWriteScript runs a seeded script of inserts, same- and
+// cross-region replacements, deletes, tombstone revivals, ApplyBatch
+// groups with mixed outcomes, Loads and SyncSlots on a fresh store per
+// seed, calling check after every step. The script draws from a small
+// ingredient pool over every region, so use counts tie, regions empty
+// out and fill again, and a replacement often shares ingredients with
+// the recipe it displaces.
+func regionWriteScript(t *testing.T, check func(s *Store, step string)) {
 	const (
 		steps = 250
 		pool  = 24
@@ -135,7 +206,7 @@ func TestRegionCountersMatchRecipeWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkCounters(t, s, fmt.Sprintf("seed %d empty", seed))
+		check(s, fmt.Sprintf("seed %d empty", seed))
 		for step := 0; step < steps; step++ {
 			var op string
 			switch k := rng.Intn(10); {
@@ -209,7 +280,7 @@ func TestRegionCountersMatchRecipeWalk(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			checkCounters(t, s, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
+			check(s, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
 		}
 
 		// Empty the largest region: checkCounters requires it to read as
@@ -225,6 +296,76 @@ func TestRegionCountersMatchRecipeWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkCounters(t, s, fmt.Sprintf("seed %d emptied %s", seed, largest.Code()))
+		check(s, fmt.Sprintf("seed %d emptied %s", seed, largest.Code()))
 	}
+}
+
+// cuisineDiff names the first field where the counter-built Cuisine c
+// and the walk w differ, floats compared by their bits; "" when they
+// are equal.
+func cuisineDiff(c *Cuisine, w *walkedCuisine, catalogLen int) string {
+	if !slices.Equal(c.RecipeIDs, w.RecipeIDs) {
+		return fmt.Sprintf("recipe IDs %v, walk %v", c.RecipeIDs, w.RecipeIDs)
+	}
+	if len(c.counts.uses) != catalogLen {
+		return fmt.Sprintf("%d use counts for a catalog of %d", len(c.counts.uses), catalogLen)
+	}
+	for id := flavor.ID(0); int(id) < catalogLen; id++ {
+		if c.Uses(id) != w.IngredientFreq[id] {
+			return fmt.Sprintf("ingredient %d used %d times, walk %d", id, c.Uses(id), w.IngredientFreq[id])
+		}
+	}
+	if !slices.Equal(c.UniqueIngredients, w.UniqueIngredients) {
+		return fmt.Sprintf("unique ingredients %v, walk %v", c.UniqueIngredients, w.UniqueIngredients)
+	}
+	got, want := c.SizeHistogram(), w.SizeHistogram()
+	gotSizes, gotPMF := got.PMF()
+	wantSizes, wantPMF := want.PMF()
+	_, gotCDF := got.CDF()
+	_, wantCDF := want.CDF()
+	switch {
+	case !slices.Equal(gotSizes, wantSizes) || !sameBits(gotPMF, wantPMF):
+		return fmt.Sprintf("size PMF %v %v, walk %v %v", gotSizes, gotPMF, wantSizes, wantPMF)
+	case !sameBits(gotCDF, wantCDF):
+		return fmt.Sprintf("size CDF %v, walk %v", gotCDF, wantCDF)
+	case math.Float64bits(got.Mean()) != math.Float64bits(want.Mean()):
+		return fmt.Sprintf("mean size %v, walk %v", got.Mean(), want.Mean())
+	}
+	for _, k := range []int{10, catalogLen} {
+		if got, want := c.TopIngredients(k), w.TopIngredients(k); !slices.Equal(got, want) {
+			return fmt.Sprintf("top %d %v, walk %v", k, got, want)
+		}
+	}
+	return ""
+}
+
+// TestCuisineMatchesRecipeWalk holds BuildCuisine, which copies the
+// region's list and counters, to the walk it replaced: after every step
+// of regionWriteScript, every region's Cuisine (World's included) must
+// equal the walk field by field. The Cuisines built at one step are
+// checked again after the next write, against the walks of their own
+// step: a Cuisine is a snapshot, so a write must not reach it.
+func TestCuisineMatchesRecipeWalk(t *testing.T) {
+	type built struct {
+		c *Cuisine
+		w *walkedCuisine
+	}
+	var prev []built
+	var prevStep string
+	regionWriteScript(t, func(s *Store, step string) {
+		t.Helper()
+		for _, b := range prev {
+			if d := cuisineDiff(b.c, b.w, s.catalog.Len()); d != "" {
+				t.Fatalf("%s: %s built at %s changed: %s", step, b.c.Region.Code(), prevStep, d)
+			}
+		}
+		prev, prevStep = prev[:0], step
+		for r := Region(0); r < numRegions; r++ {
+			b := built{s.BuildCuisine(r), walkCuisine(s, r)}
+			if d := cuisineDiff(b.c, b.w, s.catalog.Len()); d != "" {
+				t.Fatalf("%s: %s: %s", step, r.Code(), d)
+			}
+			prev = append(prev, b)
+		}
+	})
 }

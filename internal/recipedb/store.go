@@ -542,6 +542,9 @@ type regionCounts struct {
 	// one region (a generator's calibration trial) carries two arrays,
 	// not 27.
 	uses []int32
+	// sizes counts the recipes of each size, by size: it grows to the
+	// largest size seen, a few dozen entries.
+	sizes []int32
 }
 
 // tallyLocked adds rec to (delta 1) or takes it out of (delta -1) the
@@ -551,7 +554,12 @@ func (s *Store) tallyLocked(rec *Recipe, delta int32) {
 		if c.uses == nil {
 			c.uses = make([]int32, s.catalog.Len())
 		}
-		c.size += int(delta) * len(rec.Ingredients)
+		n := len(rec.Ingredients)
+		if n >= len(c.sizes) {
+			c.sizes = append(c.sizes, make([]int32, n+1-len(c.sizes))...)
+		}
+		c.sizes[n] += delta
+		c.size += int(delta) * n
 		for _, ing := range rec.Ingredients {
 			before := c.uses[ing]
 			c.uses[ing] = before + delta
@@ -685,18 +693,16 @@ func (s *Store) RegionRecipes(r Region) []int {
 }
 
 // Cuisine is the per-region analytical view used by the pairing package
-// and the experiment drivers: the recipes of one region plus cached
-// statistics.
+// and the experiment drivers: the recipes of one region plus a copy of
+// its counters.
 type Cuisine struct {
 	Region Region
-	// RecipeIDs indexes into the parent store.
+	// RecipeIDs indexes into the parent store, ascending.
 	RecipeIDs []int
-	// Sizes[i] is the ingredient count of recipe RecipeIDs[i].
-	Sizes []int
-	// IngredientFreq maps each used ingredient to its recipe count.
-	IngredientFreq map[flavor.ID]int
 	// UniqueIngredients is the sorted set of ingredients used.
 	UniqueIngredients []flavor.ID
+	// counts are the region's counters as of the build, rows copied.
+	counts regionCounts
 }
 
 // BuildCuisine assembles the analytical view of a region; World pools
@@ -709,25 +715,22 @@ func (s *Store) BuildCuisine(r Region) *Cuisine {
 	return s.buildCuisineLocked(r)
 }
 
+// buildCuisineLocked copies the region's list and counters; no recipe is
+// visited.
 func (s *Store) buildCuisineLocked(r Region) *Cuisine {
-	c := &Cuisine{
-		Region:         r,
-		IngredientFreq: make(map[flavor.ID]int),
+	c := &Cuisine{Region: r, RecipeIDs: slices.Clone(s.byRegion[r]), counts: s.counts[r]}
+	if r == World {
+		c.RecipeIDs = s.liveIDsLocked()
 	}
-	s.forEachInRegionLocked(r, func(rec *Recipe) {
-		c.RecipeIDs = append(c.RecipeIDs, rec.ID)
-		c.Sizes = append(c.Sizes, rec.Size())
-		for _, id := range rec.Ingredients {
-			c.IngredientFreq[id]++
+	c.counts.uses = make([]int32, s.catalog.Len())
+	copy(c.counts.uses, s.counts[r].uses)
+	c.counts.sizes = slices.Clone(c.counts.sizes)
+	c.UniqueIngredients = make([]flavor.ID, 0, c.counts.distinct)
+	for id, n := range c.counts.uses {
+		if n > 0 {
+			c.UniqueIngredients = append(c.UniqueIngredients, flavor.ID(id))
 		}
-	})
-	c.UniqueIngredients = make([]flavor.ID, 0, len(c.IngredientFreq))
-	for id := range c.IngredientFreq {
-		c.UniqueIngredients = append(c.UniqueIngredients, id)
 	}
-	sort.Slice(c.UniqueIngredients, func(i, j int) bool {
-		return c.UniqueIngredients[i] < c.UniqueIngredients[j]
-	})
 	return c
 }
 
@@ -737,11 +740,16 @@ func (c *Cuisine) NumRecipes() int { return len(c.RecipeIDs) }
 // NumUniqueIngredients returns the count of distinct ingredients used.
 func (c *Cuisine) NumUniqueIngredients() int { return len(c.UniqueIngredients) }
 
+// Uses returns the number of the cuisine's recipes using the ingredient.
+func (c *Cuisine) Uses(id flavor.ID) int { return int(c.counts.uses[id]) }
+
 // SizeHistogram returns the recipe-size distribution (Fig 3a input).
 func (c *Cuisine) SizeHistogram() *stats.Histogram {
 	h := stats.NewHistogram()
-	for _, sz := range c.Sizes {
-		h.Add(sz)
+	for size, n := range c.counts.sizes {
+		if n > 0 {
+			h.Add(size, int(n))
+		}
 	}
 	return h
 }
@@ -751,7 +759,7 @@ func (c *Cuisine) SizeHistogram() *stats.Histogram {
 func (c *Cuisine) FrequencyVector() []int {
 	out := make([]int, len(c.UniqueIngredients))
 	for i, id := range c.UniqueIngredients {
-		out[i] = c.IngredientFreq[id]
+		out[i] = c.Uses(id)
 	}
 	return out
 }
@@ -759,25 +767,14 @@ func (c *Cuisine) FrequencyVector() []int {
 // TopIngredients returns the k most frequently used ingredients in
 // descending frequency order (ties break by ID for determinism).
 func (c *Cuisine) TopIngredients(k int) []flavor.ID {
-	ids := append([]flavor.ID(nil), c.UniqueIngredients...)
-	sort.Slice(ids, func(i, j int) bool {
-		fi, fj := c.IngredientFreq[ids[i]], c.IngredientFreq[ids[j]]
-		if fi != fj {
-			return fi > fj
-		}
-		return ids[i] < ids[j]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
+	return c.counts.top(k)
 }
 
 // RegionStats is one region's descriptive statistics at one corpus
 // version: Table 1's counts, the mean recipe size, the most-used
 // ingredients and the Fig 2 category usage. Every field is computed
-// from exact integer counters, so each equals what the region's Cuisine
-// and CategoryUsage walk would give, bit for bit.
+// from exact integer counters, so each equals what a walk over the
+// region's recipes would give, bit for bit.
 type RegionStats struct {
 	// Recipes counts live recipes; Ingredients the distinct ingredients
 	// they use.

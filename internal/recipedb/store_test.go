@@ -125,14 +125,14 @@ func TestBuildCuisine(t *testing.T) {
 	if c.NumUniqueIngredients() != 4 {
 		t.Fatalf("unique = %d", c.NumUniqueIngredients())
 	}
-	if got := c.IngredientFreq[mustID(t, "tomato")]; got != 2 {
+	if got := c.Uses(mustID(t, "tomato")); got != 2 {
 		t.Fatalf("tomato freq = %d", got)
 	}
-	if got := c.Sizes; len(got) != 2 || got[0] != 3 || got[1] != 2 {
-		t.Fatalf("Sizes = %v", got)
+	if got := s.IngredientLists(c.RecipeIDs); len(got) != 2 || len(got[0]) != 3 || len(got[1]) != 2 {
+		t.Fatalf("ingredient lists = %v", got)
 	}
 	h := c.SizeHistogram()
-	if h.Total() != 2 || h.Count(3) != 1 {
+	if h.Total() != 2 || h.Count(3) != 1 || h.Count(2) != 1 {
 		t.Fatal("size histogram wrong")
 	}
 	top := c.TopIngredients(1)

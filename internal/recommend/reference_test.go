@@ -3,7 +3,8 @@ package recommend
 // The BuildCuisine-based recommender that Complete replaced, kept
 // verbatim as the reference the counter-based Complete and
 // Classifier.TrainLive are held to, and the randomized write script
-// that holds them.
+// that holds them. BuildCuisine itself now copies the counters Complete
+// reads, so the reference counts its cuisines with its own walk.
 
 import (
 	"fmt"
@@ -29,7 +30,33 @@ type Recommender struct {
 	version  uint64
 	// cuisines holds the per-region analytical views (plus World) as of
 	// the snapshot; a region absent from the map had no live recipes.
-	cuisines map[recipedb.Region]*recipedb.Cuisine
+	cuisines map[recipedb.Region]*walkedCuisine
+}
+
+// walkedCuisine is the part of the old recipedb.Cuisine the reference
+// reads, counted by a walk over the region's recipes as the old
+// BuildCuisine counted it.
+type walkedCuisine struct {
+	RecipeIDs         []int
+	IngredientFreq    map[flavor.ID]int
+	UniqueIngredients []flavor.ID
+}
+
+func (c *walkedCuisine) NumRecipes() int { return len(c.RecipeIDs) }
+
+func walkCuisine(v *recipedb.View, r recipedb.Region) *walkedCuisine {
+	c := &walkedCuisine{IngredientFreq: make(map[flavor.ID]int)}
+	v.ForEachInRegion(r, func(rec *recipedb.Recipe) {
+		c.RecipeIDs = append(c.RecipeIDs, rec.ID)
+		for _, id := range rec.Ingredients {
+			c.IngredientFreq[id]++
+		}
+	})
+	for id := range c.IngredientFreq {
+		c.UniqueIngredients = append(c.UniqueIngredients, id)
+	}
+	sort.Slice(c.UniqueIngredients, func(i, j int) bool { return c.UniqueIngredients[i] < c.UniqueIngredients[j] })
+	return c
 }
 
 // NewFromView builds a Recommender against an already-held corpus view,
@@ -40,13 +67,13 @@ func NewFromView(analyzer *pairing.Analyzer, v *recipedb.View) *Recommender {
 		analyzer: analyzer,
 		catalog:  v.Catalog(),
 		version:  v.Version,
-		cuisines: make(map[recipedb.Region]*recipedb.Cuisine),
+		cuisines: make(map[recipedb.Region]*walkedCuisine),
 	}
 	for _, region := range v.Regions() {
-		r.cuisines[region] = v.BuildCuisine(region)
+		r.cuisines[region] = walkCuisine(v, region)
 	}
 	if v.Len() > 0 {
-		r.cuisines[recipedb.World] = v.BuildCuisine(recipedb.World)
+		r.cuisines[recipedb.World] = walkCuisine(v, recipedb.World)
 	}
 	return r
 }

@@ -171,10 +171,10 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make(map[int]int)}
 }
 
-// Add increments the bin for value v.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
+// Add adds n observations of value v.
+func (h *Histogram) Add(v, n int) {
+	h.counts[v] += n
+	h.total += n
 }
 
 // Count returns the number of observations equal to v.

@@ -102,7 +102,7 @@ func TestPercentileAndMedian(t *testing.T) {
 func TestHistogram(t *testing.T) {
 	h := NewHistogram()
 	for _, v := range []int{3, 3, 5, 9, 3, 5} {
-		h.Add(v)
+		h.Add(v, 1)
 	}
 	if h.Total() != 6 {
 		t.Fatalf("Total = %d", h.Total())

@@ -98,7 +98,7 @@ func TestRecipeSizesBounded(t *testing.T) {
 		if sz < cfg.MinSize || sz > cfg.MaxSize {
 			t.Fatalf("recipe %d size %d outside [%d,%d]", i, sz, cfg.MinSize, cfg.MaxSize)
 		}
-		h.Add(sz)
+		h.Add(sz, 1)
 	}
 	// Mean near the paper's ≈9.
 	if m := h.Mean(); math.Abs(m-cfg.MeanSize) > 1.0 {
