@@ -147,7 +147,9 @@ func BenchmarkBulkIngest(b *testing.B) {
 // every list's whole tail; replaceRecent rewrites the top 64 slots;
 // both take donors from 64 live recipes mid-corpus, a different donor
 // each round, so every write really changes its slot. delete tombstones
-// slots 0–63 in turn and revives the window, untimed, when it runs out.
+// slots 0–63 in turn and revives the window, untimed, when it runs out;
+// deleteRecent does the same to the top 64 slots, where the serving
+// workloads delete (they remove recipes they created).
 // The other write benches run on a 512-slot store or the 5 % corpus,
 // where a list that a write copies in full is short.
 func BenchmarkCorpusMutation(b *testing.B) {
@@ -155,7 +157,7 @@ func BenchmarkCorpusMutation(b *testing.B) {
 	env := fullScaleEnv()
 	var recs []recipedb.Recipe
 	env.Store.Read(func(v *recipedb.View) {
-		for _, id := range v.LiveIDs() {
+		for _, id := range v.RegionRecipes(recipedb.World) {
 			recs = append(recs, *v.Recipe(id))
 		}
 	})
@@ -185,24 +187,31 @@ func BenchmarkCorpusMutation(b *testing.B) {
 			}
 		}
 	}
-	b.Run("replaceLow", replace(false))
-	b.Run("replaceRecent", replace(true))
-	b.Run("delete", func(b *testing.B) {
-		store := private(b)
-		low := recs[:window]
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i > 0 && i%window == 0 {
-				b.StopTimer()
-				if _, err := store.Load(low); err != nil {
+	remove := func(top bool) func(*testing.B) {
+		return func(b *testing.B) {
+			store := private(b)
+			victims := recs[:window]
+			if top {
+				victims = recs[len(recs)-window:]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%window == 0 {
+					b.StopTimer()
+					if _, err := store.Load(victims); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := store.Remove(victims[i%window].ID); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-			}
-			if _, err := store.Remove(low[i%window].ID); err != nil {
-				b.Fatal(err)
 			}
 		}
-	})
+	}
+	b.Run("replaceLow", replace(false))
+	b.Run("replaceRecent", replace(true))
+	b.Run("delete", remove(false))
+	b.Run("deleteRecent", remove(true))
 }

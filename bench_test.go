@@ -187,11 +187,12 @@ func BenchmarkFig5(b *testing.B) {
 // typical nine-ingredient recipe.
 func BenchmarkExtTuples(b *testing.B) {
 	var recipe []flavor.ID
-	benchEnv.Store.ForEachInRegion(recipedb.Italy, func(r *recipedb.Recipe) {
-		if recipe == nil && r.Size() == 9 {
+	for id := range benchEnv.Store.Slots() {
+		if r := benchEnv.Store.Recipe(id); !r.Deleted && r.Region == recipedb.Italy && r.Size() == 9 {
 			recipe = r.Ingredients
+			break
 		}
-	})
+	}
 	if recipe == nil {
 		b.Skip("no size-9 recipe")
 	}
@@ -312,11 +313,12 @@ func BenchmarkAblationIntersection(b *testing.B) {
 // intersections on the fly — the justification for the Analyzer cache.
 func BenchmarkAblationPairCache(b *testing.B) {
 	var recipe []flavor.ID
-	benchEnv.Store.ForEachInRegion(recipedb.Italy, func(r *recipedb.Recipe) {
-		if recipe == nil && r.Size() >= 9 {
+	for id := range benchEnv.Store.Slots() {
+		if r := benchEnv.Store.Recipe(id); !r.Deleted && r.Region == recipedb.Italy && r.Size() >= 9 {
 			recipe = r.Ingredients
+			break
 		}
-	})
+	}
 	if recipe == nil {
 		b.Skip("no large recipe")
 	}

@@ -93,11 +93,6 @@ func WithEditBudget(budget int) Option {
 	return func(a *Aliaser) { a.editBudget = budget }
 }
 
-// WithStopwords replaces the default stopword set.
-func WithStopwords(s *textproc.StopwordSet) Option {
-	return func(a *Aliaser) { a.stop = s }
-}
-
 // New builds an Aliaser over the catalog's vocabulary (canonical names
 // plus synonyms).
 func New(catalog *flavor.Catalog, opts ...Option) *Aliaser {

@@ -5,7 +5,6 @@ import (
 
 	"culinary/internal/flavor"
 	"culinary/internal/synth"
-	"culinary/internal/textproc"
 )
 
 var testCatalog = func() *flavor.Catalog {
@@ -285,16 +284,5 @@ func TestCurateCandidatesSorted(t *testing.T) {
 		if prev.Count == cur.Count && prev.NGram > cur.NGram {
 			t.Fatalf("ties not lexical: %+v", rep.Candidates)
 		}
-	}
-}
-
-func TestWithStopwords(t *testing.T) {
-	custom := textproc.NewStopwordSet([]string{"zzz"})
-	a := New(testCatalog, WithStopwords(custom))
-	// With the custom set, "fresh" is no longer a stopword and becomes
-	// residual; the match should be Partial rather than clean.
-	m := a.Resolve("fresh basil")
-	if m.Status != Partial {
-		t.Fatalf("custom stopwords: status = %s", m.Status)
 	}
 }

@@ -14,6 +14,7 @@ package assoc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"culinary/internal/flavor"
@@ -90,12 +91,13 @@ func Mine(store *recipedb.Store, c *recipedb.Cuisine, cfg Config) ([][]ItemSet, 
 		minCount = 1
 	}
 
-	// Transactions as sorted ID slices.
-	txs := make([][]flavor.ID, 0, n)
-	for _, rid := range c.RecipeIDs {
-		ings := append([]flavor.ID(nil), store.Recipe(rid).Ingredients...)
-		sort.Slice(ings, func(i, j int) bool { return ings[i] < ings[j] })
-		txs = append(txs, ings)
+	// Transactions as sorted ID slices, copied off the store's lists
+	// (fetched under one lock).
+	txs := store.IngredientLists(c.RecipeIDs)
+	for i, list := range txs {
+		ings := slices.Clone(list)
+		slices.Sort(ings)
+		txs[i] = ings
 	}
 
 	// Level 1: singletons from the cuisine frequency index.

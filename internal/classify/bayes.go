@@ -90,9 +90,9 @@ func (c *Classifier) TrainView(v *recipedb.View, recipeIDs []int) error {
 
 // TrainLive fits the model to every live recipe of v from the store's
 // per-region counters, visiting no recipe: the same classes and counts
-// as TrainView(v, v.LiveIDs()), so every score keeps its bits. The
-// classifier borrows the store's rows and is valid only inside the
-// enclosing Read.
+// as TrainView(v, v.RegionRecipes(recipedb.World)), so every score
+// keeps its bits. The classifier borrows the store's rows and is valid
+// only inside the enclosing Read.
 func (c *Classifier) TrainLive(v *recipedb.View) error {
 	regions := v.Regions()
 	classes := make([]class, len(regions))

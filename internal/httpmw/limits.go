@@ -49,15 +49,6 @@ func WithDeadline(next http.Handler, d time.Duration) http.Handler {
 	})
 }
 
-// Chain applies middlewares around h: Chain(h, a, b) serves a(b(h)),
-// i.e. the first middleware listed is outermost.
-func Chain(h http.Handler, mw ...func(http.Handler) http.Handler) http.Handler {
-	for i := len(mw) - 1; i >= 0; i-- {
-		h = mw[i](h)
-	}
-	return h
-}
-
 // Config assembles the full traffic-armor stack.
 type Config struct {
 	// ReadRPS/ReadBurst budget cheap requests (GET/HEAD and read-only

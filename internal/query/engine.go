@@ -382,7 +382,8 @@ func regionEquality(x Expr) (string, bool) {
 
 // impliedByRegion reports whether region = 'code' holds for the recipes
 // of pinned and for no others, so membership in pinned's list answers
-// it. World has no list, and 'WORLD' matches no recipe's region.
+// it. World's list holds every recipe, and 'WORLD' matches no recipe's
+// region.
 func impliedByRegion(code string, pinned recipedb.Region) bool {
 	if pinned == recipedb.World {
 		return false
@@ -568,31 +569,25 @@ func (c *cursor) seek(id int) bool {
 	return p < len(l) && l[p] == id
 }
 
-// scan visits the plan's outer list — an ingredient's posting list, the
-// pinned region's list, or every live recipe — in ascending ID order.
-// It counts into res.Scanned each entry inside the pinned region and
-// calls fn for each the WHERE clause matches: every other has() list
-// holds it, no NOT has() list does, and the residual accepts it. The
-// other lists and the region are followed by forward cursors, so a
-// recipe is read only by the residual and by fn. After limit matches
-// (limit < 0: no limit) scan stops matching, counts the rest of the
-// outer list and returns.
+// scan visits the plan's outer list — an ingredient's posting list or
+// the pinned region's list (World's holds every live recipe) — in
+// ascending ID order. It counts into res.Scanned each entry inside the
+// pinned region and calls fn for each the WHERE clause matches: every
+// other has() list holds it, no NOT has() list does, and the residual
+// accepts it. The other lists and the region are followed by forward
+// cursors, so a recipe is read only by the residual and by fn. After
+// limit matches (limit < 0: no limit) scan stops matching, counts the
+// rest of the outer list and returns.
 func (e *Engine) scan(ctx context.Context, b *boundQuery, plan scanPlan, v *recipedb.View, res *Result, limit int, fn func(*recipedb.Recipe)) error {
 	var buf [8]cursor
 	cur := buf[:0]
 	var region *cursor
-	var ids []int
-	full := false
-	switch {
-	case plan.useIngredient:
-		ids = v.IngredientRecipes(plan.ingredient)
+	ids := v.RegionRecipes(plan.region)
+	if plan.useIngredient {
 		if plan.region != recipedb.World {
-			region = &cursor{list: v.RegionRecipes(plan.region)}
+			region = &cursor{list: ids}
 		}
-	case plan.region != recipedb.World:
-		ids = v.RegionRecipes(plan.region)
-	default:
-		full = true
+		ids = v.IngredientRecipes(plan.ingredient)
 	}
 	for _, id := range b.has {
 		if !plan.useIngredient || id != plan.ingredient {
@@ -603,41 +598,26 @@ func (e *Engine) scan(ctx context.Context, b *boundQuery, plan scanPlan, v *reci
 		cur = append(cur, cursor{list: v.IngredientRecipes(id)})
 	}
 
-	n := len(ids)
-	if full {
-		n = v.Slots()
-	}
 	done := ctx.Done()
 	matched := 0
 next:
-	for i := 0; i < n; i++ {
+	for i, id := range ids {
 		if done != nil && i%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("%w: %w", ErrCanceled, err)
 			}
 		}
-		id := i
-		if full {
-			if v.Recipe(i).Deleted {
-				continue
-			}
-		} else {
-			id = ids[i]
-			if region != nil && !region.seek(id) {
-				continue
-			}
+		if region != nil && !region.seek(id) {
+			continue
 		}
 		if matched == limit {
-			switch {
-			case full:
-				res.Scanned = v.Len()
-			case region == nil:
-				res.Scanned += n - i
-			default:
-				for _, id := range ids[i:] {
-					if region.seek(id) {
-						res.Scanned++
-					}
+			if region == nil {
+				res.Scanned += len(ids) - i
+				return nil
+			}
+			for _, id := range ids[i:] {
+				if region.seek(id) {
+					res.Scanned++
 				}
 			}
 			return nil

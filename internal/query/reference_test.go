@@ -426,23 +426,26 @@ func (e *Engine) forEach(ctx context.Context, plan scanPlan, res *Result, v *rec
 		}
 		return nil
 	}
-	var visitErr error
+	// Walk the slots, not the store's region lists: the lists are what
+	// the compiled engine reads, and this oracle must not share them.
 	visited := 0
-	v.ForEachInRegion(plan.region, func(rec *recipedb.Recipe) {
-		if visitErr != nil {
-			return
+	for id := range v.Slots() {
+		rec := v.Recipe(id)
+		if rec.Deleted || plan.region != recipedb.World && rec.Region != plan.region {
+			continue
 		}
 		if done != nil && visited%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				visitErr = fmt.Errorf("%w: %w", ErrCanceled, err)
-				return
+				return fmt.Errorf("%w: %w", ErrCanceled, err)
 			}
 		}
 		visited++
 		res.Scanned++
-		visitErr = fn(rec)
-	})
-	return visitErr
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // refExecScan streams plain projections.

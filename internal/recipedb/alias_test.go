@@ -34,6 +34,7 @@ func TestPostingListAliasSafety(t *testing.T) {
 		}
 	}
 	regions := []recipedb.Region{recipedb.Italy, recipedb.France, recipedb.USA}
+	readRegions := append(slices.Clone(regions), recipedb.World)
 	recipe := func(id, k int) recipedb.Recipe {
 		return recipedb.Recipe{ID: id, Name: fmt.Sprintf("dish %d", k), Region: regions[k%len(regions)],
 			Source: recipedb.AllRecipes, Ingredients: []flavor.ID{pool[0], pool[1+k%7], pool[8+k%16]}}
@@ -67,7 +68,7 @@ func TestPostingListAliasSafety(t *testing.T) {
 	read := func(w int) {
 		defer readers.Done()
 		for k := w; !stop.Load(); k++ {
-			ing, region := pool[k%len(pool)], regions[k%len(regions)]
+			ing, region := pool[k%len(pool)], readRegions[k%len(readRegions)]
 			switch k % 5 {
 			case 0:
 				store.Read(func(v *recipedb.View) {
@@ -80,15 +81,23 @@ func TestPostingListAliasSafety(t *testing.T) {
 							fail("View.IngredientRecipes(%d) names slot %d: %+v", ing, id, *r)
 						}
 					}
-					seen, last := 0, -1
-					v.ForEachInRegion(region, func(r *recipedb.Recipe) {
-						if r.Region != region || r.Deleted || r.ID <= last {
-							fail("ForEachInRegion(%v) visited %+v after %d", region, *r, last)
+					list = v.RegionRecipes(region)
+					if !ascending(list) {
+						fail("View.RegionRecipes(%v) not ascending", region)
+					}
+					for _, id := range list {
+						if r := v.Recipe(id); r.Deleted || region != recipedb.World && r.Region != region {
+							fail("View.RegionRecipes(%v) names slot %d: %+v", region, id, *r)
 						}
-						seen, last = seen+1, r.ID
-					})
-					if seen != v.RegionLen(region) {
-						fail("ForEachInRegion(%v) visited %d, RegionLen %d", region, seen, v.RegionLen(region))
+					}
+					live := 0
+					for id := range v.Slots() {
+						if r := v.Recipe(id); !r.Deleted && (region == recipedb.World || r.Region == region) {
+							live++
+						}
+					}
+					if live != len(list) {
+						fail("%d live %v recipes in the slots, RegionRecipes has %d", live, region, len(list))
 					}
 				})
 			case 1:

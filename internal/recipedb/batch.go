@@ -327,7 +327,6 @@ func (s *Store) commitGroup(ops []*writeOp) {
 			oldCopy := s.recipes[op.outID]
 			s.unindexLocked(&s.recipes[op.outID])
 			s.recipes[op.outID] = Recipe{ID: op.outID, Deleted: true}
-			s.live--
 			v++
 			op.version = v
 			muts = append(muts, Mutation{Version: v, ID: op.outID, Old: &oldCopy})
@@ -377,7 +376,6 @@ func (s *Store) installLocked(rec Recipe) (displaced *Recipe) {
 	} else {
 		s.recipes[id] = rec
 	}
-	s.live++
 	s.indexLocked(&s.recipes[id])
 	return nil
 }
@@ -523,7 +521,7 @@ func (s *Store) CanonicalDump() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "version=%d live=%d slots=%d\n", s.version.Load(), s.live, len(s.recipes))
+	fmt.Fprintf(&b, "version=%d live=%d slots=%d\n", s.version.Load(), len(s.byRegion[World]), len(s.recipes))
 	for i := range s.recipes {
 		r := &s.recipes[i]
 		if r.Deleted {
@@ -533,12 +531,7 @@ func (s *Store) CanonicalDump() string {
 		fmt.Fprintf(&b, "slot %d: %q region=%d source=%d ingredients=%v\n",
 			i, r.Name, r.Region, r.Source, r.Ingredients)
 	}
-	regions := make([]Region, 0, len(s.byRegion))
-	for r := range s.byRegion {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	for _, r := range regions {
+	for r := range World {
 		if len(s.byRegion[r]) > 0 {
 			fmt.Fprintf(&b, "region %d: %v\n", r, s.byRegion[r])
 		}

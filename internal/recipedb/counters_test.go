@@ -28,6 +28,18 @@ type walkedCuisine struct {
 	UniqueIngredients []flavor.ID
 }
 
+// walkRegionLocked calls fn for every live recipe of r (every live
+// recipe for World) in slot order. It reads the slots' Deleted flags,
+// not the store's region lists: the definition those lists must agree
+// with. Callers hold s.mu.
+func walkRegionLocked(s *Store, r Region, fn func(*Recipe)) {
+	for i := range s.recipes {
+		if rec := &s.recipes[i]; !rec.Deleted && (r == World || rec.Region == r) {
+			fn(rec)
+		}
+	}
+}
+
 func walkCuisine(s *Store, r Region) *walkedCuisine {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -35,7 +47,7 @@ func walkCuisine(s *Store, r Region) *walkedCuisine {
 		Region:         r,
 		IngredientFreq: make(map[flavor.ID]int),
 	}
-	s.forEachInRegionLocked(r, func(rec *Recipe) {
+	walkRegionLocked(s, r, func(rec *Recipe) {
 		c.RecipeIDs = append(c.RecipeIDs, rec.ID)
 		c.Sizes = append(c.Sizes, rec.Size())
 		for _, id := range rec.Ingredients {
@@ -82,11 +94,13 @@ func regionStatsReference(s *Store, r Region, k int) RegionStats {
 	c := walkCuisine(s, r)
 	counts := make([]int, flavor.NumCategories)
 	total := 0
-	s.ForEachInRegion(r, func(rec *Recipe) {
-		for _, id := range rec.Ingredients {
-			counts[s.catalog.Ingredient(id).Category]++
-			total++
-		}
+	s.Read(func(*View) {
+		walkRegionLocked(s, r, func(rec *Recipe) {
+			for _, id := range rec.Ingredients {
+				counts[s.catalog.Ingredient(id).Category]++
+				total++
+			}
+		})
 	})
 	usage := make([]float64, flavor.NumCategories)
 	if total > 0 {

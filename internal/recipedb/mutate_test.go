@@ -84,14 +84,14 @@ func TestRemoveTombstonesSlot(t *testing.T) {
 	if !s.Recipe(a).Deleted {
 		t.Error("slot not tombstoned")
 	}
-	if got := s.LiveIDs(); !reflect.DeepEqual(got, []int{b}) {
-		t.Errorf("LiveIDs = %v", got)
+	if got := s.RegionRecipes(World); !reflect.DeepEqual(got, []int{b}) {
+		t.Errorf("RegionRecipes(World) = %v", got)
 	}
 	if s.RegionLen(World) != 1 || s.RegionLen(Italy) != 0 {
 		t.Errorf("RegionLen World/Italy = %d/%d", s.RegionLen(World), s.RegionLen(Italy))
 	}
 	seen := 0
-	s.ForEachInRegion(World, func(r *Recipe) { seen++ })
+	s.Read(func(*View) { walkRegionLocked(s, World, func(*Recipe) { seen++ }) })
 	if seen != 1 {
 		t.Errorf("World iteration visited %d recipes", seen)
 	}
@@ -213,7 +213,7 @@ func TestReadViewConsistency(t *testing.T) {
 			t.Errorf("view Len/Slots = %d/%d", v.Len(), v.Slots())
 		}
 		n := 0
-		v.ForEachInRegion(World, func(r *Recipe) { n++ })
+		walkRegionLocked(s, World, func(*Recipe) { n++ })
 		if n != v.Len() {
 			t.Errorf("view iteration saw %d, Len %d", n, v.Len())
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -113,10 +112,11 @@ type Store struct {
 	mu      sync.RWMutex
 	version atomic.Uint64
 
-	catalog      *flavor.Catalog
-	recipes      []Recipe
-	live         int // slots minus tombstones
-	byRegion     map[Region][]int
+	catalog *flavor.Catalog
+	recipes []Recipe
+	// byRegion lists each region's live recipe IDs, ascending; World's
+	// list holds every live recipe.
+	byRegion     [numRegions][]int
 	byIngredient map[flavor.ID][]int
 	// counts are each region's sums over its live recipes, World's over
 	// every live recipe. Only the three posting-list patch functions
@@ -146,7 +146,6 @@ type Store struct {
 func NewStore(catalog *flavor.Catalog) *Store {
 	return &Store{
 		catalog:      catalog,
-		byRegion:     make(map[Region][]int),
 		byIngredient: make(map[flavor.ID][]int),
 		writes:       fanin.New[*writeOp](),
 	}
@@ -279,7 +278,7 @@ func (s *Store) Read(fn func(v *View)) {
 }
 
 // Len returns the number of live recipes.
-func (v *View) Len() int { return v.s.live }
+func (v *View) Len() int { return len(v.s.byRegion[World]) }
 
 // Slots returns the recipe ID bound (live + tombstoned slots).
 func (v *View) Slots() int { return len(v.s.recipes) }
@@ -294,19 +293,14 @@ func (v *View) Recipe(id int) *Recipe { return &v.s.recipes[id] }
 func (v *View) IngredientRecipes(id flavor.ID) []int { return v.s.byIngredient[id] }
 
 // RegionRecipes returns the live recipe IDs of the region in
-// ascending-ID order; World has no list and returns nil. Like
+// ascending-ID order; World's list holds every live recipe. Like
 // IngredientRecipes it is the store's own list, patched in place by
 // mutations: do not mutate it or retain it past the callback.
 func (v *View) RegionRecipes(r Region) []int { return v.s.byRegion[r] }
 
 // RegionLen returns the number of live recipes in the region; World
 // counts every live recipe.
-func (v *View) RegionLen(r Region) int {
-	if r == World {
-		return v.s.live
-	}
-	return len(v.s.byRegion[r])
-}
+func (v *View) RegionLen(r Region) int { return len(v.s.byRegion[r]) }
 
 // RegionIngredients returns the number of distinct ingredients the
 // region's live recipes use (Table 1's unique-ingredient count).
@@ -322,45 +316,21 @@ func (v *View) RegionUses(r Region) (size int, uses []int32) {
 	return c.size, c.uses
 }
 
-// ForEachInRegion calls fn for every live recipe in the region (every
-// live recipe when r == World), in ascending-ID order.
-func (v *View) ForEachInRegion(r Region, fn func(*Recipe)) {
-	v.s.forEachInRegionLocked(r, fn)
-}
-
 // RegionPage calls fn for the live recipes at positions [offset,
 // offset+limit) of the region's ascending-ID order (every live recipe's
-// when r == World). A region's page is sliced from its list; World
-// walks the slots only up to the page's end.
+// when r == World), sliced from the region's list.
 func (v *View) RegionPage(r Region, offset, limit int, fn func(*Recipe)) {
-	s := v.s
-	if r != World {
-		ids := s.byRegion[r]
-		if offset >= len(ids) {
-			return
-		}
-		for _, id := range ids[offset:min(len(ids), offset+limit)] {
-			fn(&s.recipes[id])
-		}
+	ids := v.s.byRegion[r]
+	if offset >= len(ids) {
 		return
 	}
-	for i := 0; i < len(s.recipes) && limit > 0; i++ {
-		switch {
-		case s.recipes[i].Deleted:
-		case offset > 0:
-			offset--
-		default:
-			fn(&s.recipes[i])
-			limit--
-		}
+	for _, id := range ids[offset:min(len(ids), offset+limit)] {
+		fn(&v.s.recipes[id])
 	}
 }
 
 // Catalog returns the (immutable) ingredient catalog.
 func (v *View) Catalog() *flavor.Catalog { return v.s.catalog }
-
-// LiveIDs returns the IDs of every live recipe, ascending.
-func (v *View) LiveIDs() []int { return v.s.liveIDsLocked() }
 
 // Regions returns the regions with at least one live recipe, sorted.
 func (v *View) Regions() []Region { return v.s.regionsLocked() }
@@ -369,21 +339,6 @@ func (v *View) Regions() []Region { return v.s.regionsLocked() }
 // snapshot; World pools every recipe. The result is self-contained and
 // safe to retain past the callback.
 func (v *View) BuildCuisine(r Region) *Cuisine { return v.s.buildCuisineLocked(r) }
-
-// forEachInRegionLocked iterates live recipes; callers hold s.mu.
-func (s *Store) forEachInRegionLocked(r Region, fn func(*Recipe)) {
-	if r == World {
-		for i := range s.recipes {
-			if !s.recipes[i].Deleted {
-				fn(&s.recipes[i])
-			}
-		}
-		return
-	}
-	for _, id := range s.byRegion[r] {
-		fn(&s.recipes[id])
-	}
-}
 
 // Validate enforces the corpus invariants every stored recipe meets: a
 // known region and source, at least two ingredients (a pairing analysis
@@ -460,15 +415,15 @@ func (s *Store) Remove(id int) (uint64, error) {
 	return op.version, nil
 }
 
-// indexLocked adds rec's ID to the region and ingredient posting
-// lists and rec to the region counters. Lists are patched in place
+// indexLocked adds rec's ID to the lists of its region, World and its
+// ingredients and rec to the region counters. Lists are patched in place
 // under the exclusive lock, so they may be read only under s.mu: every
-// reader does (the View accessors, forEachInRegionLocked,
-// buildCuisineLocked, CanonicalDump), and the two accessors that hand a
-// list past the lock return a copy.
+// reader does (the View accessors, buildCuisineLocked, CanonicalDump),
+// and the accessors that hand a list past the lock return a copy.
 func (s *Store) indexLocked(rec *Recipe) {
 	s.tallyLocked(rec, 1)
 	s.byRegion[rec.Region] = insertSorted(s.byRegion[rec.Region], rec.ID)
+	s.byRegion[World] = insertSorted(s.byRegion[World], rec.ID)
 	for _, ing := range rec.Ingredients {
 		s.byIngredient[ing] = insertSorted(s.byIngredient[ing], rec.ID)
 	}
@@ -479,6 +434,7 @@ func (s *Store) indexLocked(rec *Recipe) {
 func (s *Store) unindexLocked(rec *Recipe) {
 	s.tallyLocked(rec, -1)
 	s.byRegion[rec.Region] = removeSorted(s.byRegion[rec.Region], rec.ID)
+	s.byRegion[World] = removeSorted(s.byRegion[World], rec.ID)
 	for _, ing := range rec.Ingredients {
 		s.byIngredient[ing] = removeSorted(s.byIngredient[ing], rec.ID)
 	}
@@ -486,9 +442,10 @@ func (s *Store) unindexLocked(rec *Recipe) {
 
 // reindexLocked moves slot old.ID from old's posting lists to rec's
 // (rec.ID == old.ID), patching only the lists that differ: the region
-// lists when the region changed, and the lists of ingredients in one
-// recipe but not the other. A recipe holds about a dozen IDs, so the
-// nested membership scans cost less than any set would. The counters
+// lists when the region changed (World's never does), and the lists of
+// ingredients in one recipe but not the other. A recipe holds about a
+// dozen IDs, so the nested membership scans cost less than any set
+// would. The counters
 // take old out and rec in whole: integer adds are cheaper than the
 // scans that would find the difference.
 func (s *Store) reindexLocked(old, rec *Recipe) {
@@ -587,7 +544,7 @@ func (s *Store) IngredientRecipes(id flavor.ID) []int {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.live
+	return len(s.byRegion[World])
 }
 
 // Slots returns the recipe ID bound: live recipes plus tombstoned
@@ -624,31 +581,11 @@ func (s *Store) IngredientLists(ids []int) [][]flavor.ID {
 	return out
 }
 
-// LiveIDs returns the IDs of every live recipe, ascending.
-func (s *Store) LiveIDs() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.liveIDsLocked()
-}
-
-func (s *Store) liveIDsLocked() []int {
-	out := make([]int, 0, s.live)
-	for i := range s.recipes {
-		if !s.recipes[i].Deleted {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // RegionLen returns the number of live recipes in the region; World
 // counts every live recipe.
 func (s *Store) RegionLen(r Region) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r == World {
-		return s.live
-	}
 	return len(s.byRegion[r])
 }
 
@@ -660,35 +597,21 @@ func (s *Store) Regions() []Region {
 }
 
 func (s *Store) regionsLocked() []Region {
-	out := make([]Region, 0, len(s.byRegion))
-	for r := range s.byRegion {
+	out := make([]Region, 0, World)
+	for r := range World {
 		if len(s.byRegion[r]) > 0 {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// ForEachInRegion calls fn for every live recipe in the region (every
-// live recipe when r == World), in ascending-ID order. The shared lock
-// is held across the iteration: fn must not call mutating methods, and
-// the *Recipe must not be retained past the callback.
-func (s *Store) ForEachInRegion(r Region, fn func(*Recipe)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.forEachInRegionLocked(r, fn)
-}
-
-// RegionRecipes returns the live recipe IDs of a region, ascending, as
-// a copy taken under the shared lock (the caller owns it). World
-// returns nil (iterate instead).
+// RegionRecipes returns the live recipe IDs of a region (every live
+// recipe's for World), ascending, as a copy taken under the shared lock
+// (the caller owns it).
 func (s *Store) RegionRecipes(r Region) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r == World {
-		return nil
-	}
 	return slices.Clone(s.byRegion[r])
 }
 
@@ -719,9 +642,6 @@ func (s *Store) BuildCuisine(r Region) *Cuisine {
 // visited.
 func (s *Store) buildCuisineLocked(r Region) *Cuisine {
 	c := &Cuisine{Region: r, RecipeIDs: slices.Clone(s.byRegion[r]), counts: s.counts[r]}
-	if r == World {
-		c.RecipeIDs = s.liveIDsLocked()
-	}
 	c.counts.uses = make([]int32, s.catalog.Len())
 	copy(c.counts.uses, s.counts[r].uses)
 	c.counts.sizes = slices.Clone(c.counts.sizes)
@@ -801,9 +721,6 @@ func (s *Store) RegionStats(r Region, k int) RegionStats {
 		Ingredients:   c.distinct,
 		Top:           c.top(k),
 		CategoryUsage: s.categoryUsageLocked(r),
-	}
-	if r == World {
-		st.Recipes = s.live
 	}
 	if st.Recipes > 0 {
 		st.MeanSize = float64(c.size) / float64(st.Recipes)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -96,20 +97,16 @@ func TestStoreValidation(t *testing.T) {
 	}
 }
 
-func TestForEachInRegion(t *testing.T) {
+func TestRegionRecipes(t *testing.T) {
 	s := NewStore(testCatalog)
-	addRecipe(t, s, "a", Italy, "tomato", "basil")
-	addRecipe(t, s, "b", France, "butter", "cream")
-	addRecipe(t, s, "c", Italy, "pasta", "parmesan cheese")
-	var italian []string
-	s.ForEachInRegion(Italy, func(r *Recipe) { italian = append(italian, r.Name) })
-	if len(italian) != 2 || italian[0] != "a" || italian[1] != "c" {
-		t.Fatalf("italian = %v", italian)
+	a := addRecipe(t, s, "a", Italy, "tomato", "basil")
+	b := addRecipe(t, s, "b", France, "butter", "cream")
+	c := addRecipe(t, s, "c", Italy, "pasta", "parmesan cheese")
+	if got := s.RegionRecipes(Italy); !reflect.DeepEqual(got, []int{a, c}) {
+		t.Fatalf("RegionRecipes(Italy) = %v", got)
 	}
-	count := 0
-	s.ForEachInRegion(World, func(r *Recipe) { count++ })
-	if count != 3 {
-		t.Fatalf("World iteration saw %d", count)
+	if got := s.RegionRecipes(World); !reflect.DeepEqual(got, []int{a, b, c}) {
+		t.Fatalf("RegionRecipes(World) = %v", got)
 	}
 }
 

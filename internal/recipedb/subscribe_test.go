@@ -85,8 +85,8 @@ func TestViewAccessors(t *testing.T) {
 		if v.Catalog() != testCatalog {
 			t.Error("View.Catalog mismatch")
 		}
-		if ids := v.LiveIDs(); len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
-			t.Errorf("LiveIDs = %v", ids)
+		if ids := v.RegionRecipes(World); len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
+			t.Errorf("RegionRecipes(World) = %v", ids)
 		}
 		regions := v.Regions()
 		if len(regions) != 2 || regions[0] != Italy || regions[1] != Japan {

@@ -346,7 +346,7 @@ func (h *harness) nextName() string {
 
 // liveID picks a live slot, or -1 when the corpus is nearly empty.
 func (h *harness) liveID() int {
-	live := h.corpus.LiveIDs()
+	live := h.corpus.RegionRecipes(recipedb.World)
 	if len(live) < 4 {
 		return -1
 	}

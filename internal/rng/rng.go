@@ -128,16 +128,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed variate with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -ln(u)
-		}
-	}
-}
-
 // Poisson returns a Poisson-distributed variate with the given mean.
 // For small means it uses Knuth's product method; for large means a
 // normal approximation with continuity correction, which is adequate for

@@ -155,22 +155,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(29)
-	const draws = 200000
-	var sum float64
-	for i := 0; i < draws; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %.4f far from 1", mean)
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	for _, mean := range []float64{0.5, 3, 9, 50} {
 		s := New(uint64(31 + mean))

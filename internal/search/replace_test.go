@@ -37,7 +37,7 @@ func requireBothDumps(t *testing.T, store *recipedb.Store, live *Index, what str
 	t.Helper()
 	var recs []recipedb.Recipe
 	store.Read(func(v *recipedb.View) {
-		for _, id := range v.LiveIDs() {
+		for _, id := range v.RegionRecipes(recipedb.World) {
 			recs = append(recs, *v.Recipe(id))
 		}
 	})

@@ -186,7 +186,7 @@ func TestModelsFreshOnNextRequest(t *testing.T) {
 				t.Fatalf("%s: corpus at version %d, ack said %d", write, v.Version, ackVersion)
 			}
 			c := classify.New()
-			if err = c.TrainView(v, v.LiveIDs()); err == nil {
+			if err = c.TrainView(v, v.RegionRecipes(recipedb.World)); err == nil {
 				preds, err = c.Predict(ids)
 			}
 			if err == nil {

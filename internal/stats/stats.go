@@ -132,33 +132,6 @@ func sign(x float64) int {
 	return 1
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. xs need not be sorted.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // Histogram is a discrete integer-valued histogram with unit bins,
 // suitable for the recipe-size distribution (Fig 3a).
 type Histogram struct {
@@ -317,21 +290,6 @@ func Gini(counts []int) float64 {
 	return (float64(n) + 1 - 2*weighted/total) / float64(n)
 }
 
-// SpearmanRank computes Spearman's rank correlation between two paired
-// samples, used to quantify how well a null model's per-cuisine Z-scores
-// track the real cuisines'. Ties receive average ranks.
-func SpearmanRank(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	rx := averageRanks(xs)
-	ry := averageRanks(ys)
-	return Pearson(rx, ry)
-}
-
 // Pearson computes the Pearson correlation coefficient.
 func Pearson(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
@@ -357,27 +315,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, errors.New("stats: zero variance")
 	}
 	return cov / math.Sqrt(vx*vy), nil
-}
-
-func averageRanks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	i := 0
-	for i < n {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := (float64(i) + float64(j)) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg + 1 // 1-based ranks
-		}
-		i = j + 1
-	}
-	return ranks
 }

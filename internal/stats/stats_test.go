@@ -69,36 +69,6 @@ func TestZScore(t *testing.T) {
 	}
 }
 
-func TestPercentileAndMedian(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	med, err := Median(xs)
-	if err != nil || med != 35 {
-		t.Fatalf("median = %v err %v", med, err)
-	}
-	p, err := Percentile(xs, 0)
-	if err != nil || p != 15 {
-		t.Fatalf("p0 = %v", p)
-	}
-	p, _ = Percentile(xs, 100)
-	if p != 50 {
-		t.Fatalf("p100 = %v", p)
-	}
-	p, _ = Percentile(xs, 25)
-	if p != 20 {
-		t.Fatalf("p25 = %v", p)
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Fatal("empty percentile should error")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Fatal("out-of-range percentile should error")
-	}
-	one, _ := Percentile([]float64{7}, 90)
-	if one != 7 {
-		t.Fatalf("singleton percentile = %v", one)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram()
 	for _, v := range []int{3, 3, 5, 9, 3, 5} {
@@ -216,31 +186,6 @@ func TestPearson(t *testing.T) {
 	}
 	if _, err := Pearson([]float64{1, 1}, []float64{1, 2}); err == nil {
 		t.Fatal("zero variance should error")
-	}
-}
-
-func TestSpearman(t *testing.T) {
-	// Monotone but nonlinear: Spearman should be exactly 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 4, 9, 16, 25}
-	r, err := SpearmanRank(xs, ys)
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("Spearman = %v err %v", r, err)
-	}
-	// Reversed -> -1.
-	rev := []float64{25, 16, 9, 4, 1}
-	r, _ = SpearmanRank(xs, rev)
-	if !almostEqual(r, -1, 1e-12) {
-		t.Fatalf("Spearman reversed = %v", r)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	// Ties get average ranks; correlation of a vector with itself is 1.
-	xs := []float64{1, 2, 2, 3}
-	r, err := SpearmanRank(xs, xs)
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("self Spearman with ties = %v err %v", r, err)
 	}
 }
 

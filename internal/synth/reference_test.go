@@ -77,16 +77,16 @@ func refGenerateCalibratedRegion(analyzer *pairing.Analyzer, store *recipedb.Sto
 }
 
 func refCopyRegion(from, to *recipedb.Store, region recipedb.Region) error {
-	var firstErr error
-	from.ForEachInRegion(region, func(r *recipedb.Recipe) {
-		if firstErr != nil {
-			return
+	for id := range from.Slots() {
+		r := from.Recipe(id)
+		if r.Deleted || r.Region != region {
+			continue
 		}
 		if _, err := to.Add(r.Name, r.Region, r.Source, r.Ingredients); err != nil {
-			firstErr = err
+			return err
 		}
-	})
-	return firstErr
+	}
+	return nil
 }
 
 type refRegionState struct {
