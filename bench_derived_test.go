@@ -46,7 +46,7 @@ func BenchmarkSearchIncrementalUpsert(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if live.Version() != env.Store.Version() {
-		b.Fatalf("live index at version %d, store at %d", live.Version(), env.Store.Version())
+	if hits := live.Search("bench upsert", search.Options{Mode: search.ModeAll, Limit: slots}); len(hits) != min(b.N, slots) {
+		b.Fatalf("%d upserted recipes searchable, want %d", len(hits), min(b.N, slots))
 	}
 }

@@ -231,31 +231,30 @@ func BenchmarkQueryParse(b *testing.B) {
 	}
 }
 
-// BenchmarkSearch measures index construction and querying.
+// BenchmarkSearch measures index construction and querying. A query
+// runs as the server runs it: SearchView inside a Read held around the
+// timed loop.
 func BenchmarkSearch(b *testing.B) {
 	idx := search.Build(benchEnv.Store)
 	b.Run("Build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if search.Build(benchEnv.Store).DocCount() == 0 {
+			if search.Build(benchEnv.Store).Vocabulary() == 0 {
 				b.Fatal("empty index")
 			}
 		}
 	})
-	b.Run("QueryAny", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.Search("tomato garlic basil", search.Options{Limit: 10})
+	query := func(q string, opts search.Options) func(*testing.B) {
+		return func(b *testing.B) {
+			benchEnv.Store.Read(func(v *recipedb.View) {
+				for i := 0; i < b.N; i++ {
+					idx.SearchView(v, q, opts)
+				}
+			})
 		}
-	})
-	b.Run("QueryAll", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.Search("tomato garlic", search.Options{Mode: search.ModeAll, Limit: 10})
-		}
-	})
-	b.Run("QueryFuzzy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.Search("tomatto garlik", search.Options{Fuzzy: true, Limit: 10})
-		}
-	})
+	}
+	b.Run("QueryAny", query("tomato garlic basil", search.Options{Limit: 10}))
+	b.Run("QueryAll", query("tomato garlic", search.Options{Mode: search.ModeAll, Limit: 10}))
+	b.Run("QueryFuzzy", query("tomatto garlik", search.Options{Fuzzy: true, Limit: 10}))
 }
 
 // fullScaleSearch is the paper-sized corpus (scale 1.0, ~45 800
@@ -343,7 +342,8 @@ func BenchmarkServerBoot(b *testing.B) {
 
 // BenchmarkSearchFullScale measures one-term searches and the index
 // build at the scale the server runs at; run with -benchmem, the
-// allocation columns are the point.
+// allocation columns are the point. A search runs as the server runs
+// it: SearchView inside a Read held around the timed loop.
 func BenchmarkSearchFullScale(b *testing.B) {
 	const hotTerms = 64
 	s := fullScaleSearch()
@@ -351,9 +351,11 @@ func BenchmarkSearchFullScale(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			hits := 0
-			for i := 0; i < b.N; i++ {
-				hits += len(s.idx.Search(terms[i%len(terms)], search.Options{Limit: 10}))
-			}
+			s.store.Read(func(v *recipedb.View) {
+				for i := 0; i < b.N; i++ {
+					hits += len(s.idx.SearchView(v, terms[i%len(terms)], search.Options{Limit: 10}))
+				}
+			})
 			if hits == 0 {
 				b.Fatal("no term had a hit")
 			}
@@ -364,7 +366,7 @@ func BenchmarkSearchFullScale(b *testing.B) {
 	b.Run("Build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if search.Build(s.store).DocCount() == 0 {
+			if search.Build(s.store).Vocabulary() == 0 {
 				b.Fatal("empty index")
 			}
 		}

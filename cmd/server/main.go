@@ -64,8 +64,8 @@
 //
 // No read model lags the corpus. The full-text search index is
 // maintained synchronously inside the mutation path, so an acked
-// POST/DELETE is visible to the next /api/search, and /api/health
-// reports its version and lag under "derived". The cuisine classifier
+// POST/DELETE is visible to the next /api/search, which answers at the
+// corpus version of its own read. The cuisine classifier
 // and the recommender read the corpus's per-region counters under
 // each request's own read; their responses carry "modelVersion", the
 // corpus version of that read.

@@ -96,24 +96,6 @@ func (n *Network) Neighbors(id flavor.ID) []Edge { return n.adj[id] }
 // Nodes returns the profiled ingredient IDs, ascending. Shared slice.
 func (n *Network) Nodes() []flavor.ID { return n.nodes }
 
-// DegreeDistribution returns the degree histogram as parallel slices
-// (degrees ascending, counts).
-func (n *Network) DegreeDistribution() (degrees, counts []int) {
-	hist := make(map[int]int)
-	for _, id := range n.nodes {
-		hist[n.Degree(id)]++
-	}
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
-}
-
 // Density returns 2E / (N(N-1)).
 func (n *Network) Density() float64 {
 	nn := len(n.nodes)

@@ -75,25 +75,6 @@ func TestDegreeAndStrengthSymmetric(t *testing.T) {
 	}
 }
 
-func TestDegreeDistribution(t *testing.T) {
-	degrees, counts := testNet.DegreeDistribution()
-	if len(degrees) != len(counts) || len(degrees) == 0 {
-		t.Fatal("bad distribution shape")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != testNet.NumNodes() {
-		t.Fatalf("distribution covers %d of %d nodes", total, testNet.NumNodes())
-	}
-	for i := 1; i < len(degrees); i++ {
-		if degrees[i-1] >= degrees[i] {
-			t.Fatal("degrees not ascending")
-		}
-	}
-}
-
 func TestDensityRange(t *testing.T) {
 	d := testNet.Density()
 	if d <= 0 || d > 1 {

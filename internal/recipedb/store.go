@@ -182,9 +182,10 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // once it holds every change up to it (its own write groups count only
 // the mutations that changed a slot, so they can stop short of the
 // primary's number). Subscribers receive one
-// content-free Mutation{Version: v} (nil Old and New) so derived state
-// that fences on the corpus version — the search index — advances its
-// version stamp with it. With a backend
+// content-free Mutation{Version: v} (nil Old and New) so a subscriber
+// that tracks the version it has seen — the replication feed's last
+// version, which a follower's long poll waits on — advances with it;
+// the search index keeps no version and ignores it. With a backend
 // attached the new version record is written through first, and a
 // failed write leaves the version where it was. Lower or equal v is a
 // no-op.

@@ -125,41 +125,3 @@ func (w *Weighted) SampleDistinct(src *Source, k int) []int {
 	}
 	return out
 }
-
-// Reservoir maintains a uniform sample of fixed capacity over a stream of
-// items (Algorithm R). It is used for drawing representative recipe
-// subsets without materializing entire corpora.
-type Reservoir[T any] struct {
-	items []T
-	cap   int
-	seen  int
-	src   *Source
-}
-
-// NewReservoir creates a reservoir sampler with the given capacity.
-func NewReservoir[T any](capacity int, src *Source) *Reservoir[T] {
-	if capacity <= 0 {
-		panic("rng: reservoir capacity must be positive")
-	}
-	return &Reservoir[T]{cap: capacity, src: src}
-}
-
-// Offer presents one stream item to the reservoir.
-func (r *Reservoir[T]) Offer(item T) {
-	r.seen++
-	if len(r.items) < r.cap {
-		r.items = append(r.items, item)
-		return
-	}
-	j := r.src.Intn(r.seen)
-	if j < r.cap {
-		r.items[j] = item
-	}
-}
-
-// Items returns the current sample. The slice is owned by the reservoir;
-// callers must not mutate it while continuing to Offer.
-func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Seen returns the number of items offered so far.
-func (r *Reservoir[T]) Seen() int { return r.seen }

@@ -160,53 +160,3 @@ func TestSampleDistinctZero(t *testing.T) {
 		t.Fatalf("k=0 should return nil, got %v", got)
 	}
 }
-
-func TestReservoirFillsToCapacity(t *testing.T) {
-	r := NewReservoir[int](5, New(3))
-	for i := 0; i < 3; i++ {
-		r.Offer(i)
-	}
-	if len(r.Items()) != 3 {
-		t.Fatalf("want 3 items before capacity, got %d", len(r.Items()))
-	}
-	for i := 3; i < 100; i++ {
-		r.Offer(i)
-	}
-	if len(r.Items()) != 5 {
-		t.Fatalf("want capacity 5, got %d", len(r.Items()))
-	}
-	if r.Seen() != 100 {
-		t.Fatalf("want 100 seen, got %d", r.Seen())
-	}
-}
-
-func TestReservoirUniform(t *testing.T) {
-	// Each of 20 items should land in a size-5 reservoir with p=0.25.
-	const trials = 20000
-	counts := make([]int, 20)
-	src := New(31)
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](5, src)
-		for i := 0; i < 20; i++ {
-			r.Offer(i)
-		}
-		for _, v := range r.Items() {
-			counts[v]++
-		}
-	}
-	for i, c := range counts {
-		frac := float64(c) / trials
-		if math.Abs(frac-0.25) > 0.02 {
-			t.Fatalf("item %d in reservoir with frequency %.3f, want 0.25", i, frac)
-		}
-	}
-}
-
-func TestReservoirPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for capacity 0")
-		}
-	}()
-	NewReservoir[int](0, New(1))
-}

@@ -14,12 +14,13 @@
 // # The query kernel
 //
 // Posting lists are doc-ascending and duplicate-free (the invariant the
-// dump equality above enforces), so SearchVersion is a k-way merge over
+// dump equality above enforces), so SearchView is a k-way merge over
 // one cursor per query term feeding a bounded heap of the best Limit
 // hits. It keeps no per-document state and allocates for the query and
 // the result only, never per posting. Three contracts make its hits the
 // hits of the map-and-sort-everything kernel it replaced, which
-// reference_test.go keeps verbatim and compares against bit for bit:
+// reference_test.go keeps (reading liveness and region from the view)
+// and compares against bit for bit:
 //
 //   - Merge order is summation order. A document's score is the sum of
 //     its terms' tf/docLen × idf contributions, added in query-term
@@ -34,6 +35,15 @@
 //     document has at least one token (docLen ≥ 1), and a posting list
 //     never outnumbers the live documents, so idf ≥ 0 and no NaN can
 //     reach the comparisons.
+//
+// The kernel tests no candidate for liveness: a live index's postings
+// hold only live documents by construction. Build skips tombstones, and
+// a delete removes the recipe's postings inside the corpus write
+// critical section that tombstones it, so no Read ever sees a posting
+// for a deleted slot. The dump comparison of a live index with a fresh
+// Build witnesses it. The index keeps no copy of a slot's liveness or
+// region, the live count or the version: the idf reads the view's live
+// count, and only a region-filtered search reads a candidate's recipe.
 //
 // # The build
 //
@@ -57,25 +67,29 @@
 //
 // A posting is two int32s, 8 bytes: the doc (recipe slot) and its tf.
 // Doc IDs are below the corpus's Slots(), the HTTP API refuses IDs at or
-// above that bound, and the index keeps a docLen and docMeta entry per
-// slot, so an ID past math.MaxInt32 would need tens of gigabytes of slot
-// tables before it needed a wider posting. A tf counts tokens of one
-// recipe's text. Scores are unchanged by the narrowing: float64(int32(x))
-// == float64(x) for every value that fits.
+// above that bound, and both the corpus and the index's docLen keep an
+// entry per slot, so an ID past math.MaxInt32 would need tens of
+// gigabytes of slot tables before it needed a wider posting. A tf counts
+// tokens of one recipe's text. Scores are unchanged by the narrowing:
+// float64(int32(x)) == float64(x) for every value that fits.
 //
 // # Locks
 //
-// idx.mu guards all index state. The mutation path takes it inside the
-// corpus write lock (store → index) and patches lists in place: a
-// mutation carrying both Old and New diffs their term counts, rewriting
-// the tf of a term both recipes hold where it differs and inserting or
-// removing only the others, so only those can enter or leave the
-// vocabulary. Its per-document count maps are scratch on the Index,
-// reused under idx.mu. Search takes only idx.mu and filters on the
-// index's own per-slot metadata, so nothing in this package ever
-// acquires the store's lock while holding idx.mu. A caller that needs
-// the hits and the recipes they name from one corpus version calls
-// Search inside Store.Read — the same store → index order.
+// idx.mu guards the postings, docLen, the vocabulary and ApplyBatch's
+// scratch count maps. The mutation path takes it inside the corpus
+// write lock (store → index) and patches lists in place: a mutation
+// carrying both Old and New diffs their term counts, rewriting the tf of
+// a term both recipes hold where it differs and inserting or removing
+// only the others, so only those can enter or leave the vocabulary.
+// SearchView runs inside its caller's Store.Read and takes idx.mu
+// there; Search and CanonicalDump take the Read themselves, then idx.mu
+// — always store → index, never the reverse.
+//
+// For a live index the corpus lock alone would order every access, but
+// idx.mu stays: an index built with Build can be patched with
+// ApplyBatch by a caller that holds no corpus lock while other
+// goroutines search it, and Vocabulary and TopTerms read outside any
+// Read.
 package search
 
 import (
@@ -112,18 +126,13 @@ type posting struct {
 	tf  int32 // term frequency within the document
 }
 
-// docMeta mirrors the per-slot liveness and region of the corpus, so
-// query-time filtering never has to lock the store — which would
-// invert the store-then-index lock order the mutation path uses.
-type docMeta struct {
-	live   bool
-	region recipedb.Region
-}
-
 // Index is an inverted index over recipe names and ingredient names.
 // Built once with Build it is a static snapshot; built with NewLive it
 // tracks the store. All methods are safe for concurrent use.
 type Index struct {
+	// store is the corpus the index was built from; Search and
+	// CanonicalDump read it.
+	store *recipedb.Store
 	// ingTokens[id] is tokenize(catalog name of ingredient id), computed
 	// once at construction: the catalog is immutable after flavor.Build,
 	// and a corpus names each of its few hundred ingredients hundreds of
@@ -131,11 +140,8 @@ type Index struct {
 	ingTokens [][]string
 
 	mu       sync.RWMutex
-	version  uint64 // corpus version the index state reflects
 	postings map[string][]posting
-	docLen   []int // tokens per document slot
-	docs     []docMeta
-	nDocs    int
+	docLen   []int    // tokens per document slot
 	terms    []string // sorted vocabulary, for fuzzy expansion
 
 	// counts and oldCounts are ApplyBatch's per-document term counts,
@@ -143,8 +149,10 @@ type Index struct {
 	counts, oldCounts map[string]int
 }
 
-func newIndex(catalog *flavor.Catalog) *Index {
+func newIndex(store *recipedb.Store) *Index {
+	catalog := store.Catalog()
 	idx := &Index{
+		store:     store,
 		ingTokens: make([][]string, catalog.Len()),
 		postings:  make(map[string][]posting),
 		counts:    make(map[string]int),
@@ -156,12 +164,14 @@ func newIndex(catalog *flavor.Catalog) *Index {
 	return idx
 }
 
-// Build indexes every recipe in the store as a one-shot snapshot.
+// Build indexes every recipe in the store as a one-shot snapshot of its
+// postings; searches still read the live count and regions from the
+// store, so the snapshot's scores drift once the store changes.
 // Document text is the recipe name plus all ingredient names; tokens
 // are normalized and singularized the same way the aliasing pipeline
 // normalizes phrases, so "Tomatoes" matches recipes using "tomato".
 func Build(store *recipedb.Store) *Index {
-	idx := newIndex(store.Catalog())
+	idx := newIndex(store)
 	store.Read(func(v *recipedb.View) { idx.rebuildLocked(v) })
 	return idx
 }
@@ -173,7 +183,7 @@ func Build(store *recipedb.Store) *Index {
 // is what makes "acked upsert is searchable by the next request" a
 // guarantee rather than a race.
 func NewLive(store *recipedb.Store) *Index {
-	idx := newIndex(store.Catalog())
+	idx := newIndex(store)
 	store.SubscribeBatch(
 		func(v *recipedb.View) { idx.rebuildLocked(v) },
 		idx.ApplyBatch,
@@ -194,9 +204,6 @@ func (idx *Index) rebuildLocked(v *recipedb.View) {
 	defer idx.mu.Unlock()
 	slots := v.Slots()
 	idx.docLen = make([]int, slots)
-	idx.docs = make([]docMeta, slots)
-	idx.nDocs = v.Len()
-	idx.version = v.Version
 
 	workers := max(1, min(runtime.GOMAXPROCS(0), slots))
 	parts := make([]map[string][]posting, workers)
@@ -228,7 +235,7 @@ func (idx *Index) rebuildLocked(v *recipedb.View) {
 }
 
 // indexSpan indexes the documents in slots [lo, hi): it fills their
-// entries of the slot tables, which no other span touches, and returns
+// entries of docLen, which no other span touches, and returns
 // their postings, each list doc-ascending.
 func (idx *Index) indexSpan(v *recipedb.View, lo, hi int) map[string][]posting {
 	postings := make(map[string][]posting)
@@ -238,7 +245,6 @@ func (idx *Index) indexSpan(v *recipedb.View, lo, hi int) map[string][]posting {
 		if rec.Deleted {
 			continue
 		}
-		idx.docs[docID] = docMeta{live: true, region: rec.Region}
 		clear(counts)
 		idx.docLen[docID] = idx.countTokens(rec, counts)
 		for term, tf := range counts {
@@ -270,16 +276,12 @@ func (idx *Index) countTokens(rec *recipedb.Recipe, counts map[string]int) int {
 // ApplyBatch folds one coalesced batch of corpus mutations into the
 // index under a single lock acquisition. It is the store subscriber:
 // called synchronously inside the mutation critical section, batches in
-// version order and mutations in version order within each batch, so
-// the per-mutation version skip composes exactly as it does for
-// singleton batches.
+// version order and mutations in version order within each batch. A
+// bare version bump (nil Old and New) changes nothing here.
 func (idx *Index) ApplyBatch(ms []recipedb.Mutation) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	for _, m := range ms {
-		if m.Version <= idx.version {
-			continue
-		}
 		switch {
 		case m.Old != nil && m.New != nil:
 			idx.replaceDocLocked(m.Old, m.New)
@@ -288,25 +290,21 @@ func (idx *Index) ApplyBatch(ms []recipedb.Mutation) {
 		case m.New != nil:
 			idx.addDocLocked(m.New)
 		}
-		idx.version = m.Version
 	}
 }
 
-// addDocLocked indexes one recipe, growing the slot tables if the
-// mutation extended the corpus (intermediate gap slots stay empty,
-// exactly as a fresh Build leaves tombstones).
+// addDocLocked indexes one recipe, growing docLen if the mutation
+// extended the corpus (intermediate gap slots stay empty, exactly as a
+// fresh Build leaves tombstones).
 func (idx *Index) addDocLocked(rec *recipedb.Recipe) {
 	for len(idx.docLen) <= rec.ID {
 		idx.docLen = append(idx.docLen, 0)
-		idx.docs = append(idx.docs, docMeta{})
 	}
 	idx.counts = reuse(idx.counts)
 	idx.docLen[rec.ID] = idx.countTokens(rec, idx.counts)
 	for term, tf := range idx.counts {
 		idx.insertPostingLocked(term, rec.ID, tf)
 	}
-	idx.docs[rec.ID] = docMeta{live: true, region: rec.Region}
-	idx.nDocs++
 }
 
 // removeDocLocked unindexes one recipe by counting its document text
@@ -319,8 +317,6 @@ func (idx *Index) removeDocLocked(rec *recipedb.Recipe) {
 		idx.removePostingLocked(term, rec.ID)
 	}
 	idx.docLen[rec.ID] = 0
-	idx.docs[rec.ID] = docMeta{}
-	idx.nDocs--
 }
 
 // replaceDocLocked re-indexes a slot whose live recipe old was replaced
@@ -343,7 +339,6 @@ func (idx *Index) replaceDocLocked(old, rec *recipedb.Recipe) {
 			idx.insertPostingLocked(term, rec.ID, tf)
 		}
 	}
-	idx.docs[rec.ID] = docMeta{live: true, region: rec.Region}
 }
 
 // reuse returns m emptied for the next document's counts. Clearing a
@@ -443,22 +438,6 @@ func (idx *Index) Vocabulary() int {
 	return len(idx.postings)
 }
 
-// DocCount returns the number of indexed recipes.
-func (idx *Index) DocCount() int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return idx.nDocs
-}
-
-// Version returns the corpus version the index currently reflects.
-// For a live index this equals the store version once the mutation
-// that produced it has returned (maintenance is synchronous).
-func (idx *Index) Version() uint64 {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return idx.version
-}
-
 // Hit is one ranked search result.
 type Hit struct {
 	// RecipeID indexes the store the index was built from.
@@ -485,25 +464,25 @@ type Options struct {
 	Fuzzy bool
 }
 
-// Search tokenizes the query and returns ranked hits. Ties break by
-// recipe ID for determinism.
+// Search is SearchView inside one Store.Read of the index's corpus.
 func (idx *Index) Search(query string, opts Options) []Hit {
-	hits, _ := idx.SearchVersion(query, opts)
+	var hits []Hit
+	idx.store.Read(func(v *recipedb.View) { hits = idx.SearchView(v, query, opts) })
 	return hits
 }
 
-// SearchVersion is Search plus the corpus version the results reflect,
-// for clients that fence responses against the live corpus. The whole
-// ranking runs under one read epoch of the index, so the (hits,
-// version) pair is consistent.
-func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
+// SearchView tokenizes the query and returns ranked hits against v, a
+// view of the corpus the index was built from; the caller holds the
+// Read, so the hits and v.Version name one corpus state. Ties break by
+// recipe ID for determinism.
+func (idx *Index) SearchView(v *recipedb.View, query string, opts Options) []Hit {
 	limit := opts.Limit
 	if limit <= 0 {
 		limit = 10
 	}
 	terms := tokenize(query)
 	if len(terms) == 0 {
-		return nil, idx.Version()
+		return nil
 	}
 	// Deduplicate query terms, keeping first occurrences in order.
 	uniq := terms[:0]
@@ -529,11 +508,11 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 			if opts.Mode == ModeAll {
 				// No document can match every term: skip the merge and
 				// the fuzzy expansion of any later term.
-				return []Hit{}, idx.version
+				return []Hit{}
 			}
 			continue
 		}
-		idf := math.Log(float64(idx.nDocs+1) / float64(len(plist)+1))
+		idf := math.Log(float64(v.Len()+1) / float64(len(plist)+1))
 		cursors = append(cursors, cursor{list: plist, idf: idf})
 		candidates += len(plist)
 	}
@@ -541,6 +520,7 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 	// top is a heap of the best min(limit, candidates) hits seen so far
 	// with the worst of them at the root.
 	top := make([]Hit, 0, min(limit, candidates))
+	filter := opts.HasRegion && opts.Region != recipedb.World
 	for {
 		// The next document is the smallest one any cursor points at.
 		doc := int32(-1)
@@ -568,15 +548,7 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 		if opts.Mode == ModeAll && h.Matched < len(terms) {
 			continue
 		}
-		// Liveness and region come from the index's own per-slot metadata,
-		// maintained in the same critical section as the postings — a live
-		// index never ranks a deleted recipe, and it never needs to lock
-		// the store at query time.
-		meta := idx.docs[doc]
-		if !meta.live {
-			continue
-		}
-		if opts.HasRegion && opts.Region != recipedb.World && meta.region != opts.Region {
+		if filter && v.Recipe(int(doc)).Region != opts.Region {
 			continue
 		}
 		switch {
@@ -594,7 +566,7 @@ func (idx *Index) SearchVersion(query string, opts Options) ([]Hit, uint64) {
 		top[0], top[n] = top[n], top[0]
 		siftDown(top[:n], 0)
 	}
-	return top, idx.version
+	return top
 }
 
 // cursor is the read position in one query term's posting list, and
@@ -685,31 +657,38 @@ func (idx *Index) fuzzyPostingsLocked(term string) []posting {
 }
 
 // CanonicalDump serializes the complete index state deterministically:
-// slot tables in slot order, vocabulary in sorted-terms order, posting
-// lists exactly as stored (NOT re-sorted — so the dump also witnesses
-// the doc-ascending invariant incremental maintenance must preserve).
-// Two indexes over the same corpus state produce identical bytes; the
-// equivalence tests diff a live index against a fresh Build with it.
+// docLen in slot order, beside each slot's liveness and region as the
+// corpus holds them (region 0 for a tombstone), vocabulary in
+// sorted-terms order, posting lists exactly as stored (NOT re-sorted —
+// so the dump also witnesses the doc-ascending invariant incremental
+// maintenance must preserve). Two indexes over the same corpus state
+// produce identical bytes; the equivalence tests diff a live index
+// against a fresh Build with it.
 func (idx *Index) CanonicalDump() []byte {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "version=%d nDocs=%d slots=%d terms=%d\n",
-		idx.version, idx.nDocs, len(idx.docLen), len(idx.terms))
-	for i := range idx.docLen {
-		m := idx.docs[i]
-		fmt.Fprintf(&b, "doc %d len=%d live=%t region=%d\n", i, idx.docLen[i], m.live, int(m.region))
-	}
-	for _, term := range idx.terms {
-		fmt.Fprintf(&b, "term %q:", term)
-		for _, p := range idx.postings[term] {
-			fmt.Fprintf(&b, " %d/%d", p.doc, p.tf)
+	idx.store.Read(func(v *recipedb.View) {
+		idx.mu.RLock()
+		defer idx.mu.RUnlock()
+		fmt.Fprintf(&b, "version=%d nDocs=%d slots=%d terms=%d\n",
+			v.Version, v.Len(), len(idx.docLen), len(idx.terms))
+		for i := range idx.docLen {
+			rec, region := v.Recipe(i), recipedb.Region(0)
+			if !rec.Deleted {
+				region = rec.Region
+			}
+			fmt.Fprintf(&b, "doc %d len=%d live=%t region=%d\n", i, idx.docLen[i], !rec.Deleted, int(region))
 		}
-		b.WriteByte('\n')
-	}
-	// The map must agree with the sorted slice: any divergence is a
-	// maintenance bug the diff should surface, so record both sizes.
-	fmt.Fprintf(&b, "postings=%d\n", len(idx.postings))
+		for _, term := range idx.terms {
+			fmt.Fprintf(&b, "term %q:", term)
+			for _, p := range idx.postings[term] {
+				fmt.Fprintf(&b, " %d/%d", p.doc, p.tf)
+			}
+			b.WriteByte('\n')
+		}
+		// The map must agree with the sorted slice: any divergence is a
+		// maintenance bug the diff should surface, so record both sizes.
+		fmt.Fprintf(&b, "postings=%d\n", len(idx.postings))
+	})
 	return []byte(b.String())
 }
 

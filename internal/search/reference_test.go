@@ -15,20 +15,22 @@ import (
 	"culinary/internal/recipedb"
 )
 
-// referenceSearchVersion is SearchVersion as it stood before the
-// merge-and-bounded-heap kernel, body verbatim: one heap-allocated
-// accumulator per candidate document in a map, every candidate copied
-// out and fully sorted, then truncated. It is the definition of what a
-// search returns; the kernel is held to it hit for hit, score bit for
-// score bit.
-func (idx *Index) referenceSearchVersion(query string, opts Options) ([]Hit, uint64) {
+// referenceSearch is the search as it stood before the
+// merge-and-bounded-heap kernel: one heap-allocated accumulator per
+// candidate document in a map, every candidate copied out and fully
+// sorted, then truncated. It takes liveness, region and the live count
+// from the corpus view, never from the index, and it tests every
+// candidate for liveness, which the kernel leaves to the postings. It is
+// the definition of what a search returns; the kernel is held to it hit
+// for hit, score bit for score bit.
+func (idx *Index) referenceSearch(v *recipedb.View, query string, opts Options) []Hit {
 	limit := opts.Limit
 	if limit <= 0 {
 		limit = 10
 	}
 	terms := tokenize(query)
 	if len(terms) == 0 {
-		return nil, idx.Version()
+		return nil
 	}
 	// Deduplicate query terms.
 	seen := make(map[string]struct{}, len(terms))
@@ -58,7 +60,7 @@ func (idx *Index) referenceSearchVersion(query string, opts Options) ([]Hit, uin
 		if len(plist) == 0 {
 			continue
 		}
-		idf := math.Log(float64(idx.nDocs+1) / float64(len(plist)+1))
+		idf := math.Log(float64(v.Len()+1) / float64(len(plist)+1))
 		for _, p := range plist {
 			a := scores[int(p.doc)]
 			if a == nil {
@@ -72,19 +74,15 @@ func (idx *Index) referenceSearchVersion(query string, opts Options) ([]Hit, uin
 	}
 
 	hits := make([]Hit, 0, len(scores))
-	// Liveness and region come from the index's own per-slot metadata,
-	// maintained in the same critical section as the postings — a live
-	// index never ranks a deleted recipe, and it never needs to lock
-	// the store at query time.
 	for doc, a := range scores {
 		if opts.Mode == ModeAll && a.matched < len(terms) {
 			continue
 		}
-		meta := idx.docs[doc]
-		if !meta.live {
+		rec := v.Recipe(doc)
+		if rec.Deleted {
 			continue
 		}
-		if opts.HasRegion && opts.Region != recipedb.World && meta.region != opts.Region {
+		if opts.HasRegion && opts.Region != recipedb.World && rec.Region != opts.Region {
 			continue
 		}
 		hits = append(hits, Hit{RecipeID: doc, Score: a.score, Matched: a.matched})
@@ -98,7 +96,7 @@ func (idx *Index) referenceSearchVersion(query string, opts Options) ([]Hit, uin
 	if len(hits) > limit {
 		hits = hits[:limit]
 	}
-	return hits, idx.version
+	return hits
 }
 
 // misspell puts a term one edit from the vocabulary, the way the
@@ -133,24 +131,22 @@ func referenceQueries(catalog *flavor.Catalog) (exact, fuzzy []string) {
 // compareWithReference runs the battery × Mode × region filter through
 // the reference for the full ranking, then holds the kernel to that
 // ranking's prefix at every Limit — sort-and-truncate is what a bounded
-// top-k has to equal. It returns how many comparisons had hits.
-func compareWithReference(t *testing.T, idx *Index, exact, fuzzy []string) int {
+// top-k has to equal. Both read one view of the store. It returns how
+// many comparisons had hits.
+func compareWithReference(t *testing.T, store *recipedb.Store, idx *Index, exact, fuzzy []string) int {
 	t.Helper()
 	nonEmpty := 0
 	limits := []int{0, 1, 3, 100, 100000, math.MaxInt}
-	check := func(q string, opts Options) {
+	check := func(v *recipedb.View, q string, opts Options) {
 		opts.Limit = math.MaxInt
-		ranking, wantV := idx.referenceSearchVersion(q, opts)
+		ranking := idx.referenceSearch(v, q, opts)
 		for _, limit := range limits {
 			opts.Limit = limit
 			if limit <= 0 {
 				limit = 10
 			}
 			want := ranking[:min(limit, len(ranking))]
-			got, gotV := idx.SearchVersion(q, opts)
-			if gotV != wantV {
-				t.Fatalf("Search(%q, %+v): version %d, reference %d", q, opts, gotV, wantV)
-			}
+			got := idx.SearchView(v, q, opts)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("Search(%q, %+v) diverged from the reference:\n got %v\nwant %v", q, opts, clip(got), clip(want))
 			}
@@ -159,16 +155,18 @@ func compareWithReference(t *testing.T, idx *Index, exact, fuzzy []string) int {
 			}
 		}
 	}
-	for qi, queries := range [][]string{exact, fuzzy} {
-		for _, q := range queries {
-			for _, mode := range []Mode{ModeAny, ModeAll} {
-				opts := Options{Mode: mode, Fuzzy: qi == 1}
-				check(q, opts)
-				opts.Region, opts.HasRegion = recipedb.Italy, true
-				check(q, opts)
+	store.Read(func(v *recipedb.View) {
+		for qi, queries := range [][]string{exact, fuzzy} {
+			for _, q := range queries {
+				for _, mode := range []Mode{ModeAny, ModeAll} {
+					opts := Options{Mode: mode, Fuzzy: qi == 1}
+					check(v, q, opts)
+					opts.Region, opts.HasRegion = recipedb.Italy, true
+					check(v, q, opts)
+				}
 			}
 		}
-	}
+	})
 	return nonEmpty
 }
 
@@ -191,7 +189,7 @@ func TestKernelMatchesReference(t *testing.T) {
 	store, catalog := env.Store, env.Catalog
 	exact, fuzzy := referenceQueries(catalog)
 
-	n := compareWithReference(t, Build(store), exact, fuzzy)
+	n := compareWithReference(t, store, Build(store), exact, fuzzy)
 	t.Logf("fresh Build over %d recipes: %d non-empty comparisons", store.Len(), n)
 	if n < 10000 {
 		t.Fatalf("only %d non-empty comparisons: the battery lost its teeth", n)
@@ -232,14 +230,16 @@ func TestKernelMatchesReference(t *testing.T) {
 	for _, id := range added[:len(added)/2] {
 		store.Remove(id) //nolint:errcheck // may already be gone
 	}
-	requireEquivalent(t, store, live)
 	if store.Slots() == store.Len() || live.Vocabulary() == vocabBefore {
 		t.Fatalf("schedule left no tombstones (%d slots, %d live) or no vocabulary change", store.Slots(), store.Len())
 	}
+	// The reference first: it reads liveness from the corpus, so it
+	// catches a stale posting on its own, before the dump comparison.
 	exact = append(exact, "churned", "churned plate", "stew")
 	fuzzy = append(fuzzy, "churnd", "churnd plat", "stw")
-	n = compareWithReference(t, live, exact, fuzzy)
+	n = compareWithReference(t, store, live, exact, fuzzy)
 	t.Logf("live index after churn (%d slots, %d live): %d non-empty comparisons", store.Slots(), store.Len(), n)
+	requireEquivalent(t, store, live)
 }
 
 // TestSearchAllocations pins the kernel's allocation shape: a search
@@ -267,8 +267,12 @@ func TestSearchAllocations(t *testing.T) {
 	if nLong < 3000 || nShort > 20 {
 		t.Fatalf("terms %q (%d postings) and %q (%d) do not span the list lengths", long, nLong, short, nShort)
 	}
-	allocs := func(q string, opts Options) float64 {
-		return testing.AllocsPerRun(50, func() { idx.SearchVersion(q, opts) })
+	// The server's shape: SearchView inside a Read the caller holds.
+	allocs := func(q string, opts Options) (n float64) {
+		env.Store.Read(func(v *recipedb.View) {
+			n = testing.AllocsPerRun(50, func() { idx.SearchView(v, q, opts) })
+		})
+		return n
 	}
 	aLong, aShort := allocs(long, Options{Limit: 10}), allocs(short, Options{Limit: 10})
 	t.Logf("%q: %d postings, %.0f allocs; %q: %d postings, %.0f allocs", long, nLong, aLong, short, nShort, aShort)

@@ -268,48 +268,6 @@ func TestModelsFreshOnNextRequest(t *testing.T) {
 	check("batch", ack("batch", code, body, http.StatusOK))
 }
 
-// TestHealthDerivedBlock asserts the monitoring surface: /api/health
-// carries a "derived" block with only the search index's version and
-// lag, which stays zero across a mutation. The classifier and the
-// recommender read the corpus on every request and report nothing.
-func TestHealthDerivedBlock(t *testing.T) {
-	s, h := mutableServer(t)
-	checkSearch := func(when string) {
-		t.Helper()
-		code, body := do(t, h, "GET", "/api/health", nil)
-		if code != http.StatusOK {
-			t.Fatalf("health: %d %v", code, body)
-		}
-		corpusVersion := uint64(body["corpusVersion"].(float64))
-		derivedBlock, ok := body["derived"].(map[string]interface{})
-		if !ok {
-			t.Fatalf("health lacks derived block: %v", body)
-		}
-		if len(derivedBlock) != 1 {
-			t.Errorf("%s: derived block holds %v, want only search", when, derivedBlock)
-		}
-		searchBlock := derivedBlock["search"].(map[string]interface{})
-		if searchBlock["mode"] != "synchronous" {
-			t.Errorf("%s: search mode = %v", when, searchBlock["mode"])
-		}
-		if v := uint64(searchBlock["version"].(float64)); v != corpusVersion {
-			t.Errorf("%s: search version %d != corpus version %d", when, v, corpusVersion)
-		}
-		if lag := searchBlock["lag"].(float64); lag != 0 {
-			t.Errorf("%s: synchronous index reports lag %v", when, lag)
-		}
-	}
-	checkSearch("at boot")
-	ings := ingredientNames(t, s.cfg.Store, 2)
-	if code, body := do(t, h, "POST", "/api/recipes", map[string]interface{}{
-		"name": "lag probe dish", "region": "FRA", "source": "Epicurious",
-		"ingredients": ings,
-	}); code != http.StatusCreated {
-		t.Fatalf("lag-probe upsert: %d %v", code, body)
-	}
-	checkSearch("after a mutation")
-}
-
 // TestModelUnavailable503 pins the degradation contract: a corpus that
 // cannot support a model (empty, then single-region) must not abort
 // server construction; classify and complete answer a structured 503

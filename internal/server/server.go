@@ -389,18 +389,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"firstSight":  rcs.FirstSight,
 		},
 	}
-	corpusVersion := s.cfg.Store.Version()
-	body["derived"] = map[string]interface{}{
-		// The search index is maintained synchronously inside the
-		// mutation critical section, so its lag is zero by
-		// construction; the version is reported so monitoring can
-		// cross-check the invariant.
-		"search": map[string]interface{}{
-			"mode":    "synchronous",
-			"version": s.index.Version(),
-			"lag":     lagBehind(corpusVersion, s.index.Version()),
-		},
-	}
 	// The traffic block always carries the mutation fan-in's coalescing
 	// telemetry and the storage_unavailable response count; the
 	// rate-limit/shed counters join it when the traffic stack is armed.
@@ -470,16 +458,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, r, http.StatusOK, body)
-}
-
-// lagBehind is a saturating corpus-version delta: a model built at a
-// newer version than the sampled corpus version (a mutation raced the
-// health probe) reads as zero lag, never as underflow.
-func lagBehind(corpus, model uint64) uint64 {
-	if model >= corpus {
-		return 0
-	}
-	return corpus - model
 }
 
 // regionSummary is one row of GET /api/regions.
@@ -845,8 +823,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var out []searchHit
 	var version uint64
 	s.cfg.Store.Read(func(v *recipedb.View) {
-		var hits []search.Hit
-		hits, version = s.index.SearchVersion(text, opts)
+		hits := s.index.SearchView(v, text, opts)
+		version = v.Version
 		out = make([]searchHit, len(hits))
 		for i, h := range hits {
 			out[i] = searchHit{Recipe: s.recipeJSON(*v.Recipe(h.RecipeID)), Score: h.Score}

@@ -87,9 +87,12 @@ func TestHealth(t *testing.T) {
 		t.Errorf("counts missing: %v", body)
 	}
 	// The query engine keeps no cache, so health reports none: the
-	// response cache's block is the only cache block.
-	if qc, ok := body["queryCache"]; ok {
-		t.Errorf("health reports a queryCache block: %v", qc)
+	// response cache's block is the only cache block. The search index
+	// keeps no version of its own, so there is no derived block either.
+	for _, key := range []string{"queryCache", "derived"} {
+		if block, ok := body[key]; ok {
+			t.Errorf("health reports a %s block: %v", key, block)
+		}
 	}
 	if _, ok := body["resultCache"].(map[string]interface{}); !ok {
 		t.Errorf("health lacks resultCache stats: %v", body)

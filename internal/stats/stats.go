@@ -289,30 +289,3 @@ func Gini(counts []int) float64 {
 	// G = (n + 1 - 2 * sum(cumshare) ) / n
 	return (float64(n) + 1 - 2*weighted/total) / float64(n)
 }
-
-// Pearson computes the Pearson correlation coefficient.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	var ax, ay Accumulator
-	for i := range xs {
-		ax.Add(xs[i])
-		ay.Add(ys[i])
-	}
-	mx, my := ax.Mean(), ay.Mean()
-	var cov, vx, vy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
-	}
-	if vx == 0 || vy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return cov / math.Sqrt(vx*vy), nil
-}

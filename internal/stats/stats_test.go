@@ -166,29 +166,6 @@ func TestGini(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := Pearson(xs, ys)
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("perfect correlation r = %v err %v", r, err)
-	}
-	neg := []float64{8, 6, 4, 2}
-	r, _ = Pearson(xs, neg)
-	if !almostEqual(r, -1, 1e-12) {
-		t.Fatalf("perfect anticorrelation r = %v", r)
-	}
-	if _, err := Pearson(xs, ys[:2]); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	if _, err := Pearson([]float64{1}, []float64{1}); err != ErrEmpty {
-		t.Fatal("too-short input should be ErrEmpty")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Fatal("zero variance should error")
-	}
-}
-
 func TestPropertyAccumulatorMatchesBatch(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
